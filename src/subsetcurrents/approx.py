@@ -22,8 +22,8 @@ from math import lcm
 from typing import Iterable, Sequence, Union
 
 from .errors import InfeasibleKernelError
-from .cylinders import (RationalCurrent, WeightTable, cylinder_table,
-                        distance)
+from .cylinders import (DEFAULT_MAX_RADIUS, RationalCurrent, WeightTable,
+                        cylinder_table, distance)
 from .realize import WeightSystem, support_system
 from .stallings import Subgroup
 from .words import Word
@@ -200,7 +200,10 @@ def rational_kernel_point(problem: KernelProblem) -> tuple[Fraction, ...]:
         raise InfeasibleKernelError(
             f"no kernel point within {eps} of the target (gap {gap})")
     for row in problem.matrix:
-        assert sum(c * x for c, x in zip(row, v) if c) == 0
+        residual = sum(c * x for c, x in zip(row, v) if c)
+        if residual != 0:
+            raise InfeasibleKernelError(
+                f"projection left the kernel: a row evaluates to {residual}")
     return tuple(v)
 
 
@@ -257,14 +260,16 @@ def subgroup_Gn(n: int) -> Subgroup:
     return Subgroup((Word(2, (1,)),) + subgroup_Hn(n).generators, 2)
 
 
-def convergence_run(radius: int, ns: Iterable[int]
+def convergence_run(radius: int, ns: Iterable[int],
+                    max_radius: int = DEFAULT_MAX_RADIUS
                     ) -> list[tuple[int, Fraction]]:
     """Exact cylinder distances from (1/n) eta_{H_n} to eta_F."""
-    reference = cylinder_table(RationalCurrent.full(2), radius)
+    reference = cylinder_table(RationalCurrent.full(2), radius, max_radius)
     out = []
     for n in ns:
         if n < 2:
             raise ValueError("each n must be >= 2")
         scaled = RationalCurrent([(Fraction(1, n), subgroup_Hn(n))], 2)
-        out.append((n, distance(cylinder_table(scaled, radius), reference)))
+        out.append((n, distance(cylinder_table(scaled, radius, max_radius),
+                                reference)))
     return out

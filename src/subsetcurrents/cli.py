@@ -33,10 +33,14 @@ class Config:
 
 
 def _env_default(name: str, fallback):
-    raw = os.environ.get(ENV_PREFIX + name.upper())
+    var = ENV_PREFIX + name.upper()
+    raw = os.environ.get(var)
     if raw is None:
         return fallback
-    return type(fallback)(raw)
+    try:
+        return type(fallback)(raw)
+    except ValueError as exc:
+        raise ValueError(f"bad value {raw!r} for {var}") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -161,9 +165,12 @@ def _cmd_intersect(args, config: Config) -> int:
     print(f"SHNC: {'ok' if n <= bound else 'violated'}")
     print(f"census: total={total} trees={trees} positive={positive}")
     if args.export is not None:
-        for k, comp in enumerate(product.components):
-            edges = [(s, d, l) for (s, d, l) in product.edges
-                     if s in set(comp)]
+        comp_of = {v: k for k, comp in enumerate(product.components)
+                   for v in comp}
+        buckets: list[list] = [[] for _ in product.components]
+        for edge in product.edges:
+            buckets[comp_of[edge[0]]].append(edge)
+        for k, (comp, edges) in enumerate(zip(product.components, buckets)):
             path = Path(f"{args.export}.{k}.txt")
             path.write_text(_raw_graph_text(product.rank, comp, edges),
                             encoding="utf-8")
@@ -198,7 +205,7 @@ def _cmd_cylinders(args, config: Config) -> int:
         if len(coeffs) != len(subs):
             raise ValueError("one coefficient per subgroup file")
     current = cyl.RationalCurrent(list(zip(coeffs, subs)))
-    table = cyl.cylinder_table(current, args.radius)
+    table = cyl.cylinder_table(current, args.radius, config.max_radius)
     text = cyl.table_to_text(table)
     if args.out is not None:
         args.out.write_text(text, encoding="utf-8")
@@ -244,7 +251,8 @@ def _cmd_approx(args, config: Config) -> int:
 
 def _cmd_converge(args, config: Config) -> int:
     ns = [int(x) for x in args.ns.split(",") if x.strip()]
-    for n, dist in approx_mod.convergence_run(args.radius, ns):
+    for n, dist in approx_mod.convergence_run(args.radius, ns,
+                                              config.max_radius):
         line = f"n={n} distance = {dist}"
         if args.decimal:
             line += f" ({float(dist):.6g})"
@@ -274,7 +282,11 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    try:
+        parser = build_parser()
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     args = parser.parse_args(argv)
     config = Config(max_radius=args.max_radius, seed=args.seed,
                     output_dir=Path(args.output_dir))

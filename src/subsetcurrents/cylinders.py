@@ -602,11 +602,13 @@ def table_from_text(text: str) -> WeightTable:
         if not line:
             continue
         parts = line.split()
-        if parts[0] == "rank" and len(parts) == 2:
-            rank = int(parts[1])
-            continue
-        if parts[0] == "radius" and len(parts) == 2:
-            radius = int(parts[1])
+        if parts[0] in ("rank", "radius") and len(parts) == 2:
+            if not parts[1].isdigit():
+                raise FileFormatError(f"expected '{parts[0]} N', got {line!r}")
+            if parts[0] == "rank":
+                rank = int(parts[1])
+            else:
+                radius = int(parts[1])
             continue
         if rank is None or radius is None:
             raise FileFormatError("table entries before rank/radius header")

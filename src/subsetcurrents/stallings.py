@@ -177,11 +177,28 @@ def _connected(num_vertices: int, edges: Sequence[tuple[int, int, int]]) -> bool
 
 def _fold_edges(num_vertices: int, edges: Sequence[tuple[int, int, int]]
                 ) -> tuple[int, list[tuple[int, int, int]], list[int]]:
-    """Stallings folding by repeated identification; returns the quotient.
+    """Stallings folding by a worklist union-find; returns the quotient.
+
+    Each class root keeps one map from signed label to a neighbour.  Two
+    different neighbours under one signed label are a pair that folding
+    must identify, so it goes on the worklist; merging two classes folds
+    the smaller map into the larger, pushing every clash this creates.
+    A map holds at most 2 * rank entries, so each merge costs O(rank) and
+    the fold runs in near-linear time.
+    Classes are numbered in order of their least vertex.
 
     The result is (new_count, new_edges, mapping old vertex -> new vertex).
     """
     parent = list(range(num_vertices))
+    nbrs: list[dict[int, int]] = [{} for _ in range(num_vertices)]
+    pending: list[tuple[int, int]] = []
+    for (s, d, l) in edges:
+        t = nbrs[s].setdefault(l, d)
+        if t != d:
+            pending.append((t, d))
+        t = nbrs[d].setdefault(-l, s)
+        if t != s:
+            pending.append((t, s))
 
     def find(v: int) -> int:
         while parent[v] != v:
@@ -189,58 +206,61 @@ def _fold_edges(num_vertices: int, edges: Sequence[tuple[int, int, int]]
             v = parent[v]
         return v
 
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    work = list(edges)
-    while True:
-        canon = {(find(s), find(d), l) for (s, d, l) in work}
-        merged = False
-        out: dict[tuple[int, int], int] = {}
-        inc: dict[tuple[int, int], int] = {}
-        for (s, d, l) in canon:
-            if (s, l) in out and find(out[(s, l)]) != find(d):
-                union(out[(s, l)], d)
-                merged = True
-            else:
-                out[(s, l)] = d
-            if (d, l) in inc and find(inc[(d, l)]) != find(s):
-                union(inc[(d, l)], s)
-                merged = True
-            else:
-                inc[(d, l)] = s
-        work = list(canon)
-        if not merged:
-            break
-    roots = sorted({find(v) for v in range(num_vertices)})
-    new_id = {r: i for i, r in enumerate(roots)}
-    mapping = [new_id[find(v)] for v in range(num_vertices)]
+    while pending:
+        a, b = pending.pop()
+        a, b = find(a), find(b)
+        if a == b:
+            continue
+        if len(nbrs[a]) < len(nbrs[b]):
+            a, b = b, a
+        parent[b] = a
+        big = nbrs[a]
+        for label, w in nbrs[b].items():
+            t = big.setdefault(label, w)
+            if t != w:
+                pending.append((t, w))
+        nbrs[b] = {}
+    new_id: dict[int, int] = {}
+    mapping = [new_id.setdefault(find(v), len(new_id))
+               for v in range(num_vertices)]
     new_edges = sorted({(mapping[s], mapping[d], l) for (s, d, l) in edges})
-    return len(roots), new_edges, mapping
+    return len(new_id), new_edges, mapping
 
 
 def _prune_edges(num_vertices: int, edges: Sequence[tuple[int, int, int]],
                  protect: Optional[int]
                  ) -> tuple[int, list[tuple[int, int, int]], dict[int, int]]:
-    """Iteratively delete degree-<=1 vertices (except `protect`)."""
-    alive = set(range(num_vertices))
-    cur = list(edges)
-    while True:
-        deg: dict[int, int] = {v: 0 for v in alive}
-        for (s, d, _l) in cur:
-            deg[s] += 1
-            deg[d] += 1
-        doomed = {v for v in alive if deg[v] <= 1 and v != protect}
-        if not doomed:
-            break
-        alive -= doomed
-        cur = [(s, d, l) for (s, d, l) in cur
-               if s not in doomed and d not in doomed]
-    new_id = {v: i for i, v in enumerate(sorted(alive))}
-    new_edges = sorted((new_id[s], new_id[d], l) for (s, d, l) in cur)
-    return len(alive), new_edges, new_id
+    """Iteratively delete degree-<=1 vertices (except `protect`).
+
+    A queue of degree-<=1 vertices over incidence lists: each vertex is
+    deleted once and each edge looked at twice, so the prune runs in
+    linear time.  A loop adds 2 to its vertex's degree.  Survivors are
+    renumbered in increasing order.
+    """
+    deg = [0] * num_vertices
+    incident: list[list[int]] = [[] for _ in range(num_vertices)]
+    for (s, d, _l) in edges:
+        deg[s] += 1
+        deg[d] += 1
+        incident[s].append(d)
+        incident[d].append(s)
+    alive = [True] * num_vertices
+    queue = [v for v in range(num_vertices) if deg[v] <= 1 and v != protect]
+    while queue:
+        v = queue.pop()
+        alive[v] = False
+        for w in incident[v]:
+            if alive[w]:
+                deg[w] -= 1
+                if deg[w] == 1 and w != protect:
+                    queue.append(w)
+    new_id: dict[int, int] = {}
+    for v in range(num_vertices):
+        if alive[v]:
+            new_id[v] = len(new_id)
+    new_edges = sorted((new_id[s], new_id[d], l) for (s, d, l) in edges
+                       if alive[s] and alive[d])
+    return len(new_id), new_edges, new_id
 
 
 def fold(g: LabeledGraph) -> CoreGraph:

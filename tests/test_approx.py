@@ -10,6 +10,7 @@ from subsetcurrents import (KernelProblem, RationalCurrent, Subgroup,
                             rational_kernel_point, rationalize, realize,
                             decompose, subgroup_Gn, subgroup_Hn,
                             support_system, verify_realization)
+from subsetcurrents import approx
 from subsetcurrents.cylinders import WeightTable, table_from_text
 from subsetcurrents.errors import InfeasibleKernelError
 from subsetcurrents.realize import matching_system
@@ -97,6 +98,15 @@ def test_kernel_point_preserves_zero_coordinates():
 def test_kernel_point_infeasible():
     problem = KernelProblem([[1]], [Fraction(1)], Fraction(1, 1000))
     with pytest.raises(InfeasibleKernelError):
+        rational_kernel_point(problem)
+
+
+def test_kernel_point_rejects_projection_outside_kernel(monkeypatch):
+    # A projection that leaves the kernel must raise, also under python -O.
+    monkeypatch.setattr(approx, "_project_onto_kernel",
+                        lambda basis, target: list(target))
+    problem = KernelProblem([[1, -1]], [1, 2], 10)
+    with pytest.raises(InfeasibleKernelError, match="left the kernel"):
         rational_kernel_point(problem)
 
 

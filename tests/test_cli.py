@@ -157,3 +157,51 @@ def test_env_override(tmp_path, capsys, monkeypatch):
     # the flag wins over the environment
     assert main(["--max-radius", "1", "cylinders", "--radius", "1",
                  "--enumerate"]) == 0
+
+
+def test_bad_env_value_is_an_error_not_a_traceback(tmp_path, capsys,
+                                                   monkeypatch):
+    path = write_sub(tmp_path, "x.txt", ["x"])
+    monkeypatch.setenv("SUBCUR_SEED", "abc")
+    assert main(["rank", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "SUBCUR_SEED" in err
+
+
+def test_table_with_bad_header_is_a_format_error(tmp_path, capsys):
+    (tmp_path / "bad.txt").write_text("rank two\nradius 1\ne,x,X = 1\n")
+    assert main(["realize", str(tmp_path / "bad.txt"),
+                 "--outdir", str(tmp_path / "out")]) == 2
+    assert "expected 'rank N'" in capsys.readouterr().err
+
+
+def test_max_radius_flag_reaches_table_and_converge(tmp_path, capsys):
+    path = write_sub(tmp_path, "x.txt", ["x"])
+    out_path = tmp_path / "table.txt"
+    assert main(["--max-radius", "4", "cylinders", str(path), "--radius", "4",
+                 "--out", str(out_path)]) == 0
+    assert "matching: ok" in capsys.readouterr().out
+    assert table_from_text(out_path.read_text()) == cylinder_table(
+        RationalCurrent.eta(Subgroup(["x"], 2)), 4, max_radius=4)
+    assert main(["--max-radius", "4", "converge", "--radius", "4",
+                 "--ns", "2"]) == 0
+    assert capsys.readouterr().out.startswith("n=2 distance = ")
+
+
+# Exported components of <x^2, y> x <x^2, y>, byte for byte: grouping the
+# product's edges by component must not change what is written.
+EXPORTED_COMPONENTS = [
+    "rank 2\nvertices 2\nbasepoint none\n"
+    "edge 0 0 g2\nedge 0 1 g1\nedge 1 0 g1\n",
+    "rank 2\nvertices 2\nbasepoint none\nedge 0 1 g1\nedge 1 0 g1\n",
+]
+
+
+def test_intersect_export_is_byte_identical(tmp_path, capsys):
+    a = write_sub(tmp_path, "a.txt", ["xx", "y"])
+    prefix = tmp_path / "comp"
+    assert main(["intersect", str(a), str(a), "--export", str(prefix)]) == 0
+    assert "exported 2 components" in capsys.readouterr().out
+    exported = [(tmp_path / f"comp.{k}.txt").read_bytes() for k in range(2)]
+    assert exported == [text.encode() for text in EXPORTED_COMPONENTS]

@@ -2,6 +2,8 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from subsetcurrents import (CoreGraph, LabeledGraph, Subgroup, basis_of,
                             canonical_form, concat, conjugate, contains,
@@ -10,10 +12,13 @@ from subsetcurrents import (CoreGraph, LabeledGraph, Subgroup, basis_of,
                             label_isomorphic, parse_word, random_cover,
                             random_finite_cover, reduce, reduced_rank,
                             subgroup_from_text, write_subgroup, read_subgroup)
+from subsetcurrents.approx import subgroup_Hn
 from subsetcurrents.errors import FileFormatError
-from subsetcurrents.stallings import subgroup_to_text
+from subsetcurrents.stallings import (_fold_edges, _prune_edges,
+                                      subgroup_to_text)
 
-from helpers import random_subgroup, random_word
+from helpers import (random_subgroup, random_word, reference_fold_edges,
+                     reference_prune_edges)
 
 ROSE = core_from_generators(["x", "y"], 2)
 DOUBLE_COVER = CoreGraph(2, 2, [(0, 1, 1), (1, 0, 1), (0, 0, 2), (1, 1, 2)], 0)
@@ -121,6 +126,65 @@ def test_fold_is_confluent_under_edge_order():
         rng.shuffle(shuffled)
         assert label_isomorphic(fold(LabeledGraph(2, g.num_vertices, shuffled,
                                                   base)), reference)
+
+
+@st.composite
+def raw_graphs(draw, connected=False):
+    """(rank, vertex count, edges): loops and parallel edges allowed;
+    with `connected`, a random spanning tree is laid first."""
+    n = draw(st.integers(1, 40))
+    rank = draw(st.integers(1, 3))
+    labels = st.integers(1, rank)
+    edges = []
+    if connected:
+        for v in range(1, n):
+            u = draw(st.integers(0, v - 1))
+            edge = (u, v) if draw(st.booleans()) else (v, u)
+            edges.append(edge + (draw(labels),))
+    vertex = st.integers(0, n - 1)
+    edges += draw(st.lists(st.tuples(vertex, vertex, labels),
+                           max_size=2 * n + 4))
+    return rank, n, edges
+
+
+@given(raw_graphs())
+def test_fold_edges_matches_reference(graph):
+    _rank, n, edges = graph
+    assert _fold_edges(n, edges) == reference_fold_edges(n, edges)
+
+
+@given(raw_graphs(), st.data())
+def test_prune_edges_matches_reference(graph, data):
+    _rank, n, edges = graph
+    protect = data.draw(st.none() | st.integers(0, n - 1))
+    assert _prune_edges(n, edges, protect) == \
+        reference_prune_edges(n, edges, protect)
+
+
+@given(raw_graphs(connected=True), st.data())
+def test_fold_is_equal_under_edge_shuffle(graph, data):
+    rank, n, edges = graph
+    base = data.draw(st.integers(0, n - 1))
+    shuffled = data.draw(st.permutations(edges))
+    assert fold(LabeledGraph(rank, n, shuffled, base)) == \
+        fold(LabeledGraph(rank, n, edges, base))
+
+
+def test_core_of_long_commensurable_powers():
+    # <x^1600, x^1601> = <x>: one vertex carrying one x-loop.
+    c = core_from_generators(["x" * 1600, "x" * 1601], 1)
+    assert c == CoreGraph(1, 1, [(0, 0, 1)], 0)
+
+
+def test_hull_of_H256_is_the_decorated_cycle():
+    hull = subgroup_Hn(256).hull
+    assert (hull.num_vertices, hull.num_edges) == (256, 511)
+
+
+def test_hull_of_long_conjugate_is_one_loop():
+    c = core_from_generators(["x" * 4000 + "y" + "X" * 4000], 2)
+    assert c.num_vertices == 4001
+    assert hull_core(c) == CoreGraph(2, 1, [(0, 0, 2)], None)
 
 
 def test_hull_core_examples():
