@@ -28,7 +28,6 @@ ENV_PREFIX = "SUBCUR_"
 @dataclass
 class Config:
     max_radius: int = cyl.DEFAULT_MAX_RADIUS
-    seed: int = 0
     output_dir: Path = Path(".")
 
 
@@ -48,9 +47,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="subcur",
         description="subset currents on free groups: core graphs, "
                     "cylinder tables, realization")
-    parser.add_argument("--seed", type=int,
-                        default=_env_default("seed", 0),
-                        help="seed for randomized operations")
     parser.add_argument("--max-radius", type=int,
                         default=_env_default("max_radius",
                                              cyl.DEFAULT_MAX_RADIUS),
@@ -127,10 +123,8 @@ def _parse_fraction(text: str) -> Fraction:
 def _raw_graph_text(rank: int, vertices, edges) -> str:
     ids = {v: i for i, v in enumerate(sorted(vertices))}
     lines = [f"rank {rank}", f"vertices {len(ids)}", "basepoint none"]
-    lines.extend(f"edge {ids[s]} {ids[d]} g{l}"
-                 for (s, d, l) in sorted(edges, key=lambda e: (ids[e[0]],
-                                                               ids[e[1]],
-                                                               e[2])))
+    lines.extend(f"edge {s} {d} g{l}" for (s, d, l)
+                 in sorted((ids[s], ids[d], l) for (s, d, l) in edges))
     return "\n".join(lines) + "\n"
 
 
@@ -165,12 +159,8 @@ def _cmd_intersect(args, config: Config) -> int:
     print(f"SHNC: {'ok' if n <= bound else 'violated'}")
     print(f"census: total={total} trees={trees} positive={positive}")
     if args.export is not None:
-        comp_of = {v: k for k, comp in enumerate(product.components)
-                   for v in comp}
-        buckets: list[list] = [[] for _ in product.components]
-        for edge in product.edges:
-            buckets[comp_of[edge[0]]].append(edge)
-        for k, (comp, edges) in enumerate(zip(product.components, buckets)):
+        for k, (comp, edges) in enumerate(zip(product.components,
+                                              product.component_edges)):
             path = Path(f"{args.export}.{k}.txt")
             path.write_text(_raw_graph_text(product.rank, comp, edges),
                             encoding="utf-8")
@@ -224,11 +214,13 @@ def _cmd_realize(args, config: Config) -> int:
     ok = verify_realization(theta, current)
     outdir = args.outdir if args.outdir is not None else config.output_dir
     outdir.mkdir(parents=True, exist_ok=True)
-    for k, (_coeff, sub) in enumerate(current.terms):
-        stallings.write_subgroup(sub, outdir / f"component_{k}.txt")
     report = [f"vertices = {len(quotient.vertices)}",
               f"components = {len(quotient.components)}",
-              f"verified = {'true' if ok else 'false'}"]
+              f"verified = {'true' if ok else 'false'}",
+              f"shapes = {len(current.terms)}"]
+    for k, (coeff, sub) in enumerate(current.terms):
+        stallings.write_subgroup(sub, outdir / f"component_{k}.txt")
+        report.append(f"component_{k} = {coeff}")
     (outdir / "report.txt").write_text("\n".join(report) + "\n",
                                        encoding="utf-8")
     for line in report:
@@ -288,7 +280,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     args = parser.parse_args(argv)
-    config = Config(max_radius=args.max_radius, seed=args.seed,
+    config = Config(max_radius=args.max_radius,
                     output_dir=Path(args.output_dir))
     try:
         return _COMMANDS[args.command](args, config)

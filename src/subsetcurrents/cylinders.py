@@ -496,12 +496,28 @@ def translate_words(words: Iterable[WordTuple], letter: int
     return frozenset(free_reduce((letter,) + w) for w in words)
 
 
+LensKey = tuple[WordTuple, ...]
+
+
+def lens_keys(t: RoundGraph, generator: int
+              ) -> tuple[Optional[LensKey], Optional[LensKey]]:
+    """The lens classes of t for generator u: t meeting the lens if u is
+    in t, and the u-translate of t meeting the lens if u^-1 is in t (None
+    where t lacks the letter).  Matching pairs equal keys."""
+    lens = lens_ball(t.rank, t.radius, generator)
+    out = (_canonical_words(t.word_set & lens)
+           if (generator,) in t.word_set else None)
+    inc = (_canonical_words(translate_words(t.words, generator) & lens)
+           if (-generator,) in t.word_set else None)
+    return out, inc
+
+
 class MatchingViolation:
     """One failed matching row: generator, lens, and the two sums."""
 
     __slots__ = ("generator", "lens", "lhs", "rhs")
 
-    def __init__(self, generator: int, lens: tuple[WordTuple, ...],
+    def __init__(self, generator: int, lens: LensKey,
                  lhs: Fraction, rhs: Fraction):
         self.generator = generator
         self.lens = lens
@@ -530,16 +546,14 @@ def check_matching(table: WeightTable) -> list[MatchingViolation]:
     """
     violations: list[MatchingViolation] = []
     for gen in range(1, table.rank + 1):
-        lens = lens_ball(table.rank, table.radius, gen)
-        lhs: dict[tuple[WordTuple, ...], Fraction] = {}
-        rhs: dict[tuple[WordTuple, ...], Fraction] = {}
+        lhs: dict[LensKey, Fraction] = {}
+        rhs: dict[LensKey, Fraction] = {}
         for t, value in table.entries.items():
-            if (gen,) in t.word_set:
-                key = _canonical_words(t.word_set & lens)
-                lhs[key] = lhs.get(key, Fraction(0)) + value
-            if (-gen,) in t.word_set:
-                key = _canonical_words(translate_words(t.words, gen) & lens)
-                rhs[key] = rhs.get(key, Fraction(0)) + value
+            out, inc = lens_keys(t, gen)
+            if out is not None:
+                lhs[out] = lhs.get(out, Fraction(0)) + value
+            if inc is not None:
+                rhs[inc] = rhs.get(inc, Fraction(0)) + value
         for key in sorted(set(lhs) | set(rhs)):
             a = lhs.get(key, Fraction(0))
             b = rhs.get(key, Fraction(0))

@@ -13,24 +13,29 @@ from __future__ import annotations
 from typing import Iterable, Union
 
 from .errors import BasisMismatchError
-from .stallings import CoreGraph, LabeledGraph, Subgroup, fold
+from .stallings import (CoreGraph, LabeledGraph, Subgroup, edges_by_component,
+                        fold, hull_on)
 
 Pair = tuple[int, int]
 
 
 class ProductGraph:
-    """The edge-bearing part of a fiber product, split into components."""
+    """The edge-bearing part of a fiber product, split into components;
+    `component_edges[k]` holds the edges of component k."""
 
-    __slots__ = ("rank", "vertices", "edges", "components")
+    __slots__ = ("rank", "vertices", "edges", "components", "component_edges")
 
     def __init__(self, rank: int, vertices: Iterable[Pair],
                  edges: Iterable[tuple[Pair, Pair, int]],
                  components: Iterable[tuple[Pair, ...]]):
+        edges = tuple(sorted(edges))
+        components = tuple(sorted(tuple(sorted(c)) for c in components))
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "vertices", tuple(sorted(vertices)))
-        object.__setattr__(self, "edges", tuple(sorted(edges)))
-        object.__setattr__(self, "components",
-                           tuple(sorted(tuple(sorted(c)) for c in components)))
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "components", components)
+        object.__setattr__(self, "component_edges",
+                           edges_by_component(components, edges))
 
     def __setattr__(self, name, value):
         raise AttributeError("ProductGraph is immutable")
@@ -41,21 +46,13 @@ class ProductGraph:
 
     def component_stats(self) -> list[tuple[int, int]]:
         """(#vertices, #edges) per component."""
-        count: dict[Pair, int] = {}
-        for i, comp in enumerate(self.components):
-            for v in comp:
-                count[v] = i
-        stats = [[len(comp), 0] for comp in self.components]
-        for (src, _dst, _l) in self.edges:
-            stats[count[src]][1] += 1
-        return [(v, e) for (v, e) in stats]
+        return [(len(comp), len(edges))
+                for comp, edges in zip(self.components, self.component_edges)]
 
     def component_core(self, index: int) -> CoreGraph:
         """One component as a hull-core graph (fails on tree components)."""
-        comp = set(self.components[index])
-        ids = {v: i for i, v in enumerate(sorted(comp))}
-        edges = [(ids[s], ids[d], l) for (s, d, l) in self.edges if s in comp]
-        return CoreGraph(self.rank, len(comp), edges, None)
+        return hull_on(self.rank, self.components[index],
+                       self.component_edges[index])
 
 
 def _product_neighbors(a_graph: CoreGraph, b_graph: CoreGraph,
@@ -98,23 +95,25 @@ def fiber_product(a_graph: CoreGraph, b_graph: CoreGraph) -> ProductGraph:
                 seeds.add((sa, sb))
     seen: set[Pair] = set()
     edges: set[tuple[Pair, Pair, int]] = set()
-    components: list[tuple[Pair, ...]] = []
-    for seed in sorted(seeds):
-        if seed in seen:
-            continue
-        comp = [seed]
-        seen.add(seed)
-        i = 0
-        while i < len(comp):
-            v = comp[i]
-            i += 1
-            for w, lab, forward in _product_neighbors(a_graph, b_graph, v):
-                edges.add((v, w, lab) if forward else (w, v, lab))
-                if w not in seen:
-                    seen.add(w)
-                    comp.append(w)
-        components.append(tuple(comp))
+    components = [_product_component(a_graph, b_graph, seed, seen, edges)
+                  for seed in sorted(seeds) if seed not in seen]
     return ProductGraph(a_graph.rank, seen, edges, components)
+
+
+def _product_component(a_graph: CoreGraph, b_graph: CoreGraph, start: Pair,
+                       seen: set[Pair],
+                       edges: set[tuple[Pair, Pair, int]]) -> list[Pair]:
+    """The fiber-product component of `start` in breadth-first order; adds
+    its vertices to `seen` and its edges to `edges`."""
+    comp = [start]
+    seen.add(start)
+    for v in comp:
+        for w, lab, forward in _product_neighbors(a_graph, b_graph, v):
+            edges.add((v, w, lab) if forward else (w, v, lab))
+            if w not in seen:
+                seen.add(w)
+                comp.append(w)
+    return comp
 
 
 HullLike = Union[Subgroup, CoreGraph]
@@ -145,19 +144,10 @@ def intersection(h: Subgroup, k: Subgroup) -> Subgroup:
     if h.rank != k.rank:
         raise BasisMismatchError(f"rank {h.rank} vs rank {k.rank}")
     a_graph, b_graph = h.core, k.core
-    start: Pair = (a_graph.basepoint, b_graph.basepoint)
-    comp = [start]
-    seen = {start}
     edges: set[tuple[Pair, Pair, int]] = set()
-    i = 0
-    while i < len(comp):
-        v = comp[i]
-        i += 1
-        for w, lab, forward in _product_neighbors(a_graph, b_graph, v):
-            edges.add((v, w, lab) if forward else (w, v, lab))
-            if w not in seen:
-                seen.add(w)
-                comp.append(w)
+    comp = _product_component(a_graph, b_graph,
+                              (a_graph.basepoint, b_graph.basepoint),
+                              set(), edges)
     ids = {v: n for n, v in enumerate(comp)}
     raw = LabeledGraph(h.rank, len(comp),
                        [(ids[s], ids[d], l) for (s, d, l) in edges],

@@ -12,17 +12,17 @@ cylinders to exactly the input weights.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
+from itertools import repeat
 from typing import Iterable, Mapping, Sequence
 
 from .errors import AdmissibilityError
-from .cylinders import (DEFAULT_MAX_RADIUS, RationalCurrent, RoundGraph,
-                        WeightTable, WordTuple, _canonical_words,
-                        check_matching, cylinder_table,
-                        enumerate_round_graphs, lens_ball, translate_words)
-from .stallings import CoreGraph, Subgroup, canonical_form
-
-LensKey = tuple[WordTuple, ...]
+from .cylinders import (DEFAULT_MAX_RADIUS, LensKey, RationalCurrent,
+                        RoundGraph, WeightTable, check_matching,
+                        cylinder_table, enumerate_round_graphs, lens_keys)
+from .stallings import (CoreGraph, Subgroup, connected_components,
+                        edges_by_component, hull_on, least_bfs_encoding)
 
 
 class WeightSystem:
@@ -89,16 +89,10 @@ class MatchingSystem:
         rows: dict[tuple[int, LensKey], dict[int, int]] = {}
         for j, t in enumerate(columns):
             for gen in range(1, rank + 1):
-                lens = lens_ball(rank, radius, gen)
-                if (gen,) in t.word_set:
-                    key = (gen, _canonical_words(t.word_set & lens))
-                    row = rows.setdefault(key, {})
-                    row[j] = row.get(j, 0) + 1
-                if (-gen,) in t.word_set:
-                    key = (gen,
-                           _canonical_words(translate_words(t.words, gen) & lens))
-                    row = rows.setdefault(key, {})
-                    row[j] = row.get(j, 0) - 1
+                for key, sign in zip(lens_keys(t, gen), (1, -1)):
+                    if key is not None:
+                        row = rows.setdefault((gen, key), {})
+                        row[j] = row.get(j, 0) + sign
         cleaned = []
         for key in sorted(rows):
             entries = {j: c for j, c in rows[key].items() if c}
@@ -163,9 +157,10 @@ def support_system(rank: int, radius: int,
 class SCGraphQuotient:
     """Quotient of a realized SC-graph: theta(T) copies of each T, with a
     labeled matching per generator.  Immersed over the rose, minimum
-    degree 2."""
+    degree 2.  `component_edges[k]` holds the edges of component k."""
 
-    __slots__ = ("rank", "radius", "vertices", "edges", "components")
+    __slots__ = ("rank", "radius", "vertices", "edges", "components",
+                 "component_edges")
 
     def __init__(self, rank: int, radius: int,
                  vertices: Sequence[tuple[RoundGraph, int]],
@@ -173,36 +168,34 @@ class SCGraphQuotient:
         vertices = tuple(vertices)
         edges = tuple(sorted(edges))
         n = len(vertices)
-        out: set[tuple[int, int]] = set()
-        inc: set[tuple[int, int]] = set()
-        degree = [0] * n
+        # The signed letters read off each vertex: l leaving, -l arriving.
+        letters: list[set[int]] = [set() for _ in range(n)]
         for (s, d, l) in edges:
             if not (0 <= s < n and 0 <= d < n and 1 <= l <= rank):
                 raise ValueError(f"bad edge {(s, d, l)}")
-            if (s, l) in out or (d, l) in inc:
+            if l in letters[s] or -l in letters[d]:
                 raise ValueError(f"not an immersion at edge {(s, d, l)}")
-            out.add((s, l))
-            inc.add((d, l))
-            degree[s] += 1
-            degree[d] += 1
+            letters[s].add(l)
+            letters[d].add(-l)
+        stars: dict[RoundGraph, set[int]] = {}
         for i, (t, _copy) in enumerate(vertices):
-            if radius >= 1:
-                for gen in range(1, rank + 1):
-                    if ((i, gen) in out) != ((gen,) in t.word_set):
-                        raise ValueError(
-                            f"vertex {i} disagrees with its round-graph on "
-                            f"generator {gen}")
-                    if ((i, gen) in inc) != ((-gen,) in t.word_set):
-                        raise ValueError(
-                            f"vertex {i} disagrees with its round-graph on "
-                            f"inverse generator {gen}")
-            if degree[i] < 2:
-                raise ValueError(f"vertex {i} has degree {degree[i]} < 2")
+            if t not in stars:
+                stars[t] = {w[0] for w in t.words if len(w) == 1}
+            if radius >= 1 and letters[i] != stars[t]:
+                raise ValueError(
+                    f"vertex {i} disagrees with its round-graph on letters "
+                    f"{sorted(letters[i] ^ stars[t])}")
+            if len(letters[i]) < 2:
+                raise ValueError(
+                    f"vertex {i} has degree {len(letters[i])} < 2")
+        components = connected_components(n, edges)
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "radius", radius)
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "components", _components(n, edges))
+        object.__setattr__(self, "components", components)
+        object.__setattr__(self, "component_edges",
+                           edges_by_component(components, edges))
 
     def __setattr__(self, name, value):
         raise AttributeError("SCGraphQuotient is immutable")
@@ -214,47 +207,21 @@ class SCGraphQuotient:
 
     def component_graph(self, index: int) -> CoreGraph:
         """One component as a hull-core graph."""
-        comp = self.components[index]
-        ids = {v: k for k, v in enumerate(comp)}
-        edges = [(ids[s], ids[d], l) for (s, d, l) in self.edges
-                 if s in ids]
-        return CoreGraph(self.rank, len(comp), edges, None)
-
-
-def _components(n: int, edges: Sequence[tuple[int, int, int]]
-                ) -> tuple[tuple[int, ...], ...]:
-    adj: dict[int, list[int]] = {v: [] for v in range(n)}
-    for (s, d, _l) in edges:
-        adj[s].append(d)
-        adj[d].append(s)
-    seen: set[int] = set()
-    comps = []
-    for v in range(n):
-        if v in seen:
-            continue
-        comp = [v]
-        seen.add(v)
-        i = 0
-        while i < len(comp):
-            for w in adj[comp[i]]:
-                if w not in seen:
-                    seen.add(w)
-                    comp.append(w)
-            i += 1
-        comps.append(tuple(sorted(comp)))
-    return tuple(comps)
+        return hull_on(self.rank, self.components[index],
+                       self.component_edges[index])
 
 
 def realize(theta: WeightSystem) -> SCGraphQuotient:
     """Build the quotient SC-graph realizing an admissible weight system.
 
-    Vertices are (T, i) for i = 1..theta(T).  For each generator u and
-    lens class J, the vertices whose round-graph contains u and meets the
-    lens in J are matched positionally (both sides sorted by canonical
-    key, then copy index) with those whose round-graph contains u^-1 and
-    whose u-translate meets the lens in J; each matched pair gets a
-    u-edge.  The balance equations make the two sides equinumerous, so
-    the matching is total; the output is identical across runs.
+    Vertices are (T, i) for i = 1..theta(T), numbered consecutively.  For
+    each generator u and lens class J, the vertices whose round-graph
+    contains u and meets the lens in J are matched positionally (both
+    sides in vertex order, each T's copies joining as one range) with
+    those whose round-graph contains u^-1 and whose u-translate meets the
+    lens in J; each matched pair gets a u-edge.  The balance equations
+    make the two sides equinumerous, so the matching is total; the output
+    is identical across runs.
 
     At radius 0 the only round-graph is the bare root and carries no
     matching constraints; each copy becomes a single vertex with a loop
@@ -268,26 +235,24 @@ def realize(theta: WeightSystem) -> SCGraphQuotient:
         raise AdmissibilityError(first.generator, first.lens,
                                  first.lhs, first.rhs)
     vertices: list[tuple[RoundGraph, int]] = []
+    copies: list[tuple[RoundGraph, range]] = []
     for t in table.support():
-        for i in range(1, theta.weight(t) + 1):
-            vertices.append((t, i))
-    index = {v: k for k, v in enumerate(vertices)}
-    edges: list[tuple[int, int, int]] = []
+        start = len(vertices)
+        vertices.extend((t, i) for i in range(1, theta.weight(t) + 1))
+        copies.append((t, range(start, len(vertices))))
     if theta.radius == 0:
         edges = [(k, k, 1) for k in range(len(vertices))]
         return SCGraphQuotient(theta.rank, 0, vertices, edges)
+    edges = []
     for gen in range(1, theta.rank + 1):
-        lens = lens_ball(theta.rank, theta.radius, gen)
-        out_side: dict[LensKey, list[tuple[RoundGraph, int]]] = {}
-        in_side: dict[LensKey, list[tuple[RoundGraph, int]]] = {}
-        for v in vertices:
-            t = v[0]
-            if (gen,) in t.word_set:
-                key = _canonical_words(t.word_set & lens)
-                out_side.setdefault(key, []).append(v)
-            if (-gen,) in t.word_set:
-                key = _canonical_words(translate_words(t.words, gen) & lens)
-                in_side.setdefault(key, []).append(v)
+        out_side: dict[LensKey, list[int]] = {}
+        in_side: dict[LensKey, list[int]] = {}
+        for t, ids in copies:
+            out, inc = lens_keys(t, gen)
+            if out is not None:
+                out_side.setdefault(out, []).extend(ids)
+            if inc is not None:
+                in_side.setdefault(inc, []).extend(ids)
         for key in sorted(set(out_side) | set(in_side)):
             sources = out_side.get(key, [])
             targets = in_side.get(key, [])
@@ -295,25 +260,35 @@ def realize(theta: WeightSystem) -> SCGraphQuotient:
                 raise AdmissibilityError(gen, key,
                                          Fraction(len(sources)),
                                          Fraction(len(targets)))
-            edges.extend((index[s], index[d], gen)
-                         for s, d in zip(sources, targets))
+            edges.extend(zip(sources, targets, repeat(gen)))
     return SCGraphQuotient(theta.rank, theta.radius, vertices, edges)
 
 
 def decompose(quotient: SCGraphQuotient) -> RationalCurrent:
-    """One counting current per component of the quotient.
+    """One counting current per component shape, its coefficient the
+    number of components of that shape, in order of first appearance.
 
-    Each component is a hull-core; its subgroup is read off a
-    spanning-tree basis at the vertex of least canonical signature.
+    Each component is a hull-core; components of one canonical key (the
+    one `label_isomorphic` compares) share a shape.  Its subgroup is read
+    off a spanning-tree basis at the vertex of least canonical signature.
     Reading a different basepoint would change the subgroup only within
     its conjugacy class, which counting currents do not see.
     """
-    terms = []
-    for k in range(len(quotient.components)):
-        hull = canonical_form(quotient.component_graph(k))
-        core = CoreGraph(hull.rank, hull.num_vertices, hull.edges, 0)
-        terms.append((Fraction(1), Subgroup.from_core(core)))
-    return RationalCurrent(terms, quotient.rank)
+    rank = quotient.rank
+    # The key depends only on the edges up to renumbering, and a realized
+    # quotient repeats a few such local forms over many components.
+    forms: Counter = Counter()
+    for comp, edges in zip(quotient.components, quotient.component_edges):
+        ids = {v: k for k, v in enumerate(comp)}
+        forms[len(comp), tuple([(ids[s], ids[d], l)
+                                for (s, d, l) in edges])] += 1
+    shapes: Counter = Counter()
+    for (n, edges), count in forms.items():
+        shapes[n, least_bfs_encoding(rank, range(n), edges, range(n))] += count
+    terms = [(count, Subgroup.from_core(CoreGraph(rank, n, edges, 0),
+                                        CoreGraph(rank, n, edges, None)))
+             for (n, edges), count in shapes.items()]
+    return RationalCurrent(terms, rank)
 
 
 def verify_realization(theta: WeightSystem, current: RationalCurrent) -> bool:

@@ -73,6 +73,7 @@ class CoreGraph:
             raise ValueError("rank must be >= 1")
         out: dict[tuple[int, int], int] = {}
         inc: dict[tuple[int, int], int] = {}
+        deg = [0] * num_vertices
         for (s, d, l) in edges:
             if not (0 <= s < num_vertices and 0 <= d < num_vertices):
                 raise ValueError(f"edge {(s, d, l)} references a missing vertex")
@@ -82,14 +83,12 @@ class CoreGraph:
                 raise ValueError(f"graph is not folded at edge {(s, d, l)}")
             out[(s, l)] = d
             inc[(d, l)] = s
-        if basepoint is not None and not 0 <= basepoint < num_vertices:
-            raise ValueError("basepoint out of range")
-        if num_vertices > 0 and not _connected(num_vertices, edges):
-            raise ValueError("graph is disconnected")
-        deg = [0] * num_vertices
-        for (s, d, _l) in edges:
             deg[s] += 1
             deg[d] += 1
+        if basepoint is not None and not 0 <= basepoint < num_vertices:
+            raise ValueError("basepoint out of range")
+        if len(connected_components(num_vertices, edges)) > 1:
+            raise ValueError("graph is disconnected")
         for v in range(num_vertices):
             if v != basepoint and deg[v] < 2:
                 raise ValueError(f"vertex {v} has degree {deg[v]} < 2")
@@ -152,27 +151,48 @@ class CoreGraph:
                 return None
         return v
 
-    def degree(self, v: int) -> int:
-        return sum(1 for i in range(1, self.rank + 1)
-                   if self._out.get((v, i)) is not None) + \
-               sum(1 for i in range(1, self.rank + 1)
-                   if self._in.get((v, i)) is not None)
 
-
-def _connected(num_vertices: int, edges: Sequence[tuple[int, int, int]]) -> bool:
-    adj: dict[int, list[int]] = {v: [] for v in range(num_vertices)}
+def connected_components(num_vertices: int,
+                         edges: Sequence[tuple[int, int, int]]
+                         ) -> tuple[tuple[int, ...], ...]:
+    """Sorted vertex tuples of the components, in order of least vertex."""
+    adj: list[list[int]] = [[] for _ in range(num_vertices)]
     for (s, d, _l) in edges:
         adj[s].append(d)
         adj[d].append(s)
-    seen = {0}
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == num_vertices
+    seen = [False] * num_vertices
+    comps = []
+    for v in range(num_vertices):
+        if seen[v]:
+            continue
+        seen[v] = True
+        comp = [v]
+        for u in comp:
+            for w in adj[u]:
+                if not seen[w]:
+                    seen[w] = True
+                    comp.append(w)
+        comps.append(tuple(sorted(comp)))
+    return tuple(comps)
+
+
+def edges_by_component(components: Sequence[Sequence],
+                       edges: Iterable[tuple]) -> list[list[tuple]]:
+    """Each edge in the bucket of its source's component, in one pass;
+    a bucket keeps the edges in their given order."""
+    comp_of = {v: k for k, comp in enumerate(components) for v in comp}
+    buckets: list[list[tuple]] = [[] for _ in components]
+    for edge in edges:
+        buckets[comp_of[edge[0]]].append(edge)
+    return buckets
+
+
+def hull_on(rank: int, vertices: Sequence, edges: Iterable[tuple]
+            ) -> CoreGraph:
+    """One component as a hull-core, its vertices numbered in order."""
+    ids = {v: k for k, v in enumerate(vertices)}
+    return CoreGraph(rank, len(ids), [(ids[s], ids[d], l)
+                                      for (s, d, l) in edges], None)
 
 
 def _fold_edges(num_vertices: int, edges: Sequence[tuple[int, int, int]]
@@ -361,10 +381,7 @@ def basis_of(c: CoreGraph) -> list[Word]:
     path: dict[int, tuple[int, ...]] = {c.basepoint: ()}
     order = [c.basepoint]
     tree: set[tuple[int, int, int]] = set()
-    i = 0
-    while i < len(order):
-        v = order[i]
-        i += 1
+    for v in order:
         for lab in range(1, c.rank + 1):
             for letter in (lab, -lab):
                 w = c.step(v, letter)
@@ -393,7 +410,7 @@ def random_finite_cover(rank: int, degree: int, seed: int) -> CoreGraph:
             perm = list(range(degree))
             rng.shuffle(perm)
             edges.extend((v, perm[v], lab) for v in range(degree))
-        if _connected(degree, edges):
+        if len(connected_components(degree, edges)) == 1:
             return CoreGraph(rank, degree, edges, 0)
 
 
@@ -413,37 +430,44 @@ def random_cover(c: CoreGraph, degree: int, seed: int) -> CoreGraph:
             rng.shuffle(perm)
             edges.extend((s * degree + i, d * degree + perm[i], l)
                          for i in range(degree))
-        if _connected(c.num_vertices * degree, edges):
+        if len(connected_components(c.num_vertices * degree, edges)) == 1:
             break
     base = c.basepoint * degree
     n, edges, keep = _prune_edges(c.num_vertices * degree, edges, base)
     return CoreGraph(c.rank, n, edges, keep[base])
 
 
-def _bfs_encoding(c: CoreGraph, start: int) -> tuple:
-    """Canonical relabeling by BFS from `start`, scanning labels in order."""
-    order = {start: 0}
-    queue = [start]
-    i = 0
-    while i < len(queue):
-        v = queue[i]
-        i += 1
-        for lab in range(1, c.rank + 1):
-            for letter in (lab, -lab):
-                w = c.step(v, letter)
+def least_bfs_encoding(rank: int, vertices: Sequence,
+                       edges: Sequence[tuple], starts: Iterable) -> tuple:
+    """Least sorted edge tuple over the relabelings of a connected folded
+    graph by BFS from each start, scanning signed letters x, X, y, Y, ..."""
+    step: dict = {v: {} for v in vertices}
+    for (s, d, l) in edges:
+        step[s][l] = d
+        step[d][-l] = s
+    letters = [m for lab in range(1, rank + 1) for m in (lab, -lab)]
+
+    def encoding(start) -> tuple:
+        order = {start: 0}
+        queue = [start]
+        for v in queue:
+            for m in letters:
+                w = step[v].get(m)
                 if w is not None and w not in order:
                     order[w] = len(order)
                     queue.append(w)
-    edges = tuple(sorted((order[s], order[d], l) for (s, d, l) in c.edges))
-    return (c.num_vertices, edges)
+        return tuple(sorted((order[s], order[d], l) for (s, d, l) in edges))
+
+    return min(map(encoding, starts))
 
 
 def _canonical_key(c: CoreGraph) -> tuple:
     if c.num_vertices == 0:
         return (0, ())
-    if c.basepoint is not None:
-        return _bfs_encoding(c, c.basepoint)
-    return min(_bfs_encoding(c, v) for v in range(c.num_vertices))
+    vertices = range(c.num_vertices)
+    starts = vertices if c.basepoint is None else (c.basepoint,)
+    return (c.num_vertices,
+            least_bfs_encoding(c.rank, vertices, c.edges, starts))
 
 
 def canonical_form(c: CoreGraph) -> CoreGraph:
@@ -489,8 +513,13 @@ class Subgroup:
         return cls(Basis(rank).generators(), rank)
 
     @classmethod
-    def from_core(cls, core: CoreGraph) -> "Subgroup":
-        return cls(basis_of(core), core.rank)
+    def from_core(cls, core: CoreGraph,
+                  hull: Optional[CoreGraph] = None) -> "Subgroup":
+        """The subgroup `core` reads; keeps `core`, and `hull` if given."""
+        sub = cls(basis_of(core), core.rank)
+        object.__setattr__(sub, "_core", core)
+        object.__setattr__(sub, "_hull", hull)
+        return sub
 
     @property
     def core(self) -> CoreGraph:

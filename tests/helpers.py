@@ -7,8 +7,12 @@ import random
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from subsetcurrents import Subgroup, Word
-from subsetcurrents.cylinders import RationalCurrent
+from subsetcurrents import CoreGraph, Subgroup, Word, canonical_form
+from subsetcurrents.cylinders import (LensKey, RationalCurrent, RoundGraph,
+                                      _canonical_words, check_matching,
+                                      lens_ball, translate_words)
+from subsetcurrents.errors import AdmissibilityError
+from subsetcurrents.realize import SCGraphQuotient, WeightSystem
 
 
 def random_word(rng: random.Random, rank: int = 2, max_len: int = 5) -> Word:
@@ -111,3 +115,80 @@ def reference_prune_edges(num_vertices: int,
     new_id = {v: i for i, v in enumerate(sorted(alive))}
     new_edges = sorted((new_id[s], new_id[d], l) for (s, d, l) in cur)
     return len(alive), new_edges, new_id
+
+
+# Reference oracles: the per-copy `realize` and the per-component
+# `decompose` that `realize.realize` and `realize.decompose` must match.
+# `reference_realize` must equal `realize` bit for bit; the terms of
+# `reference_decompose`, one per component, grouped by canonical key,
+# must equal the terms of `decompose` with their coefficients.
+
+def reference_realize(theta: WeightSystem) -> SCGraphQuotient:
+    """Build the quotient SC-graph realizing an admissible weight system.
+
+    Vertices are (T, i) for i = 1..theta(T).  For each generator u and
+    lens class J, the vertices whose round-graph contains u and meets the
+    lens in J are matched positionally (both sides sorted by canonical
+    key, then copy index) with those whose round-graph contains u^-1 and
+    whose u-translate meets the lens in J; each matched pair gets a
+    u-edge.  The balance equations make the two sides equinumerous, so
+    the matching is total; the output is identical across runs.
+
+    At radius 0 the only round-graph is the bare root and carries no
+    matching constraints; each copy becomes a single vertex with a loop
+    of the first generator, realizing the weight as copies of a cyclic
+    subgroup's current.
+    """
+    table = theta.table
+    violations = check_matching(table)
+    if violations:
+        first = violations[0]
+        raise AdmissibilityError(first.generator, first.lens,
+                                 first.lhs, first.rhs)
+    vertices: list[tuple[RoundGraph, int]] = []
+    for t in table.support():
+        for i in range(1, theta.weight(t) + 1):
+            vertices.append((t, i))
+    index = {v: k for k, v in enumerate(vertices)}
+    edges: list[tuple[int, int, int]] = []
+    if theta.radius == 0:
+        edges = [(k, k, 1) for k in range(len(vertices))]
+        return SCGraphQuotient(theta.rank, 0, vertices, edges)
+    for gen in range(1, theta.rank + 1):
+        lens = lens_ball(theta.rank, theta.radius, gen)
+        out_side: dict[LensKey, list[tuple[RoundGraph, int]]] = {}
+        in_side: dict[LensKey, list[tuple[RoundGraph, int]]] = {}
+        for v in vertices:
+            t = v[0]
+            if (gen,) in t.word_set:
+                key = _canonical_words(t.word_set & lens)
+                out_side.setdefault(key, []).append(v)
+            if (-gen,) in t.word_set:
+                key = _canonical_words(translate_words(t.words, gen) & lens)
+                in_side.setdefault(key, []).append(v)
+        for key in sorted(set(out_side) | set(in_side)):
+            sources = out_side.get(key, [])
+            targets = in_side.get(key, [])
+            if len(sources) != len(targets):
+                raise AdmissibilityError(gen, key,
+                                         Fraction(len(sources)),
+                                         Fraction(len(targets)))
+            edges.extend((index[s], index[d], gen)
+                         for s, d in zip(sources, targets))
+    return SCGraphQuotient(theta.rank, theta.radius, vertices, edges)
+
+
+def reference_decompose(quotient: SCGraphQuotient) -> RationalCurrent:
+    """One counting current per component of the quotient.
+
+    Each component is a hull-core; its subgroup is read off a
+    spanning-tree basis at the vertex of least canonical signature.
+    Reading a different basepoint would change the subgroup only within
+    its conjugacy class, which counting currents do not see.
+    """
+    terms = []
+    for k in range(len(quotient.components)):
+        hull = canonical_form(quotient.component_graph(k))
+        core = CoreGraph(hull.rank, hull.num_vertices, hull.edges, 0)
+        terms.append((Fraction(1), Subgroup.from_core(core)))
+    return RationalCurrent(terms, quotient.rank)

@@ -162,11 +162,11 @@ def test_env_override(tmp_path, capsys, monkeypatch):
 def test_bad_env_value_is_an_error_not_a_traceback(tmp_path, capsys,
                                                    monkeypatch):
     path = write_sub(tmp_path, "x.txt", ["x"])
-    monkeypatch.setenv("SUBCUR_SEED", "abc")
+    monkeypatch.setenv("SUBCUR_MAX_RADIUS", "abc")
     assert main(["rank", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ")
-    assert "SUBCUR_SEED" in err
+    assert "SUBCUR_MAX_RADIUS" in err
 
 
 def test_table_with_bad_header_is_a_format_error(tmp_path, capsys):
@@ -205,3 +205,17 @@ def test_intersect_export_is_byte_identical(tmp_path, capsys):
     assert "exported 2 components" in capsys.readouterr().out
     exported = [(tmp_path / f"comp.{k}.txt").read_bytes() for k in range(2)]
     assert exported == [text.encode() for text in EXPORTED_COMPONENTS]
+
+
+def test_realize_writes_one_file_per_shape(tmp_path, capsys):
+    (tmp_path / "theta.txt").write_text("rank 2\nradius 1\ne,x,X,y,Y = 2\n")
+    outdir = tmp_path / "out"
+    assert main(["realize", str(tmp_path / "theta.txt"),
+                 "--outdir", str(outdir)]) == 0
+    report = ("vertices = 2\ncomponents = 2\nverified = true\n"
+              "shapes = 1\ncomponent_0 = 2\n")
+    assert capsys.readouterr().out == report
+    assert (outdir / "report.txt").read_text() == report
+    assert sorted(p.name for p in outdir.iterdir()) == ["component_0.txt",
+                                                        "report.txt"]
+    assert (outdir / "component_0.txt").read_text() == "rank 2\nx\ny\n"

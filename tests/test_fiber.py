@@ -85,6 +85,9 @@ def test_product_matches_dense_oracle():
         _vertices, edges, comps = dense_product(a, b)
         assert set(p.edges) == edges
         assert {frozenset(c) for c in p.components} == comps
+        assert len(p.component_edges) == len(p.components)
+        for comp, comp_edges in zip(p.components, p.component_edges):
+            assert comp_edges == [e for e in p.edges if e[0] in comp]
 
 
 def test_product_rank_examples():

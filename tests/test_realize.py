@@ -1,16 +1,20 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from subsetcurrents import (RationalCurrent, RoundGraph, Subgroup, WeightTable,
-                            axis, cylinder_table, decompose, full_ball,
-                            integerize, label_isomorphic, matching_system,
-                            realize, support_system, verify_realization)
+                            axis, canonical_form, cylinder_table, decompose,
+                            full_ball, integerize, matching_system, realize,
+                            reduce, support_system, verify_realization)
 from subsetcurrents.errors import AdmissibilityError
 from subsetcurrents.realize import SCGraphQuotient, WeightSystem
+from subsetcurrents.stallings import _canonical_key
 
-from helpers import random_current
+from helpers import random_current, reference_decompose, reference_realize
 
 X_AXIS = axis(2, 1, 1)
 FULL_STAR = full_ball(2, 1)
@@ -92,6 +96,9 @@ def test_realize_doubled_full_table():
     assert len(quotient.vertices) == 2
     assert len(quotient.components) == 2
     current = decompose(quotient)
+    assert len(current.terms) == 1  # one shape, two components
+    coeff, sub = current.terms[0]
+    assert coeff == 2 and sub.equals(Subgroup.full(2))
     assert verify_realization(theta, current)
 
 
@@ -122,12 +129,19 @@ def test_realize_mass_conservation():
 
 
 def test_realized_components_are_hull_cores():
+    # Terms are one per shape: the multiset of component keys must equal
+    # the term hulls' keys weighted by their coefficients.
     rng = random.Random(17)
     for _ in range(8):
         theta = system_of(random_current(rng), 2)
         quotient = realize(theta)
-        for k, (_c, sub) in enumerate(decompose(quotient).terms):
-            assert label_isomorphic(sub.hull, quotient.component_graph(k))
+        components = Counter(_canonical_key(quotient.component_graph(k))
+                             for k in range(len(quotient.components)))
+        terms = Counter()
+        for coeff, sub in decompose(quotient).terms:
+            assert coeff.denominator == 1
+            terms[_canonical_key(sub.hull)] += int(coeff)
+        assert terms == components
 
 
 def test_round_trip_random_weight_systems():
@@ -163,3 +177,52 @@ def test_quotient_invariants_enforced():
                         [(0, 0, 1), (1, 0, 1)])  # two incoming x at vertex 0
     q = SCGraphQuotient(2, 1, [(X_AXIS, 1)], [(0, 0, 1)])
     assert len(q.components) == 1
+
+
+@st.composite
+def weight_systems(draw):
+    """Admissible integer tables: the integerized cylinder table of a
+    random rational current, ranks 2-3, radii 1-2, times 1-3 so that
+    shapes repeat."""
+    rank = draw(st.integers(2, 3))
+    radius = draw(st.integers(1, 2))
+    letter = st.integers(1, rank).flatmap(lambda m: st.sampled_from((m, -m)))
+    word = st.lists(letter, min_size=1, max_size=4).map(
+        lambda letters: reduce(letters, rank))
+    subgroup = st.lists(word, min_size=1, max_size=3).map(
+        lambda words: Subgroup(words, rank))
+    coeff = st.builds(Fraction, st.integers(1, 3), st.integers(1, 3))
+    terms = draw(st.lists(st.tuples(coeff, subgroup), min_size=1, max_size=3))
+    table = cylinder_table(RationalCurrent(terms, rank), radius)
+    assume(len(table) > 0)
+    theta, _scale = integerize(table.scale(draw(st.integers(1, 3))))
+    return theta
+
+
+@settings(deadline=None, max_examples=60)
+@given(weight_systems())
+def test_realize_matches_reference(theta):
+    quotient, reference = realize(theta), reference_realize(theta)
+    assert quotient.vertices == reference.vertices
+    assert quotient.edges == reference.edges
+    assert quotient.components == reference.components
+
+
+@settings(deadline=None, max_examples=60)
+@given(weight_systems())
+def test_decompose_groups_reference_terms(theta):
+    quotient = realize(theta)
+    current = decompose(quotient)
+    expected = [_canonical_key(sub.hull)
+                for _c, sub in reference_decompose(quotient).terms]
+    keys = [_canonical_key(sub.hull) for _c, sub in current.terms]
+    assert keys == list(dict.fromkeys(expected))
+    assert Counter(expected) == Counter(
+        {key: int(c) for key, (c, _sub) in zip(keys, current.terms)})
+    assert all(c.denominator == 1 for c, _sub in current.terms)
+    assert sum(c for c, _sub in current.terms) == len(quotient.components)
+    for _c, sub in current.terms:
+        assert sub.hull == canonical_form(sub.hull)
+        assert sub.core.basepoint == 0 and sub.core.edges == sub.hull.edges
+    assert verify_realization(theta, current)
+

@@ -354,6 +354,39 @@ def test_basis_of_size_matches_rank():
         assert label_isomorphic(core_from_generators(words, 2), core)
 
 
+def test_from_core_keeps_the_core():
+    rng = random.Random(41)
+    cores = [DOUBLE_COVER, ROSE, core_from_generators([], 2)]
+    cores += [random_subgroup(rng, rank=rng.choice([2, 3])).core
+              for _ in range(30)]
+    for c in cores:
+        sub = Subgroup.from_core(c)
+        assert sub.core is c
+        assert label_isomorphic(sub.core,
+                                core_from_generators(basis_of(c), c.rank))
+        assert sub.hull == hull_core(c)
+
+
+def test_intersection_core_folds_once(monkeypatch):
+    from subsetcurrents import intersection, stallings
+    calls = []
+
+    def counting_fold_edges(num_vertices, edges):
+        calls.append(num_vertices)
+        return _fold_edges(num_vertices, edges)
+
+    rng = random.Random(43)
+    for _ in range(10):
+        h, k = random_subgroup(rng), random_subgroup(rng)
+        h.core, k.core
+        monkeypatch.setattr(stallings, "_fold_edges", counting_fold_edges)
+        calls.clear()
+        meet = intersection(h, k)
+        meet.core
+        assert len(calls) == 1
+        monkeypatch.undo()
+
+
 def test_core_graph_validation():
     with pytest.raises(ValueError):
         CoreGraph(2, 2, [(0, 0, 1), (0, 1, 1)], 0)  # not folded
