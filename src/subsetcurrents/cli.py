@@ -168,13 +168,15 @@ def _cmd_intersect(args, config: Config) -> int:
     return 0
 
 
-ENUMERATION_CAP = 10 ** 6
+# Most round-graphs `cylinders --enumerate` lists, and most quotient
+# vertices (units of total weight) `realize` builds.
+SIZE_CAP = 10 ** 6
 
 
 def _cmd_cylinders(args, config: Config) -> int:
     if args.enumerate:
         expected = cyl.count_round_graphs(args.rank, args.radius)
-        if expected > ENUMERATION_CAP:
+        if expected > SIZE_CAP:
             raise ValueError(
                 f"refusing to list {expected} round-graphs at rank "
                 f"{args.rank}, radius {args.radius}; the library generator "
@@ -208,6 +210,11 @@ def _cmd_cylinders(args, config: Config) -> int:
 
 def _cmd_realize(args, config: Config) -> int:
     table = cyl.read_table(args.table)
+    total = table.total()
+    if total > SIZE_CAP:
+        raise ValueError(
+            f"refusing to realize total weight {total} above the cap of "
+            f"{SIZE_CAP}; the quotient has one vertex per unit of weight")
     theta = WeightSystem(table)
     quotient = realize(theta)
     current = decompose(quotient)

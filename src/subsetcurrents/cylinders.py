@@ -16,13 +16,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
 from .errors import BasisMismatchError, FileFormatError
 from .stallings import CoreGraph, Subgroup
-from .words import (free_reduce, letter_to_char, parse_word,
-                    _signed_letters)
+from .words import (enumerate_reduced_words, free_reduce, letter_to_char,
+                    parse_word, _signed_letters)
 
 WordTuple = tuple[int, ...]
 
@@ -150,18 +150,7 @@ def axis(rank: int, generator: int, radius: int) -> RoundGraph:
 
 @lru_cache(maxsize=None)
 def _ball_words(rank: int, radius: int) -> tuple[WordTuple, ...]:
-    out: list[WordTuple] = [()]
-    frontier: list[WordTuple] = [()]
-    for _ in range(radius):
-        nxt = []
-        for w in frontier:
-            last = w[-1] if w else 0
-            for m in _signed_letters(rank):
-                if m != -last:
-                    nxt.append(w + (m,))
-        out.extend(nxt)
-        frontier = nxt
-    return tuple(out)
+    return tuple(w.letters for w in enumerate_reduced_words(rank, radius))
 
 
 def enumerate_round_graphs(rank: int, radius: int,
@@ -196,7 +185,7 @@ def enumerate_round_graphs(rank: int, radius: int,
             for size in range(1, len(kids) + 1):
                 subsets.extend(combinations(kids, size))
             options.append(subsets)
-        for chosen in _product(options):
+        for chosen in product(*options):
             nxt = [w for group in chosen for w in group]
             yield from expand(done + frontier, nxt, depth + 1)
 
@@ -205,16 +194,6 @@ def enumerate_round_graphs(rank: int, radius: int,
             frontier = [(m,) for m in roots]
             for words in expand([()], frontier, 1):
                 yield RoundGraph(rank, radius, words)
-
-
-def _product(options: list[list]) -> Iterator[tuple]:
-    if not options:
-        yield ()
-        return
-    head, rest = options[0], options[1:]
-    for item in head:
-        for tail in _product(rest):
-            yield (item,) + tail
 
 
 def count_round_graphs(rank: int, radius: int) -> int:
@@ -250,12 +229,13 @@ def realizable_witness(t: RoundGraph) -> CoreGraph:
         return CoreGraph(t.rank, 1, [(0, 0, 1)], None)
     index = {w: i for i, w in enumerate(t.words)}
     edges: list[tuple[int, int, int]] = []
-    used: set[tuple[int, int, str]] = set()
+    # (vertex, signed letter) slots taken: l leaving, -l arriving.
+    used: set[tuple[int, int]] = set()
 
     def occupy(src: int, dst: int, label: int) -> None:
         edges.append((src, dst, label))
-        used.add((src, label, "o"))
-        used.add((dst, label, "i"))
+        used.add((src, label))
+        used.add((dst, -label))
 
     for w in t.words:
         if not w:
@@ -277,12 +257,12 @@ def realizable_witness(t: RoundGraph) -> CoreGraph:
         # endpoint choice is ever blocked.
         for endpoint in (leaf, nxt):
             for label in range(1, t.rank + 1):
-                if (endpoint, label, "o") not in used and \
-                        (mid, label, "i") not in used:
+                if (endpoint, label) not in used and \
+                        (mid, -label) not in used:
                     occupy(endpoint, mid, label)
                     break
-                if (endpoint, label, "i") not in used and \
-                        (mid, label, "o") not in used:
+                if (endpoint, -label) not in used and \
+                        (mid, label) not in used:
                     occupy(mid, endpoint, label)
                     break
             else:

@@ -15,6 +15,7 @@ from typing import Iterable, Union
 from .errors import BasisMismatchError
 from .stallings import (CoreGraph, LabeledGraph, Subgroup, edges_by_component,
                         fold, hull_on)
+from .words import _signed_letters
 
 Pair = tuple[int, int]
 
@@ -56,17 +57,15 @@ class ProductGraph:
 
 
 def _product_neighbors(a_graph: CoreGraph, b_graph: CoreGraph,
-                       pair: Pair) -> Iterable[tuple[Pair, int, bool]]:
+                       pair: Pair) -> Iterable[tuple[Pair, int]]:
+    """The pairs one signed letter away, in letter order x, X, y, Y, ..."""
     a, b = pair
-    for lab in range(1, a_graph.rank + 1):
-        a2 = a_graph.out_vertex(a, lab)
-        b2 = b_graph.out_vertex(b, lab)
-        if a2 is not None and b2 is not None:
-            yield (a2, b2), lab, True
-        a2 = a_graph.in_vertex(a, lab)
-        b2 = b_graph.in_vertex(b, lab)
-        if a2 is not None and b2 is not None:
-            yield (a2, b2), lab, False
+    for letter in _signed_letters(a_graph.rank):
+        a2 = a_graph.step(a, letter)
+        if a2 is not None:
+            b2 = b_graph.step(b, letter)
+            if b2 is not None:
+                yield (a2, b2), letter
 
 
 def fiber_product(a_graph: CoreGraph, b_graph: CoreGraph) -> ProductGraph:
@@ -108,8 +107,8 @@ def _product_component(a_graph: CoreGraph, b_graph: CoreGraph, start: Pair,
     comp = [start]
     seen.add(start)
     for v in comp:
-        for w, lab, forward in _product_neighbors(a_graph, b_graph, v):
-            edges.add((v, w, lab) if forward else (w, v, lab))
+        for w, letter in _product_neighbors(a_graph, b_graph, v):
+            edges.add((v, w, letter) if letter > 0 else (w, v, -letter))
             if w not in seen:
                 seen.add(w)
                 comp.append(w)

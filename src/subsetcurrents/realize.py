@@ -22,7 +22,8 @@ from .cylinders import (DEFAULT_MAX_RADIUS, LensKey, RationalCurrent,
                         RoundGraph, WeightTable, check_matching,
                         cylinder_table, enumerate_round_graphs, lens_keys)
 from .stallings import (CoreGraph, Subgroup, connected_components,
-                        edges_by_component, hull_on, least_bfs_encoding)
+                        edges_by_component, hull_on, least_bfs_encoding,
+                        signed_adjacency)
 
 
 class WeightSystem:
@@ -168,27 +169,23 @@ class SCGraphQuotient:
         vertices = tuple(vertices)
         edges = tuple(sorted(edges))
         n = len(vertices)
-        # The signed letters read off each vertex: l leaving, -l arriving.
-        letters: list[set[int]] = [set() for _ in range(n)]
         for (s, d, l) in edges:
             if not (0 <= s < n and 0 <= d < n and 1 <= l <= rank):
                 raise ValueError(f"bad edge {(s, d, l)}")
-            if l in letters[s] or -l in letters[d]:
-                raise ValueError(f"not an immersion at edge {(s, d, l)}")
-            letters[s].add(l)
-            letters[d].add(-l)
+        # Folded over the rose is the immersion condition.
+        step = signed_adjacency(n, edges)
         stars: dict[RoundGraph, set[int]] = {}
         for i, (t, _copy) in enumerate(vertices):
             if t not in stars:
                 stars[t] = {w[0] for w in t.words if len(w) == 1}
-            if radius >= 1 and letters[i] != stars[t]:
+            letters = step[i].keys()
+            if radius >= 1 and letters != stars[t]:
                 raise ValueError(
                     f"vertex {i} disagrees with its round-graph on letters "
-                    f"{sorted(letters[i] ^ stars[t])}")
-            if len(letters[i]) < 2:
-                raise ValueError(
-                    f"vertex {i} has degree {len(letters[i])} < 2")
-        components = connected_components(n, edges)
+                    f"{sorted(letters ^ stars[t])}")
+            if len(letters) < 2:
+                raise ValueError(f"vertex {i} has degree {len(letters)} < 2")
+        components = connected_components(step)
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "radius", radius)
         object.__setattr__(self, "vertices", vertices)
@@ -221,7 +218,9 @@ def realize(theta: WeightSystem) -> SCGraphQuotient:
     those whose round-graph contains u^-1 and whose u-translate meets the
     lens in J; each matched pair gets a u-edge.  The balance equations
     make the two sides equinumerous, so the matching is total; the output
-    is identical across runs.
+    is identical across runs.  Generators and lens classes are visited in
+    `check_matching`'s order, so an unbalanced table raises the
+    AdmissibilityError of its first violated row.
 
     At radius 0 the only round-graph is the bare root and carries no
     matching constraints; each copy becomes a single vertex with a loop
@@ -229,11 +228,6 @@ def realize(theta: WeightSystem) -> SCGraphQuotient:
     subgroup's current.
     """
     table = theta.table
-    violations = check_matching(table)
-    if violations:
-        first = violations[0]
-        raise AdmissibilityError(first.generator, first.lens,
-                                 first.lhs, first.rhs)
     vertices: list[tuple[RoundGraph, int]] = []
     copies: list[tuple[RoundGraph, range]] = []
     for t in table.support():
@@ -284,7 +278,8 @@ def decompose(quotient: SCGraphQuotient) -> RationalCurrent:
                                 for (s, d, l) in edges])] += 1
     shapes: Counter = Counter()
     for (n, edges), count in forms.items():
-        shapes[n, least_bfs_encoding(rank, range(n), edges, range(n))] += count
+        step = signed_adjacency(n, edges)
+        shapes[n, least_bfs_encoding(rank, step, edges, range(n))] += count
     terms = [(count, Subgroup.from_core(CoreGraph(rank, n, edges, 0),
                                         CoreGraph(rank, n, edges, None)))
              for (n, edges), count in shapes.items()]

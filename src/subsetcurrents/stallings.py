@@ -11,10 +11,11 @@ subgroup is the empty graph.
 from __future__ import annotations
 
 import random
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import BasisMismatchError, FileFormatError
-from .words import Basis, Word, format_word, parse_word, reduce
+from .words import (Basis, Word, format_word, parse_word, reduce,
+                    _signed_letters)
 
 WordLike = Union[Word, str]
 
@@ -63,7 +64,7 @@ class CoreGraph:
     """
 
     __slots__ = ("rank", "num_vertices", "edges", "basepoint",
-                 "_out", "_in", "_hash")
+                 "_step", "_hash")
 
     def __init__(self, rank: int, num_vertices: int,
                  edges: Iterable[tuple[int, int, int]],
@@ -71,33 +72,26 @@ class CoreGraph:
         edges = tuple(sorted(edges))
         if rank < 1:
             raise ValueError("rank must be >= 1")
-        out: dict[tuple[int, int], int] = {}
-        inc: dict[tuple[int, int], int] = {}
-        deg = [0] * num_vertices
         for (s, d, l) in edges:
             if not (0 <= s < num_vertices and 0 <= d < num_vertices):
                 raise ValueError(f"edge {(s, d, l)} references a missing vertex")
             if not 1 <= l <= rank:
                 raise ValueError(f"edge label {l} out of range for rank {rank}")
-            if (s, l) in out or (d, l) in inc:
-                raise ValueError(f"graph is not folded at edge {(s, d, l)}")
-            out[(s, l)] = d
-            inc[(d, l)] = s
-            deg[s] += 1
-            deg[d] += 1
+        step = signed_adjacency(num_vertices, edges)
         if basepoint is not None and not 0 <= basepoint < num_vertices:
             raise ValueError("basepoint out of range")
-        if len(connected_components(num_vertices, edges)) > 1:
+        if len(connected_components(step)) > 1:
             raise ValueError("graph is disconnected")
+        # A folded graph's degree is the number of signed letters read at
+        # a vertex; a loop reads two.
         for v in range(num_vertices):
-            if v != basepoint and deg[v] < 2:
-                raise ValueError(f"vertex {v} has degree {deg[v]} < 2")
+            if v != basepoint and len(step[v]) < 2:
+                raise ValueError(f"vertex {v} has degree {len(step[v])} < 2")
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "num_vertices", num_vertices)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "basepoint", basepoint)
-        object.__setattr__(self, "_out", out)
-        object.__setattr__(self, "_in", inc)
+        object.__setattr__(self, "_step", step)
         object.__setattr__(self, "_hash",
                            hash((rank, num_vertices, edges, basepoint)))
 
@@ -131,17 +125,9 @@ class CoreGraph:
     def is_empty(self) -> bool:
         return self.num_vertices == 0
 
-    def out_vertex(self, v: int, label: int) -> Optional[int]:
-        return self._out.get((v, label))
-
-    def in_vertex(self, v: int, label: int) -> Optional[int]:
-        return self._in.get((v, label))
-
     def step(self, v: int, letter: int) -> Optional[int]:
         """Follow a signed letter from v; None if no such edge."""
-        if letter > 0:
-            return self._out.get((v, letter))
-        return self._in.get((v, -letter))
+        return self._step[v].get(letter)
 
     def trace(self, v: int, w: Word) -> Optional[int]:
         """End vertex of the path reading w from v, or None if it leaves."""
@@ -152,23 +138,37 @@ class CoreGraph:
         return v
 
 
-def connected_components(num_vertices: int,
-                         edges: Sequence[tuple[int, int, int]]
+def signed_adjacency(num_vertices: int,
+                     edges: Iterable[tuple[int, int, int]]
+                     ) -> list[dict[int, int]]:
+    """Each vertex's map from signed letter to neighbour: an edge
+    (s, d, l) reads l from s to d and -l from d to s.
+
+    A graph is folded exactly when no vertex reads one signed letter
+    twice; any other graph raises ValueError.
+    """
+    step: list[dict[int, int]] = [{} for _ in range(num_vertices)]
+    for (s, d, l) in edges:
+        if l in step[s] or -l in step[d]:
+            raise ValueError(f"graph is not folded at edge {(s, d, l)}")
+        step[s][l] = d
+        step[d][-l] = s
+    return step
+
+
+def connected_components(step: Sequence[Mapping[int, int]]
                          ) -> tuple[tuple[int, ...], ...]:
-    """Sorted vertex tuples of the components, in order of least vertex."""
-    adj: list[list[int]] = [[] for _ in range(num_vertices)]
-    for (s, d, _l) in edges:
-        adj[s].append(d)
-        adj[d].append(s)
-    seen = [False] * num_vertices
+    """Sorted vertex tuples of the components of a signed adjacency, in
+    order of least vertex."""
+    seen = [False] * len(step)
     comps = []
-    for v in range(num_vertices):
+    for v in range(len(step)):
         if seen[v]:
             continue
         seen[v] = True
         comp = [v]
         for u in comp:
-            for w in adj[u]:
+            for w in step[u].values():
                 if not seen[w]:
                     seen[w] = True
                     comp.append(w)
@@ -343,11 +343,9 @@ def finite_index(c: CoreGraph) -> Optional[int]:
     """
     if c.basepoint is None:
         raise ValueError("index needs a basepointed core")
-    for v in range(c.num_vertices):
-        for i in range(1, c.rank + 1):
-            if c.out_vertex(v, i) is None or c.in_vertex(v, i) is None:
-                return None
-    return c.num_vertices
+    if all(len(letters) == 2 * c.rank for letters in c._step):
+        return c.num_vertices
+    return None
 
 
 def conjugate(c: CoreGraph, g: WordLike) -> CoreGraph:
@@ -382,14 +380,12 @@ def basis_of(c: CoreGraph) -> list[Word]:
     order = [c.basepoint]
     tree: set[tuple[int, int, int]] = set()
     for v in order:
-        for lab in range(1, c.rank + 1):
-            for letter in (lab, -lab):
-                w = c.step(v, letter)
-                if w is not None and w not in path:
-                    path[w] = path[v] + (letter,)
-                    order.append(w)
-                    edge = (v, w, lab) if letter > 0 else (w, v, lab)
-                    tree.add(edge)
+        for letter in _signed_letters(c.rank):
+            w = c.step(v, letter)
+            if w is not None and w not in path:
+                path[w] = path[v] + (letter,)
+                order.append(w)
+                tree.add((v, w, letter) if letter > 0 else (w, v, -letter))
     words = []
     for (s, d, l) in c.edges:
         if (s, d, l) not in tree:
@@ -410,7 +406,7 @@ def random_finite_cover(rank: int, degree: int, seed: int) -> CoreGraph:
             perm = list(range(degree))
             rng.shuffle(perm)
             edges.extend((v, perm[v], lab) for v in range(degree))
-        if len(connected_components(degree, edges)) == 1:
+        if len(connected_components(signed_adjacency(degree, edges))) == 1:
             return CoreGraph(rank, degree, edges, 0)
 
 
@@ -430,22 +426,21 @@ def random_cover(c: CoreGraph, degree: int, seed: int) -> CoreGraph:
             rng.shuffle(perm)
             edges.extend((s * degree + i, d * degree + perm[i], l)
                          for i in range(degree))
-        if len(connected_components(c.num_vertices * degree, edges)) == 1:
+        step = signed_adjacency(c.num_vertices * degree, edges)
+        if len(connected_components(step)) == 1:
             break
     base = c.basepoint * degree
     n, edges, keep = _prune_edges(c.num_vertices * degree, edges, base)
     return CoreGraph(c.rank, n, edges, keep[base])
 
 
-def least_bfs_encoding(rank: int, vertices: Sequence,
-                       edges: Sequence[tuple], starts: Iterable) -> tuple:
+def least_bfs_encoding(rank: int, step: Sequence[Mapping[int, int]],
+                       edges: Sequence[tuple[int, int, int]],
+                       starts: Iterable[int]) -> tuple:
     """Least sorted edge tuple over the relabelings of a connected folded
-    graph by BFS from each start, scanning signed letters x, X, y, Y, ..."""
-    step: dict = {v: {} for v in vertices}
-    for (s, d, l) in edges:
-        step[s][l] = d
-        step[d][-l] = s
-    letters = [m for lab in range(1, rank + 1) for m in (lab, -lab)]
+    graph by BFS from each start, scanning signed letters x, X, y, Y, ...;
+    `step` is the graph's `signed_adjacency`."""
+    letters = _signed_letters(rank)
 
     def encoding(start) -> tuple:
         order = {start: 0}
@@ -464,10 +459,9 @@ def least_bfs_encoding(rank: int, vertices: Sequence,
 def _canonical_key(c: CoreGraph) -> tuple:
     if c.num_vertices == 0:
         return (0, ())
-    vertices = range(c.num_vertices)
-    starts = vertices if c.basepoint is None else (c.basepoint,)
+    starts = range(c.num_vertices) if c.basepoint is None else (c.basepoint,)
     return (c.num_vertices,
-            least_bfs_encoding(c.rank, vertices, c.edges, starts))
+            least_bfs_encoding(c.rank, c._step, c.edges, starts))
 
 
 def canonical_form(c: CoreGraph) -> CoreGraph:

@@ -9,7 +9,8 @@ for the identity.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from functools import lru_cache
+from typing import Iterable, Iterator
 
 from .errors import BasisMismatchError, LetterRangeError
 
@@ -246,9 +247,7 @@ def enumerate_reduced_words(rank: int, max_len: int) -> Iterator[Word]:
         frontier = nxt
 
 
-def _signed_letters(rank: int) -> Sequence[int]:
+@lru_cache(maxsize=None)
+def _signed_letters(rank: int) -> tuple[int, ...]:
     # Fixed canonical order: +1, -1, +2, -2, ...
-    out = []
-    for i in range(1, rank + 1):
-        out.extend((i, -i))
-    return out
+    return tuple(m for i in range(1, rank + 1) for m in (i, -i))

@@ -150,6 +150,22 @@ def test_cylinders_enumerate_refuses_huge_radius(capsys):
     assert "refusing to list 68719474691" in capsys.readouterr().err
 
 
+def test_realize_refuses_total_weight_above_cap(tmp_path, capsys,
+                                                monkeypatch):
+    def no_quotient(theta):
+        raise AssertionError("realize ran on a table above the cap")
+
+    monkeypatch.setattr("subsetcurrents.cli.realize", no_quotient)
+    (tmp_path / "big.txt").write_text(
+        "rank 2\nradius 1\ne,x,X,y,Y = 1000001\n")
+    assert main(["realize", str(tmp_path / "big.txt"),
+                 "--outdir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "total weight 1000001" in err and "cap of 1000000" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_env_override(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("SUBCUR_MAX_RADIUS", "0")
     assert main(["cylinders", "--radius", "1", "--enumerate"]) == 1

@@ -2,6 +2,8 @@ import random
 from itertools import product as iter_product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subsetcurrents import (CoreGraph, Subgroup, component_census, conjugate,
                             fiber_product, intersection, label_isomorphic,
@@ -88,6 +90,30 @@ def test_product_matches_dense_oracle():
         assert len(p.component_edges) == len(p.components)
         for comp, comp_edges in zip(p.components, p.component_edges):
             assert comp_edges == [e for e in p.edges if e[0] in comp]
+
+
+@st.composite
+def subgroup_pairs(draw):
+    """Two random subgroups of one free group of rank 2 or 3."""
+    rank = draw(st.integers(2, 3))
+    letter = st.integers(1, rank).flatmap(lambda m: st.sampled_from((m, -m)))
+    word = st.lists(letter, min_size=1, max_size=6).map(
+        lambda letters: reduce(letters, rank))
+    subgroup = st.lists(word, min_size=1, max_size=3).map(
+        lambda words: Subgroup(words, rank))
+    return draw(subgroup), draw(subgroup)
+
+
+@settings(deadline=None, max_examples=80)
+@given(subgroup_pairs())
+def test_product_matches_dense_oracle_and_shnc(pair):
+    h, k = pair
+    if not (h.hull.is_empty or k.hull.is_empty):
+        p = fiber_product(h.hull, k.hull)
+        _vertices, edges, comps = dense_product(h.hull, k.hull)
+        assert set(p.edges) == edges
+        assert {frozenset(c) for c in p.components} == comps
+    assert product_rank(h, k) <= h.reduced_rank() * k.reduced_rank()
 
 
 def test_product_rank_examples():
@@ -269,6 +295,16 @@ def test_nested_subgroup_intersection():
     for n in (2, 3, 4):
         meet = intersection(subgroup_Gn(n), subgroup_Hn(n))
         assert meet.equals(subgroup_Hn(n))
+
+
+def test_intersection_core_is_numbered_in_letter_order():
+    # The product walk scans x, X, y, Y and the fold numbers vertices by
+    # first visit, so that order fixes the core exactly, not just up to
+    # isomorphism.
+    meet = intersection(Subgroup(["xx", "y", "xyX"], 2),
+                        Subgroup(["x", "yy"], 2))
+    assert meet.core == CoreGraph(2, 4, [(0, 1, 1), (0, 2, 2), (1, 0, 1),
+                                         (1, 3, 2), (2, 0, 2), (3, 1, 2)], 0)
 
 
 def test_intersection_of_random_covers():

@@ -7,7 +7,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from subsetcurrents import (RationalCurrent, RoundGraph, Subgroup, WeightTable,
-                            axis, canonical_form, cylinder_table, decompose,
+                            axis, canonical_form, check_matching,
+                            cylinder_table, decompose, enumerate_round_graphs,
                             full_ball, integerize, matching_system, realize,
                             reduce, support_system, verify_realization)
 from subsetcurrents.errors import AdmissibilityError
@@ -34,6 +35,39 @@ def test_weight_system_validation():
         WeightSystem(WeightTable(2, 1, {RoundGraph(2, 1, [(), (1,), (2,)]): 1}))
     assert err.value.generator == 1
     assert err.value.lens == ((), (1,))
+
+
+def unchecked_weight_system(table):
+    """A WeightSystem that skips the constructor's admissibility check."""
+    theta = object.__new__(WeightSystem)
+    object.__setattr__(theta, "table", table)
+    return theta
+
+
+def test_realize_reports_the_first_violated_row():
+    rng = random.Random(11)
+    graphs = list(enumerate_round_graphs(2, 1))
+    tables = [WeightTable(2, 1, {RoundGraph(2, 1, [(), (1,), (2,)]): 1})]
+    for _ in range(40):
+        tables.append(WeightTable(2, 1, {t: rng.randint(1, 3) for t
+                                         in rng.sample(graphs, 3)}))
+    # At radius 2 a generator has several lens classes: drop one entry of
+    # an admissible table so that rows of one generator fail.
+    for _ in range(20):
+        entries = dict(cylinder_table(random_current(rng), 2)
+                       .scale(36).entries)
+        del entries[rng.choice(list(entries))]
+        tables.append(WeightTable(2, 2, entries))
+    for table in tables:
+        violations = check_matching(table)
+        if not violations:
+            continue
+        with pytest.raises(AdmissibilityError) as err:
+            realize(unchecked_weight_system(table))
+        first = violations[0]
+        assert (err.value.generator, err.value.lens, err.value.lhs,
+                err.value.rhs) == (first.generator, first.lens, first.lhs,
+                                   first.rhs)
 
 
 def test_matching_system_shape_r1():

@@ -15,7 +15,7 @@ from subsetcurrents import (CoreGraph, LabeledGraph, Subgroup, basis_of,
 from subsetcurrents.approx import subgroup_Hn
 from subsetcurrents.errors import FileFormatError
 from subsetcurrents.stallings import (_fold_edges, _prune_edges,
-                                      subgroup_to_text)
+                                      signed_adjacency, subgroup_to_text)
 
 from helpers import (random_subgroup, random_word, reference_fold_edges,
                      reference_prune_edges)
@@ -396,6 +396,18 @@ def test_core_graph_validation():
         CoreGraph(2, 2, [(0, 1, 1)], 0)  # dangling non-basepoint vertex
     with pytest.raises(ValueError):
         CoreGraph(2, 1, [(0, 0, 3)], 0)  # label out of range
+
+
+def test_signed_adjacency():
+    # x from 0 to 1, a y-loop at 1: the loop reads y and Y at its vertex.
+    assert signed_adjacency(2, [(0, 1, 1), (1, 1, 2)]) == \
+        [{1: 1}, {-1: 0, 2: 1, -2: 1}]
+    with pytest.raises(ValueError, match="not folded"):
+        signed_adjacency(2, [(0, 1, 1), (0, 0, 1)])  # two x leave 0
+    with pytest.raises(ValueError, match="not folded"):
+        signed_adjacency(2, [(0, 1, 1), (1, 1, 1)])  # two x reach 1
+    with pytest.raises(ValueError, match="not folded"):
+        signed_adjacency(1, [(0, 0, 1), (0, 0, 1)])  # a doubled loop
 
 
 def test_canonical_form_stability():
