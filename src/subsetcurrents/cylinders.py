@@ -14,6 +14,7 @@ this module is exact: values are `fractions.Fraction`, never floats.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
@@ -283,21 +284,31 @@ def local_ball(hull: CoreGraph, vertex: int, radius: int) -> RoundGraph:
         raise ValueError("local balls are read off the hull-core form")
     if not 0 <= vertex < hull.num_vertices:
         raise ValueError(f"vertex {vertex} out of range")
+    return RoundGraph(hull.rank, radius, _traced_words(hull, vertex, radius))
+
+
+def _traced_words(hull: CoreGraph, vertex: int, radius: int
+                  ) -> tuple[WordTuple, ...]:
+    """The reduced words of length <= radius traced from a vertex, in
+    breadth-first order over the signed letters x, X, y, Y, ...; equal
+    balls give equal tuples."""
+    letters = _signed_letters(hull.rank)
     words: list[WordTuple] = [()]
     frontier: list[tuple[WordTuple, int]] = [((), vertex)]
     for _ in range(radius):
         nxt: list[tuple[WordTuple, int]] = []
         for w, v in frontier:
             last = w[-1] if w else 0
-            for m in _signed_letters(hull.rank):
+            step = hull._step[v]
+            for m in letters:
                 if m == -last:
                     continue
-                nv = hull.step(v, m)
+                nv = step.get(m)
                 if nv is not None:
                     nxt.append((w + (m,), nv))
         words.extend(w for (w, _v) in nxt)
         frontier = nxt
-    return RoundGraph(hull.rank, radius, words)
+    return tuple(words)
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +451,9 @@ def cylinder_table(current: RationalCurrent, radius: int,
 
     Each hull-core vertex contributes its coefficient to the entry of its
     local ball; the total mass is the coefficient-weighted sum of hull
-    vertex counts, independent of the radius.  Pass a larger max_radius
+    vertex counts, independent of the radius.  Vertices are grouped by
+    traced ball first, so one `RoundGraph` is built per distinct ball of
+    each term, weighted by its multiplicity.  Pass a larger max_radius
     to go beyond the default bound (supports stay small, but entries
     index ever larger trees).
     """
@@ -452,9 +465,11 @@ def cylinder_table(current: RationalCurrent, radius: int,
     table: dict[RoundGraph, Fraction] = {}
     for coeff, sub in current.terms:
         hull = sub.hull
-        for v in range(hull.num_vertices):
-            t = local_ball(hull, v, radius)
-            table[t] = table.get(t, Fraction(0)) + coeff
+        balls = Counter(_traced_words(hull, v, radius)
+                        for v in range(hull.num_vertices))
+        for words, count in balls.items():
+            t = RoundGraph(hull.rank, radius, words)
+            table[t] = table.get(t, Fraction(0)) + coeff * count
     return WeightTable(current.rank, radius, table)
 
 

@@ -13,8 +13,8 @@ from __future__ import annotations
 from typing import Iterable, Union
 
 from .errors import BasisMismatchError
-from .stallings import (CoreGraph, LabeledGraph, Subgroup, edges_by_component,
-                        fold, hull_on)
+from .stallings import (CoreGraph, Subgroup, edges_by_component, hull_on,
+                        _prune_edges)
 from .words import _signed_letters
 
 Pair = tuple[int, int]
@@ -147,11 +147,11 @@ def intersection(h: Subgroup, k: Subgroup) -> Subgroup:
     comp = _product_component(a_graph, b_graph,
                               (a_graph.basepoint, b_graph.basepoint),
                               set(), edges)
+    # The product of two folded graphs is folded: only the prune is left.
     ids = {v: n for n, v in enumerate(comp)}
-    raw = LabeledGraph(h.rank, len(comp),
-                       [(ids[s], ids[d], l) for (s, d, l) in edges],
-                       basepoint=0)
-    return Subgroup.from_core(fold(raw))
+    n, core_edges, _ = _prune_edges(
+        len(comp), sorted((ids[s], ids[d], l) for (s, d, l) in edges), 0)
+    return Subgroup.from_core(CoreGraph(h.rank, n, core_edges, 0))
 
 
 def component_census(product: ProductGraph) -> tuple[int, int, int]:

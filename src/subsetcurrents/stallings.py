@@ -41,17 +41,22 @@ class LabeledGraph:
             raise ValueError(f"label {label} out of range for rank {self.rank}")
         self.edges.append((src, dst, label))
 
-    def add_loop_word(self, base: int, w: Word) -> None:
-        """Attach a closed path at `base` reading the word w."""
-        prev = base
-        n = len(w.letters)
-        for i, m in enumerate(w.letters):
-            nxt = base if i == n - 1 else self.add_vertex()
+    def add_path(self, start: int, end: int, letters: Sequence[int]) -> None:
+        """Attach a path from `start` to `end` reading the signed letters,
+        through fresh vertices numbered in reading order."""
+        prev = start
+        last = len(letters) - 1
+        for i, m in enumerate(letters):
+            nxt = end if i == last else self.add_vertex()
             if m > 0:
                 self.add_edge(prev, nxt, m)
             else:
                 self.add_edge(nxt, prev, -m)
             prev = nxt
+
+    def add_loop_word(self, base: int, w: Word) -> None:
+        """Attach a closed path at `base` reading the word w."""
+        self.add_path(base, base, w.letters)
 
 
 class CoreGraph:
@@ -299,16 +304,40 @@ def fold(g: LabeledGraph) -> CoreGraph:
 
 
 def core_from_generators(gens: Sequence[WordLike], rank: int) -> CoreGraph:
-    """Basepointed Stallings core of the subgroup the words generate."""
-    g = LabeledGraph(rank)
-    base = g.add_vertex()
-    g.basepoint = base
+    """Basepointed Stallings core of the subgroup the words generate.
+
+    Each generator is a closed path at the basepoint, but only its middle
+    gets fresh vertices: its longest prefix readable forward from the
+    basepoint in the graph built so far, then its longest suffix readable
+    backward, are followed instead of laid, keeping at least one letter
+    to lay.  Folding the full bouquet of loops would merge every skipped
+    vertex into the earlier vertex it was read at, so `fold` gives the
+    same core, classes still numbered by least vertex.
+    """
+    g = LabeledGraph(rank, 1, basepoint=0)
+    # First neighbour laid per signed letter; the graph may be unfolded.
+    step: list[dict[int, int]] = [{}]
     for w in gens:
         word = parse_word(w, rank) if isinstance(w, str) else w
         if word.rank != rank:
             raise BasisMismatchError(f"word rank {word.rank} vs rank {rank}")
-        if not word.is_identity():
-            g.add_loop_word(base, word)
+        if word.is_identity():
+            continue
+        letters = word.letters
+        head, i = 0, 0
+        while i < len(letters) - 1 and letters[i] in step[head]:
+            head = step[head][letters[i]]
+            i += 1
+        tail, j = 0, len(letters)
+        while j - 1 > i and -letters[j - 1] in step[tail]:
+            tail = step[tail][-letters[j - 1]]
+            j -= 1
+        laid = len(g.edges)
+        g.add_path(head, tail, letters[i:j])
+        step.extend({} for _ in range(g.num_vertices - len(step)))
+        for (s, d, l) in g.edges[laid:]:
+            step[s].setdefault(l, d)
+            step[d].setdefault(-l, s)
     return fold(g)
 
 
@@ -358,17 +387,8 @@ def conjugate(c: CoreGraph, g: WordLike) -> CoreGraph:
     if word.is_identity():
         return c
     raw = LabeledGraph(c.rank, c.num_vertices, c.edges)
-    new_base = raw.add_vertex()
-    raw.basepoint = new_base
-    prev = new_base
-    n = len(word.letters)
-    for i, m in enumerate(word.letters):
-        nxt = c.basepoint if i == n - 1 else raw.add_vertex()
-        if m > 0:
-            raw.add_edge(prev, nxt, m)
-        else:
-            raw.add_edge(nxt, prev, -m)
-        prev = nxt
+    raw.basepoint = raw.add_vertex()
+    raw.add_path(raw.basepoint, c.basepoint, word.letters)
     return fold(raw)
 
 

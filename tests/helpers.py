@@ -7,12 +7,16 @@ import random
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from subsetcurrents import CoreGraph, Subgroup, Word, canonical_form
-from subsetcurrents.cylinders import (LensKey, RationalCurrent, RoundGraph,
-                                      _canonical_words, check_matching,
-                                      lens_ball, translate_words)
-from subsetcurrents.errors import AdmissibilityError
+from subsetcurrents import (CoreGraph, LabeledGraph, Subgroup, Word,
+                            canonical_form, fold, parse_word)
+from subsetcurrents.cylinders import (DEFAULT_MAX_RADIUS, LensKey,
+                                      RationalCurrent, RoundGraph,
+                                      WeightTable, _canonical_words,
+                                      check_matching, lens_ball, local_ball,
+                                      translate_words)
+from subsetcurrents.errors import AdmissibilityError, BasisMismatchError
 from subsetcurrents.realize import SCGraphQuotient, WeightSystem
+from subsetcurrents.stallings import WordLike
 
 
 def random_word(rng: random.Random, rank: int = 2, max_len: int = 5) -> Word:
@@ -115,6 +119,50 @@ def reference_prune_edges(num_vertices: int,
     new_id = {v: i for i, v in enumerate(sorted(alive))}
     new_edges = sorted((new_id[s], new_id[d], l) for (s, d, l) in cur)
     return len(alive), new_edges, new_id
+
+
+# Reference oracles: the bouquet-of-loops `core_from_generators` and the
+# per-vertex `cylinder_table` that `stallings.core_from_generators` and
+# `cylinders.cylinder_table` must match output for output.
+
+def reference_core_from_generators(gens: Sequence[WordLike],
+                                   rank: int) -> CoreGraph:
+    """Basepointed Stallings core of the subgroup the words generate."""
+    g = LabeledGraph(rank)
+    base = g.add_vertex()
+    g.basepoint = base
+    for w in gens:
+        word = parse_word(w, rank) if isinstance(w, str) else w
+        if word.rank != rank:
+            raise BasisMismatchError(f"word rank {word.rank} vs rank {rank}")
+        if not word.is_identity():
+            g.add_loop_word(base, word)
+    return fold(g)
+
+
+def reference_cylinder_table(current: RationalCurrent, radius: int,
+                             max_radius: int = DEFAULT_MAX_RADIUS
+                             ) -> WeightTable:
+    """Exact cylinder weights of a rational current at one radius.
+
+    Each hull-core vertex contributes its coefficient to the entry of its
+    local ball; the total mass is the coefficient-weighted sum of hull
+    vertex counts, independent of the radius.  Pass a larger max_radius
+    to go beyond the default bound (supports stay small, but entries
+    index ever larger trees).
+    """
+    if radius < 0:
+        raise ValueError("radius must be >= 0")
+    if radius > max_radius:
+        raise ValueError(
+            f"radius {radius} above the configured bound {max_radius}")
+    table: dict[RoundGraph, Fraction] = {}
+    for coeff, sub in current.terms:
+        hull = sub.hull
+        for v in range(hull.num_vertices):
+            t = local_ball(hull, v, radius)
+            table[t] = table.get(t, Fraction(0)) + coeff
+    return WeightTable(current.rank, radius, table)
 
 
 # Reference oracles: the per-copy `realize` and the per-component

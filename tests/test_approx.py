@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subsetcurrents import (KernelProblem, RationalCurrent, Subgroup,
                             approximate_table, check_matching,
@@ -110,6 +112,38 @@ def test_kernel_point_rejects_projection_outside_kernel(monkeypatch):
         rational_kernel_point(problem)
 
 
+@st.composite
+def nudged_kernel_problems(draw):
+    """The exact r = 1-2 table of a random rank-2 current as a vector over
+    its support system, each coordinate nudged by a small rational."""
+    current = random_current(random.Random(draw(st.integers(0, 2 ** 32))))
+    radius = draw(st.integers(1, 2))
+    table = cylinder_table(current, radius)
+    system = support_system(2, radius, table.support())
+    nudge = st.builds(Fraction, st.integers(-9, 9),
+                      st.sampled_from((10, 10 ** 3, 10 ** 6)))
+    target = [max(x + draw(nudge), Fraction(0))
+              for x in system.vector_of(table)]
+    tolerance = draw(st.sampled_from((Fraction(1, 10), Fraction(1, 100),
+                                      Fraction(1, 10 ** 4))))
+    return KernelProblem(system.matrix(), target, tolerance)
+
+
+@settings(deadline=None, max_examples=60)
+@given(nudged_kernel_problems())
+def test_kernel_point_is_a_nearby_nonnegative_kernel_point(problem):
+    try:
+        v = rational_kernel_point(problem)
+    except InfeasibleKernelError:
+        return
+    assert len(v) == len(problem.target)
+    assert all(x >= 0 for x in v)
+    for row in problem.matrix:
+        assert sum(c * x for c, x in zip(row, v)) == 0
+    assert max(abs(a - b) for a, b in zip(problem.target, v)) < \
+        problem.tolerance
+
+
 def test_integerize_examples():
     ex = cylinder_table(RationalCurrent.eta(Subgroup(["x"], 2)), 1)
     theta, scale = integerize(ex)
@@ -192,6 +226,14 @@ def test_convergence_run_values():
     assert convergence_run(2, [2, 4, 8, 16]) == [
         (2, Fraction(1)), (4, Fraction(3, 4)),
         (8, Fraction(3, 8)), (16, Fraction(3, 16))]
+
+
+def test_convergence_distance_is_2r_minus_1_over_n():
+    # Exact over three decades of n; the identity needs n >= 2r - 1 (at
+    # n = 2, r = 2 the distance is 1, not 3/2).
+    for r in (1, 2, 3):
+        assert convergence_run(r, [5, 32, 1024]) == [
+            (n, Fraction(2 * r - 1, n)) for n in (5, 32, 1024)]
 
 
 def test_convergence_monotone_under_doubling():

@@ -3,9 +3,12 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subsetcurrents import (RationalCurrent, RoundGraph, Subgroup, WeightTable,
                             axis, check_matching, conjugate, concat,
+                            reduce,
                             count_round_graphs, cylinder_table, distance,
                             enumerate_round_graphs, full_ball, invert,
                             local_ball, restrict, round_graph_from_text,
@@ -16,7 +19,8 @@ from subsetcurrents.errors import FileFormatError
 from subsetcurrents.stallings import basis_of, random_cover
 from subsetcurrents.words import enumerate_reduced_words
 
-from helpers import random_current, random_subgroup, random_word
+from helpers import (random_current, random_subgroup, random_word,
+                     reference_cylinder_table)
 
 ETA_F = RationalCurrent.full(2)
 ETA_X = RationalCurrent.eta(Subgroup(["x"], 2))
@@ -129,6 +133,32 @@ def test_cylinder_table_total_mass():
                        Fraction(0))
         for r in (0, 1, 2):
             assert cylinder_table(current, r).total() == expected
+
+
+@st.composite
+def currents_with_repeats(draw):
+    """(current, radius): 1-5 terms over a pool of 1-3 subgroups of rank 2
+    or 3, so subgroups repeat across terms; radius 0-3."""
+    rank = draw(st.integers(2, 3))
+    letter = st.integers(1, rank).flatmap(lambda m: st.sampled_from((m, -m)))
+    word = st.lists(letter, min_size=1, max_size=5).map(
+        lambda letters: reduce(letters, rank))
+    pool = draw(st.lists(st.lists(word, min_size=1, max_size=3).map(
+        lambda words: Subgroup(words, rank)), min_size=1, max_size=3))
+    coeff = st.builds(Fraction, st.integers(1, 5), st.integers(1, 5))
+    terms = draw(st.lists(st.tuples(coeff, st.sampled_from(pool)),
+                          min_size=1, max_size=5))
+    return RationalCurrent(terms, rank), draw(st.integers(0, 3))
+
+
+@settings(deadline=None, max_examples=150)
+@given(currents_with_repeats())
+def test_cylinder_table_matches_reference(case):
+    current, radius = case
+    table = cylinder_table(current, radius)
+    reference = reference_cylinder_table(current, radius)
+    assert table == reference
+    assert list(table.entries.items()) == list(reference.entries.items())
 
 
 def test_cylinder_table_linearity():

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subsetcurrents import (CoreGraph, Subgroup, component_census, conjugate,
-                            fiber_product, intersection, label_isomorphic,
-                            product_rank, reduce, shnc_margin)
+from subsetcurrents import (CoreGraph, LabeledGraph, Subgroup,
+                            component_census, conjugate, fiber_product, fold,
+                            intersection, label_isomorphic, product_rank,
+                            reduce, shnc_margin)
 from subsetcurrents.errors import BasisMismatchError
+from subsetcurrents.fiber import _product_component
 
 from helpers import random_subgroup, random_word
 
@@ -114,6 +116,22 @@ def test_product_matches_dense_oracle_and_shnc(pair):
         assert set(p.edges) == edges
         assert {frozenset(c) for c in p.components} == comps
     assert product_rank(h, k) <= h.reduced_rank() * k.reduced_rank()
+
+
+@settings(deadline=None, max_examples=150)
+@given(subgroup_pairs())
+def test_intersection_core_is_the_folded_product(pair):
+    # The basepointed product of two folded cores is already folded, so
+    # pruning it alone gives what folding it would.
+    h, k = pair
+    edges = set()
+    comp = _product_component(h.core, k.core,
+                              (h.core.basepoint, k.core.basepoint), set(),
+                              edges)
+    ids = {v: n for n, v in enumerate(comp)}
+    raw = LabeledGraph(h.rank, len(comp),
+                       [(ids[s], ids[d], l) for (s, d, l) in edges], 0)
+    assert intersection(h, k).core == fold(raw)
 
 
 def test_product_rank_examples():
@@ -298,7 +316,7 @@ def test_nested_subgroup_intersection():
 
 
 def test_intersection_core_is_numbered_in_letter_order():
-    # The product walk scans x, X, y, Y and the fold numbers vertices by
+    # The product walk scans x, X, y, Y and the core numbers vertices by
     # first visit, so that order fixes the core exactly, not just up to
     # isomorphism.
     meet = intersection(Subgroup(["xx", "y", "xyX"], 2),

@@ -2,10 +2,10 @@ import random
 from itertools import product
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subsetcurrents import (CoreGraph, LabeledGraph, Subgroup, basis_of,
+from subsetcurrents import (CoreGraph, LabeledGraph, Subgroup, Word, basis_of,
                             canonical_form, concat, conjugate, contains,
                             core_from_generators, finite_index, fold,
                             graph_from_text, graph_to_text, hull_core, invert,
@@ -17,7 +17,8 @@ from subsetcurrents.errors import FileFormatError
 from subsetcurrents.stallings import (_fold_edges, _prune_edges,
                                       signed_adjacency, subgroup_to_text)
 
-from helpers import (random_subgroup, random_word, reference_fold_edges,
+from helpers import (random_subgroup, random_word,
+                     reference_core_from_generators, reference_fold_edges,
                      reference_prune_edges)
 
 ROSE = core_from_generators(["x", "y"], 2)
@@ -168,6 +169,65 @@ def test_fold_is_equal_under_edge_shuffle(graph, data):
     shuffled = data.draw(st.permutations(edges))
     assert fold(LabeledGraph(rank, n, shuffled, base)) == \
         fold(LabeledGraph(rank, n, edges, base))
+
+
+@st.composite
+def generator_lists(draw):
+    """(words, rank), ranks 1-3: generators built from a few base words and
+    from earlier generators, so that prefixes and suffixes are shared, with
+    repeats, inverses, powers, conjugates and the identity among them."""
+    rank = draw(st.integers(1, 3))
+    letter = st.integers(1, rank).flatmap(lambda m: st.sampled_from((m, -m)))
+    word = st.lists(letter, max_size=6).map(
+        lambda letters: reduce(letters, rank))
+    pool = draw(st.lists(word, min_size=1, max_size=3))
+    gens: list[Word] = []
+    for _ in range(draw(st.integers(0, 6))):
+        a = draw(st.sampled_from(pool + gens))
+        b = draw(word)
+        kind = draw(st.sampled_from(("repeat", "inverse", "power", "conjugate",
+                                     "prefix", "suffix", "identity")))
+        if kind == "repeat":
+            gens.append(a)
+        elif kind == "inverse":
+            gens.append(invert(a))
+        elif kind == "power":
+            gens.append(a ** draw(st.integers(2, 4)))
+        elif kind == "conjugate":
+            gens.append(concat(concat(b, a), invert(b)))
+        elif kind == "prefix":
+            gens.append(concat(a, b))
+        elif kind == "suffix":
+            gens.append(concat(b, a))
+        else:
+            gens.append(Word(rank))
+    return gens, rank
+
+
+@settings(deadline=None, max_examples=300)
+@given(generator_lists())
+def test_core_from_generators_matches_reference(case):
+    gens, rank = case
+    assert core_from_generators(gens, rank) == \
+        reference_core_from_generators(gens, rank)
+
+
+def test_core_from_generators_lays_only_unread_letters(monkeypatch):
+    # H_n's core is a y^n cycle with x-loops: once y^n is laid, every
+    # y^i x y^-i reads its y-prefix and y-suffix, and lays one x-loop.
+    from subsetcurrents import stallings
+    raw_sizes = []
+
+    def recording_fold(g):
+        raw_sizes.append((g.num_vertices, len(g.edges)))
+        return fold(g)
+
+    monkeypatch.setattr(stallings, "fold", recording_fold)
+    for n in (2, 7, 64):
+        raw_sizes.clear()
+        core = subgroup_Hn(n).core
+        assert raw_sizes == [(n, 2 * n - 1)]
+        assert (core.num_vertices, core.num_edges) == (n, 2 * n - 1)
 
 
 def test_core_of_long_commensurable_powers():
@@ -367,7 +427,7 @@ def test_from_core_keeps_the_core():
         assert sub.hull == hull_core(c)
 
 
-def test_intersection_core_folds_once(monkeypatch):
+def test_intersection_core_does_not_fold(monkeypatch):
     from subsetcurrents import intersection, stallings
     calls = []
 
@@ -383,7 +443,7 @@ def test_intersection_core_folds_once(monkeypatch):
         calls.clear()
         meet = intersection(h, k)
         meet.core
-        assert len(calls) == 1
+        assert calls == []
         monkeypatch.undo()
 
 
