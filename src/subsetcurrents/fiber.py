@@ -6,6 +6,10 @@ connected components correspond to double cosets, and summing
 max(#E - #V, 0) over components gives N(H, K), the double-coset sum of
 reduced ranks.  Vertices incident to no matched edge are never
 materialized: they are isolated singletons and contribute nothing.
+
+`fiber_product` builds the product as an edge join costing sum over
+labels l of |A_l| * |B_l|, with no BFS; `intersection` walks only the
+basepoint's component of core x core.
 """
 
 from __future__ import annotations
@@ -13,8 +17,8 @@ from __future__ import annotations
 from typing import Iterable, Union
 
 from .errors import BasisMismatchError
-from .stallings import (CoreGraph, Subgroup, edges_by_component, hull_on,
-                        _prune_edges)
+from .stallings import (CoreGraph, Subgroup, edges_by_component, find_root,
+                        hull_on, _prune_edges)
 from .words import _signed_letters
 
 Pair = tuple[int, int]
@@ -56,74 +60,71 @@ class ProductGraph:
                        self.component_edges[index])
 
 
-def _product_neighbors(a_graph: CoreGraph, b_graph: CoreGraph,
-                       pair: Pair) -> Iterable[tuple[Pair, int]]:
-    """The pairs one signed letter away, in letter order x, X, y, Y, ..."""
-    a, b = pair
-    for letter in _signed_letters(a_graph.rank):
-        a2 = a_graph.step(a, letter)
-        if a2 is not None:
-            b2 = b_graph.step(b, letter)
-            if b2 is not None:
-                yield (a2, b2), letter
-
-
 def fiber_product(a_graph: CoreGraph, b_graph: CoreGraph) -> ProductGraph:
-    """Fiber product of two hull-cores, explored component by component.
+    """Fiber product of two hull-cores, built as an edge join with no BFS.
 
-    Only vertex pairs incident to at least one matched edge are visited,
-    so memory is bounded by the edge-bearing part rather than by
-    |V(A)| * |V(B)|.
+    Each pair of an l-edge of A and an l-edge of B is a product edge, so
+    the join costs sum over labels l of |A_l| * |B_l|.  A pair (a, b) is
+    coded a * |V(B)| + b, which orders codes as pairs; union-find joins
+    each edge's ends under the least root, the component's least pair.
     """
     if a_graph.rank != b_graph.rank:
         raise BasisMismatchError(
             f"rank {a_graph.rank} vs rank {b_graph.rank}")
     if a_graph.basepoint is not None or b_graph.basepoint is not None:
         raise ValueError("fiber products act on hull-core form")
-    # Seeds: sources of matched edge pairs, grouped by label.
-    a_by_label: dict[int, list[tuple[int, int]]] = {}
+    width = b_graph.num_vertices
     b_by_label: dict[int, list[tuple[int, int]]] = {}
-    for (s, d, l) in a_graph.edges:
-        a_by_label.setdefault(l, []).append((s, d))
     for (s, d, l) in b_graph.edges:
         b_by_label.setdefault(l, []).append((s, d))
-    seeds: set[Pair] = set()
-    for lab, a_edges in a_by_label.items():
-        for (sa, _da) in a_edges:
-            for (sb, _db) in b_by_label.get(lab, ()):
-                seeds.add((sa, sb))
-    seen: set[Pair] = set()
-    edges: set[tuple[Pair, Pair, int]] = set()
-    components = [_product_component(a_graph, b_graph, seed, seen, edges)
-                  for seed in sorted(seeds) if seed not in seen]
-    return ProductGraph(a_graph.rank, seen, edges, components)
+    coded = sorted((sa * width + sb, da * width + db, l)
+                   for (sa, da, l) in a_graph.edges
+                   for (sb, db) in b_by_label.get(l, ()))
+    parent = {v: v for (s, d, _l) in coded for v in (s, d)}
+    for (s, d, _l) in coded:
+        rs, rd = find_root(parent, s), find_root(parent, d)
+        parent[max(rs, rd)] = min(rs, rd)
+    # Parents are less than children: in increasing order each parent
+    # already points at its root, and each component starts at its root.
+    pair: dict[int, Pair] = {}
+    components: dict[int, list[Pair]] = {}
+    for v in sorted(parent):
+        parent[v] = root = parent[parent[v]]
+        pair[v] = p = divmod(v, width)
+        components.setdefault(root, []).append(p)
+    edges = [(pair[s], pair[d], l) for (s, d, l) in coded]
+    del coded, parent           # freed before the constructor copies
+    return ProductGraph(a_graph.rank, pair.values(), edges,
+                        components.values())
 
 
-def _product_component(a_graph: CoreGraph, b_graph: CoreGraph, start: Pair,
-                       seen: set[Pair],
-                       edges: set[tuple[Pair, Pair, int]]) -> list[Pair]:
-    """The fiber-product component of `start` in breadth-first order; adds
-    its vertices to `seen` and its edges to `edges`."""
-    comp = [start]
-    seen.add(start)
+def _product_component(a_core: CoreGraph, b_core: CoreGraph
+                       ) -> tuple[list[Pair], list[tuple[Pair, Pair, int]]]:
+    """The basepoints' product component in breadth-first order over
+    signed letters x, X, y, Y, ..., and its edges."""
+    a_step, b_step = a_core._step, b_core._step
+    comp = [(a_core.basepoint, b_core.basepoint)]
+    seen = set(comp)
+    edges: list[tuple[Pair, Pair, int]] = []
     for v in comp:
-        for w, letter in _product_neighbors(a_graph, b_graph, v):
-            edges.add((v, w, letter) if letter > 0 else (w, v, -letter))
-            if w not in seen:
-                seen.add(w)
-                comp.append(w)
-    return comp
+        a_out, b_out = a_step[v[0]], b_step[v[1]]
+        for m in _signed_letters(a_core.rank):
+            if m in a_out and m in b_out:
+                w = (a_out[m], b_out[m])
+                if m > 0:           # each edge once, from its source
+                    edges.append((v, w, m))
+                if w not in seen:
+                    seen.add(w)
+                    comp.append(w)
+    return comp, edges
 
 
 HullLike = Union[Subgroup, CoreGraph]
 
 
 def _hull_of(x: HullLike) -> CoreGraph:
-    if isinstance(x, Subgroup):
-        return x.hull
-    if x.basepoint is not None:
-        raise ValueError("expected a hull-core or a Subgroup")
-    return x
+    # fiber_product rejects a basepointed core.
+    return x.hull if isinstance(x, Subgroup) else x
 
 
 def product_rank(h: HullLike, k: HullLike) -> int:
@@ -142,15 +143,11 @@ def intersection(h: Subgroup, k: Subgroup) -> Subgroup:
     """The subgroup H intersect K, via the basepointed fiber product."""
     if h.rank != k.rank:
         raise BasisMismatchError(f"rank {h.rank} vs rank {k.rank}")
-    a_graph, b_graph = h.core, k.core
-    edges: set[tuple[Pair, Pair, int]] = set()
-    comp = _product_component(a_graph, b_graph,
-                              (a_graph.basepoint, b_graph.basepoint),
-                              set(), edges)
+    comp, edges = _product_component(h.core, k.core)
     # The product of two folded graphs is folded: only the prune is left.
     ids = {v: n for n, v in enumerate(comp)}
     n, core_edges, _ = _prune_edges(
-        len(comp), sorted((ids[s], ids[d], l) for (s, d, l) in edges), 0)
+        len(comp), [(ids[s], ids[d], l) for (s, d, l) in edges], 0)
     return Subgroup.from_core(CoreGraph(h.rank, n, core_edges, 0))
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from itertools import repeat
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .errors import AdmissibilityError
 from .cylinders import (DEFAULT_MAX_RADIUS, LensKey, RationalCurrent,
@@ -45,11 +45,6 @@ class WeightSystem:
 
     def __setattr__(self, name, value):
         raise AttributeError("WeightSystem is immutable")
-
-    @classmethod
-    def from_entries(cls, rank: int, radius: int,
-                     weights: Mapping[RoundGraph, int]) -> "WeightSystem":
-        return cls(WeightTable(rank, radius, weights))
 
     @property
     def rank(self) -> int:

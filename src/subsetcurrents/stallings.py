@@ -14,8 +14,7 @@ import random
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import BasisMismatchError, FileFormatError
-from .words import (Basis, Word, format_word, parse_word, reduce,
-                    _signed_letters)
+from .words import Basis, Word, format_word, parse_word, _signed_letters
 
 WordLike = Union[Word, str]
 
@@ -123,10 +122,6 @@ class CoreGraph:
         return len(self.edges)
 
     @property
-    def is_hull_form(self) -> bool:
-        return self.basepoint is None
-
-    @property
     def is_empty(self) -> bool:
         return self.num_vertices == 0
 
@@ -200,6 +195,13 @@ def hull_on(rank: int, vertices: Sequence, edges: Iterable[tuple]
                                       for (s, d, l) in edges], None)
 
 
+def find_root(parent, v: int) -> int:
+    """v's root in a union-find parent map; each step halves the path."""
+    while parent[v] != v:
+        parent[v] = v = parent[parent[v]]
+    return v
+
+
 def _fold_edges(num_vertices: int, edges: Sequence[tuple[int, int, int]]
                 ) -> tuple[int, list[tuple[int, int, int]], list[int]]:
     """Stallings folding by a worklist union-find; returns the quotient.
@@ -224,16 +226,9 @@ def _fold_edges(num_vertices: int, edges: Sequence[tuple[int, int, int]]
         t = nbrs[d].setdefault(-l, s)
         if t != s:
             pending.append((t, s))
-
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
     while pending:
         a, b = pending.pop()
-        a, b = find(a), find(b)
+        a, b = find_root(parent, a), find_root(parent, b)
         if a == b:
             continue
         if len(nbrs[a]) < len(nbrs[b]):
@@ -246,7 +241,7 @@ def _fold_edges(num_vertices: int, edges: Sequence[tuple[int, int, int]]
                 pending.append((t, w))
         nbrs[b] = {}
     new_id: dict[int, int] = {}
-    mapping = [new_id.setdefault(find(v), len(new_id))
+    mapping = [new_id.setdefault(find_root(parent, v), len(new_id))
                for v in range(num_vertices)]
     new_edges = sorted({(mapping[s], mapping[d], l) for (s, d, l) in edges})
     return len(new_id), new_edges, mapping
@@ -399,9 +394,11 @@ def basis_of(c: CoreGraph) -> list[Word]:
     path: dict[int, tuple[int, ...]] = {c.basepoint: ()}
     order = [c.basepoint]
     tree: set[tuple[int, int, int]] = set()
+    letters = _signed_letters(c.rank)
     for v in order:
-        for letter in _signed_letters(c.rank):
-            w = c.step(v, letter)
+        out = c._step[v]
+        for letter in letters:
+            w = out.get(letter)
             if w is not None and w not in path:
                 path[w] = path[v] + (letter,)
                 order.append(w)
@@ -409,8 +406,10 @@ def basis_of(c: CoreGraph) -> list[Word]:
     words = []
     for (s, d, l) in c.edges:
         if (s, d, l) not in tree:
-            letters = path[s] + (l,) + tuple(-m for m in reversed(path[d]))
-            words.append(reduce(letters, c.rank))
+            # Tree paths are reduced, and neither junction can cancel in a
+            # folded core: that would make (s, d, l) a tree edge.
+            words.append(Word._reduced(c.rank, path[s] + (l,) + tuple(
+                -m for m in reversed(path[d]))))
     return words
 
 

@@ -21,6 +21,10 @@ MAX_RANK = len(ALPHABET)
 
 
 def _check_letters(letters: Iterable[int], rank: int) -> tuple[int, ...]:
+    if rank < 1:
+        raise ValueError("rank must be >= 1")
+    if rank > MAX_RANK:
+        raise ValueError(f"rank must be <= {MAX_RANK}")
     out = tuple(letters)
     for m in out:
         if m == 0 or abs(m) > rank:
@@ -49,16 +53,21 @@ class Word:
     __slots__ = ("rank", "letters", "_hash")
 
     def __init__(self, rank: int, letters: Iterable[int] = ()):
-        if rank < 1:
-            raise ValueError("rank must be >= 1")
-        if rank > MAX_RANK:
-            raise ValueError(f"rank must be <= {MAX_RANK}")
         letters = _check_letters(letters, rank)
         if free_reduce(letters) != letters:
             raise ValueError(f"letters {letters} are not freely reduced")
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "letters", letters)
         object.__setattr__(self, "_hash", hash((rank, letters)))
+
+    @classmethod
+    def _reduced(cls, rank: int, letters: tuple[int, ...]) -> "Word":
+        """A Word from letters already checked and freely reduced."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "rank", rank)
+        object.__setattr__(w, "letters", letters)
+        object.__setattr__(w, "_hash", hash((rank, letters)))
+        return w
 
     def __setattr__(self, name, value):
         raise AttributeError("Word is immutable")
@@ -105,7 +114,7 @@ class Word:
 
 def reduce(letters: Iterable[int], rank: int) -> Word:
     """Freely reduce a raw signed-index sequence into a Word."""
-    return Word(rank, free_reduce(_check_letters(letters, rank)))
+    return Word._reduced(rank, free_reduce(_check_letters(letters, rank)))
 
 
 def concat(w1: Word, w2: Word) -> Word:

@@ -7,8 +7,8 @@ import random
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from subsetcurrents import (CoreGraph, LabeledGraph, Subgroup, Word,
-                            canonical_form, fold, parse_word)
+from subsetcurrents import (CoreGraph, LabeledGraph, ProductGraph, Subgroup,
+                            Word, canonical_form, fold, parse_word, reduce)
 from subsetcurrents.cylinders import (DEFAULT_MAX_RADIUS, LensKey,
                                       RationalCurrent, RoundGraph,
                                       WeightTable, _canonical_words,
@@ -16,7 +16,8 @@ from subsetcurrents.cylinders import (DEFAULT_MAX_RADIUS, LensKey,
                                       translate_words)
 from subsetcurrents.errors import AdmissibilityError, BasisMismatchError
 from subsetcurrents.realize import SCGraphQuotient, WeightSystem
-from subsetcurrents.stallings import WordLike
+from subsetcurrents.stallings import WordLike, _prune_edges
+from subsetcurrents.words import _signed_letters
 
 
 def random_word(rng: random.Random, rank: int = 2, max_len: int = 5) -> Word:
@@ -240,3 +241,108 @@ def reference_decompose(quotient: SCGraphQuotient) -> RationalCurrent:
         core = CoreGraph(hull.rank, hull.num_vertices, hull.edges, 0)
         terms.append((Fraction(1), Subgroup.from_core(core)))
     return RationalCurrent(terms, quotient.rank)
+
+
+# Reference oracles for the fiber product and the spanning-tree basis:
+# the component-by-component BFS that `fiber.fiber_product`'s edge join
+# must match field for field and in order, and the basis built through
+# `reduce`, which re-checks and re-reduces every word.
+
+Pair = tuple[int, int]
+
+
+def _product_neighbors(a_graph: CoreGraph, b_graph: CoreGraph,
+                       pair: Pair):
+    """The pairs one signed letter away, in letter order x, X, y, Y, ..."""
+    a, b = pair
+    for letter in _signed_letters(a_graph.rank):
+        a2 = a_graph.step(a, letter)
+        if a2 is not None:
+            b2 = b_graph.step(b, letter)
+            if b2 is not None:
+                yield (a2, b2), letter
+
+
+def reference_fiber_product(a_graph: CoreGraph,
+                            b_graph: CoreGraph) -> ProductGraph:
+    """Fiber product of two hull-cores, explored component by component.
+
+    Only vertex pairs incident to at least one matched edge are visited,
+    so memory is bounded by the edge-bearing part rather than by
+    |V(A)| * |V(B)|.
+    """
+    if a_graph.rank != b_graph.rank:
+        raise BasisMismatchError(
+            f"rank {a_graph.rank} vs rank {b_graph.rank}")
+    if a_graph.basepoint is not None or b_graph.basepoint is not None:
+        raise ValueError("fiber products act on hull-core form")
+    # Seeds: sources of matched edge pairs, grouped by label.
+    a_by_label: dict[int, list[tuple[int, int]]] = {}
+    b_by_label: dict[int, list[tuple[int, int]]] = {}
+    for (s, d, l) in a_graph.edges:
+        a_by_label.setdefault(l, []).append((s, d))
+    for (s, d, l) in b_graph.edges:
+        b_by_label.setdefault(l, []).append((s, d))
+    seeds: set[Pair] = set()
+    for lab, a_edges in a_by_label.items():
+        for (sa, _da) in a_edges:
+            for (sb, _db) in b_by_label.get(lab, ()):
+                seeds.add((sa, sb))
+    seen: set[Pair] = set()
+    edges: set[tuple[Pair, Pair, int]] = set()
+    components = [_reference_product_component(a_graph, b_graph, seed, seen,
+                                                edges)
+                  for seed in sorted(seeds) if seed not in seen]
+    return ProductGraph(a_graph.rank, seen, edges, components)
+
+
+def _reference_product_component(a_graph: CoreGraph, b_graph: CoreGraph,
+                                 start: Pair, seen: set[Pair],
+                                 edges: set[tuple[Pair, Pair, int]]
+                                 ) -> list[Pair]:
+    """The fiber-product component of `start` in breadth-first order; adds
+    its vertices to `seen` and its edges to `edges`."""
+    comp = [start]
+    seen.add(start)
+    for v in comp:
+        for w, letter in _product_neighbors(a_graph, b_graph, v):
+            edges.add((v, w, letter) if letter > 0 else (w, v, -letter))
+            if w not in seen:
+                seen.add(w)
+                comp.append(w)
+    return comp
+
+
+def reference_intersection_core(h: Subgroup, k: Subgroup) -> CoreGraph:
+    """The core of H intersect K: the basepoints' product component by
+    the reference BFS, numbered in visiting order, then pruned."""
+    edges: set[tuple[Pair, Pair, int]] = set()
+    comp = _reference_product_component(h.core, k.core,
+                                        (h.core.basepoint, k.core.basepoint),
+                                        set(), edges)
+    ids = {v: n for n, v in enumerate(comp)}
+    n, core_edges, _ = _prune_edges(
+        len(comp), sorted((ids[s], ids[d], l) for (s, d, l) in edges), 0)
+    return CoreGraph(h.rank, n, core_edges, 0)
+
+
+def reference_basis_of(c: CoreGraph) -> list[Word]:
+    """Spanning-tree free basis: one word per non-tree edge."""
+    if c.basepoint is None:
+        raise ValueError("basis extraction needs a basepointed core")
+    path: dict[int, tuple[int, ...]] = {c.basepoint: ()}
+    order = [c.basepoint]
+    tree: set[tuple[int, int, int]] = set()
+    for v in order:
+        for letter in _signed_letters(c.rank):
+            w = c.step(v, letter)
+            if w is not None and w not in path:
+                path[w] = path[v] + (letter,)
+                order.append(w)
+                tree.add((v, w, letter) if letter > 0 else (w, v, -letter))
+    words = []
+    for (s, d, l) in c.edges:
+        if (s, d, l) not in tree:
+            letters = path[s] + (l,) + tuple(-m for m in reversed(path[d]))
+            words.append(reduce(letters, c.rank))
+    return words

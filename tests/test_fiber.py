@@ -5,14 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subsetcurrents import (CoreGraph, LabeledGraph, Subgroup,
-                            component_census, conjugate, fiber_product, fold,
-                            intersection, label_isomorphic, product_rank,
-                            reduce, shnc_margin)
+from subsetcurrents import (CoreGraph, LabeledGraph, Subgroup, Word,
+                            basis_of, component_census, conjugate,
+                            fiber_product, fold, intersection,
+                            label_isomorphic, product_rank,
+                            random_finite_cover, reduce, shnc_margin)
 from subsetcurrents.errors import BasisMismatchError
 from subsetcurrents.fiber import _product_component
 
-from helpers import random_subgroup, random_word
+from helpers import (random_subgroup, random_word, reference_basis_of,
+                     reference_fiber_product, reference_intersection_core)
 
 ROSE_HULL = CoreGraph(2, 1, [(0, 0, 1), (0, 0, 2)], None)
 DOUBLE_HULL = CoreGraph(2, 2, [(0, 1, 1), (1, 0, 1), (0, 0, 2), (1, 1, 2)],
@@ -66,9 +68,26 @@ def test_product_with_rose_is_identity():
 def test_product_of_disjoint_labels_is_empty():
     x_loop = CoreGraph(2, 1, [(0, 0, 1)], None)
     y_loop = CoreGraph(2, 1, [(0, 0, 2)], None)
-    p = fiber_product(x_loop, y_loop)
-    assert p.vertices == () and p.edges == () and p.components == ()
-    assert component_census(p) == (0, 0, 0)
+    for p in (fiber_product(x_loop, y_loop), fiber_product(y_loop, x_loop)):
+        assert p.vertices == () and p.edges == () and p.components == ()
+        assert p.component_edges == []
+        assert component_census(p) == (0, 0, 0)
+
+
+def test_product_with_an_empty_hull_is_empty():
+    empty = Subgroup([], 2).hull
+    assert empty.is_empty
+    for a, b in ((empty, ROSE_HULL), (ROSE_HULL, empty), (empty, empty)):
+        p = fiber_product(a, b)
+        assert (p.vertices, p.edges, p.components, p.component_edges) == \
+            ((), (), (), [])
+        assert component_census(p) == (0, 0, 0)
+    assert product_rank(Subgroup([], 2), Subgroup.full(2)) == 0
+
+
+def test_product_rank_rejects_a_basepointed_core():
+    with pytest.raises(ValueError):
+        product_rank(Subgroup.full(2).core, ROSE_HULL)
 
 
 def test_double_cover_self_product():
@@ -118,16 +137,55 @@ def test_product_matches_dense_oracle_and_shnc(pair):
     assert product_rank(h, k) <= h.reduced_rank() * k.reduced_rank()
 
 
+@st.composite
+def hull_pairs(draw):
+    """Two subgroups of one free group of rank 2 or 3, the first either a
+    random subgroup or a finite-index one, whose product with the second
+    has many components."""
+    h, k = draw(subgroup_pairs())
+    if draw(st.booleans()):
+        h = Subgroup.from_core(random_finite_cover(
+            h.rank, draw(st.integers(1, 6)), draw(st.integers(0, 10**6))))
+    return h, k
+
+
+def product_fields(p):
+    return p.rank, p.vertices, p.edges, p.components, p.component_edges
+
+
+@settings(deadline=None, max_examples=300)
+@given(hull_pairs())
+def test_fiber_product_equals_reference_in_order(pair):
+    h, k = pair
+    for a, b in ((h.hull, k.hull), (k.hull, h.hull), (h.hull, h.hull)):
+        assert product_fields(fiber_product(a, b)) == \
+            product_fields(reference_fiber_product(a, b))
+
+
+@settings(deadline=None, max_examples=200)
+@given(hull_pairs())
+def test_intersection_equals_reference(pair):
+    # The reference walks the product with `CoreGraph.step` and builds each
+    # basis word through `reduce`, which checks and reduces it again.
+    h, k = pair
+    meet = intersection(h, k)
+    core = reference_intersection_core(h, k)
+    assert meet.core == core
+    assert list(meet.generators) == reference_basis_of(core)
+    for c in (h.core, k.core, core):
+        basis = basis_of(c)
+        assert basis == reference_basis_of(c)
+        assert all(Word(w.rank, w.letters) == w and
+                   hash(Word(w.rank, w.letters)) == hash(w) for w in basis)
+
+
 @settings(deadline=None, max_examples=150)
 @given(subgroup_pairs())
 def test_intersection_core_is_the_folded_product(pair):
     # The basepointed product of two folded cores is already folded, so
     # pruning it alone gives what folding it would.
     h, k = pair
-    edges = set()
-    comp = _product_component(h.core, k.core,
-                              (h.core.basepoint, k.core.basepoint), set(),
-                              edges)
+    comp, edges = _product_component(h.core, k.core)
     ids = {v: n for n, v in enumerate(comp)}
     raw = LabeledGraph(h.rank, len(comp),
                        [(ids[s], ids[d], l) for (s, d, l) in edges], 0)

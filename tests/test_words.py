@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 from subsetcurrents import (Basis, Word, concat, cyclic_reduce, format_word,
                             invert, parse_word, reduce)
 from subsetcurrents.errors import BasisMismatchError, LetterRangeError
-from subsetcurrents.words import enumerate_reduced_words, free_reduce
+from subsetcurrents.words import (MAX_RANK, enumerate_reduced_words,
+                                 free_reduce)
 
 letters = st.lists(st.integers(-2, 2).filter(bool), max_size=8)
 
@@ -25,6 +26,27 @@ def test_reduce_rejects_out_of_range():
         reduce([3], 2)
     with pytest.raises(LetterRangeError):
         reduce([0], 2)
+
+
+def test_reduce_rejects_a_bad_rank():
+    for rank in (0, MAX_RANK + 1):
+        with pytest.raises(ValueError):
+            reduce([], rank)
+        with pytest.raises(ValueError):
+            reduce([1, -1], rank)
+
+
+@given(st.integers(1, 4).flatmap(
+    lambda rank: st.tuples(st.just(rank), st.lists(
+        st.integers(-rank, rank).filter(bool), max_size=12))))
+def test_reduce_equals_the_checked_constructor(case):
+    # `reduce` builds its Word without `Word.__init__`'s checks; the
+    # public constructor must accept the result and agree with it.
+    rank, ls = case
+    w = reduce(ls, rank)
+    checked = Word(rank, free_reduce(ls))
+    assert w == checked and hash(w) == hash(checked)
+    assert type(w.letters) is tuple and w.rank == rank
 
 
 def test_concat_examples():
