@@ -255,8 +255,6 @@ def subgroup_Hn(n: int) -> Subgroup:
 
 def subgroup_Gn(n: int) -> Subgroup:
     """The index-n normal subgroup family: subgroup_Hn's generators plus x."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
     return Subgroup((Word(2, (1,)),) + subgroup_Hn(n).generators, 2)
 
 
@@ -267,8 +265,6 @@ def convergence_run(radius: int, ns: Iterable[int],
     reference = cylinder_table(RationalCurrent.full(2), radius, max_radius)
     out = []
     for n in ns:
-        if n < 2:
-            raise ValueError("each n must be >= 2")
         scaled = RationalCurrent([(Fraction(1, n), subgroup_Hn(n))], 2)
         out.append((n, distance(cylinder_table(scaled, radius, max_radius),
                                 reference)))

@@ -204,7 +204,8 @@ def _cmd_cylinders(args, config: Config) -> int:
     else:
         sys.stdout.write(text)
     violations = cyl.check_matching(table)
-    print(f"matching: {'ok' if not violations else violations}")
+    for line in violations or ["ok"]:
+        print(f"matching: {line}")
     return 0
 
 

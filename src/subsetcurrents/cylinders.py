@@ -18,12 +18,12 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from typing import Iterable, Iterator, Mapping, Optional, Union
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
-from .errors import BasisMismatchError, FileFormatError
-from .stallings import CoreGraph, Subgroup
-from .words import (enumerate_reduced_words, free_reduce, letter_to_char,
-                    parse_word, _signed_letters)
+from .errors import AdmissibilityError, BasisMismatchError, FileFormatError
+from .stallings import CoreGraph, Subgroup, _content_lines
+from .words import (enumerate_reduced_words, format_word, free_reduce,
+                    parse_word, _check_rank, _signed_letters)
 
 WordTuple = tuple[int, ...]
 
@@ -92,6 +92,7 @@ class RoundGraph:
     __slots__ = ("rank", "radius", "words", "word_set", "_hash")
 
     def __init__(self, rank: int, radius: int, words: Iterable[WordTuple]):
+        _check_rank(rank)
         words = _canonical_words(words)
         if not validate_round_graph(words, radius, rank):
             raise ValueError(
@@ -163,6 +164,7 @@ def enumerate_round_graphs(rank: int, radius: int,
     4067, ~6.9e10 for r = 0..3), so materializing beyond r = 2 is not
     desk-scale; the generator itself is cheap per item.
     """
+    _check_rank(rank)
     if radius < 0:
         raise ValueError("radius must be >= 0")
     if radius > max_radius:
@@ -204,6 +206,7 @@ def count_round_graphs(rank: int, radius: int) -> int:
     interior, picks a nonempty subset of them; the root picks >= 2 of its
     2*rank neighbors.
     """
+    _check_rank(rank)
     if radius < 0:
         raise ValueError("radius must be >= 0")
     if radius == 0:
@@ -507,53 +510,38 @@ def lens_keys(t: RoundGraph, generator: int
     return out, inc
 
 
-class MatchingViolation:
-    """One failed matching row: generator, lens, and the two sums."""
+def lens_rows(support: Sequence[RoundGraph], rank: int
+              ) -> Iterator[tuple[int, LensKey, list, list]]:
+    """The matching equations over a support, one row (u, J, outs, ins)
+    per generator u and lens class J met by the support, generators
+    first, then lens classes in sorted order.
 
-    __slots__ = ("generator", "lens", "lhs", "rhs")
-
-    def __init__(self, generator: int, lens: LensKey,
-                 lhs: Fraction, rhs: Fraction):
-        self.generator = generator
-        self.lens = lens
-        self.lhs = lhs
-        self.rhs = rhs
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, MatchingViolation)
-                and (self.generator, self.lens, self.lhs, self.rhs)
-                == (other.generator, other.lens, other.lhs, other.rhs))
-
-    def __repr__(self) -> str:
-        lens = ",".join(word_tuple_to_text(w) for w in self.lens)
-        return (f"MatchingViolation(g{self.generator}, lens={lens!r}, "
-                f"{self.lhs} != {self.rhs})")
-
-
-def check_matching(table: WeightTable) -> list[MatchingViolation]:
-    """Verify every per-generator lens balance over the table's support.
-
-    For generator u with lens L = B(id, r) & B(u, r), each lens class J
-    must satisfy: the weight of round-graphs containing u and meeting L
-    in J equals the weight of those containing u^-1 whose u-translate
-    meets L in J.  Rows indexed by lenses outside both supports are 0 = 0
-    and need no check.
+    `outs` holds the round-graphs containing u that meet the lens
+    L = B(id, r) & B(u, r) in J, and `ins` those containing u^-1 whose
+    u-translate meets L in J, each in support order.  Row (u, J) asks
+    that the weights of the two sides be equal; rows for lens classes
+    outside the support are 0 = 0 and are not listed.
     """
-    violations: list[MatchingViolation] = []
-    for gen in range(1, table.rank + 1):
-        lhs: dict[LensKey, Fraction] = {}
-        rhs: dict[LensKey, Fraction] = {}
-        for t, value in table.entries.items():
-            out, inc = lens_keys(t, gen)
-            if out is not None:
-                lhs[out] = lhs.get(out, Fraction(0)) + value
-            if inc is not None:
-                rhs[inc] = rhs.get(inc, Fraction(0)) + value
-        for key in sorted(set(lhs) | set(rhs)):
-            a = lhs.get(key, Fraction(0))
-            b = rhs.get(key, Fraction(0))
-            if a != b:
-                violations.append(MatchingViolation(gen, key, a, b))
+    for gen in range(1, rank + 1):
+        sides: dict[LensKey, tuple[list, list]] = {}
+        for t in support:
+            for key, side in zip(lens_keys(t, gen), (0, 1)):
+                if key is not None:
+                    sides.setdefault(key, ([], []))[side].append(t)
+        for key in sorted(sides):
+            yield (gen, key) + sides[key]
+
+
+def check_matching(table: WeightTable) -> list[AdmissibilityError]:
+    """Every violated row of `lens_rows` over the table's support, as an
+    AdmissibilityError carrying the generator, the lens and the sums of
+    the two sides; an admissible table gives []."""
+    violations = []
+    for gen, key, outs, ins in lens_rows(table.support(), table.rank):
+        lhs = sum(map(table.entries.__getitem__, outs), Fraction(0))
+        rhs = sum(map(table.entries.__getitem__, ins), Fraction(0))
+        if lhs != rhs:
+            violations.append(AdmissibilityError(gen, key, lhs, rhs))
     return violations
 
 
@@ -576,13 +564,9 @@ def distance(t1: WeightTable, t2: WeightTable) -> Fraction:
 # ---------------------------------------------------------------------------
 # text forms
 
-def word_tuple_to_text(w: WordTuple) -> str:
-    return "e" if w == () else "".join(letter_to_char(m) for m in w)
-
-
 def round_graph_to_text(t: RoundGraph) -> str:
     """Comma-separated compact words, the empty word as 'e'."""
-    return ",".join(word_tuple_to_text(w) for w in t.words)
+    return ",".join(map(format_word, t.words))
 
 
 def round_graph_from_text(text: str, rank: int, radius: int) -> RoundGraph:
@@ -606,10 +590,7 @@ def table_from_text(text: str) -> WeightTable:
     rank = None
     radius = None
     entries: dict[RoundGraph, Fraction] = {}
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for line in _content_lines(text):
         parts = line.split()
         if parts[0] in ("rank", "radius") and len(parts) == 2:
             if not parts[1].isdigit():

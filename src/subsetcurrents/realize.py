@@ -18,9 +18,9 @@ from itertools import repeat
 from typing import Iterable, Sequence
 
 from .errors import AdmissibilityError
-from .cylinders import (DEFAULT_MAX_RADIUS, LensKey, RationalCurrent,
-                        RoundGraph, WeightTable, check_matching,
-                        cylinder_table, enumerate_round_graphs, lens_keys)
+from .cylinders import (DEFAULT_MAX_RADIUS, RationalCurrent, RoundGraph,
+                        WeightTable, check_matching, cylinder_table,
+                        enumerate_round_graphs, lens_rows)
 from .stallings import (CoreGraph, Subgroup, connected_components,
                         edges_by_component, hull_on, least_bfs_encoding,
                         signed_adjacency)
@@ -38,9 +38,7 @@ class WeightSystem:
             raise ValueError("weight system needs at least one positive weight")
         violations = check_matching(table)
         if violations:
-            first = violations[0]
-            raise AdmissibilityError(first.generator, first.lens,
-                                     first.lhs, first.rhs)
+            raise violations[0]
         object.__setattr__(self, "table", table)
 
     def __setattr__(self, name, value):
@@ -70,10 +68,10 @@ class WeightSystem:
 class MatchingSystem:
     """The lens-balance equations as an integer matrix over round-graphs.
 
-    Row (u, J) carries +1 on columns T with u in T and T-meet-lens = J,
-    and -1 on columns T with u^-1 in T whose u-translate meets the lens
-    in J; a column satisfying both conditions nets to 0.  Admissible
-    vectors are exactly the nonnegative kernel points.
+    Row (u, J) of `lens_rows` carries +1 on its `outs` columns and -1
+    on its `ins` columns; a column on both sides nets to 0, and a row
+    left empty is dropped.  Admissible vectors are exactly the
+    nonnegative kernel points.
     """
 
     __slots__ = ("rank", "radius", "columns", "column_index", "rows")
@@ -82,18 +80,14 @@ class MatchingSystem:
                  columns: Sequence[RoundGraph]):
         columns = tuple(sorted(columns, key=lambda t: t.sort_key()))
         index = {t: j for j, t in enumerate(columns)}
-        rows: dict[tuple[int, LensKey], dict[int, int]] = {}
-        for j, t in enumerate(columns):
-            for gen in range(1, rank + 1):
-                for key, sign in zip(lens_keys(t, gen), (1, -1)):
-                    if key is not None:
-                        row = rows.setdefault((gen, key), {})
-                        row[j] = row.get(j, 0) + sign
         cleaned = []
-        for key in sorted(rows):
-            entries = {j: c for j, c in rows[key].items() if c}
+        for gen, key, outs, ins in lens_rows(columns, rank):
+            signs = dict.fromkeys(map(index.__getitem__, outs), 1)
+            for j in map(index.__getitem__, ins):
+                signs[j] = signs.get(j, 0) - 1
+            entries = {j: c for j, c in sorted(signs.items()) if c}
             if entries:
-                cleaned.append((key, entries))
+                cleaned.append(((gen, key), entries))
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "radius", radius)
         object.__setattr__(self, "columns", columns)
@@ -213,9 +207,9 @@ def realize(theta: WeightSystem) -> SCGraphQuotient:
     those whose round-graph contains u^-1 and whose u-translate meets the
     lens in J; each matched pair gets a u-edge.  The balance equations
     make the two sides equinumerous, so the matching is total; the output
-    is identical across runs.  Generators and lens classes are visited in
-    `check_matching`'s order, so an unbalanced table raises the
-    AdmissibilityError of its first violated row.
+    is identical across runs.  Rows are visited in `lens_rows` order, the
+    order `check_matching` reports them in, so an unbalanced table raises
+    the AdmissibilityError of its first violated row.
 
     At radius 0 the only round-graph is the bare root and carries no
     matching constraints; each copy becomes a single vertex with a loop
@@ -224,32 +218,26 @@ def realize(theta: WeightSystem) -> SCGraphQuotient:
     """
     table = theta.table
     vertices: list[tuple[RoundGraph, int]] = []
-    copies: list[tuple[RoundGraph, range]] = []
+    copies: dict[RoundGraph, range] = {}
     for t in table.support():
         start = len(vertices)
         vertices.extend((t, i) for i in range(1, theta.weight(t) + 1))
-        copies.append((t, range(start, len(vertices))))
+        copies[t] = range(start, len(vertices))
     if theta.radius == 0:
         edges = [(k, k, 1) for k in range(len(vertices))]
         return SCGraphQuotient(theta.rank, 0, vertices, edges)
     edges = []
-    for gen in range(1, theta.rank + 1):
-        out_side: dict[LensKey, list[int]] = {}
-        in_side: dict[LensKey, list[int]] = {}
-        for t, ids in copies:
-            out, inc = lens_keys(t, gen)
-            if out is not None:
-                out_side.setdefault(out, []).extend(ids)
-            if inc is not None:
-                in_side.setdefault(inc, []).extend(ids)
-        for key in sorted(set(out_side) | set(in_side)):
-            sources = out_side.get(key, [])
-            targets = in_side.get(key, [])
-            if len(sources) != len(targets):
-                raise AdmissibilityError(gen, key,
-                                         Fraction(len(sources)),
-                                         Fraction(len(targets)))
-            edges.extend(zip(sources, targets, repeat(gen)))
+    for gen, key, outs, ins in lens_rows(table.support(), theta.rank):
+        sources: list[int] = []
+        targets: list[int] = []
+        for t in outs:
+            sources.extend(copies[t])
+        for t in ins:
+            targets.extend(copies[t])
+        if len(sources) != len(targets):
+            raise AdmissibilityError(gen, key, Fraction(len(sources)),
+                                     Fraction(len(targets)))
+        edges.extend(zip(sources, targets, repeat(gen)))
     return SCGraphQuotient(theta.rank, theta.radius, vertices, edges)
 
 

@@ -11,12 +11,21 @@ subgroup is the empty graph.
 from __future__ import annotations
 
 import random
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import BasisMismatchError, FileFormatError
-from .words import Basis, Word, format_word, parse_word, _signed_letters
+from .words import (Basis, Word, format_word, parse_word, _check_rank,
+                    _signed_letters)
 
 WordLike = Union[Word, str]
+
+
+def _as_word(w: WordLike, rank: int) -> Word:
+    """Parse text at this rank, or pass a Word of this rank through."""
+    word = parse_word(w, rank) if isinstance(w, str) else w
+    if word.rank != rank:
+        raise BasisMismatchError(f"word rank {word.rank} vs rank {rank}")
+    return word
 
 
 class LabeledGraph:
@@ -74,8 +83,7 @@ class CoreGraph:
                  edges: Iterable[tuple[int, int, int]],
                  basepoint: Optional[int]):
         edges = tuple(sorted(edges))
-        if rank < 1:
-            raise ValueError("rank must be >= 1")
+        _check_rank(rank)
         for (s, d, l) in edges:
             if not (0 <= s < num_vertices and 0 <= d < num_vertices):
                 raise ValueError(f"edge {(s, d, l)} references a missing vertex")
@@ -313,12 +321,9 @@ def core_from_generators(gens: Sequence[WordLike], rank: int) -> CoreGraph:
     # First neighbour laid per signed letter; the graph may be unfolded.
     step: list[dict[int, int]] = [{}]
     for w in gens:
-        word = parse_word(w, rank) if isinstance(w, str) else w
-        if word.rank != rank:
-            raise BasisMismatchError(f"word rank {word.rank} vs rank {rank}")
-        if word.is_identity():
+        letters = _as_word(w, rank).letters
+        if not letters:
             continue
-        letters = word.letters
         head, i = 0, 0
         while i < len(letters) - 1 and letters[i] in step[head]:
             head = step[head][letters[i]]
@@ -346,10 +351,7 @@ def contains(c: CoreGraph, w: WordLike) -> bool:
     """True iff w traces a closed path at the basepoint."""
     if c.basepoint is None:
         raise ValueError("membership needs a basepointed core")
-    word = parse_word(w, c.rank) if isinstance(w, str) else w
-    if word.rank != c.rank:
-        raise BasisMismatchError(f"word rank {word.rank} vs rank {c.rank}")
-    return c.trace(c.basepoint, word) == c.basepoint
+    return c.trace(c.basepoint, _as_word(w, c.rank)) == c.basepoint
 
 
 def reduced_rank(c: CoreGraph) -> int:
@@ -376,9 +378,7 @@ def conjugate(c: CoreGraph, g: WordLike) -> CoreGraph:
     """Basepointed core of g H g^-1: attach a g-path, fold, re-core."""
     if c.basepoint is None:
         raise ValueError("conjugation needs a basepointed core")
-    word = parse_word(g, c.rank) if isinstance(g, str) else g
-    if word.rank != c.rank:
-        raise BasisMismatchError(f"word rank {word.rank} vs rank {c.rank}")
+    word = _as_word(g, c.rank)
     if word.is_identity():
         return c
     raw = LabeledGraph(c.rank, c.num_vertices, c.edges)
@@ -416,17 +416,7 @@ def basis_of(c: CoreGraph) -> list[Word]:
 def random_finite_cover(rank: int, degree: int, seed: int) -> CoreGraph:
     """Connected degree-`degree` cover of the rose: one random permutation
     per generator, resampled until connected.  Deterministic per seed."""
-    if degree < 1:
-        raise ValueError("degree must be >= 1")
-    rng = random.Random(seed)
-    while True:
-        edges = []
-        for lab in range(1, rank + 1):
-            perm = list(range(degree))
-            rng.shuffle(perm)
-            edges.extend((v, perm[v], lab) for v in range(degree))
-        if len(connected_components(signed_adjacency(degree, edges))) == 1:
-            return CoreGraph(rank, degree, edges, 0)
+    return random_cover(Subgroup.full(rank).core, degree, seed)
 
 
 def random_cover(c: CoreGraph, degree: int, seed: int) -> CoreGraph:
@@ -506,15 +496,10 @@ class Subgroup:
     __slots__ = ("rank", "generators", "_core", "_hull")
 
     def __init__(self, generators: Iterable[WordLike], rank: int):
-        gens = []
-        for w in generators:
-            word = parse_word(w, rank) if isinstance(w, str) else w
-            if word.rank != rank:
-                raise BasisMismatchError(
-                    f"generator rank {word.rank} vs rank {rank}")
-            gens.append(word)
+        _check_rank(rank)
         object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "generators", tuple(gens))
+        object.__setattr__(self, "generators",
+                           tuple(_as_word(w, rank) for w in generators))
         object.__setattr__(self, "_core", None)
         object.__setattr__(self, "_hull", None)
 
@@ -568,6 +553,14 @@ class Subgroup:
 # ---------------------------------------------------------------------------
 # file formats
 
+def _content_lines(text: str) -> Iterator[str]:
+    """The nonblank lines of a text file, '#' comments stripped."""
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield line
+
+
 def subgroup_to_text(sub: Subgroup) -> str:
     lines = [f"rank {sub.rank}"]
     lines.extend(format_word(w) for w in sub.generators)
@@ -577,10 +570,7 @@ def subgroup_to_text(sub: Subgroup) -> str:
 def subgroup_from_text(text: str) -> Subgroup:
     rank = None
     gens: list[str] = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for line in _content_lines(text):
         if rank is None:
             parts = line.split()
             if len(parts) != 2 or parts[0] != "rank" or not parts[1].isdigit():
@@ -617,10 +607,7 @@ def graph_from_text(text: str) -> CoreGraph:
     num = None
     base: Optional[int] = None
     edges = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for line in _content_lines(text):
         parts = line.split()
         try:
             if parts[0] == "rank":

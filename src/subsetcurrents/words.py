@@ -20,11 +20,13 @@ ALPHABET = "xyzabcdfghijklmnopqrstuvw"
 MAX_RANK = len(ALPHABET)
 
 
+def _check_rank(rank: int) -> None:
+    if not 1 <= rank <= MAX_RANK:
+        raise ValueError(f"rank must be between 1 and {MAX_RANK}, got {rank}")
+
+
 def _check_letters(letters: Iterable[int], rank: int) -> tuple[int, ...]:
-    if rank < 1:
-        raise ValueError("rank must be >= 1")
-    if rank > MAX_RANK:
-        raise ValueError(f"rank must be <= {MAX_RANK}")
+    _check_rank(rank)
     out = tuple(letters)
     for m in out:
         if m == 0 or abs(m) > rank:
@@ -151,8 +153,7 @@ class Basis:
     __slots__ = ("rank",)
 
     def __init__(self, rank: int):
-        if rank < 1 or rank > MAX_RANK:
-            raise ValueError(f"rank must be between 1 and {MAX_RANK}")
+        _check_rank(rank)
         object.__setattr__(self, "rank", rank)
 
     def __setattr__(self, name, value):
@@ -195,11 +196,10 @@ def char_to_letter(ch: str, rank: int) -> int:
     return idx + 1 if ch.islower() else -(idx + 1)
 
 
-def format_word(w: Word) -> str:
-    """Compact letter form; the empty word prints as 'e'."""
-    if not w.letters:
-        return "e"
-    return "".join(letter_to_char(m) for m in w.letters)
+def format_word(w: Iterable[int]) -> str:
+    """Compact letter form of a Word or a letter tuple; the empty word
+    prints as 'e'."""
+    return "".join(letter_to_char(m) for m in w) or "e"
 
 
 def parse_word(text: str, rank: int) -> Word:

@@ -7,12 +7,15 @@ import random
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from hypothesis import strategies as st
+
 from subsetcurrents import (CoreGraph, LabeledGraph, ProductGraph, Subgroup,
-                            Word, canonical_form, fold, parse_word, reduce)
+                            Word, canonical_form, cylinder_table, fold,
+                            parse_word, reduce)
 from subsetcurrents.cylinders import (DEFAULT_MAX_RADIUS, LensKey,
                                       RationalCurrent, RoundGraph,
                                       WeightTable, _canonical_words,
-                                      check_matching, lens_ball, local_ball,
+                                      lens_ball, lens_keys, local_ball,
                                       translate_words)
 from subsetcurrents.errors import AdmissibilityError, BasisMismatchError
 from subsetcurrents.realize import SCGraphQuotient, WeightSystem
@@ -166,6 +169,116 @@ def reference_cylinder_table(current: RationalCurrent, radius: int,
     return WeightTable(current.rank, radius, table)
 
 
+# Reference oracles: the per-generator `check_matching` and the
+# per-column `MatchingSystem` row builder, each grouping the matching
+# rows on its own, that `cylinders.check_matching` and
+# `realize.MatchingSystem` (both read `cylinders.lens_rows`) must match
+# row for row and in order.  A violation is (generator, lens, lhs, rhs).
+
+def reference_check_matching(table: WeightTable
+                             ) -> list[tuple[int, LensKey, Fraction,
+                                             Fraction]]:
+    """Verify every per-generator lens balance over the table's support.
+
+    For generator u with lens L = B(id, r) & B(u, r), each lens class J
+    must satisfy: the weight of round-graphs containing u and meeting L
+    in J equals the weight of those containing u^-1 whose u-translate
+    meets L in J.  Rows indexed by lenses outside both supports are 0 = 0
+    and need no check.
+    """
+    violations = []
+    for gen in range(1, table.rank + 1):
+        lhs: dict[LensKey, Fraction] = {}
+        rhs: dict[LensKey, Fraction] = {}
+        for t, value in table.entries.items():
+            out, inc = lens_keys(t, gen)
+            if out is not None:
+                lhs[out] = lhs.get(out, Fraction(0)) + value
+            if inc is not None:
+                rhs[inc] = rhs.get(inc, Fraction(0)) + value
+        for key in sorted(set(lhs) | set(rhs)):
+            a = lhs.get(key, Fraction(0))
+            b = rhs.get(key, Fraction(0))
+            if a != b:
+                violations.append((gen, key, a, b))
+    return violations
+
+
+def reference_matching_rows(rank: int, columns: Sequence[RoundGraph]
+                            ) -> tuple[tuple[tuple[int, LensKey],
+                                             dict[int, int]], ...]:
+    """The rows of the matching matrix over columns already in sort-key
+    order: row (u, J) carries +1 on columns T with u in T and
+    T-meet-lens = J, and -1 on columns T with u^-1 in T whose u-translate
+    meets the lens in J; zero entries and empty rows are dropped."""
+    rows: dict[tuple[int, LensKey], dict[int, int]] = {}
+    for j, t in enumerate(columns):
+        for gen in range(1, rank + 1):
+            for key, sign in zip(lens_keys(t, gen), (1, -1)):
+                if key is not None:
+                    row = rows.setdefault((gen, key), {})
+                    row[j] = row.get(j, 0) + sign
+    cleaned = []
+    for key in sorted(rows):
+        entries = {j: c for j, c in rows[key].items() if c}
+        if entries:
+            cleaned.append((key, entries))
+    return tuple(cleaned)
+
+
+SMALL_RATIOS = st.builds(Fraction, st.integers(1, 3), st.integers(1, 3))
+
+# The table of eta(<xy, yx>) at radius 2 with its weights redrawn: it
+# breaks two rows of each generator, so every property on the order of
+# rows within a generator sees an ordering fault on every run.
+TWO_ROWS_PER_GENERATOR = WeightTable(2, 2, {
+    t: k % 3 + 1 for k, t in enumerate(cylinder_table(
+        RationalCurrent.eta(Subgroup(["xy", "yx"], 2)), 2).support())})
+
+
+@st.composite
+def current_tables(draw):
+    """The cylinder table of a random rational current: ranks 2-3, radii
+    1-2, 1-3 terms of 1-3 generators of length <= 4."""
+    rank = draw(st.integers(2, 3))
+    radius = draw(st.integers(1, 2))
+    letter = st.integers(1, rank).flatmap(lambda m: st.sampled_from((m, -m)))
+    word = st.lists(letter, min_size=1, max_size=4).map(
+        lambda letters: reduce(letters, rank))
+    subgroup = st.lists(word, min_size=1, max_size=3).map(
+        lambda words: Subgroup(words, rank))
+    terms = draw(st.lists(st.tuples(SMALL_RATIOS, subgroup), min_size=1,
+                          max_size=3))
+    return cylinder_table(RationalCurrent(terms, rank), radius)
+
+
+@st.composite
+def matching_tables(draw):
+    """Tables to check the matching rows on: a `current_tables` table as
+    is, scaled by a rational, with one entry dropped or nudged, or with
+    every entry redrawn.  Redrawn radius-2 tables break several rows of
+    one generator, so the order of rows within a generator is tested."""
+    table = draw(current_tables())
+    kind = draw(st.sampled_from(("current", "scaled", "dropped", "nudged",
+                                 "redrawn")))
+    if kind == "current" or not table.support():
+        return table
+    if kind == "scaled":
+        return table.scale(draw(SMALL_RATIOS))
+    if kind == "redrawn":
+        return WeightTable(table.rank, table.radius, {
+            t: draw(st.integers(0, 3)) for t in table.support()})
+    entries = dict(table.entries)
+    t = draw(st.sampled_from(table.support()))
+    if kind == "dropped":
+        del entries[t]
+    else:
+        delta = draw(st.builds(Fraction, st.integers(-3, 3).filter(bool),
+                               st.integers(1, 3)))
+        entries[t] = max(entries[t] + delta, Fraction(0))
+    return WeightTable(table.rank, table.radius, entries)
+
+
 # Reference oracles: the per-copy `realize` and the per-component
 # `decompose` that `realize.realize` and `realize.decompose` must match.
 # `reference_realize` must equal `realize` bit for bit; the terms of
@@ -189,11 +302,9 @@ def reference_realize(theta: WeightSystem) -> SCGraphQuotient:
     subgroup's current.
     """
     table = theta.table
-    violations = check_matching(table)
+    violations = reference_check_matching(table)
     if violations:
-        first = violations[0]
-        raise AdmissibilityError(first.generator, first.lens,
-                                 first.lhs, first.rhs)
+        raise AdmissibilityError(*violations[0])
     vertices: list[tuple[RoundGraph, int]] = []
     for t in table.support():
         for i in range(1, theta.weight(t) + 1):

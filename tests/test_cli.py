@@ -5,6 +5,7 @@ from subsetcurrents import (Subgroup, cylinder_table, graph_from_text,
                             table_from_text, table_to_text, write_subgroup)
 from subsetcurrents.cli import main
 from subsetcurrents.cylinders import RationalCurrent
+from subsetcurrents.errors import AdmissibilityError
 
 
 def write_sub(tmp_path, name, gens, rank=2):
@@ -143,6 +144,29 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["member", str(path), "--word", "z"]) == 1
     err = capsys.readouterr().err
     assert "not a generator at rank 2" in err
+
+
+def test_cylinders_enumerate_rejects_a_bad_rank(capsys):
+    for rank in ("0", "-1", "26"):
+        assert main(["cylinders", "--enumerate", "--radius", "2",
+                     "--rank", rank]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: rank must be between 1 and 25")
+        assert "count =" not in captured.out
+
+
+def test_cylinders_prints_one_line_per_violation(tmp_path, capsys,
+                                                 monkeypatch):
+    rows = [AdmissibilityError(1, ((), (1,)), Fraction(1), Fraction(0)),
+            AdmissibilityError(2, ((), (2,)), Fraction(2), Fraction(1))]
+    monkeypatch.setattr("subsetcurrents.cylinders.check_matching",
+                        lambda table: rows)
+    path = write_sub(tmp_path, "x.txt", ["x"])
+    assert main(["cylinders", str(path), "--radius", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2:] == [f"matching: {row}" for row in rows]
+    assert lines[-1].startswith("matching: matching equation violated for "
+                                "generator 2")
 
 
 def test_cylinders_enumerate_refuses_huge_radius(capsys):

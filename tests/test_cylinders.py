@@ -3,7 +3,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from subsetcurrents import (RationalCurrent, RoundGraph, Subgroup, WeightTable,
@@ -15,12 +15,13 @@ from subsetcurrents import (RationalCurrent, RoundGraph, Subgroup, WeightTable,
                             round_graph_to_text, table_from_text,
                             table_to_text, validate_round_graph)
 from subsetcurrents.approx import subgroup_Hn
-from subsetcurrents.errors import FileFormatError
+from subsetcurrents.errors import AdmissibilityError, FileFormatError
 from subsetcurrents.stallings import basis_of, random_cover
 from subsetcurrents.words import enumerate_reduced_words
 
-from helpers import (random_current, random_subgroup, random_word,
-                     reference_cylinder_table)
+from helpers import (TWO_ROWS_PER_GENERATOR, matching_tables,
+                     random_current, random_subgroup, random_word,
+                     reference_check_matching, reference_cylinder_table)
 
 ETA_F = RationalCurrent.full(2)
 ETA_X = RationalCurrent.eta(Subgroup(["x"], 2))
@@ -69,6 +70,17 @@ def test_enumerate_r2_count_matches_closed_form():
 def test_count_round_graphs_other_ranks():
     assert count_round_graphs(3, 1) == 2 ** 6 - 1 - 6
     assert count_round_graphs(2, 0) == 1
+
+
+@pytest.mark.parametrize("rank", [-1, 0, 26, 99])
+def test_round_graph_calls_reject_a_bad_rank(rank):
+    for radius in (0, 2, 3):
+        with pytest.raises(ValueError, match="rank must be between"):
+            count_round_graphs(rank, radius)
+        with pytest.raises(ValueError, match="rank must be between"):
+            list(enumerate_round_graphs(rank, radius))
+    with pytest.raises(ValueError, match="rank must be between"):
+        RoundGraph(rank, 0, [()])
 
 
 def test_enumerate_radius_bound():
@@ -227,6 +239,16 @@ def test_check_matching_passes_on_currents():
         current = random_current(rng)
         for r in (0, 1, 2):
             assert check_matching(cylinder_table(current, r)) == []
+
+
+@settings(deadline=None, max_examples=150)
+@given(matching_tables())
+@example(TWO_ROWS_PER_GENERATOR)
+def test_check_matching_matches_reference(table):
+    violations = check_matching(table)
+    assert [(v.generator, v.lens, v.lhs, v.rhs) for v in violations] == \
+        reference_check_matching(table)
+    assert all(isinstance(v, AdmissibilityError) for v in violations)
 
 
 def test_check_matching_reports_violating_rows():

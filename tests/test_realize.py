@@ -1,21 +1,25 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from math import lcm
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from subsetcurrents import (RationalCurrent, RoundGraph, Subgroup, WeightTable,
                             axis, canonical_form, check_matching,
                             cylinder_table, decompose, enumerate_round_graphs,
                             full_ball, integerize, matching_system, realize,
-                            reduce, support_system, verify_realization)
+                            support_system, verify_realization)
 from subsetcurrents.errors import AdmissibilityError
 from subsetcurrents.realize import SCGraphQuotient, WeightSystem
 from subsetcurrents.stallings import _canonical_key
 
-from helpers import random_current, reference_decompose, reference_realize
+from helpers import (TWO_ROWS_PER_GENERATOR, current_tables,
+                     matching_tables, random_current,
+                     reference_check_matching, reference_decompose,
+                     reference_matching_rows, reference_realize)
 
 X_AXIS = axis(2, 1, 1)
 FULL_STAR = full_ball(2, 1)
@@ -218,16 +222,7 @@ def weight_systems(draw):
     """Admissible integer tables: the integerized cylinder table of a
     random rational current, ranks 2-3, radii 1-2, times 1-3 so that
     shapes repeat."""
-    rank = draw(st.integers(2, 3))
-    radius = draw(st.integers(1, 2))
-    letter = st.integers(1, rank).flatmap(lambda m: st.sampled_from((m, -m)))
-    word = st.lists(letter, min_size=1, max_size=4).map(
-        lambda letters: reduce(letters, rank))
-    subgroup = st.lists(word, min_size=1, max_size=3).map(
-        lambda words: Subgroup(words, rank))
-    coeff = st.builds(Fraction, st.integers(1, 3), st.integers(1, 3))
-    terms = draw(st.lists(st.tuples(coeff, subgroup), min_size=1, max_size=3))
-    table = cylinder_table(RationalCurrent(terms, rank), radius)
+    table = draw(current_tables())
     assume(len(table) > 0)
     theta, _scale = integerize(table.scale(draw(st.integers(1, 3))))
     return theta
@@ -260,3 +255,30 @@ def test_decompose_groups_reference_terms(theta):
         assert sub.core.basepoint == 0 and sub.core.edges == sub.hull.edges
     assert verify_realization(theta, current)
 
+
+@settings(deadline=None, max_examples=150)
+@given(matching_tables())
+@example(TWO_ROWS_PER_GENERATOR)
+def test_support_system_rows_match_reference(table):
+    system = support_system(table.rank, table.radius, table.support())
+    expected = reference_matching_rows(table.rank, system.columns)
+    assert [(key, list(entries.items())) for key, entries in system.rows] \
+        == [(key, list(entries.items())) for key, entries in expected]
+
+
+@settings(deadline=None, max_examples=100)
+@given(matching_tables())
+@example(TWO_ROWS_PER_GENERATOR)
+def test_realize_raises_the_reference_first_violation(table):
+    assume(len(table) > 0)
+    table = table.scale(lcm(*(v.denominator
+                              for v in table.entries.values())))
+    expected = reference_check_matching(table)
+    if not expected:
+        assert realize(unchecked_weight_system(table)).edges == \
+            reference_realize(WeightSystem(table)).edges
+        return
+    with pytest.raises(AdmissibilityError) as err:
+        realize(unchecked_weight_system(table))
+    assert (err.value.generator, err.value.lens, err.value.lhs,
+            err.value.rhs) == expected[0]

@@ -8,13 +8,48 @@ import subsetcurrents
 PACKAGE_DIR = Path(subsetcurrents.__file__).parent
 
 
-def test_package_has_no_assert_statements():
-    # `python -O` strips assert statements, so no check may rely on one.
+def package_trees():
     modules = sorted(PACKAGE_DIR.rglob("*.py"))
     assert modules
+    return [(path, ast.parse(path.read_text(encoding="utf-8"), str(path)))
+            for path in modules]
+
+
+def test_package_has_no_assert_statements():
+    # `python -O` strips assert statements, so no check may rely on one.
     found = []
-    for path in modules:
-        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    for path, tree in package_trees():
         found.extend(f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                      if isinstance(node, ast.Assert))
     assert found == []
+
+
+def _names(node: ast.AST):
+    """Every name `node` reads, calls or imports, attributes included."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+        elif isinstance(n, ast.alias):
+            yield n.asname or n.name
+            yield n.name
+
+
+def test_only_lens_rows_reads_lens_keys():
+    # The matching rows are grouped in one place, `cylinders.lens_rows`;
+    # check_matching, MatchingSystem and realize read the rows from it.
+    readers = []
+    for path, tree in package_trees():
+        scopes = [node for node in ast.walk(tree)
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+        inner = {id(n) for scope in scopes for n in ast.walk(scope)}
+        readers.extend(f"{path.name}:{scope.name}" for scope in scopes
+                       if isinstance(scope, ast.FunctionDef)
+                       and "lens_keys" in _names(scope))
+        readers.extend(f"{path.name}:<module>" for node in ast.walk(tree)
+                       if id(node) not in inner
+                       and isinstance(node, (ast.Name, ast.Attribute,
+                                             ast.alias))
+                       and "lens_keys" in _names(node))
+    assert readers == ["cylinders.py:lens_rows"]

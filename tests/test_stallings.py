@@ -13,7 +13,7 @@ from subsetcurrents import (CoreGraph, LabeledGraph, Subgroup, Word, basis_of,
                             random_finite_cover, reduce, reduced_rank,
                             subgroup_from_text, write_subgroup, read_subgroup)
 from subsetcurrents.approx import subgroup_Hn
-from subsetcurrents.errors import FileFormatError
+from subsetcurrents.errors import BasisMismatchError, FileFormatError
 from subsetcurrents.stallings import (_fold_edges, _prune_edges,
                                       signed_adjacency, subgroup_to_text)
 
@@ -379,6 +379,25 @@ def test_random_finite_cover_examples():
 def test_random_finite_cover_is_deterministic():
     assert random_finite_cover(2, 5, seed=77) == random_finite_cover(2, 5,
                                                                      seed=77)
+
+
+def test_random_finite_cover_golden_edges():
+    # Pins the draw order: one shuffle per generator, in label order.
+    assert random_finite_cover(2, 5, seed=77).edges == (
+        (0, 1, 1), (0, 3, 2), (1, 2, 2), (1, 3, 1), (2, 0, 1), (2, 4, 2),
+        (3, 0, 2), (3, 4, 1), (4, 1, 2), (4, 2, 1))
+
+
+def test_word_arguments_share_one_rank_check():
+    wide = Word(3, (3,))
+    for call in (lambda: core_from_generators([wide], 2),
+                 lambda: contains(ROSE, wide),
+                 lambda: conjugate(ROSE, wide),
+                 lambda: Subgroup(["x", wide], 2)):
+        with pytest.raises(BasisMismatchError, match="word rank 3 vs rank 2"):
+            call()
+    assert contains(ROSE, "xyX") and Subgroup(["xy"], 2).generators == (
+        Word(2, (1, 2)),)
 
 
 def test_random_cover_index_and_membership():

@@ -2,8 +2,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from subsetcurrents import (Basis, Word, concat, cyclic_reduce, format_word,
-                            invert, parse_word, reduce)
+from subsetcurrents import (Basis, CoreGraph, Subgroup, Word, concat,
+                            cyclic_reduce, format_word, invert, parse_word,
+                            reduce)
 from subsetcurrents.errors import BasisMismatchError, LetterRangeError
 from subsetcurrents.words import (MAX_RANK, enumerate_reduced_words,
                                  free_reduce)
@@ -34,6 +35,15 @@ def test_reduce_rejects_a_bad_rank():
             reduce([], rank)
         with pytest.raises(ValueError):
             reduce([1, -1], rank)
+
+
+def test_every_ranked_constructor_rejects_a_bad_rank():
+    for rank in (-1, 0, MAX_RANK + 1, 99):
+        for build in (Basis, lambda r: Word(r), lambda r: Subgroup([], r),
+                      lambda r: CoreGraph(r, 1, [], None)):
+            with pytest.raises(ValueError, match="rank must be between"):
+                build(rank)
+    assert Basis(MAX_RANK).rank == Subgroup([], MAX_RANK).rank == MAX_RANK
 
 
 @given(st.integers(1, 4).flatmap(
