@@ -26,7 +26,7 @@ from .cylinders import (RationalCurrent, RoundGraph, WeightTable, axis,
                         local_ball, read_table, realizable_witness, restrict,
                         round_graph_from_text, round_graph_to_text,
                         table_from_text, table_to_text,
-                        validate_round_graph, write_table)
+                        validate_round_graph)
 from .realize import (MatchingSystem, SCGraphQuotient, WeightSystem,
                       decompose, matching_system, realize,
                       support_system, verify_realization)

@@ -22,8 +22,8 @@ from math import lcm
 from typing import Iterable, Sequence, Union
 
 from .errors import InfeasibleKernelError
-from .cylinders import (DEFAULT_MAX_RADIUS, RationalCurrent, WeightTable,
-                        cylinder_table, distance)
+from .cylinders import (RationalCurrent, WeightTable, cylinder_table,
+                        distance)
 from .realize import WeightSystem, support_system
 from .stallings import Subgroup
 from .words import Word
@@ -33,18 +33,12 @@ Rational = Union[Fraction, int]
 FLOAT_DENOMINATOR_BOUND = 10 ** 6
 
 
-def rationalize(value, bound: int = FLOAT_DENOMINATOR_BOUND) -> Fraction:
-    """Snap a float to a nearby small-denominator rational; exact inputs
-    (int, Fraction, decimal string) pass through limit_denominator too,
-    which leaves them unchanged when already small."""
-    return Fraction(value).limit_denominator(bound)
-
-
-def rationalize_table(table: WeightTable,
-                      bound: int = FLOAT_DENOMINATOR_BOUND) -> WeightTable:
-    return WeightTable(table.rank, table.radius,
-                       {t: rationalize(v, bound)
-                        for t, v in table.entries.items()})
+def rationalize(value) -> Fraction:
+    """Snap a float to the nearest rational with denominator at most
+    FLOAT_DENOMINATOR_BOUND; exact inputs (int, Fraction, decimal string)
+    pass through limit_denominator too, which leaves them unchanged when
+    already small."""
+    return Fraction(value).limit_denominator(FLOAT_DENOMINATOR_BOUND)
 
 
 class KernelProblem:
@@ -218,8 +212,7 @@ def integerize(table: WeightTable) -> tuple[WeightSystem, int]:
     return WeightSystem(table.scale(scale)), scale
 
 
-def approximate_table(table: WeightTable, tolerance: Rational,
-                      bound: int = FLOAT_DENOMINATOR_BOUND
+def approximate_table(table: WeightTable, tolerance: Rational
                       ) -> tuple[WeightSystem, int, WeightTable]:
     """Full pipeline: rationalize, repair to the kernel, integerize.
 
@@ -227,7 +220,9 @@ def approximate_table(table: WeightTable, tolerance: Rational,
     kernel table within `tolerance` of the input (sup-norm over
     round-graphs) and theta = M * exact.
     """
-    snapped = rationalize_table(table, bound)
+    snapped = WeightTable(table.rank, table.radius,
+                          {t: rationalize(v)
+                           for t, v in table.entries.items()})
     support = snapped.support()
     system = support_system(snapped.rank, snapped.radius, support)
     problem = KernelProblem(system.matrix(), system.vector_of(snapped),
@@ -258,14 +253,12 @@ def subgroup_Gn(n: int) -> Subgroup:
     return Subgroup((Word(2, (1,)),) + subgroup_Hn(n).generators, 2)
 
 
-def convergence_run(radius: int, ns: Iterable[int],
-                    max_radius: int = DEFAULT_MAX_RADIUS
+def convergence_run(radius: int, ns: Iterable[int]
                     ) -> list[tuple[int, Fraction]]:
     """Exact cylinder distances from (1/n) eta_{H_n} to eta_F."""
-    reference = cylinder_table(RationalCurrent.full(2), radius, max_radius)
+    reference = cylinder_table(RationalCurrent.full(2), radius)
     out = []
     for n in ns:
         scaled = RationalCurrent([(Fraction(1, n), subgroup_Hn(n))], 2)
-        out.append((n, distance(cylinder_table(scaled, radius, max_radius),
-                                reference)))
+        out.append((n, distance(cylinder_table(scaled, radius), reference)))
     return out

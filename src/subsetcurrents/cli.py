@@ -9,9 +9,7 @@ violated precondition is named), 2 I/O or file-format error.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -21,25 +19,7 @@ from . import fiber
 from . import stallings
 from .errors import FileFormatError
 from .realize import WeightSystem, decompose, realize, verify_realization
-
-ENV_PREFIX = "SUBCUR_"
-
-
-@dataclass
-class Config:
-    max_radius: int = cyl.DEFAULT_MAX_RADIUS
-    output_dir: Path = Path(".")
-
-
-def _env_default(name: str, fallback):
-    var = ENV_PREFIX + name.upper()
-    raw = os.environ.get(var)
-    if raw is None:
-        return fallback
-    try:
-        return type(fallback)(raw)
-    except ValueError as exc:
-        raise ValueError(f"bad value {raw!r} for {var}") from exc
+from .words import _check_rank
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -47,13 +27,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="subcur",
         description="subset currents on free groups: core graphs, "
                     "cylinder tables, realization")
-    parser.add_argument("--max-radius", type=int,
-                        default=_env_default("max_radius",
-                                             cyl.DEFAULT_MAX_RADIUS),
-                        help="radius bound for cylinder enumeration")
-    parser.add_argument("--output-dir", type=Path,
-                        default=_env_default("output_dir", Path(".")),
-                        help="directory for written artifacts")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("rank", help="reduced rank of a subgroup")
@@ -90,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("realize",
                        help="realize an integer weight table and verify")
     p.add_argument("table", type=Path)
-    p.add_argument("--outdir", type=Path, default=None)
+    p.add_argument("--outdir", type=Path, default=Path("."))
 
     p = sub.add_parser("approx",
                        help="repair a (possibly float) table to an "
@@ -120,34 +93,26 @@ def _parse_fraction(text: str) -> Fraction:
         raise ValueError(f"bad rational {text!r}") from exc
 
 
-def _raw_graph_text(rank: int, vertices, edges) -> str:
-    ids = {v: i for i, v in enumerate(sorted(vertices))}
-    lines = [f"rank {rank}", f"vertices {len(ids)}", "basepoint none"]
-    lines.extend(f"edge {s} {d} g{l}" for (s, d, l)
-                 in sorted((ids[s], ids[d], l) for (s, d, l) in edges))
-    return "\n".join(lines) + "\n"
-
-
-def _cmd_rank(args, config: Config) -> int:
+def _cmd_rank(args) -> int:
     sub = stallings.read_subgroup(args.subgroup)
     print(f"reduced_rank = {sub.reduced_rank()}")
     return 0
 
 
-def _cmd_index(args, config: Config) -> int:
+def _cmd_index(args) -> int:
     sub = stallings.read_subgroup(args.subgroup)
     idx = stallings.finite_index(sub.core)
     print(f"index = {'infinite' if idx is None else idx}")
     return 0
 
 
-def _cmd_member(args, config: Config) -> int:
+def _cmd_member(args) -> int:
     sub = stallings.read_subgroup(args.subgroup)
     print("true" if sub.contains(args.word) else "false")
     return 0
 
 
-def _cmd_intersect(args, config: Config) -> int:
+def _cmd_intersect(args) -> int:
     left = stallings.read_subgroup(args.left)
     right = stallings.read_subgroup(args.right)
     product = fiber.fiber_product(left.hull, right.hull)
@@ -161,28 +126,50 @@ def _cmd_intersect(args, config: Config) -> int:
     if args.export is not None:
         for k, (comp, edges) in enumerate(zip(product.components,
                                               product.component_edges)):
-            path = Path(f"{args.export}.{k}.txt")
-            path.write_text(_raw_graph_text(product.rank, comp, edges),
-                            encoding="utf-8")
+            ids = {v: i for i, v in enumerate(comp)}
+            graph = stallings.LabeledGraph(product.rank, len(comp), sorted(
+                (ids[s], ids[d], l) for (s, d, l) in edges))
+            Path(f"{args.export}.{k}.txt").write_text(
+                stallings.graph_to_text(graph), encoding="utf-8")
         print(f"exported {len(product.components)} components")
     return 0
 
 
-# Most round-graphs `cylinders --enumerate` lists, and most quotient
+# Most round-graphs `cylinders --enumerate` lists, most letters one ball
+# B(id, radius) of `cylinders` and `converge` holds, and most quotient
 # vertices (units of total weight) `realize` builds.
 SIZE_CAP = 10 ** 6
 
 
-def _cmd_cylinders(args, config: Config) -> int:
+def _check_ball(rank: int, radius: int) -> None:
+    """Refuse a radius whose ball B(id, radius) holds more than SIZE_CAP
+    letters; the sum stops as soon as it passes the cap."""
+    _check_rank(rank)
+    letters, words = 0, 2 * rank
+    for length in range(1, radius + 1):
+        letters += length * words
+        if letters > SIZE_CAP:
+            raise ValueError(
+                f"refusing radius {radius} at rank {rank}: its ball holds "
+                f"more than the cap of {SIZE_CAP} letters")
+        words *= 2 * rank - 1
+
+
+def _cmd_cylinders(args) -> int:
     if args.enumerate:
+        _check_ball(args.rank, args.radius)
         expected = cyl.count_round_graphs(args.rank, args.radius)
         if expected > SIZE_CAP:
+            # A long count is shown by its bit length: it would not fit
+            # one line, and str() of an int has a digit limit.
+            bits = expected.bit_length()
+            shown = expected if bits <= 64 else f"over 2^{bits - 1}"
             raise ValueError(
-                f"refusing to list {expected} round-graphs at rank "
-                f"{args.rank}, radius {args.radius}; the library generator "
-                f"is lazy if you need to stream them")
-        graphs = list(cyl.enumerate_round_graphs(args.rank, args.radius,
-                                                 config.max_radius))
+                f"refusing to list {shown} round-graphs at rank "
+                f"{args.rank}, radius {args.radius}, above the cap of "
+                f"{SIZE_CAP}; the library generator is lazy if you need "
+                f"to stream them")
+        graphs = list(cyl.enumerate_round_graphs(args.rank, args.radius))
         print(f"count = {len(graphs)}")
         for t in sorted(graphs, key=lambda t: t.sort_key()):
             print(cyl.round_graph_to_text(t))
@@ -197,7 +184,8 @@ def _cmd_cylinders(args, config: Config) -> int:
         if len(coeffs) != len(subs):
             raise ValueError("one coefficient per subgroup file")
     current = cyl.RationalCurrent(list(zip(coeffs, subs)))
-    table = cyl.cylinder_table(current, args.radius, config.max_radius)
+    _check_ball(current.rank, args.radius)
+    table = cyl.cylinder_table(current, args.radius)
     text = cyl.table_to_text(table)
     if args.out is not None:
         args.out.write_text(text, encoding="utf-8")
@@ -209,7 +197,7 @@ def _cmd_cylinders(args, config: Config) -> int:
     return 0
 
 
-def _cmd_realize(args, config: Config) -> int:
+def _cmd_realize(args) -> int:
     table = cyl.read_table(args.table)
     total = table.total()
     if total > SIZE_CAP:
@@ -220,23 +208,22 @@ def _cmd_realize(args, config: Config) -> int:
     quotient = realize(theta)
     current = decompose(quotient)
     ok = verify_realization(theta, current)
-    outdir = args.outdir if args.outdir is not None else config.output_dir
-    outdir.mkdir(parents=True, exist_ok=True)
+    args.outdir.mkdir(parents=True, exist_ok=True)
     report = [f"vertices = {len(quotient.vertices)}",
               f"components = {len(quotient.components)}",
               f"verified = {'true' if ok else 'false'}",
               f"shapes = {len(current.terms)}"]
     for k, (coeff, sub) in enumerate(current.terms):
-        stallings.write_subgroup(sub, outdir / f"component_{k}.txt")
+        stallings.write_subgroup(sub, args.outdir / f"component_{k}.txt")
         report.append(f"component_{k} = {coeff}")
-    (outdir / "report.txt").write_text("\n".join(report) + "\n",
+    (args.outdir / "report.txt").write_text("\n".join(report) + "\n",
                                        encoding="utf-8")
     for line in report:
         print(line)
     return 0 if ok else 1
 
 
-def _cmd_approx(args, config: Config) -> int:
+def _cmd_approx(args) -> int:
     table = cyl.read_table(args.table)
     eps = _parse_fraction(args.epsilon)
     theta, scale, _exact = approx_mod.approximate_table(table, eps)
@@ -249,10 +236,10 @@ def _cmd_approx(args, config: Config) -> int:
     return 0
 
 
-def _cmd_converge(args, config: Config) -> int:
+def _cmd_converge(args) -> int:
     ns = [int(x) for x in args.ns.split(",") if x.strip()]
-    for n, dist in approx_mod.convergence_run(args.radius, ns,
-                                              config.max_radius):
+    _check_ball(2, args.radius)
+    for n, dist in approx_mod.convergence_run(args.radius, ns):
         line = f"n={n} distance = {dist}"
         if args.decimal:
             line += f" ({float(dist):.6g})"
@@ -260,7 +247,7 @@ def _cmd_converge(args, config: Config) -> int:
     return 0
 
 
-def _cmd_export(args, config: Config) -> int:
+def _cmd_export(args) -> int:
     sub = stallings.read_subgroup(args.subgroup)
     graph = sub.hull if args.hull else sub.core
     args.out.write_text(stallings.graph_to_text(graph), encoding="utf-8")
@@ -282,16 +269,9 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
     try:
-        parser = build_parser()
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    args = parser.parse_args(argv)
-    config = Config(max_radius=args.max_radius,
-                    output_dir=Path(args.output_dir))
-    try:
-        return _COMMANDS[args.command](args, config)
+        return _COMMANDS[args.command](args)
     except FileFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

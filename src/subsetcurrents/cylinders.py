@@ -27,8 +27,6 @@ from .words import (enumerate_reduced_words, format_word, free_reduce,
 
 WordTuple = tuple[int, ...]
 
-DEFAULT_MAX_RADIUS = 3
-
 
 def _letter_key(m: int) -> tuple[int, bool]:
     # Generator before its inverse: x < X < y < Y ...
@@ -155,21 +153,17 @@ def _ball_words(rank: int, radius: int) -> tuple[WordTuple, ...]:
     return tuple(w.letters for w in enumerate_reduced_words(rank, radius))
 
 
-def enumerate_round_graphs(rank: int, radius: int,
-                           max_radius: int = DEFAULT_MAX_RADIUS
-                           ) -> Iterator[RoundGraph]:
+def enumerate_round_graphs(rank: int, radius: int) -> Iterator[RoundGraph]:
     """Yield every round-graph rooted at the identity, lazily.
 
     The count grows super-exponentially in the radius (rank 2: 1, 11,
-    4067, ~6.9e10 for r = 0..3), so materializing beyond r = 2 is not
-    desk-scale; the generator itself is cheap per item.
+    4067, ~6.9e10 for r = 0..3; see `count_round_graphs`), so
+    materializing beyond r = 2 is not desk-scale; the generator itself is
+    cheap per item, and no radius is refused.
     """
     _check_rank(rank)
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    if radius > max_radius:
-        raise ValueError(
-            f"radius {radius} above the configured bound {max_radius}")
     if radius == 0:
         yield RoundGraph(rank, 0, [()])
         return
@@ -448,23 +442,19 @@ class RationalCurrent:
         return f"RationalCurrent({body or '0'})"
 
 
-def cylinder_table(current: RationalCurrent, radius: int,
-                   max_radius: int = DEFAULT_MAX_RADIUS) -> WeightTable:
+def cylinder_table(current: RationalCurrent, radius: int) -> WeightTable:
     """Exact cylinder weights of a rational current at one radius.
 
     Each hull-core vertex contributes its coefficient to the entry of its
     local ball; the total mass is the coefficient-weighted sum of hull
     vertex counts, independent of the radius.  Vertices are grouped by
     traced ball first, so one `RoundGraph` is built per distinct ball of
-    each term, weighted by its multiplicity.  Pass a larger max_radius
-    to go beyond the default bound (supports stay small, but entries
-    index ever larger trees).
+    each term, weighted by its multiplicity.  No radius is refused: the
+    support has at most one entry per hull vertex, but each entry's tree
+    grows with the ball, whose size is exponential in the radius.
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    if radius > max_radius:
-        raise ValueError(
-            f"radius {radius} above the configured bound {max_radius}")
     table: dict[RoundGraph, Fraction] = {}
     for coeff, sub in current.terms:
         hull = sub.hull
@@ -623,8 +613,3 @@ def table_from_text(text: str) -> WeightTable:
 def read_table(path) -> WeightTable:
     with open(path, "r", encoding="utf-8") as fh:
         return table_from_text(fh.read())
-
-
-def write_table(table: WeightTable, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(table_to_text(table))

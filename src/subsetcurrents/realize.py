@@ -18,8 +18,8 @@ from itertools import repeat
 from typing import Iterable, Sequence
 
 from .errors import AdmissibilityError
-from .cylinders import (DEFAULT_MAX_RADIUS, RationalCurrent, RoundGraph,
-                        WeightTable, check_matching, cylinder_table,
+from .cylinders import (RationalCurrent, RoundGraph, WeightTable,
+                        check_matching, cylinder_table,
                         enumerate_round_graphs, lens_rows)
 from .stallings import (CoreGraph, Subgroup, connected_components,
                         edges_by_component, hull_on, least_bfs_encoding,
@@ -126,10 +126,9 @@ class MatchingSystem:
                 f"{len(self.rows)} rows x {len(self.columns)} columns)")
 
 
-def matching_system(rank: int, radius: int,
-                    max_radius: int = DEFAULT_MAX_RADIUS) -> MatchingSystem:
+def matching_system(rank: int, radius: int) -> MatchingSystem:
     """The full system over every round-graph at this radius."""
-    columns = list(enumerate_round_graphs(rank, radius, max_radius))
+    columns = list(enumerate_round_graphs(rank, radius))
     return MatchingSystem(rank, radius, columns)
 
 

@@ -202,24 +202,46 @@ def format_word(w: Iterable[int]) -> str:
     return "".join(letter_to_char(m) for m in w) or "e"
 
 
+@lru_cache(maxsize=None)
+def _char_letters(rank: int) -> dict[str, int]:
+    """Each character naming a letter at this rank; 'e' and '1' name the
+    identity (0)."""
+    table = {"e": 0, "1": 0}
+    for i, ch in enumerate(ALPHABET[:rank], 1):
+        table[ch], table[ch.upper()] = i, -i
+    return table
+
+
 def parse_word(text: str, rank: int) -> Word:
     """Parse either compact ("xyX") or spaced ("x y x^-1") word syntax.
 
     Exponents apply to the single preceding letter; "e" alone is the
-    identity.  The result is freely reduced.
+    identity.  The result is freely reduced.  Each character is looked
+    up once in a per-rank table, so the letters need no second check.
     """
+    _check_rank(rank)
+    table = _char_letters(rank)
     letters: list[int] = []
     for token in text.split():
+        if "^" not in token:
+            try:
+                letters.extend([table[ch] for ch in
+                                token.replace("e", "").replace("1", "")])
+                continue
+            except KeyError:
+                pass  # the scan below names the offending character
         i = 0
         while i < len(token):
             ch = token[i]
-            if ch == "e" or ch == "1":
-                i += 1
-                continue
-            if not ch.isalpha():
-                raise LetterRangeError(f"unexpected character {ch!r} in {text!r}")
-            m = char_to_letter(ch, rank)
             i += 1
+            m = table.get(ch)
+            if m is None:
+                if not ch.isalpha():
+                    raise LetterRangeError(
+                        f"unexpected character {ch!r} in {text!r}")
+                m = char_to_letter(ch, rank)
+            if not m:
+                continue
             power = 1
             if i < len(token) and token[i] == "^":
                 i += 1
@@ -236,7 +258,7 @@ def parse_word(text: str, rank: int) -> Word:
             if power < 0:
                 m, power = -m, -power
             letters.extend([m] * power)
-    return reduce(letters, rank)
+    return Word._reduced(rank, free_reduce(letters))
 
 
 def enumerate_reduced_words(rank: int, max_len: int) -> Iterator[Word]:

@@ -12,15 +12,15 @@ from hypothesis import strategies as st
 from subsetcurrents import (CoreGraph, LabeledGraph, ProductGraph, Subgroup,
                             Word, canonical_form, cylinder_table, fold,
                             parse_word, reduce)
-from subsetcurrents.cylinders import (DEFAULT_MAX_RADIUS, LensKey,
-                                      RationalCurrent, RoundGraph,
+from subsetcurrents.cylinders import (LensKey, RationalCurrent, RoundGraph,
                                       WeightTable, _canonical_words,
                                       lens_ball, lens_keys, local_ball,
                                       translate_words)
-from subsetcurrents.errors import AdmissibilityError, BasisMismatchError
+from subsetcurrents.errors import (AdmissibilityError, BasisMismatchError,
+                                   LetterRangeError)
 from subsetcurrents.realize import SCGraphQuotient, WeightSystem
 from subsetcurrents.stallings import WordLike, _prune_edges
-from subsetcurrents.words import _signed_letters
+from subsetcurrents.words import _signed_letters, char_to_letter
 
 
 def random_word(rng: random.Random, rank: int = 2, max_len: int = 5) -> Word:
@@ -47,6 +47,47 @@ def random_current(rng: random.Random, rank: int = 2, max_terms: int = 3,
               random_subgroup(rng, rank, max_len=max_len))
              for _ in range(rng.randint(1, max_terms))]
     return RationalCurrent(terms, rank)
+
+
+# Reference oracle: the character-by-character word parser, checked
+# again in `reduce`, that `words.parse_word` must match word for word and
+# error for error.
+
+def reference_parse_word(text: str, rank: int) -> Word:
+    """Parse either compact ("xyX") or spaced ("x y x^-1") word syntax.
+
+    Exponents apply to the single preceding letter; "e" alone is the
+    identity.  The result is freely reduced.
+    """
+    letters: list[int] = []
+    for token in text.split():
+        i = 0
+        while i < len(token):
+            ch = token[i]
+            if ch == "e" or ch == "1":
+                i += 1
+                continue
+            if not ch.isalpha():
+                raise LetterRangeError(f"unexpected character {ch!r} in {text!r}")
+            m = char_to_letter(ch, rank)
+            i += 1
+            power = 1
+            if i < len(token) and token[i] == "^":
+                i += 1
+                sign = 1
+                if i < len(token) and token[i] == "-":
+                    sign = -1
+                    i += 1
+                start = i
+                while i < len(token) and token[i].isdigit():
+                    i += 1
+                if start == i:
+                    raise LetterRangeError(f"missing exponent in {text!r}")
+                power = sign * int(token[start:i])
+            if power < 0:
+                m, power = -m, -power
+            letters.extend([m] * power)
+    return reduce(letters, rank)
 
 
 # Reference oracles: the fixed-point fold and the layer-per-pass prune
@@ -144,22 +185,16 @@ def reference_core_from_generators(gens: Sequence[WordLike],
     return fold(g)
 
 
-def reference_cylinder_table(current: RationalCurrent, radius: int,
-                             max_radius: int = DEFAULT_MAX_RADIUS
+def reference_cylinder_table(current: RationalCurrent, radius: int
                              ) -> WeightTable:
     """Exact cylinder weights of a rational current at one radius.
 
     Each hull-core vertex contributes its coefficient to the entry of its
     local ball; the total mass is the coefficient-weighted sum of hull
-    vertex counts, independent of the radius.  Pass a larger max_radius
-    to go beyond the default bound (supports stay small, but entries
-    index ever larger trees).
+    vertex counts, independent of the radius.
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    if radius > max_radius:
-        raise ValueError(
-            f"radius {radius} above the configured bound {max_radius}")
     table: dict[RoundGraph, Fraction] = {}
     for coeff, sub in current.terms:
         hull = sub.hull

@@ -3,7 +3,7 @@ from fractions import Fraction
 from subsetcurrents import (Subgroup, cylinder_table, graph_from_text,
                             label_isomorphic, read_subgroup,
                             table_from_text, table_to_text, write_subgroup)
-from subsetcurrents.cli import main
+from subsetcurrents.cli import _check_ball, main
 from subsetcurrents.cylinders import RationalCurrent
 from subsetcurrents.errors import AdmissibilityError
 
@@ -174,6 +174,49 @@ def test_cylinders_enumerate_refuses_huge_radius(capsys):
     assert "refusing to list 68719474691" in capsys.readouterr().err
 
 
+def one_line_refusal(capsys) -> str:
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: refusing ")
+    assert captured.err.count("\n") == 1
+    return captured.err
+
+
+def test_cylinders_enumerate_refuses_long_counts_in_one_line(capsys):
+    # At radius 8 the count has 2,634 digits; at radius 9 it passes
+    # str()'s digit limit.  The ball still fits the cap at both.
+    for radius in ("8", "9"):
+        assert main(["cylinders", "--radius", radius, "--enumerate"]) == 1
+        err = one_line_refusal(capsys)
+        assert "round-graphs" in err and "cap of 1000000" in err
+
+
+def test_ball_cap_refuses_before_counting_or_tracing(tmp_path, capsys,
+                                                    monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("a radius above the ball cap was computed")
+
+    monkeypatch.setattr("subsetcurrents.cylinders.count_round_graphs",
+                        unreachable)
+    monkeypatch.setattr("subsetcurrents.cylinders.cylinder_table",
+                        unreachable)
+    path = write_sub(tmp_path, "x.txt", ["x"])
+    for argv in (["cylinders", "--radius", "1000000", "--enumerate"],
+                 ["cylinders", str(path), "--radius", "1000000"],
+                 ["converge", "--radius", "1000000", "--ns", "2"],
+                 ["cylinders", "--radius", "10", "--enumerate"]):
+        assert main(argv) == 1
+        err = one_line_refusal(capsys)
+        assert "its ball holds more than the cap of 1000000 letters" in err
+
+
+def test_ball_cap_admits_every_radius_of_the_old_default():
+    # Rank 25 at radius 3 holds 365,100 letters, and rank 2 at radius 9
+    # holds 334,612: both under the cap.
+    _check_ball(25, 3)
+    _check_ball(2, 9)
+
+
 def test_realize_refuses_total_weight_above_cap(tmp_path, capsys,
                                                 monkeypatch):
     def no_quotient(theta):
@@ -190,25 +233,6 @@ def test_realize_refuses_total_weight_above_cap(tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
-def test_env_override(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("SUBCUR_MAX_RADIUS", "0")
-    assert main(["cylinders", "--radius", "1", "--enumerate"]) == 1
-    assert "above the configured bound" in capsys.readouterr().err
-    # the flag wins over the environment
-    assert main(["--max-radius", "1", "cylinders", "--radius", "1",
-                 "--enumerate"]) == 0
-
-
-def test_bad_env_value_is_an_error_not_a_traceback(tmp_path, capsys,
-                                                   monkeypatch):
-    path = write_sub(tmp_path, "x.txt", ["x"])
-    monkeypatch.setenv("SUBCUR_MAX_RADIUS", "abc")
-    assert main(["rank", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ")
-    assert "SUBCUR_MAX_RADIUS" in err
-
-
 def test_table_with_bad_header_is_a_format_error(tmp_path, capsys):
     (tmp_path / "bad.txt").write_text("rank two\nradius 1\ne,x,X = 1\n")
     assert main(["realize", str(tmp_path / "bad.txt"),
@@ -216,16 +240,15 @@ def test_table_with_bad_header_is_a_format_error(tmp_path, capsys):
     assert "expected 'rank N'" in capsys.readouterr().err
 
 
-def test_max_radius_flag_reaches_table_and_converge(tmp_path, capsys):
+def test_radius_four_table_and_converge_need_no_flag(tmp_path, capsys):
     path = write_sub(tmp_path, "x.txt", ["x"])
     out_path = tmp_path / "table.txt"
-    assert main(["--max-radius", "4", "cylinders", str(path), "--radius", "4",
+    assert main(["cylinders", str(path), "--radius", "4",
                  "--out", str(out_path)]) == 0
     assert "matching: ok" in capsys.readouterr().out
     assert table_from_text(out_path.read_text()) == cylinder_table(
-        RationalCurrent.eta(Subgroup(["x"], 2)), 4, max_radius=4)
-    assert main(["--max-radius", "4", "converge", "--radius", "4",
-                 "--ns", "2"]) == 0
+        RationalCurrent.eta(Subgroup(["x"], 2)), 4)
+    assert main(["converge", "--radius", "4", "--ns", "2"]) == 0
     assert capsys.readouterr().out.startswith("n=2 distance = ")
 
 

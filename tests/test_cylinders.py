@@ -83,13 +83,6 @@ def test_round_graph_calls_reject_a_bad_rank(rank):
         RoundGraph(rank, 0, [()])
 
 
-def test_enumerate_radius_bound():
-    with pytest.raises(ValueError):
-        list(enumerate_round_graphs(2, 4))
-    with pytest.raises(ValueError):
-        list(enumerate_round_graphs(2, 3, max_radius=2))
-
-
 def test_restrict_examples():
     t = full_ball(2, 2)
     assert restrict(t, 2) == t
@@ -413,6 +406,7 @@ def test_radius_three_tables_and_bound():
             key = restrict(t, 2)
             refined[key] = refined.get(key, Fraction(0)) + v
         assert WeightTable(2, 2, refined) == cylinder_table(current, 2)
-    with pytest.raises(ValueError):
-        cylinder_table(ETA_F, 4)
-    assert cylinder_table(ETA_F, 4, max_radius=4).total() == 1
+    # No radius is refused: radius 4 is one full-ball entry of mass 1.
+    assert cylinder_table(ETA_F, 4) == WeightTable(2, 4,
+                                                   {full_ball(2, 4): 1})
+    assert cylinder_table(ETA_F, 4).total() == 1

@@ -24,6 +24,19 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
+def test_package_reads_no_environment_variables():
+    # Every setting is an argument or a flag; an environment layer is a
+    # second source of defaults that no caller sees.
+    found = []
+    for path, tree in package_trees():
+        found.extend(f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                     if isinstance(node, (ast.Attribute, ast.alias))
+                     and (node.attr if isinstance(node, ast.Attribute)
+                          else node.name) in ("environ", "getenv",
+                                              "environb", "getenvb"))
+    assert found == []
+
+
 def _names(node: ast.AST):
     """Every name `node` reads, calls or imports, attributes included."""
     for n in ast.walk(node):

@@ -1,5 +1,7 @@
+import re
+
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from subsetcurrents import (Basis, CoreGraph, Subgroup, Word, concat,
@@ -8,6 +10,8 @@ from subsetcurrents import (Basis, CoreGraph, Subgroup, Word, concat,
 from subsetcurrents.errors import BasisMismatchError, LetterRangeError
 from subsetcurrents.words import (MAX_RANK, enumerate_reduced_words,
                                  free_reduce)
+
+from helpers import reference_parse_word
 
 letters = st.lists(st.integers(-2, 2).filter(bool), max_size=8)
 
@@ -99,6 +103,31 @@ def test_parse_and_format():
     assert format_word(parse_word("xYz", 3)) == "xYz"
     with pytest.raises(LetterRangeError):
         parse_word("z", 2)
+
+
+# Pieces of word texts: letters in and out of rank 1-3 (every one is in
+# rank at MAX_RANK but 'e'/'E'), the Kelvin sign, which lowercases to the
+# ASCII 'k', the identity marks, exponents, digits, spaces, punctuation.
+PARSE_PIECES = (list("xyzabXYZABkKE\u212ae1^-0123456789 \t,.;*()")
+                + ["^2", "^-1", "^-12", "^0", "x^3", "Y^-2"])
+
+
+@given(st.sampled_from([1, 2, 3, MAX_RANK]),
+       st.lists(st.sampled_from(PARSE_PIECES), max_size=16).map("".join))
+@example(MAX_RANK, "xy\u212a z")  # a letter only the slower scan reads
+def test_parse_word_matches_the_reference_parser(rank, text):
+    # `parse_word` checks each character once, through a per-rank table;
+    # its word, or its exception type and message, must be the old
+    # parser's.
+    assume(not re.search(r"[0-9]{4}", text))
+
+    def outcome(parse):
+        try:
+            return parse(text, rank)
+        except ValueError as exc:
+            return type(exc), str(exc)
+
+    assert outcome(parse_word) == outcome(reference_parse_word)
 
 
 def test_basis_helpers():
