@@ -23,7 +23,7 @@ from .fiber import (ProductGraph, component_census, fiber_product,
 from .cylinders import (RationalCurrent, RoundGraph, WeightTable, axis,
                         check_matching, count_round_graphs, cylinder_table,
                         distance, enumerate_round_graphs, full_ball,
-                        local_ball, read_table, realizable_witness, restrict,
+                        local_ball, realizable_witness, restrict,
                         round_graph_from_text, round_graph_to_text,
                         table_from_text, table_to_text,
                         validate_round_graph)

@@ -26,7 +26,7 @@ from .cylinders import (RationalCurrent, WeightTable, cylinder_table,
                         distance)
 from .realize import WeightSystem, support_system
 from .stallings import Subgroup
-from .words import Word
+from .words import Word, _Frozen
 
 Rational = Union[Fraction, int]
 
@@ -41,7 +41,7 @@ def rationalize(value) -> Fraction:
     return Fraction(value).limit_denominator(FLOAT_DENOMINATOR_BOUND)
 
 
-class KernelProblem:
+class KernelProblem(_Frozen):
     """Find a nonnegative rational kernel point near a target vector."""
 
     __slots__ = ("matrix", "target", "tolerance")
@@ -62,9 +62,6 @@ class KernelProblem:
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "tolerance", tolerance)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("KernelProblem is immutable")
 
     def __repr__(self) -> str:
         return (f"KernelProblem({len(self.matrix)} rows x "

@@ -9,6 +9,7 @@ violated precondition is named), 2 I/O or file-format error.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -93,28 +94,51 @@ def _parse_fraction(text: str) -> Fraction:
         raise ValueError(f"bad rational {text!r}") from exc
 
 
+# Most round-graphs `cylinders --enumerate` lists, most letters one ball
+# B(id, radius), one input's words or one H_n of `converge` spell, and
+# most quotient vertices (units of total weight) `realize` builds.
+SIZE_CAP = 10 ** 6
+
+
+def _capped(source, text=None) -> str:
+    """The text of file `source` (or `text`, named `source`), refused
+    before any parse if its words could spell over SIZE_CAP letters, as
+    bounded by its letters plus its exponents.  An exponent with more
+    digits than SIZE_CAP is refused unread, never passed to int()."""
+    if text is None:
+        text = source.read_text(encoding="utf-8")
+    bound = sum(map(str.isalpha, text)) + sum(
+        int(e) if len(e) <= len(str(SIZE_CAP)) else SIZE_CAP + 1
+        for e in re.findall(r"\^-?(\d+)", text))
+    if bound > SIZE_CAP:
+        raise ValueError(f"refusing {source}: its words could expand "
+                         f"above the cap of {SIZE_CAP} letters")
+    return text
+
+
 def _cmd_rank(args) -> int:
-    sub = stallings.read_subgroup(args.subgroup)
+    sub = stallings.subgroup_from_text(_capped(args.subgroup))
     print(f"reduced_rank = {sub.reduced_rank()}")
     return 0
 
 
 def _cmd_index(args) -> int:
-    sub = stallings.read_subgroup(args.subgroup)
+    sub = stallings.subgroup_from_text(_capped(args.subgroup))
     idx = stallings.finite_index(sub.core)
     print(f"index = {'infinite' if idx is None else idx}")
     return 0
 
 
 def _cmd_member(args) -> int:
-    sub = stallings.read_subgroup(args.subgroup)
-    print("true" if sub.contains(args.word) else "false")
+    word = _capped("--word", args.word)
+    sub = stallings.subgroup_from_text(_capped(args.subgroup))
+    print("true" if sub.contains(word) else "false")
     return 0
 
 
 def _cmd_intersect(args) -> int:
-    left = stallings.read_subgroup(args.left)
-    right = stallings.read_subgroup(args.right)
+    left = stallings.subgroup_from_text(_capped(args.left))
+    right = stallings.subgroup_from_text(_capped(args.right))
     product = fiber.fiber_product(left.hull, right.hull)
     n = sum(max(e - v, 0) for (v, e) in product.component_stats())
     bound = left.reduced_rank() * right.reduced_rank()
@@ -133,12 +157,6 @@ def _cmd_intersect(args) -> int:
                 stallings.graph_to_text(graph), encoding="utf-8")
         print(f"exported {len(product.components)} components")
     return 0
-
-
-# Most round-graphs `cylinders --enumerate` lists, most letters one ball
-# B(id, radius) of `cylinders` and `converge` holds, and most quotient
-# vertices (units of total weight) `realize` builds.
-SIZE_CAP = 10 ** 6
 
 
 def _check_ball(rank: int, radius: int) -> None:
@@ -176,7 +194,8 @@ def _cmd_cylinders(args) -> int:
         return 0
     if not args.subgroups:
         raise ValueError("give subgroup files, or --enumerate")
-    subs = [stallings.read_subgroup(path) for path in args.subgroups]
+    subs = [stallings.subgroup_from_text(_capped(path))
+            for path in args.subgroups]
     if args.coeffs is None:
         coeffs = [Fraction(1)] * len(subs)
     else:
@@ -198,7 +217,7 @@ def _cmd_cylinders(args) -> int:
 
 
 def _cmd_realize(args) -> int:
-    table = cyl.read_table(args.table)
+    table = cyl.table_from_text(_capped(args.table))
     total = table.total()
     if total > SIZE_CAP:
         raise ValueError(
@@ -224,7 +243,7 @@ def _cmd_realize(args) -> int:
 
 
 def _cmd_approx(args) -> int:
-    table = cyl.read_table(args.table)
+    table = cyl.table_from_text(_capped(args.table))
     eps = _parse_fraction(args.epsilon)
     theta, scale, _exact = approx_mod.approximate_table(table, eps)
     text = cyl.table_to_text(theta.table)
@@ -238,6 +257,10 @@ def _cmd_approx(args) -> int:
 
 def _cmd_converge(args) -> int:
     ns = [int(x) for x in args.ns.split(",") if x.strip()]
+    for n in ns:            # H_n's generators: y^n, y^i x y^-i (0 < i < n)
+        if n * n + n - 1 > SIZE_CAP:
+            raise ValueError(f"refusing n = {n}: H_n spells {n * n + n - 1} "
+                             f"letters, above the cap of {SIZE_CAP} letters")
     _check_ball(2, args.radius)
     for n, dist in approx_mod.convergence_run(args.radius, ns):
         line = f"n={n} distance = {dist}"
@@ -248,7 +271,7 @@ def _cmd_converge(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    sub = stallings.read_subgroup(args.subgroup)
+    sub = stallings.subgroup_from_text(_capped(args.subgroup))
     graph = sub.hull if args.hull else sub.core
     args.out.write_text(stallings.graph_to_text(graph), encoding="utf-8")
     print(f"wrote {args.out}")

@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 from .errors import AdmissibilityError, BasisMismatchError, FileFormatError
 from .stallings import CoreGraph, Subgroup, _content_lines
 from .words import (enumerate_reduced_words, format_word, free_reduce,
-                    parse_word, _check_rank, _signed_letters)
+                    parse_word, _check_rank, _Frozen, _signed_letters)
 
 WordTuple = tuple[int, ...]
 
@@ -84,7 +84,7 @@ def validate_round_graph(words: Iterable[WordTuple], radius: int,
     return True
 
 
-class RoundGraph:
+class RoundGraph(_Frozen):
     """Canonical rooted subtree of the radius-r ball; hashable table key."""
 
     __slots__ = ("rank", "radius", "words", "word_set", "_hash")
@@ -100,9 +100,6 @@ class RoundGraph:
         object.__setattr__(self, "words", words)
         object.__setattr__(self, "word_set", frozenset(words))
         object.__setattr__(self, "_hash", hash((rank, radius, words)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RoundGraph is immutable")
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, RoundGraph)
@@ -314,7 +311,7 @@ def _traced_words(hull: CoreGraph, vertex: int, radius: int
 RationalLike = Union[Fraction, int, str]
 
 
-class WeightTable:
+class WeightTable(_Frozen):
     """Finitely supported map RoundGraph -> nonnegative rational."""
 
     __slots__ = ("rank", "radius", "entries")
@@ -337,9 +334,6 @@ class WeightTable:
         object.__setattr__(self, "entries",
                            dict(sorted(table.items(),
                                        key=lambda kv: kv[0].sort_key())))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("WeightTable is immutable")
 
     def __getitem__(self, t: RoundGraph) -> Fraction:
         return self.entries.get(t, Fraction(0))
@@ -389,7 +383,7 @@ class WeightTable:
         return all(v.denominator == 1 for v in self.entries.values())
 
 
-class RationalCurrent:
+class RationalCurrent(_Frozen):
     """Finite nonnegative-rational combination of counting currents.
 
     Terms with trivial subgroups are dropped: their counting current is
@@ -416,9 +410,6 @@ class RationalCurrent:
             raise ValueError("rank is required for an empty current")
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "terms", tuple(kept))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalCurrent is immutable")
 
     @classmethod
     def eta(cls, sub: Subgroup) -> "RationalCurrent":
@@ -608,8 +599,3 @@ def table_from_text(text: str) -> WeightTable:
     if rank is None or radius is None:
         raise FileFormatError("missing rank/radius header")
     return WeightTable(rank, radius, entries)
-
-
-def read_table(path) -> WeightTable:
-    with open(path, "r", encoding="utf-8") as fh:
-        return table_from_text(fh.read())

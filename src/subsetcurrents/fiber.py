@@ -14,36 +14,30 @@ basepoint's component of core x core.
 
 from __future__ import annotations
 
-from typing import Iterable, Union
+from typing import Union
 
 from .errors import BasisMismatchError
-from .stallings import (CoreGraph, Subgroup, edges_by_component, find_root,
-                        hull_on, _prune_edges)
-from .words import _signed_letters
+from .stallings import (CoreGraph, Subgroup, find_root, hull_on,
+                        _prune_edges)
+from .words import _Frozen, _signed_letters
 
 Pair = tuple[int, int]
 
 
-class ProductGraph:
+class ProductGraph(_Frozen):
     """The edge-bearing part of a fiber product, split into components;
-    `component_edges[k]` holds the edges of component k."""
+    `component_edges[k]` holds the edges of component k.  The fields are
+    stored as given, in the order `fiber_product` builds them."""
 
     __slots__ = ("rank", "vertices", "edges", "components", "component_edges")
 
-    def __init__(self, rank: int, vertices: Iterable[Pair],
-                 edges: Iterable[tuple[Pair, Pair, int]],
-                 components: Iterable[tuple[Pair, ...]]):
-        edges = tuple(sorted(edges))
-        components = tuple(sorted(tuple(sorted(c)) for c in components))
+    def __init__(self, rank: int, vertices: tuple, edges: tuple,
+                 components: tuple, component_edges: list):
         object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "vertices", tuple(sorted(vertices)))
+        object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "components", components)
-        object.__setattr__(self, "component_edges",
-                           edges_by_component(components, edges))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ProductGraph is immutable")
+        object.__setattr__(self, "component_edges", component_edges)
 
     def __repr__(self) -> str:
         return (f"ProductGraph(rank={self.rank}, vertices={len(self.vertices)}, "
@@ -65,8 +59,9 @@ def fiber_product(a_graph: CoreGraph, b_graph: CoreGraph) -> ProductGraph:
 
     Each pair of an l-edge of A and an l-edge of B is a product edge, so
     the join costs sum over labels l of |A_l| * |B_l|.  A pair (a, b) is
-    coded a * |V(B)| + b, which orders codes as pairs; union-find joins
-    each edge's ends under the least root, the component's least pair.
+    coded a * |V(B)| + b, which orders codes as pairs, so the sorted codes
+    decode straight into the product's final order; union-find joins each
+    edge's ends under the least root, the component's least pair.
     """
     if a_graph.rank != b_graph.rank:
         raise BasisMismatchError(
@@ -92,10 +87,17 @@ def fiber_product(a_graph: CoreGraph, b_graph: CoreGraph) -> ProductGraph:
         parent[v] = root = parent[parent[v]]
         pair[v] = p = divmod(v, width)
         components.setdefault(root, []).append(p)
-    edges = [(pair[s], pair[d], l) for (s, d, l) in coded]
-    del coded, parent           # freed before the constructor copies
-    return ProductGraph(a_graph.rank, pair.values(), edges,
-                        components.values())
+    component_edges: dict[int, list[tuple[Pair, Pair, int]]] = {
+        root: [] for root in components}
+    edges = []
+    for (s, d, l) in coded:
+        edge = (pair[s], pair[d], l)
+        edges.append(edge)
+        component_edges[parent[s]].append(edge)
+    del coded, parent           # freed before the fields are copied
+    return ProductGraph(a_graph.rank, tuple(pair.values()), tuple(edges),
+                        tuple(map(tuple, components.values())),
+                        list(component_edges.values()))
 
 
 def _product_component(a_core: CoreGraph, b_core: CoreGraph

@@ -24,9 +24,10 @@ from .cylinders import (RationalCurrent, RoundGraph, WeightTable,
 from .stallings import (CoreGraph, Subgroup, connected_components,
                         edges_by_component, hull_on, least_bfs_encoding,
                         signed_adjacency)
+from .words import _Frozen
 
 
-class WeightSystem:
+class WeightSystem(_Frozen):
     """An integer-valued admissible weight table with positive support."""
 
     __slots__ = ("table",)
@@ -40,9 +41,6 @@ class WeightSystem:
         if violations:
             raise violations[0]
         object.__setattr__(self, "table", table)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("WeightSystem is immutable")
 
     @property
     def rank(self) -> int:
@@ -65,7 +63,7 @@ class WeightSystem:
         return f"WeightSystem({self.table!r})"
 
 
-class MatchingSystem:
+class MatchingSystem(_Frozen):
     """The lens-balance equations as an integer matrix over round-graphs.
 
     Row (u, J) of `lens_rows` carries +1 on its `outs` columns and -1
@@ -93,9 +91,6 @@ class MatchingSystem:
         object.__setattr__(self, "columns", columns)
         object.__setattr__(self, "column_index", index)
         object.__setattr__(self, "rows", tuple(cleaned))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MatchingSystem is immutable")
 
     def matrix(self) -> list[list[int]]:
         out = []
@@ -143,7 +138,7 @@ def support_system(rank: int, radius: int,
     return MatchingSystem(rank, radius, tuple(support))
 
 
-class SCGraphQuotient:
+class SCGraphQuotient(_Frozen):
     """Quotient of a realized SC-graph: theta(T) copies of each T, with a
     labeled matching per generator.  Immersed over the rose, minimum
     degree 2.  `component_edges[k]` holds the edges of component k."""
@@ -156,12 +151,8 @@ class SCGraphQuotient:
                  edges: Iterable[tuple[int, int, int]]):
         vertices = tuple(vertices)
         edges = tuple(sorted(edges))
-        n = len(vertices)
-        for (s, d, l) in edges:
-            if not (0 <= s < n and 0 <= d < n and 1 <= l <= rank):
-                raise ValueError(f"bad edge {(s, d, l)}")
         # Folded over the rose is the immersion condition.
-        step = signed_adjacency(n, edges)
+        step = signed_adjacency(rank, len(vertices), edges)
         stars: dict[RoundGraph, set[int]] = {}
         for i, (t, _copy) in enumerate(vertices):
             if t not in stars:
@@ -181,9 +172,6 @@ class SCGraphQuotient:
         object.__setattr__(self, "components", components)
         object.__setattr__(self, "component_edges",
                            edges_by_component(components, edges))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SCGraphQuotient is immutable")
 
     def __repr__(self) -> str:
         return (f"SCGraphQuotient(rank={self.rank}, radius={self.radius}, "
@@ -260,7 +248,7 @@ def decompose(quotient: SCGraphQuotient) -> RationalCurrent:
                                 for (s, d, l) in edges])] += 1
     shapes: Counter = Counter()
     for (n, edges), count in forms.items():
-        step = signed_adjacency(n, edges)
+        step = signed_adjacency(rank, n, edges)
         shapes[n, least_bfs_encoding(rank, step, edges, range(n))] += count
     terms = [(count, Subgroup.from_core(CoreGraph(rank, n, edges, 0),
                                         CoreGraph(rank, n, edges, None)))

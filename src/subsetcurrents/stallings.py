@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import BasisMismatchError, FileFormatError
 from .words import (Basis, Word, format_word, parse_word, _check_rank,
-                    _signed_letters)
+                    _Frozen, _signed_letters)
 
 WordLike = Union[Word, str]
 
@@ -67,7 +67,7 @@ class LabeledGraph:
         self.add_path(base, base, w.letters)
 
 
-class CoreGraph:
+class CoreGraph(_Frozen):
     """Immutable folded connected labeled graph (basepointed or hull-core).
 
     Vertices are 0..num_vertices-1.  Edges are (src, dst, label) with
@@ -84,12 +84,7 @@ class CoreGraph:
                  basepoint: Optional[int]):
         edges = tuple(sorted(edges))
         _check_rank(rank)
-        for (s, d, l) in edges:
-            if not (0 <= s < num_vertices and 0 <= d < num_vertices):
-                raise ValueError(f"edge {(s, d, l)} references a missing vertex")
-            if not 1 <= l <= rank:
-                raise ValueError(f"edge label {l} out of range for rank {rank}")
-        step = signed_adjacency(num_vertices, edges)
+        step = signed_adjacency(rank, num_vertices, edges)
         if basepoint is not None and not 0 <= basepoint < num_vertices:
             raise ValueError("basepoint out of range")
         if len(connected_components(step)) > 1:
@@ -106,9 +101,6 @@ class CoreGraph:
         object.__setattr__(self, "_step", step)
         object.__setattr__(self, "_hash",
                            hash((rank, num_vertices, edges, basepoint)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CoreGraph is immutable")
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, CoreGraph)
@@ -146,17 +138,22 @@ class CoreGraph:
         return v
 
 
-def signed_adjacency(num_vertices: int,
+def signed_adjacency(rank: int, num_vertices: int,
                      edges: Iterable[tuple[int, int, int]]
                      ) -> list[dict[int, int]]:
     """Each vertex's map from signed letter to neighbour: an edge
     (s, d, l) reads l from s to d and -l from d to s.
 
-    A graph is folded exactly when no vertex reads one signed letter
-    twice; any other graph raises ValueError.
+    Every edge must join two of the vertices 0..num_vertices-1 under a
+    label in 1..rank, and a graph is folded exactly when no vertex reads
+    one signed letter twice; any other graph raises ValueError.
     """
     step: list[dict[int, int]] = [{} for _ in range(num_vertices)]
     for (s, d, l) in edges:
+        if not (0 <= s < num_vertices and 0 <= d < num_vertices):
+            raise ValueError(f"edge {(s, d, l)} references a missing vertex")
+        if not 1 <= l <= rank:
+            raise ValueError(f"edge label {l} out of range for rank {rank}")
         if l in step[s] or -l in step[d]:
             raise ValueError(f"graph is not folded at edge {(s, d, l)}")
         step[s][l] = d
@@ -435,7 +432,7 @@ def random_cover(c: CoreGraph, degree: int, seed: int) -> CoreGraph:
             rng.shuffle(perm)
             edges.extend((s * degree + i, d * degree + perm[i], l)
                          for i in range(degree))
-        step = signed_adjacency(c.num_vertices * degree, edges)
+        step = signed_adjacency(c.rank, c.num_vertices * degree, edges)
         if len(connected_components(step)) == 1:
             break
     base = c.basepoint * degree
@@ -490,7 +487,7 @@ def label_isomorphic(a: CoreGraph, b: CoreGraph) -> bool:
     return _canonical_key(a) == _canonical_key(b)
 
 
-class Subgroup:
+class Subgroup(_Frozen):
     """A finitely generated subgroup, with lazily derived core and hull."""
 
     __slots__ = ("rank", "generators", "_core", "_hull")
@@ -502,9 +499,6 @@ class Subgroup:
                            tuple(_as_word(w, rank) for w in generators))
         object.__setattr__(self, "_core", None)
         object.__setattr__(self, "_hull", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Subgroup is immutable")
 
     @classmethod
     def full(cls, rank: int) -> "Subgroup":

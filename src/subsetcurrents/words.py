@@ -45,7 +45,21 @@ def free_reduce(letters: Iterable[int]) -> tuple[int, ...]:
     return tuple(stack)
 
 
-class Word:
+class _Frozen:
+    """Base of the package's immutable values: a constructor sets each
+    slot once through object.__setattr__, and nothing assigns or deletes
+    one afterwards."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class Word(_Frozen):
     """A freely reduced word over a basis of the given rank.
 
     Instances are immutable and hashable; `*` concatenates (with free
@@ -70,9 +84,6 @@ class Word:
         object.__setattr__(w, "letters", letters)
         object.__setattr__(w, "_hash", hash((rank, letters)))
         return w
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Word is immutable")
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -147,7 +158,7 @@ def cyclic_reduce(w: Word) -> tuple[Word, Word]:
     return Word(w.rank, letters), Word(w.rank, prefix)
 
 
-class Basis:
+class Basis(_Frozen):
     """A free basis of the given rank; builds and parses words over it."""
 
     __slots__ = ("rank",)
@@ -155,9 +166,6 @@ class Basis:
     def __init__(self, rank: int):
         _check_rank(rank)
         object.__setattr__(self, "rank", rank)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Basis is immutable")
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Basis) and self.rank == other.rank

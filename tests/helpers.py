@@ -19,7 +19,8 @@ from subsetcurrents.cylinders import (LensKey, RationalCurrent, RoundGraph,
 from subsetcurrents.errors import (AdmissibilityError, BasisMismatchError,
                                    LetterRangeError)
 from subsetcurrents.realize import SCGraphQuotient, WeightSystem
-from subsetcurrents.stallings import WordLike, _prune_edges
+from subsetcurrents.stallings import (WordLike, _prune_edges,
+                                      edges_by_component)
 from subsetcurrents.words import _signed_letters, char_to_letter
 
 
@@ -439,7 +440,11 @@ def reference_fiber_product(a_graph: CoreGraph,
     components = [_reference_product_component(a_graph, b_graph, seed, seen,
                                                 edges)
                   for seed in sorted(seeds) if seed not in seen]
-    return ProductGraph(a_graph.rank, seen, edges, components)
+    # The canonical order: everything sorted, components by least pair.
+    edges = tuple(sorted(edges))
+    components = tuple(sorted(tuple(sorted(c)) for c in components))
+    return ProductGraph(a_graph.rank, tuple(sorted(seen)), edges, components,
+                        edges_by_component(components, edges))
 
 
 def _reference_product_component(a_graph: CoreGraph, b_graph: CoreGraph,

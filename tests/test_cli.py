@@ -210,6 +210,47 @@ def test_ball_cap_refuses_before_counting_or_tracing(tmp_path, capsys,
         assert "its ball holds more than the cap of 1000000 letters" in err
 
 
+def test_parsed_words_are_capped_before_parsing(tmp_path, capsys,
+                                               monkeypatch):
+    # x^200000000 would spell 2e8 letters; a 5,000-digit exponent would
+    # pass int()'s digit limit.  Both are refused before any parse.
+    def unreachable(*args):
+        raise AssertionError("a word above the cap was parsed")
+
+    plain = write_sub(tmp_path, "x.txt", ["x"])
+    for huge in ("x^200000000", "x^-" + "9" * 5000):
+        (tmp_path / "sub.txt").write_text(f"rank 2\nx\n{huge}\n")
+        (tmp_path / "table.txt").write_text(
+            f"rank 2\nradius 1\ne,x,X,{huge} = 1\n")
+        for module in ("words", "stallings", "cylinders"):
+            monkeypatch.setattr(f"subsetcurrents.{module}.parse_word",
+                                unreachable)
+        for argv in (["member", str(plain), "--word", huge],
+                     ["rank", str(tmp_path / "sub.txt")],
+                     ["approx", str(tmp_path / "table.txt")],
+                     ["realize", str(tmp_path / "table.txt")]):
+            assert main(argv) == 1
+            err = one_line_refusal(capsys)
+            assert "above the cap of 1000000 letters" in err
+        monkeypatch.undo()
+    # One letter plus an exponent of 999,999 is exactly the cap.
+    assert main(["member", str(plain), "--word", "x^999999"]) == 0
+    assert capsys.readouterr().out == "true\n"
+
+
+def test_converge_refuses_an_n_above_the_cap(capsys, monkeypatch):
+    # H_n spells n^2 + n - 1 letters: 998,999 at n = 999, 1,000,999 at
+    # n = 1000.
+    def unreachable(n):
+        raise AssertionError("a group H_n above the cap was built")
+
+    monkeypatch.setattr("subsetcurrents.approx.subgroup_Hn", unreachable)
+    for ns in ("1000", "2,100000"):
+        assert main(["converge", "--radius", "1", "--ns", ns]) == 1
+        err = one_line_refusal(capsys)
+        assert "H_n spells" in err and "above the cap of 1000000" in err
+
+
 def test_ball_cap_admits_every_radius_of_the_old_default():
     # Rank 25 at radius 3 holds 365,100 letters, and rank 2 at radius 9
     # holds 334,612: both under the cap.

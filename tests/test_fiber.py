@@ -164,6 +164,25 @@ def test_fiber_product_equals_reference_in_order(pair):
 
 @settings(deadline=None, max_examples=200)
 @given(hull_pairs())
+def test_fiber_product_is_built_in_canonical_order(pair):
+    # ProductGraph stores its fields as given, so the join alone owns
+    # this order.
+    h, k = pair
+    for a, b in ((h.hull, k.hull), (k.hull, h.hull)):
+        p = fiber_product(a, b)
+        for seq in (p.vertices, p.edges):
+            assert all(x < y for x, y in zip(seq, seq[1:]))
+        assert all(list(c) == sorted(c) for c in p.components)
+        assert [c[0] for c in p.components] == \
+            sorted(c[0] for c in p.components)
+        comp_of = {v: n for n, c in enumerate(p.components) for v in c}
+        assert p.component_edges == [
+            [e for e in p.edges if comp_of[e[0]] == n]
+            for n in range(len(p.components))]
+
+
+@settings(deadline=None, max_examples=200)
+@given(hull_pairs())
 def test_intersection_equals_reference(pair):
     # The reference walks the product with `CoreGraph.step` and builds each
     # basis word through `reduce`, which checks and reduces it again.

@@ -213,6 +213,10 @@ def test_quotient_invariants_enforced():
     with pytest.raises(ValueError):
         SCGraphQuotient(2, 1, [(X_AXIS, 1), (X_AXIS, 2)],
                         [(0, 0, 1), (1, 0, 1)])  # two incoming x at vertex 0
+    with pytest.raises(ValueError, match="missing vertex"):
+        SCGraphQuotient(2, 1, [(X_AXIS, 1)], [(0, 0, 1), (-1, 0, 1)])
+    with pytest.raises(ValueError, match="out of range for rank 2"):
+        SCGraphQuotient(2, 1, [(X_AXIS, 1)], [(0, 0, 1), (0, 0, 3)])
     q = SCGraphQuotient(2, 1, [(X_AXIS, 1)], [(0, 0, 1)])
     assert len(q.components) == 1
 

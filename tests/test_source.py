@@ -66,3 +66,38 @@ def test_only_lens_rows_reads_lens_keys():
                                              ast.alias))
                        and "lens_keys" in _names(node))
     assert readers == ["cylinders.py:lens_rows"]
+
+
+def _calls_object_setattr_on_self(cls: ast.ClassDef) -> bool:
+    return any(isinstance(n, ast.Call)
+               and isinstance(n.func, ast.Attribute)
+               and n.func.attr == "__setattr__"
+               and isinstance(n.func.value, ast.Name)
+               and n.func.value.id == "object"
+               and n.args and isinstance(n.args[0], ast.Name)
+               and n.args[0].id == "self"
+               for n in ast.walk(cls))
+
+
+def test_immutability_lives_in_one_base():
+    # `words._Frozen` alone refuses assignment and deletion; a class that
+    # sets its own slots with object.__setattr__ is an immutable value and
+    # must inherit that refusal.
+    classes = [node for _path, tree in package_trees()
+               for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    bases = {c.name: {b.id for b in c.bases if isinstance(b, ast.Name)}
+             for c in classes}
+    frozen = {"_Frozen"}
+    while True:
+        more = {name for name, bs in bases.items() if bs & frozen} - frozen
+        if not more:
+            break
+        frozen |= more
+    overriders = [c.name for c in classes if c.name != "_Frozen"
+                  for f in c.body if isinstance(f, ast.FunctionDef)
+                  and f.name in ("__setattr__", "__delattr__")]
+    unfrozen = [c.name for c in classes if c.name not in frozen
+                and _calls_object_setattr_on_self(c)]
+    assert "_Frozen" in bases
+    assert overriders == []
+    assert unfrozen == []

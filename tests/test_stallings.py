@@ -479,14 +479,20 @@ def test_core_graph_validation():
 
 def test_signed_adjacency():
     # x from 0 to 1, a y-loop at 1: the loop reads y and Y at its vertex.
-    assert signed_adjacency(2, [(0, 1, 1), (1, 1, 2)]) == \
+    assert signed_adjacency(2, 2, [(0, 1, 1), (1, 1, 2)]) == \
         [{1: 1}, {-1: 0, 2: 1, -2: 1}]
     with pytest.raises(ValueError, match="not folded"):
-        signed_adjacency(2, [(0, 1, 1), (0, 0, 1)])  # two x leave 0
+        signed_adjacency(2, 2, [(0, 1, 1), (0, 0, 1)])  # two x leave 0
     with pytest.raises(ValueError, match="not folded"):
-        signed_adjacency(2, [(0, 1, 1), (1, 1, 1)])  # two x reach 1
+        signed_adjacency(2, 2, [(0, 1, 1), (1, 1, 1)])  # two x reach 1
     with pytest.raises(ValueError, match="not folded"):
-        signed_adjacency(1, [(0, 0, 1), (0, 0, 1)])  # a doubled loop
+        signed_adjacency(1, 1, [(0, 0, 1), (0, 0, 1)])  # a doubled loop
+    for edge in ((0, 2, 1), (2, 0, 1), (-1, 0, 1), (0, -2, 1)):
+        with pytest.raises(ValueError, match="missing vertex"):
+            signed_adjacency(2, 2, [(0, 1, 2), edge])
+    for label in (0, 3, -1):
+        with pytest.raises(ValueError, match="out of range for rank 2"):
+            signed_adjacency(2, 2, [(0, 1, label)])
 
 
 def test_canonical_form_stability():

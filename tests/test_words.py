@@ -4,9 +4,11 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from subsetcurrents import (Basis, CoreGraph, Subgroup, Word, concat,
-                            cyclic_reduce, format_word, invert, parse_word,
-                            reduce)
+from subsetcurrents import (Basis, CoreGraph, KernelProblem,
+                            RationalCurrent, Subgroup, Word, axis, concat,
+                            cyclic_reduce, cylinder_table, fiber_product,
+                            format_word, integerize, invert, parse_word,
+                            realize, reduce, support_system)
 from subsetcurrents.errors import BasisMismatchError, LetterRangeError
 from subsetcurrents.words import (MAX_RANK, enumerate_reduced_words,
                                  free_reduce)
@@ -178,3 +180,32 @@ def test_cyclic_reduce_roundtrip(w):
     assert core.is_identity() == w.is_identity()
     if not core.is_identity():
         assert core.letters[0] != -core.letters[-1]
+
+
+def _value_instances():
+    """One instance of each immutable value class of the package."""
+    sub = Subgroup(["x", "yxY"], 2)
+    table = cylinder_table(RationalCurrent.eta(sub), 1)
+    theta, _scale = integerize(table)
+    return [Word(2, (1, 2)), Basis(2), sub.core, sub,
+            fiber_product(sub.hull, sub.hull), axis(2, 1, 1), table,
+            RationalCurrent.eta(sub), theta,
+            support_system(2, 1, table.support()), realize(theta),
+            KernelProblem([[1, -1]], [1, 1], 1)]
+
+
+@pytest.mark.parametrize("value", _value_instances(),
+                         ids=lambda v: type(v).__name__)
+def test_values_refuse_assignment_and_deletion(value):
+    cls = type(value)
+    assert not hasattr(value, "__dict__")
+    slots = [name for c in cls.__mro__ for name in getattr(c, "__slots__", ())]
+    assert slots
+    message = f"^{cls.__name__} is immutable$"
+    for name in slots + ["unknown"]:
+        before = getattr(value, name, None)
+        with pytest.raises(AttributeError, match=message):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError, match=message):
+            delattr(value, name)
+        assert getattr(value, name, None) is before
