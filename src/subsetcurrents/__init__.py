@@ -8,16 +8,14 @@ realization algorithm, and rational kernel approximation.
 from .errors import (AdmissibilityError, BasisMismatchError,
                      FileFormatError, InfeasibleKernelError,
                      LetterRangeError)
-from .words import (Basis, Word, concat, cyclic_reduce, format_word,
-                    invert, parse_word, reduce)
+from .words import (Word, concat, cyclic_reduce, format_word, invert,
+                    parse_word, reduce)
 from .stallings import (CoreGraph, LabeledGraph, Subgroup, basis_of,
                         canonical_form, conjugate, contains,
                         core_from_generators, finite_index, fold,
                         graph_from_text, graph_to_text, hull_core,
-                        label_isomorphic, random_cover,
-                        random_finite_cover, read_subgroup, reduced_rank,
-                        subgroup_from_text, subgroup_to_text,
-                        write_subgroup)
+                        label_isomorphic, random_cover, random_finite_cover,
+                        reduced_rank, subgroup_from_text, subgroup_to_text)
 from .fiber import (ProductGraph, component_census, fiber_product,
                     intersection, product_rank, shnc_margin)
 from .cylinders import (RationalCurrent, RoundGraph, WeightTable, axis,
@@ -28,8 +26,7 @@ from .cylinders import (RationalCurrent, RoundGraph, WeightTable, axis,
                         table_from_text, table_to_text,
                         validate_round_graph)
 from .realize import (MatchingSystem, SCGraphQuotient, WeightSystem,
-                      decompose, matching_system, realize,
-                      support_system, verify_realization)
+                      decompose, matching_system, realize, verify_realization)
 from .approx import (KernelProblem, approximate_table, convergence_run,
                      integerize, nullspace_basis, rational_kernel_point,
                      rationalize, subgroup_Gn, subgroup_Hn)

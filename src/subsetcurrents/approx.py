@@ -24,7 +24,7 @@ from typing import Iterable, Sequence, Union
 from .errors import InfeasibleKernelError
 from .cylinders import (RationalCurrent, WeightTable, cylinder_table,
                         distance)
-from .realize import WeightSystem, support_system
+from .realize import MatchingSystem, WeightSystem
 from .stallings import Subgroup
 from .words import Word, _Frozen
 
@@ -220,8 +220,7 @@ def approximate_table(table: WeightTable, tolerance: Rational
     snapped = WeightTable(table.rank, table.radius,
                           {t: rationalize(v)
                            for t, v in table.entries.items()})
-    support = snapped.support()
-    system = support_system(snapped.rank, snapped.radius, support)
+    system = MatchingSystem(snapped.rank, snapped.radius, snapped.support())
     problem = KernelProblem(system.matrix(), system.vector_of(snapped),
                             tolerance)
     v = rational_kernel_point(problem)

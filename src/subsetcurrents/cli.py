@@ -9,6 +9,7 @@ violated precondition is named), 2 I/O or file-format error.
 from __future__ import annotations
 
 import argparse
+import math
 import re
 import sys
 from fractions import Fraction
@@ -87,6 +88,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Most round-graphs `cylinders --enumerate` lists, most letters one ball
+# B(id, radius), one input's words or one H_n of `converge` spell, and
+# most quotient vertices (units of total weight) `realize` builds.
+SIZE_CAP = 10 ** 6
+
+# Most digits, its decimal exponent included, of a number read: Python's
+# limit on int/str conversion, so that every value read can be printed.
+DIGIT_CAP = 4300
+
+_NUMBER = re.compile(r"(\d[\d_]*(?:\.[\d_]*)?|\.\d[\d_]*)"
+                     r"(?:[eE]([-+]?\d[\d_]*))?")
+
+
 def _parse_fraction(text: str) -> Fraction:
     try:
         return Fraction(text.strip())
@@ -94,17 +108,12 @@ def _parse_fraction(text: str) -> Fraction:
         raise ValueError(f"bad rational {text!r}") from exc
 
 
-# Most round-graphs `cylinders --enumerate` lists, most letters one ball
-# B(id, radius), one input's words or one H_n of `converge` spell, and
-# most quotient vertices (units of total weight) `realize` builds.
-SIZE_CAP = 10 ** 6
-
-
 def _capped(source, text=None) -> str:
     """The text of file `source` (or `text`, named `source`), refused
     before any parse if its words could spell over SIZE_CAP letters, as
-    bounded by its letters plus its exponents.  An exponent with more
-    digits than SIZE_CAP is refused unread, never passed to int()."""
+    bounded by its letters plus its exponents, or if a number in it has
+    more than DIGIT_CAP digits, its decimal exponent included.  An
+    exponent too long for a cap is refused unread, never passed to int()."""
     if text is None:
         text = source.read_text(encoding="utf-8")
     bound = sum(map(str.isalpha, text)) + sum(
@@ -113,6 +122,12 @@ def _capped(source, text=None) -> str:
     if bound > SIZE_CAP:
         raise ValueError(f"refusing {source}: its words could expand "
                          f"above the cap of {SIZE_CAP} letters")
+    for mantissa, exponent in _NUMBER.findall(text):
+        power = exponent.lstrip("+-").replace("_", "").lstrip("0")
+        if len(power) > len(str(DIGIT_CAP)) or \
+                len(mantissa) + int(power or 0) > DIGIT_CAP:
+            raise ValueError(f"refusing {source}: a number in it spells "
+                             f"more than the cap of {DIGIT_CAP} digits")
     return text
 
 
@@ -189,7 +204,7 @@ def _cmd_cylinders(args) -> int:
                 f"to stream them")
         graphs = list(cyl.enumerate_round_graphs(args.rank, args.radius))
         print(f"count = {len(graphs)}")
-        for t in sorted(graphs, key=lambda t: t.sort_key()):
+        for t in sorted(graphs):
             print(cyl.round_graph_to_text(t))
         return 0
     if not args.subgroups:
@@ -199,7 +214,8 @@ def _cmd_cylinders(args) -> int:
     if args.coeffs is None:
         coeffs = [Fraction(1)] * len(subs)
     else:
-        coeffs = [_parse_fraction(c) for c in args.coeffs.split(",")]
+        coeffs = [_parse_fraction(c)
+                  for c in _capped("--coeffs", args.coeffs).split(",")]
         if len(coeffs) != len(subs):
             raise ValueError("one coefficient per subgroup file")
     current = cyl.RationalCurrent(list(zip(coeffs, subs)))
@@ -220,8 +236,13 @@ def _cmd_realize(args) -> int:
     table = cyl.table_from_text(_capped(args.table))
     total = table.total()
     if total > SIZE_CAP:
+        # str() has a digit limit, so a long total is named by its digit
+        # count, read off its bit length.
+        whole = int(total)
+        d = int(whole.bit_length() * math.log10(2))
+        shown = total if d < 18 else f"of {d + (whole >= 10 ** d)} digits"
         raise ValueError(
-            f"refusing to realize total weight {total} above the cap of "
+            f"refusing to realize total weight {shown} above the cap of "
             f"{SIZE_CAP}; the quotient has one vertex per unit of weight")
     theta = WeightSystem(table)
     quotient = realize(theta)
@@ -233,7 +254,8 @@ def _cmd_realize(args) -> int:
               f"verified = {'true' if ok else 'false'}",
               f"shapes = {len(current.terms)}"]
     for k, (coeff, sub) in enumerate(current.terms):
-        stallings.write_subgroup(sub, args.outdir / f"component_{k}.txt")
+        (args.outdir / f"component_{k}.txt").write_text(
+            stallings.subgroup_to_text(sub), encoding="utf-8")
         report.append(f"component_{k} = {coeff}")
     (args.outdir / "report.txt").write_text("\n".join(report) + "\n",
                                        encoding="utf-8")
@@ -244,7 +266,7 @@ def _cmd_realize(args) -> int:
 
 def _cmd_approx(args) -> int:
     table = cyl.table_from_text(_capped(args.table))
-    eps = _parse_fraction(args.epsilon)
+    eps = _parse_fraction(_capped("--epsilon", args.epsilon))
     theta, scale, _exact = approx_mod.approximate_table(table, eps)
     text = cyl.table_to_text(theta.table)
     if args.out is not None:
@@ -295,10 +317,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except FileFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (FileFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

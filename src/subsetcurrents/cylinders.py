@@ -110,11 +110,14 @@ class RoundGraph(_Frozen):
     def __hash__(self) -> int:
         return self._hash
 
-    def sort_key(self) -> tuple:
-        return (len(self.words), tuple(word_key(w) for w in self.words))
-
     def __lt__(self, other: "RoundGraph") -> bool:
-        return self.sort_key() < other.sort_key()
+        # Fewer words first, then the first differing word by word_key.
+        if len(self.words) != len(other.words):
+            return len(self.words) < len(other.words)
+        for a, b in zip(self.words, other.words):
+            if a != b:
+                return word_key(a) < word_key(b)
+        return False
 
     def __contains__(self, word: WordTuple) -> bool:
         return tuple(word) in self.word_set
@@ -318,6 +321,9 @@ class WeightTable(_Frozen):
 
     def __init__(self, rank: int, radius: int,
                  entries: Mapping[RoundGraph, RationalLike] = ()):
+        _check_rank(rank)
+        if radius < 0:
+            raise ValueError("radius must be >= 0")
         table: dict[RoundGraph, Fraction] = {}
         for t, value in dict(entries).items():
             if t.rank != rank or t.radius != radius:
@@ -332,8 +338,7 @@ class WeightTable(_Frozen):
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "radius", radius)
         object.__setattr__(self, "entries",
-                           dict(sorted(table.items(),
-                                       key=lambda kv: kv[0].sort_key())))
+                           {t: table[t] for t in sorted(table)})
 
     def __getitem__(self, t: RoundGraph) -> Fraction:
         return self.entries.get(t, Fraction(0))
@@ -368,16 +373,13 @@ class WeightTable(_Frozen):
         return WeightTable(self.rank, self.radius,
                            {t: v * c for t, v in self.entries.items()})
 
-    def add(self, other: "WeightTable") -> "WeightTable":
+    def __add__(self, other: "WeightTable") -> "WeightTable":
         if (self.rank, self.radius) != (other.rank, other.radius):
             raise ValueError("tables live at different rank or radius")
         merged = dict(self.entries)
         for t, v in other.entries.items():
             merged[t] = merged.get(t, Fraction(0)) + v
         return WeightTable(self.rank, self.radius, merged)
-
-    def __add__(self, other: "WeightTable") -> "WeightTable":
-        return self.add(other)
 
     def is_integral(self) -> bool:
         return all(v.denominator == 1 for v in self.entries.values())
@@ -408,6 +410,7 @@ class RationalCurrent(_Frozen):
                 kept.append((coeff, sub))
         if rank is None:
             raise ValueError("rank is required for an empty current")
+        _check_rank(rank)
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "terms", tuple(kept))
 
@@ -484,7 +487,8 @@ def lens_keys(t: RoundGraph, generator: int
     in t, and the u-translate of t meeting the lens if u^-1 is in t (None
     where t lacks the letter).  Matching pairs equal keys."""
     lens = lens_ball(t.rank, t.radius, generator)
-    out = (_canonical_words(t.word_set & lens)
+    # A filter of the canonical t.words is canonical.
+    out = (tuple(w for w in t.words if w in lens)
            if (generator,) in t.word_set else None)
     inc = (_canonical_words(translate_words(t.words, generator) & lens)
            if (-generator,) in t.word_set else None)
@@ -598,4 +602,8 @@ def table_from_text(text: str) -> WeightTable:
         entries[key] = entries.get(key, Fraction(0)) + value
     if rank is None or radius is None:
         raise FileFormatError("missing rank/radius header")
+    try:
+        _check_rank(rank)
+    except ValueError as exc:
+        raise FileFormatError(str(exc)) from exc
     return WeightTable(rank, radius, entries)

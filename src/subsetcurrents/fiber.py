@@ -124,14 +124,11 @@ def _product_component(a_core: CoreGraph, b_core: CoreGraph
 HullLike = Union[Subgroup, CoreGraph]
 
 
-def _hull_of(x: HullLike) -> CoreGraph:
-    # fiber_product rejects a basepointed core.
-    return x.hull if isinstance(x, Subgroup) else x
-
-
 def product_rank(h: HullLike, k: HullLike) -> int:
-    """N(H, K): sum of max(#E - #V, 0) over fiber-product components."""
-    product = fiber_product(_hull_of(h), _hull_of(k))
+    """N(H, K): sum of max(#E - #V, 0) over fiber-product components; a
+    Subgroup stands for its hull."""
+    a, b = (x.hull if isinstance(x, Subgroup) else x for x in (h, k))
+    product = fiber_product(a, b)
     return sum(max(e - v, 0) for (v, e) in product.component_stats())
 
 

@@ -70,13 +70,18 @@ class MatchingSystem(_Frozen):
     on its `ins` columns; a column on both sides nets to 0, and a row
     left empty is dropped.  Admissible vectors are exactly the
     nonnegative kernel points.
+
+    The columns may be any set of round-graphs, such as a table's
+    support: a vector on them lies in the kernel of the full system iff
+    it lies in this one's, since the rows not meeting the columns vanish
+    on it identically.
     """
 
     __slots__ = ("rank", "radius", "columns", "column_index", "rows")
 
     def __init__(self, rank: int, radius: int,
                  columns: Sequence[RoundGraph]):
-        columns = tuple(sorted(columns, key=lambda t: t.sort_key()))
+        columns = tuple(sorted(columns))
         index = {t: j for j, t in enumerate(columns)}
         cleaned = []
         for gen, key, outs, ins in lens_rows(columns, rank):
@@ -125,17 +130,6 @@ def matching_system(rank: int, radius: int) -> MatchingSystem:
     """The full system over every round-graph at this radius."""
     columns = list(enumerate_round_graphs(rank, radius))
     return MatchingSystem(rank, radius, columns)
-
-
-def support_system(rank: int, radius: int,
-                   support: Iterable[RoundGraph]) -> MatchingSystem:
-    """The system restricted to the given columns.
-
-    A vector supported on these columns lies in the full kernel iff it
-    lies in this restricted kernel: rows not meeting the support vanish
-    on it identically.
-    """
-    return MatchingSystem(rank, radius, tuple(support))
 
 
 class SCGraphQuotient(_Frozen):
@@ -250,8 +244,7 @@ def decompose(quotient: SCGraphQuotient) -> RationalCurrent:
     for (n, edges), count in forms.items():
         step = signed_adjacency(rank, n, edges)
         shapes[n, least_bfs_encoding(rank, step, edges, range(n))] += count
-    terms = [(count, Subgroup.from_core(CoreGraph(rank, n, edges, 0),
-                                        CoreGraph(rank, n, edges, None)))
+    terms = [(count, Subgroup.from_core(CoreGraph(rank, n, edges, 0)))
              for (n, edges), count in shapes.items()]
     return RationalCurrent(terms, rank)
 

@@ -14,7 +14,7 @@ import random
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import BasisMismatchError, FileFormatError
-from .words import (Basis, Word, format_word, parse_word, _check_rank,
+from .words import (Word, format_word, parse_word, _check_rank,
                     _Frozen, _signed_letters)
 
 WordLike = Union[Word, str]
@@ -61,10 +61,6 @@ class LabeledGraph:
             else:
                 self.add_edge(nxt, prev, -m)
             prev = nxt
-
-    def add_loop_word(self, base: int, w: Word) -> None:
-        """Attach a closed path at `base` reading the word w."""
-        self.add_path(base, base, w.letters)
 
 
 class CoreGraph(_Frozen):
@@ -502,15 +498,13 @@ class Subgroup(_Frozen):
 
     @classmethod
     def full(cls, rank: int) -> "Subgroup":
-        return cls(Basis(rank).generators(), rank)
+        return cls([Word(rank, (i,)) for i in range(1, rank + 1)], rank)
 
     @classmethod
-    def from_core(cls, core: CoreGraph,
-                  hull: Optional[CoreGraph] = None) -> "Subgroup":
-        """The subgroup `core` reads; keeps `core`, and `hull` if given."""
+    def from_core(cls, core: CoreGraph) -> "Subgroup":
+        """The subgroup `core` reads; keeps `core`."""
         sub = cls(basis_of(core), core.rank)
         object.__setattr__(sub, "_core", core)
-        object.__setattr__(sub, "_hull", hull)
         return sub
 
     @property
@@ -575,16 +569,6 @@ def subgroup_from_text(text: str) -> Subgroup:
     if rank is None:
         raise FileFormatError("missing 'rank N' header")
     return Subgroup(gens, rank)
-
-
-def read_subgroup(path) -> Subgroup:
-    with open(path, "r", encoding="utf-8") as fh:
-        return subgroup_from_text(fh.read())
-
-
-def write_subgroup(sub: Subgroup, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(subgroup_to_text(sub))
 
 
 def graph_to_text(c: CoreGraph) -> str:

@@ -58,6 +58,13 @@ class _Frozen:
     def __delattr__(self, name):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    def __reduce__(self):
+        # pickle and copy rebuild the value through its constructor, whose
+        # parameters are slots of the same names; _hash is recomputed.
+        code = type(self).__init__.__code__
+        return type(self), tuple(getattr(self, name) for name in
+                                 code.co_varnames[1:code.co_argcount])
+
 
 class Word(_Frozen):
     """A freely reduced word over a basis of the given rank.
@@ -158,39 +165,6 @@ def cyclic_reduce(w: Word) -> tuple[Word, Word]:
     return Word(w.rank, letters), Word(w.rank, prefix)
 
 
-class Basis(_Frozen):
-    """A free basis of the given rank; builds and parses words over it."""
-
-    __slots__ = ("rank",)
-
-    def __init__(self, rank: int):
-        _check_rank(rank)
-        object.__setattr__(self, "rank", rank)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Basis) and self.rank == other.rank
-
-    def __hash__(self) -> int:
-        return hash(("Basis", self.rank))
-
-    def __repr__(self) -> str:
-        return f"Basis(rank={self.rank})"
-
-    def identity(self) -> Word:
-        return Word(self.rank)
-
-    def generator(self, i: int) -> Word:
-        if not 1 <= i <= self.rank:
-            raise LetterRangeError(f"generator index {i} out of range")
-        return Word(self.rank, (i,))
-
-    def generators(self) -> list[Word]:
-        return [self.generator(i) for i in range(1, self.rank + 1)]
-
-    def word(self, text: str) -> Word:
-        return parse_word(text, self.rank)
-
-
 def letter_to_char(m: int) -> str:
     ch = ALPHABET[abs(m) - 1]
     return ch if m > 0 else ch.upper()
@@ -271,8 +245,7 @@ def parse_word(text: str, rank: int) -> Word:
 
 def enumerate_reduced_words(rank: int, max_len: int) -> Iterator[Word]:
     """All freely reduced words of length <= max_len, shortest first."""
-    basis = Basis(rank)
-    yield basis.identity()
+    yield Word(rank)
     frontier: list[tuple[int, ...]] = [()]
     for _ in range(max_len):
         nxt: list[tuple[int, ...]] = []

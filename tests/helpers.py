@@ -15,7 +15,7 @@ from subsetcurrents import (CoreGraph, LabeledGraph, ProductGraph, Subgroup,
 from subsetcurrents.cylinders import (LensKey, RationalCurrent, RoundGraph,
                                       WeightTable, _canonical_words,
                                       lens_ball, lens_keys, local_ball,
-                                      translate_words)
+                                      translate_words, word_key)
 from subsetcurrents.errors import (AdmissibilityError, BasisMismatchError,
                                    LetterRangeError)
 from subsetcurrents.realize import SCGraphQuotient, WeightSystem
@@ -48,6 +48,13 @@ def random_current(rng: random.Random, rank: int = 2, max_terms: int = 3,
               random_subgroup(rng, rank, max_len=max_len))
              for _ in range(rng.randint(1, max_terms))]
     return RationalCurrent(terms, rank)
+
+
+def reference_round_graph_key(t: RoundGraph) -> tuple:
+    """The sort key round-graphs were once ordered by, which `sorted` on
+    RoundGraph (`RoundGraph.__lt__`) must match: word count, then the
+    words by `word_key`; rank and radius are not compared."""
+    return (len(t.words), tuple(word_key(w) for w in t.words))
 
 
 # Reference oracle: the character-by-character word parser, checked
@@ -182,7 +189,7 @@ def reference_core_from_generators(gens: Sequence[WordLike],
         if word.rank != rank:
             raise BasisMismatchError(f"word rank {word.rank} vs rank {rank}")
         if not word.is_identity():
-            g.add_loop_word(base, word)
+            g.add_path(base, base, word.letters)
     return fold(g)
 
 

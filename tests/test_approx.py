@@ -11,11 +11,11 @@ from subsetcurrents import (KernelProblem, RationalCurrent, Subgroup,
                             full_ball, integerize, nullspace_basis,
                             rational_kernel_point, rationalize, realize,
                             decompose, subgroup_Gn, subgroup_Hn,
-                            support_system, verify_realization)
+                            verify_realization)
 from subsetcurrents import approx
 from subsetcurrents.cylinders import WeightTable, table_from_text
 from subsetcurrents.errors import InfeasibleKernelError
-from subsetcurrents.realize import matching_system
+from subsetcurrents.realize import MatchingSystem, matching_system
 
 from helpers import random_current
 
@@ -63,7 +63,7 @@ def test_kernel_point_projects_perturbed_current_table():
     # the cylinder vector of eta_<xy> at r=1, nudged off the kernel
     sub = Subgroup(["xy"], 2)
     table = cylinder_table(RationalCurrent.eta(sub), 1)
-    system = support_system(2, 1, table.support())
+    system = MatchingSystem(2, 1, table.support())
     target = system.vector_of(table)
     target[0] += Fraction(1, 10 ** 9)
     problem = KernelProblem(system.matrix(), target, Fraction(1, 1000))
@@ -82,7 +82,7 @@ def test_kernel_point_float_derived_mixture():
     exact = cylinder_table(full + ex.scale(2), 1).scale(Fraction(1, 3))
     floats = WeightTable(2, 1, {t: rationalize(float(v))
                                 for t, v in exact.entries.items()})
-    system = support_system(2, 1, floats.support())
+    system = MatchingSystem(2, 1, floats.support())
     problem = KernelProblem(system.matrix(), system.vector_of(floats),
                             Fraction(1, 1000))
     v = rational_kernel_point(problem)
@@ -119,7 +119,7 @@ def nudged_kernel_problems(draw):
     current = random_current(random.Random(draw(st.integers(0, 2 ** 32))))
     radius = draw(st.integers(1, 2))
     table = cylinder_table(current, radius)
-    system = support_system(2, radius, table.support())
+    system = MatchingSystem(2, radius, table.support())
     nudge = st.builds(Fraction, st.integers(-9, 9),
                       st.sampled_from((10, 10 ** 3, 10 ** 6)))
     target = [max(x + draw(nudge), Fraction(0))
@@ -262,7 +262,7 @@ def test_integerized_kernel_points_feed_realize():
     rng = random.Random(31)
     for _ in range(5):
         table = cylinder_table(random_current(rng), 1)
-        system = support_system(2, 1, table.support())
+        system = MatchingSystem(2, 1, table.support())
         problem = KernelProblem(system.matrix(), system.vector_of(table),
                                 Fraction(1, 1000))
         v = rational_kernel_point(problem)

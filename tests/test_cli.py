@@ -1,8 +1,9 @@
+import time
 from fractions import Fraction
 
 from subsetcurrents import (Subgroup, cylinder_table, graph_from_text,
-                            label_isomorphic, read_subgroup,
-                            table_from_text, table_to_text, write_subgroup)
+                            label_isomorphic, subgroup_from_text,
+                            subgroup_to_text, table_from_text, table_to_text)
 from subsetcurrents.cli import _check_ball, main
 from subsetcurrents.cylinders import RationalCurrent
 from subsetcurrents.errors import AdmissibilityError
@@ -10,7 +11,7 @@ from subsetcurrents.errors import AdmissibilityError
 
 def write_sub(tmp_path, name, gens, rank=2):
     path = tmp_path / name
-    write_subgroup(Subgroup(gens, rank), path)
+    path.write_text(subgroup_to_text(Subgroup(gens, rank)))
     return path
 
 
@@ -86,7 +87,8 @@ def test_realize_command(tmp_path, capsys):
                  "--outdir", str(outdir)]) == 0
     out = capsys.readouterr().out
     assert "verified = true" in out
-    component = read_subgroup(outdir / "component_0.txt")
+    component = subgroup_from_text(
+        (outdir / "component_0.txt").read_text())
     assert component.equals(Subgroup.full(2))
     assert (outdir / "report.txt").exists()
 
@@ -323,3 +325,50 @@ def test_realize_writes_one_file_per_shape(tmp_path, capsys):
     assert sorted(p.name for p in outdir.iterdir()) == ["component_0.txt",
                                                         "report.txt"]
     assert (outdir / "component_0.txt").read_text() == "rank 2\nx\ny\n"
+
+
+def test_huge_rationals_are_refused_before_parsing(tmp_path, capsys,
+                                                   monkeypatch):
+    # Fraction("1e999999999999") would compute 10**999999999999, and
+    # 1e5000 has more digits than str() prints: each table weight,
+    # coefficient or tolerance is refused in one line, within a second,
+    # before any rational is read.
+    def unreachable(*args):
+        raise AssertionError("a huge rational was parsed")
+
+    sub = write_sub(tmp_path, "x.txt", ["x"])
+    table = tmp_path / "table.txt"
+    for huge in ("1e999999999999", "1e5000"):
+        table.write_text(f"rank 2\nradius 1\ne,x,X,y,Y = {huge}\n")
+        monkeypatch.setattr("subsetcurrents.cylinders.table_from_text",
+                            unreachable)
+        monkeypatch.setattr("subsetcurrents.cli.Fraction", unreachable)
+        for argv in (["realize", str(table), "--outdir", str(tmp_path)],
+                     ["approx", str(table)],
+                     ["cylinders", str(sub), "--radius", "1",
+                      "--coeffs", huge]):
+            start = time.perf_counter()
+            assert main(argv) == 1
+            assert time.perf_counter() - start < 1
+            assert "cap of 4300 digits" in one_line_refusal(capsys)
+        monkeypatch.undo()
+        table.write_text("rank 2\nradius 1\ne,x,X,y,Y = 1\n")
+        assert main(["approx", str(table), "--epsilon",
+                     huge.replace("e", "e-")]) == 1
+        assert "cap of 4300 digits" in one_line_refusal(capsys)
+    # A 4,300-digit weight is read; its realize refusal names the total
+    # by its digit count.
+    table.write_text("rank 2\nradius 1\ne,x,X,y,Y = 1e4299\n")
+    assert main(["realize", str(table), "--outdir", str(tmp_path)]) == 1
+    assert "total weight of 4300 digits above the cap" in \
+        one_line_refusal(capsys)
+
+
+def test_table_file_of_a_bad_rank_exits_2(tmp_path, capsys):
+    for body in ("", "e,x,X = 1\n"):
+        (tmp_path / "t.txt").write_text(f"rank 99\nradius 1\n{body}")
+        for argv in (["realize", str(tmp_path / "t.txt"),
+                      "--outdir", str(tmp_path / "out")],
+                     ["approx", str(tmp_path / "t.txt")]):
+            assert main(argv) == 2
+            assert "rank must be between" in capsys.readouterr().err

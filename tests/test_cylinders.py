@@ -21,7 +21,8 @@ from subsetcurrents.words import enumerate_reduced_words
 
 from helpers import (TWO_ROWS_PER_GENERATOR, matching_tables,
                      random_current, random_subgroup, random_word,
-                     reference_check_matching, reference_cylinder_table)
+                     reference_check_matching, reference_cylinder_table,
+                     reference_round_graph_key)
 
 ETA_F = RationalCurrent.full(2)
 ETA_X = RationalCurrent.eta(Subgroup(["x"], 2))
@@ -175,8 +176,8 @@ def test_cylinder_table_linearity():
         combo = mu.scale(a) + nu.scale(b)
         for r in (1, 2):
             lhs = cylinder_table(combo, r)
-            rhs = cylinder_table(mu, r).scale(a).add(
-                cylinder_table(nu, r).scale(b))
+            rhs = cylinder_table(mu, r).scale(a) + \
+                cylinder_table(nu, r).scale(b)
             assert lhs == rhs
 
 
@@ -336,6 +337,9 @@ def test_table_file_errors():
         table_from_text("rank 2\nradius 1\ne,x,X 1\n")
     with pytest.raises(FileFormatError):
         table_from_text("rank 2\nradius 1\ne,x,X = 1/0\n")
+    for body in ("", "e,x,X = 1\n"):  # a rank outside 1..25
+        with pytest.raises(FileFormatError, match="rank must be between"):
+            table_from_text(f"rank 99\nradius 1\n{body}")
 
 
 def test_weight_table_validation():
@@ -343,6 +347,31 @@ def test_weight_table_validation():
         WeightTable(2, 1, {full_ball(2, 1): Fraction(-1)})
     with pytest.raises(ValueError):
         WeightTable(2, 2, {full_ball(2, 1): 1})  # radius mismatch
+    with pytest.raises(ValueError, match="radius must be >= 0"):
+        WeightTable(2, -1)
+
+
+R2_ROUND_GRAPHS = list(enumerate_round_graphs(2, 2))
+
+
+@st.composite
+def round_graph_lists(draw):
+    """Round-graphs with mixed word counts, shared prefixes and repeats:
+    the supports of the r = 1-3 tables of one random current, of rank 2
+    or 3, and a sample of the rank-2 radius-2 round-graphs, drawn with
+    replacement."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    current = random_current(rng, rank=rng.choice((2, 3)))
+    pool = [t for radius in (1, 2, 3)
+            for t in cylinder_table(current, radius).support()]
+    pool += draw(st.lists(st.sampled_from(R2_ROUND_GRAPHS), max_size=20))
+    return draw(st.lists(st.sampled_from(pool), max_size=40))
+
+
+@settings(deadline=None, max_examples=150)
+@given(round_graph_lists())
+def test_round_graphs_sort_as_by_the_reference_key(graphs):
+    assert sorted(graphs) == sorted(graphs, key=reference_round_graph_key)
 
 
 def test_round_graph_canonical_order_is_stable():

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from subsetcurrents import (RationalCurrent, RoundGraph, Subgroup, WeightTable,
-                            axis, canonical_form, check_matching,
-                            cylinder_table, decompose, enumerate_round_graphs,
-                            full_ball, integerize, matching_system, realize,
-                            support_system, verify_realization)
+from subsetcurrents import (MatchingSystem, RationalCurrent, RoundGraph,
+                            Subgroup, WeightTable, axis, canonical_form,
+                            check_matching, cylinder_table, decompose,
+                            enumerate_round_graphs, full_ball, integerize,
+                            matching_system, realize, verify_realization)
 from subsetcurrents.errors import AdmissibilityError
 from subsetcurrents.realize import SCGraphQuotient, WeightSystem
 from subsetcurrents.stallings import _canonical_key
@@ -102,7 +102,7 @@ def test_support_system_matches_full_system():
     full = matching_system(2, 1)
     for _ in range(10):
         table = cylinder_table(random_current(rng), 1)
-        sub = support_system(2, 1, table.support())
+        sub = MatchingSystem(2, 1, table.support())
         assert all(x == 0 for x in sub.residuals(table))
         assert all(x == 0 for x in full.residuals(table))
 
@@ -264,7 +264,7 @@ def test_decompose_groups_reference_terms(theta):
 @given(matching_tables())
 @example(TWO_ROWS_PER_GENERATOR)
 def test_support_system_rows_match_reference(table):
-    system = support_system(table.rank, table.radius, table.support())
+    system = MatchingSystem(table.rank, table.radius, table.support())
     expected = reference_matching_rows(table.rank, system.columns)
     assert [(key, list(entries.items())) for key, entries in system.rows] \
         == [(key, list(entries.items())) for key, entries in expected]

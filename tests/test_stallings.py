@@ -11,11 +11,11 @@ from subsetcurrents import (CoreGraph, LabeledGraph, Subgroup, Word, basis_of,
                             graph_from_text, graph_to_text, hull_core, invert,
                             label_isomorphic, parse_word, random_cover,
                             random_finite_cover, reduce, reduced_rank,
-                            subgroup_from_text, write_subgroup, read_subgroup)
+                            subgroup_from_text, subgroup_to_text)
 from subsetcurrents.approx import subgroup_Hn
 from subsetcurrents.errors import BasisMismatchError, FileFormatError
 from subsetcurrents.stallings import (_fold_edges, _prune_edges,
-                                      signed_adjacency, subgroup_to_text)
+                                      signed_adjacency)
 
 from helpers import (random_subgroup, random_word,
                      reference_core_from_generators, reference_fold_edges,
@@ -95,7 +95,7 @@ def test_fold_agrees_with_brute_oracle():
         base = g.add_vertex()
         g.basepoint = base
         for _ in range(rng.randint(1, 3)):
-            g.add_loop_word(base, random_word(rng, 2, 5))
+            g.add_path(base, base, random_word(rng, 2, 5).letters)
         expected = as_core(2, brute_fold(g.num_vertices, g.edges), base)
         assert label_isomorphic(fold(g), expected)
 
@@ -108,7 +108,7 @@ def test_fold_preserves_basepoint_loop_labels():
         g.basepoint = base
         words = [random_word(rng, 2, 5) for _ in range(rng.randint(1, 3))]
         for w in words:
-            g.add_loop_word(base, w)
+            g.add_path(base, base, w.letters)
         folded = fold(g)
         for w in words:
             assert contains(folded, w)
@@ -121,7 +121,7 @@ def test_fold_is_confluent_under_edge_order():
         base = g.add_vertex()
         g.basepoint = base
         for _ in range(rng.randint(1, 3)):
-            g.add_loop_word(base, random_word(rng, 2, 4))
+            g.add_path(base, base, random_word(rng, 2, 4).letters)
         reference = fold(g)
         shuffled = list(g.edges)
         rng.shuffle(shuffled)
@@ -507,8 +507,8 @@ def test_canonical_form_stability():
 def test_subgroup_file_roundtrip(tmp_path):
     sub = Subgroup(["xy", "xY"], 2)
     path = tmp_path / "sub.txt"
-    write_subgroup(sub, path)
-    again = read_subgroup(path)
+    path.write_text(subgroup_to_text(sub), encoding="utf-8")
+    again = subgroup_from_text(path.read_text(encoding="utf-8"))
     assert again.rank == 2
     assert again.equals(sub)
     text = "# a comment\nrank 2\nxy # trailing\n\nxY\n"

@@ -1,14 +1,21 @@
+import copy
+import os
+import pickle
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from subsetcurrents import (Basis, CoreGraph, KernelProblem,
-                            RationalCurrent, Subgroup, Word, axis, concat,
-                            cyclic_reduce, cylinder_table, fiber_product,
-                            format_word, integerize, invert, parse_word,
-                            realize, reduce, support_system)
+import subsetcurrents
+from subsetcurrents import (CoreGraph, KernelProblem, MatchingSystem,
+                            RationalCurrent, Subgroup, WeightTable, Word,
+                            axis, concat, cyclic_reduce, cylinder_table,
+                            fiber_product, format_word, integerize, invert,
+                            parse_word, realize, reduce)
 from subsetcurrents.errors import BasisMismatchError, LetterRangeError
 from subsetcurrents.words import (MAX_RANK, enumerate_reduced_words,
                                  free_reduce)
@@ -45,11 +52,14 @@ def test_reduce_rejects_a_bad_rank():
 
 def test_every_ranked_constructor_rejects_a_bad_rank():
     for rank in (-1, 0, MAX_RANK + 1, 99):
-        for build in (Basis, lambda r: Word(r), lambda r: Subgroup([], r),
-                      lambda r: CoreGraph(r, 1, [], None)):
+        for build in (lambda r: Word(r), lambda r: Subgroup([], r),
+                      Subgroup.full, lambda r: CoreGraph(r, 1, [], None),
+                      lambda r: next(enumerate_reduced_words(r, 1)),
+                      lambda r: WeightTable(r, 1),
+                      lambda r: RationalCurrent([], r)):
             with pytest.raises(ValueError, match="rank must be between"):
                 build(rank)
-    assert Basis(MAX_RANK).rank == Subgroup([], MAX_RANK).rank == MAX_RANK
+    assert Word(MAX_RANK).rank == Subgroup([], MAX_RANK).rank == MAX_RANK
 
 
 @given(st.integers(1, 4).flatmap(
@@ -133,10 +143,12 @@ def test_parse_word_matches_the_reference_parser(rank, text):
 
 
 def test_basis_helpers():
-    b = Basis(2)
-    assert b.identity().is_identity()
-    assert [w.letters for w in b.generators()] == [(1,), (2,)]
-    assert b.word("xy").letters == (1, 2)
+    # The free basis is spelled with Word itself: the identity, one
+    # generator per index, and `Subgroup.full` for all of them.
+    assert Word(2).is_identity()
+    assert [w.letters for w in Subgroup.full(2).generators] == [(1,), (2,)]
+    assert next(enumerate_reduced_words(2, 1)) == Word(2)
+    assert parse_word("xy", 2) == Word(2, (1, 2))
 
 
 def test_enumerate_reduced_words_count():
@@ -187,10 +199,10 @@ def _value_instances():
     sub = Subgroup(["x", "yxY"], 2)
     table = cylinder_table(RationalCurrent.eta(sub), 1)
     theta, _scale = integerize(table)
-    return [Word(2, (1, 2)), Basis(2), sub.core, sub,
+    return [Word(2, (1, 2)), sub.core, sub,
             fiber_product(sub.hull, sub.hull), axis(2, 1, 1), table,
             RationalCurrent.eta(sub), theta,
-            support_system(2, 1, table.support()), realize(theta),
+            MatchingSystem(2, 1, table.support()), realize(theta),
             KernelProblem([[1, -1]], [1, 1], 1)]
 
 
@@ -209,3 +221,48 @@ def test_values_refuse_assignment_and_deletion(value):
         with pytest.raises(AttributeError, match=message):
             delattr(value, name)
         assert getattr(value, name, None) is before
+
+
+def _fields(value):
+    """The value's slots, _hash aside, for classes without __eq__; a
+    Subgroup, also inside a current, by its generators and core."""
+    if isinstance(value, Subgroup):
+        return value.rank, value.generators, value.core
+    if isinstance(value, RationalCurrent):
+        return value.rank, [(c, _fields(sub)) for c, sub in value.terms]
+    cls = type(value)
+    return {name: getattr(value, name) for c in cls.__mro__
+            for name in getattr(c, "__slots__", ()) if name != "_hash"}
+
+
+@pytest.mark.parametrize("value", _value_instances(),
+                         ids=lambda v: type(v).__name__)
+def test_values_survive_pickle_and_copy(value):
+    for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value),
+                 copy.deepcopy(value)):
+        assert type(twin) is type(value)
+        if isinstance(value, Subgroup):
+            assert twin.equals(value)
+        assert _fields(twin) == _fields(value)
+        if "__eq__" in vars(type(value)):
+            assert twin == value
+            assert type(value).__hash__ is None or hash(twin) == hash(value)
+
+
+def test_values_unpickled_in_another_process_hash_as_built():
+    # A hull's basepoint is None, whose hash differs between processes,
+    # so the hash must be recomputed, never carried over.
+    sub = Subgroup(["xy", "xY"], 2)
+    values = [sub.hull, axis(2, 1, 2)]
+    script = (
+        "import pickle, sys\n"
+        "from subsetcurrents import Subgroup, axis\n"
+        "hull, ball = pickle.loads(sys.stdin.buffer.read())\n"
+        "sub = Subgroup(['xy', 'xY'], 2)\n"
+        "print(hull in {sub.hull}, ball in {axis(2, 1, 2)})\n")
+    src = Path(subsetcurrents.__file__).parents[1]
+    run = subprocess.run([sys.executable, "-c", script],
+                         input=pickle.dumps(values), capture_output=True,
+                         env={**os.environ, "PYTHONPATH": str(src)},
+                         check=True)
+    assert run.stdout.decode().split() == ["True", "True"]
