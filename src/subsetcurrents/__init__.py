@@ -27,8 +27,8 @@ from .cylinders import (RationalCurrent, RoundGraph, WeightTable, axis,
                         validate_round_graph)
 from .realize import (MatchingSystem, SCGraphQuotient, WeightSystem,
                       decompose, matching_system, realize, verify_realization)
-from .approx import (KernelProblem, approximate_table, convergence_run,
-                     integerize, nullspace_basis, rational_kernel_point,
-                     rationalize, subgroup_Gn, subgroup_Hn)
+from .approx import (approximate_table, convergence_run, integerize,
+                     nullspace_basis, rational_kernel_point, rationalize,
+                     subgroup_Gn, subgroup_Hn)
 
 __version__ = "0.1.0"

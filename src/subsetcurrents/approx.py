@@ -3,11 +3,11 @@
 The matching equations form an integer homogeneous system; any
 nonnegative real solution can be approximated, coordinate support
 preserved, by a nonnegative rational solution.  This module does that
-exactly: fraction-free elimination produces a rational kernel basis, the
-target is projected orthogonally onto the kernel, and coordinates forced
-negative are zeroed inductively (they can only be noise below the
-tolerance).  Scaling by the least common denominator then yields an
-admissible integer weight system.
+exactly: fraction-free elimination gives a rational kernel basis and
+solves the normal equations projecting the target orthogonally onto it,
+and coordinates forced negative are zeroed inductively (they can only be
+noise below the tolerance).  Scaling by the least common denominator
+then yields an admissible integer weight system.
 
 The second half builds the rank-2 subgroup families G_n (index n,
 generated by x, y^n and the conjugates y^i x y^-i) and H_n (the same
@@ -26,7 +26,7 @@ from .cylinders import (RationalCurrent, WeightTable, cylinder_table,
                         distance)
 from .realize import MatchingSystem, WeightSystem
 from .stallings import Subgroup
-from .words import Word, _Frozen
+from .words import Word
 
 Rational = Union[Fraction, int]
 
@@ -39,33 +39,6 @@ def rationalize(value) -> Fraction:
     pass through limit_denominator too, which leaves them unchanged when
     already small."""
     return Fraction(value).limit_denominator(FLOAT_DENOMINATOR_BOUND)
-
-
-class KernelProblem(_Frozen):
-    """Find a nonnegative rational kernel point near a target vector."""
-
-    __slots__ = ("matrix", "target", "tolerance")
-
-    def __init__(self, matrix: Iterable[Iterable[int]],
-                 target: Iterable[Rational], tolerance: Rational):
-        matrix = tuple(tuple(int(c) for c in row) for row in matrix)
-        target = tuple(Fraction(x) for x in target)
-        tolerance = Fraction(tolerance)
-        width = len(target)
-        for row in matrix:
-            if len(row) != width:
-                raise ValueError("matrix width disagrees with target length")
-        if any(x < 0 for x in target):
-            raise ValueError("target must be nonnegative")
-        if tolerance <= 0:
-            raise ValueError("tolerance must be positive")
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "tolerance", tolerance)
-
-    def __repr__(self) -> str:
-        return (f"KernelProblem({len(self.matrix)} rows x "
-                f"{len(self.target)} cols, eps={self.tolerance})")
 
 
 def _bareiss_echelon(matrix: Sequence[Sequence[int]]
@@ -98,9 +71,6 @@ def _bareiss_echelon(matrix: Sequence[Sequence[int]]
 def nullspace_basis(matrix: Sequence[Sequence[int]], width: int
                     ) -> list[list[Fraction]]:
     """Rational basis of the kernel, one vector per free column."""
-    if not matrix:
-        return [[Fraction(i == j) for j in range(width)]
-                for i in range(width)]
     echelon, pivots = _bareiss_echelon(matrix)
     free = [c for c in range(width) if c not in pivots]
     basis = []
@@ -117,21 +87,18 @@ def nullspace_basis(matrix: Sequence[Sequence[int]], width: int
     return basis
 
 
-def _solve_rational(gram: list[list[Fraction]], rhs: list[Fraction]
-                    ) -> list[Fraction]:
-    """Gaussian elimination for a square nonsingular rational system."""
-    n = len(gram)
-    aug = [row[:] + [rhs[i]] for i, row in enumerate(gram)]
-    for c in range(n):
-        p = next(i for i in range(c, n) if aug[i][c] != 0)
-        aug[c], aug[p] = aug[p], aug[c]
-        inv = 1 / aug[c][c]
-        aug[c] = [x * inv for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c]:
-                factor = aug[i][c]
-                aug[i] = [a - factor * b for a, b in zip(aug[i], aug[c])]
-    return [aug[i][n] for i in range(n)]
+def _solve_nonsingular(matrix: list[list[Fraction]], rhs: list[Fraction]
+                       ) -> list[Fraction]:
+    """The solution x of a square nonsingular rational system A.x = b:
+    the kernel of [A | -b], its rows cleared of denominators, is spanned
+    by (x, 1), the one vector `nullspace_basis` gives."""
+    rows = []
+    for row, b in zip(matrix, rhs):
+        row = row + [-b]
+        scale = lcm(*(x.denominator for x in row))
+        rows.append([x.numerator * (scale // x.denominator) for x in row])
+    (solution,) = nullspace_basis(rows, len(rows) + 1)
+    return solution[:-1]
 
 
 def _project_onto_kernel(basis: list[list[Fraction]],
@@ -144,29 +111,39 @@ def _project_onto_kernel(basis: list[list[Fraction]],
     rhs = [sum((basis[a][i] * target[i] for i in range(len(target))
                 if basis[a][i] and target[i]), Fraction(0))
            for a in range(k)]
-    coeffs = _solve_rational(gram, rhs)
+    coeffs = _solve_nonsingular(gram, rhs)
     return [sum((coeffs[a] * basis[a][i] for a in range(k)
                  if basis[a][i]), Fraction(0))
             for i in range(len(target))]
 
 
-def rational_kernel_point(problem: KernelProblem) -> tuple[Fraction, ...]:
-    """A nonnegative rational v with A.v = 0 and ||u - v||_inf < eps.
+def rational_kernel_point(matrix: Iterable[Iterable[int]],
+                          target: Iterable[Rational], tolerance: Rational
+                          ) -> tuple[Fraction, ...]:
+    """A nonnegative rational v with A.v = 0 and ||u - v||_inf < eps, for
+    the integer matrix A, the nonnegative target u and the tolerance eps.
 
     Coordinates of the target equal to 0 stay 0.  Coordinates whose
     projection comes out negative are zeroed and the projection repeated,
     but only while the target there is below the tolerance; a coordinate
     both large and forced negative means the support admits no nearby
-    kernel point.
+    kernel point.  Every row's residual is checked last.
     """
-    u = problem.target
-    eps = problem.tolerance
+    matrix = [tuple(map(int, row)) for row in matrix]
+    u = tuple(map(Fraction, target))
+    eps = Fraction(tolerance)
     n = len(u)
+    if any(len(row) != n for row in matrix):
+        raise ValueError("matrix width disagrees with target length")
+    if any(x < 0 for x in u):
+        raise ValueError("target must be nonnegative")
+    if eps <= 0:
+        raise ValueError("tolerance must be positive")
     support = [i for i in range(n) if u[i] > 0]
     v = [Fraction(0)] * n
     while support:
         sub_rows = []
-        for row in problem.matrix:
+        for row in matrix:
             cut = [row[i] for i in support]
             if any(cut):
                 sub_rows.append(cut)
@@ -177,7 +154,6 @@ def rational_kernel_point(problem: KernelProblem) -> tuple[Fraction, ...]:
         proj = _project_onto_kernel(basis, [u[i] for i in support])
         negatives = [k for k in range(len(support)) if proj[k] < 0]
         if not negatives:
-            v = [Fraction(0)] * n
             for k, i in enumerate(support):
                 v[i] = proj[k]
             break
@@ -190,7 +166,7 @@ def rational_kernel_point(problem: KernelProblem) -> tuple[Fraction, ...]:
     if gap >= eps:
         raise InfeasibleKernelError(
             f"no kernel point within {eps} of the target (gap {gap})")
-    for row in problem.matrix:
+    for row in matrix:
         residual = sum(c * x for c, x in zip(row, v) if c)
         if residual != 0:
             raise InfeasibleKernelError(
@@ -204,8 +180,7 @@ def integerize(table: WeightTable) -> tuple[WeightSystem, int]:
     Returns (theta, M) with theta = M * table entrywise; scaling preserves
     the integer balance equations, so theta is admissible.
     """
-    scale = lcm(*(v.denominator for v in table.entries.values())) \
-        if len(table) else 1
+    scale = lcm(*(v.denominator for v in table.entries.values()))
     return WeightSystem(table.scale(scale)), scale
 
 
@@ -221,9 +196,8 @@ def approximate_table(table: WeightTable, tolerance: Rational
                           {t: rationalize(v)
                            for t, v in table.entries.items()})
     system = MatchingSystem(snapped.rank, snapped.radius, snapped.support())
-    problem = KernelProblem(system.matrix(), system.vector_of(snapped),
-                            tolerance)
-    v = rational_kernel_point(problem)
+    v = rational_kernel_point(system.matrix(), system.vector_of(snapped),
+                              tolerance)
     exact = WeightTable(snapped.rank, snapped.radius,
                         {t: v[j] for j, t in enumerate(system.columns)})
     theta, scale = integerize(exact)

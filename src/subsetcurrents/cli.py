@@ -131,6 +131,16 @@ def _capped(source, text=None) -> str:
     return text
 
 
+def _check_digits(what: str, values) -> None:
+    """Refuse, before any output, a computed value whose numerator or
+    denominator has more than DIGIT_CAP digits, which str() cannot print."""
+    limit = 10 ** DIGIT_CAP
+    if any(abs(v.numerator) >= limit or v.denominator >= limit
+           for v in values):
+        raise ValueError(f"refusing {what}: a value in it has more than "
+                         f"the cap of {DIGIT_CAP} digits")
+
+
 def _cmd_rank(args) -> int:
     sub = stallings.subgroup_from_text(_capped(args.subgroup))
     print(f"reduced_rank = {sub.reduced_rank()}")
@@ -221,6 +231,7 @@ def _cmd_cylinders(args) -> int:
     current = cyl.RationalCurrent(list(zip(coeffs, subs)))
     _check_ball(current.rank, args.radius)
     table = cyl.cylinder_table(current, args.radius)
+    _check_digits("the cylinder table", table.entries.values())
     text = cyl.table_to_text(table)
     if args.out is not None:
         args.out.write_text(text, encoding="utf-8")
@@ -268,6 +279,7 @@ def _cmd_approx(args) -> int:
     table = cyl.table_from_text(_capped(args.table))
     eps = _parse_fraction(_capped("--epsilon", args.epsilon))
     theta, scale, _exact = approx_mod.approximate_table(table, eps)
+    _check_digits("the repaired table", [scale, *theta.table.entries.values()])
     text = cyl.table_to_text(theta.table)
     if args.out is not None:
         args.out.write_text(text, encoding="utf-8")

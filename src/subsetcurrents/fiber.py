@@ -14,6 +14,7 @@ basepoint's component of core x core.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Union
 
 from .errors import BasisMismatchError
@@ -29,19 +30,21 @@ class ProductGraph(_Frozen):
     `component_edges[k]` holds the edges of component k.  The fields are
     stored as given, in the order `fiber_product` builds them."""
 
-    __slots__ = ("rank", "vertices", "edges", "components", "component_edges")
+    __slots__ = ("rank", "components", "component_edges")
 
-    def __init__(self, rank: int, vertices: tuple, edges: tuple,
-                 components: tuple, component_edges: list):
+    def __init__(self, rank: int, components: tuple, component_edges: list):
         object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "components", components)
         object.__setattr__(self, "component_edges", component_edges)
 
+    @property
+    def vertices(self) -> tuple[Pair, ...]:
+        """Every vertex pair, component by component."""
+        return tuple(chain.from_iterable(self.components))
+
     def __repr__(self) -> str:
-        return (f"ProductGraph(rank={self.rank}, vertices={len(self.vertices)}, "
-                f"edges={len(self.edges)}, components={len(self.components)})")
+        return (f"ProductGraph(rank={self.rank}, "
+                f"components={len(self.components)})")
 
     def component_stats(self) -> list[tuple[int, int]]:
         """(#vertices, #edges) per component."""
@@ -89,14 +92,10 @@ def fiber_product(a_graph: CoreGraph, b_graph: CoreGraph) -> ProductGraph:
         components.setdefault(root, []).append(p)
     component_edges: dict[int, list[tuple[Pair, Pair, int]]] = {
         root: [] for root in components}
-    edges = []
     for (s, d, l) in coded:
-        edge = (pair[s], pair[d], l)
-        edges.append(edge)
-        component_edges[parent[s]].append(edge)
+        component_edges[parent[s]].append((pair[s], pair[d], l))
     del coded, parent           # freed before the fields are copied
-    return ProductGraph(a_graph.rank, tuple(pair.values()), tuple(edges),
-                        tuple(map(tuple, components.values())),
+    return ProductGraph(a_graph.rank, tuple(map(tuple, components.values())),
                         list(component_edges.values()))
 
 

@@ -19,8 +19,7 @@ from typing import Iterable, Sequence
 
 from .errors import AdmissibilityError
 from .cylinders import (RationalCurrent, RoundGraph, WeightTable,
-                        check_matching, cylinder_table,
-                        enumerate_round_graphs, lens_rows)
+                        cylinder_table, enumerate_round_graphs, lens_rows)
 from .stallings import (CoreGraph, Subgroup, connected_components,
                         edges_by_component, hull_on, least_bfs_encoding,
                         signed_adjacency)
@@ -28,7 +27,8 @@ from .words import _Frozen
 
 
 class WeightSystem(_Frozen):
-    """An integer-valued admissible weight table with positive support."""
+    """An integer-valued weight table with positive support; `realize`
+    checks its matching equations and raises the first violated row."""
 
     __slots__ = ("table",)
 
@@ -37,9 +37,6 @@ class WeightSystem(_Frozen):
             raise ValueError("weight system entries must be integers")
         if len(table) == 0:
             raise ValueError("weight system needs at least one positive weight")
-        violations = check_matching(table)
-        if violations:
-            raise violations[0]
         object.__setattr__(self, "table", table)
 
     @property

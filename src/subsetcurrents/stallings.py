@@ -568,6 +568,10 @@ def subgroup_from_text(text: str) -> Subgroup:
             gens.append(line)
     if rank is None:
         raise FileFormatError("missing 'rank N' header")
+    try:
+        _check_rank(rank)
+    except ValueError as exc:
+        raise FileFormatError(str(exc)) from exc
     return Subgroup(gens, rank)
 
 

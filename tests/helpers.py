@@ -448,10 +448,9 @@ def reference_fiber_product(a_graph: CoreGraph,
                                                 edges)
                   for seed in sorted(seeds) if seed not in seen]
     # The canonical order: everything sorted, components by least pair.
-    edges = tuple(sorted(edges))
     components = tuple(sorted(tuple(sorted(c)) for c in components))
-    return ProductGraph(a_graph.rank, tuple(sorted(seen)), edges, components,
-                        edges_by_component(components, edges))
+    return ProductGraph(a_graph.rank, components,
+                        edges_by_component(components, sorted(edges)))
 
 
 def _reference_product_component(a_graph: CoreGraph, b_graph: CoreGraph,
@@ -504,3 +503,24 @@ def reference_basis_of(c: CoreGraph) -> list[Word]:
             letters = path[s] + (l,) + tuple(-m for m in reversed(path[d]))
             words.append(reduce(letters, c.rank))
     return words
+
+
+# Reference oracle for the exact solve of the kernel projection: the
+# Gauss-Jordan elimination over Fraction that `approx._solve_nonsingular`,
+# a fraction-free (Bareiss) elimination, must match exactly.
+
+def reference_solve_rational(gram: list[list[Fraction]], rhs: list[Fraction]
+                             ) -> list[Fraction]:
+    """Gaussian elimination for a square nonsingular rational system."""
+    n = len(gram)
+    aug = [row[:] + [rhs[i]] for i, row in enumerate(gram)]
+    for c in range(n):
+        p = next(i for i in range(c, n) if aug[i][c] != 0)
+        aug[c], aug[p] = aug[p], aug[c]
+        inv = 1 / aug[c][c]
+        aug[c] = [x * inv for x in aug[c]]
+        for i in range(n):
+            if i != c and aug[i][c]:
+                factor = aug[i][c]
+                aug[i] = [a - factor * b for a, b in zip(aug[i], aug[c])]
+    return [aug[i][n] for i in range(n)]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subsetcurrents import (KernelProblem, RationalCurrent, Subgroup,
+from subsetcurrents import (RationalCurrent, Subgroup,
                             approximate_table, check_matching,
                             convergence_run, cylinder_table, finite_index,
                             full_ball, integerize, nullspace_basis,
@@ -17,7 +17,7 @@ from subsetcurrents.cylinders import WeightTable, table_from_text
 from subsetcurrents.errors import InfeasibleKernelError
 from subsetcurrents.realize import MatchingSystem, matching_system
 
-from helpers import random_current
+from helpers import random_current, reference_solve_rational
 
 
 def test_rationalize():
@@ -28,13 +28,13 @@ def test_rationalize():
     assert rationalize(0.0) == 0
 
 
-def test_kernel_problem_validation():
+def test_rational_kernel_point_validation():
     with pytest.raises(ValueError):
-        KernelProblem([[1, 0]], [1], 1)  # width mismatch
+        rational_kernel_point([[1, 0]], [1], 1)  # width mismatch
     with pytest.raises(ValueError):
-        KernelProblem([[1]], [-1], 1)  # negative target
+        rational_kernel_point([[1]], [-1], 1)  # negative target
     with pytest.raises(ValueError):
-        KernelProblem([[1]], [1], 0)  # zero tolerance
+        rational_kernel_point([[1]], [1], 0)  # zero tolerance
 
 
 def test_nullspace_basis_small_cases():
@@ -46,17 +46,14 @@ def test_nullspace_basis_small_cases():
 
 
 def test_kernel_point_passthrough_when_already_in_kernel():
-    problem = KernelProblem([[1, -1, 0]],
-                            [Fraction(2, 3), Fraction(2, 3), Fraction(1, 5)],
-                            Fraction(1, 1000))
-    assert rational_kernel_point(problem) == (Fraction(2, 3), Fraction(2, 3),
-                                              Fraction(1, 5))
+    target = [Fraction(2, 3), Fraction(2, 3), Fraction(1, 5)]
+    assert rational_kernel_point([[1, -1, 0]], target, Fraction(1, 1000)) \
+        == tuple(target)
 
 
 def test_kernel_point_zero_matrix():
-    problem = KernelProblem([], [Fraction(1, 7), Fraction(0)],
-                            Fraction(1, 10))
-    assert rational_kernel_point(problem) == (Fraction(1, 7), Fraction(0))
+    assert rational_kernel_point([], [Fraction(1, 7), Fraction(0)],
+                                 Fraction(1, 10)) == (Fraction(1, 7), 0)
 
 
 def test_kernel_point_projects_perturbed_current_table():
@@ -66,8 +63,7 @@ def test_kernel_point_projects_perturbed_current_table():
     system = MatchingSystem(2, 1, table.support())
     target = system.vector_of(table)
     target[0] += Fraction(1, 10 ** 9)
-    problem = KernelProblem(system.matrix(), target, Fraction(1, 1000))
-    v = rational_kernel_point(problem)
+    v = rational_kernel_point(system.matrix(), target, Fraction(1, 1000))
     for row in system.matrix():
         assert sum(c * x for c, x in zip(row, v)) == 0
     assert all(x >= 0 for x in v)
@@ -83,33 +79,29 @@ def test_kernel_point_float_derived_mixture():
     floats = WeightTable(2, 1, {t: rationalize(float(v))
                                 for t, v in exact.entries.items()})
     system = MatchingSystem(2, 1, floats.support())
-    problem = KernelProblem(system.matrix(), system.vector_of(floats),
-                            Fraction(1, 1000))
-    v = rational_kernel_point(problem)
+    v = rational_kernel_point(system.matrix(), system.vector_of(floats),
+                              Fraction(1, 1000))
     assert list(v) == system.vector_of(exact)
 
 
 def test_kernel_point_preserves_zero_coordinates():
-    problem = KernelProblem([[1, -1, 0], [0, 0, 1]],
-                            [Fraction(1), Fraction(1), Fraction(0)],
-                            Fraction(1, 100))
-    v = rational_kernel_point(problem)
+    v = rational_kernel_point([[1, -1, 0], [0, 0, 1]],
+                              [Fraction(1), Fraction(1), Fraction(0)],
+                              Fraction(1, 100))
     assert v[2] == 0
 
 
 def test_kernel_point_infeasible():
-    problem = KernelProblem([[1]], [Fraction(1)], Fraction(1, 1000))
     with pytest.raises(InfeasibleKernelError):
-        rational_kernel_point(problem)
+        rational_kernel_point([[1]], [Fraction(1)], Fraction(1, 1000))
 
 
 def test_kernel_point_rejects_projection_outside_kernel(monkeypatch):
     # A projection that leaves the kernel must raise, also under python -O.
     monkeypatch.setattr(approx, "_project_onto_kernel",
                         lambda basis, target: list(target))
-    problem = KernelProblem([[1, -1]], [1, 2], 10)
     with pytest.raises(InfeasibleKernelError, match="left the kernel"):
-        rational_kernel_point(problem)
+        rational_kernel_point([[1, -1]], [1, 2], 10)
 
 
 @st.composite
@@ -126,22 +118,50 @@ def nudged_kernel_problems(draw):
               for x in system.vector_of(table)]
     tolerance = draw(st.sampled_from((Fraction(1, 10), Fraction(1, 100),
                                       Fraction(1, 10 ** 4))))
-    return KernelProblem(system.matrix(), target, tolerance)
+    return system.matrix(), target, tolerance
 
 
 @settings(deadline=None, max_examples=60)
 @given(nudged_kernel_problems())
 def test_kernel_point_is_a_nearby_nonnegative_kernel_point(problem):
+    matrix, target, tolerance = problem
     try:
-        v = rational_kernel_point(problem)
+        v = rational_kernel_point(matrix, target, tolerance)
     except InfeasibleKernelError:
         return
-    assert len(v) == len(problem.target)
+    assert len(v) == len(target)
     assert all(x >= 0 for x in v)
-    for row in problem.matrix:
+    for row in matrix:
         assert sum(c * x for c, x in zip(row, v)) == 0
-    assert max(abs(a - b) for a, b in zip(problem.target, v)) < \
-        problem.tolerance
+    assert max(abs(a - b) for a, b in zip(target, v)) < tolerance
+
+
+@st.composite
+def nonsingular_systems(draw):
+    """A random square nonsingular rational system of size 1 to 8: a
+    strictly diagonally dominant matrix with its rows shuffled, so that
+    the elimination meets zero pivots and swaps rows, and a right side."""
+    n = draw(st.integers(1, 8))
+    entry = st.one_of(st.just(Fraction(0)), st.builds(
+        Fraction, st.integers(-10 ** 6, 10 ** 6),
+        st.sampled_from((1, 2, 3, 7, 10 ** 9 + 7))))
+    matrix = []
+    for i in range(n):
+        row = draw(st.lists(entry, min_size=n, max_size=n))
+        row[i] = draw(st.sampled_from((1, -1))) * (
+            1 + sum((abs(x) for j, x in enumerate(row) if j != i),
+                    Fraction(0)))
+        matrix.append(row)
+    return (draw(st.permutations(matrix)),
+            draw(st.lists(entry, min_size=n, max_size=n)))
+
+
+@settings(deadline=None, max_examples=200)
+@given(nonsingular_systems())
+def test_bareiss_solve_equals_the_gauss_jordan_reference(system):
+    matrix, rhs = system
+    assert approx._solve_nonsingular(matrix, rhs) == \
+        reference_solve_rational(matrix, rhs)
 
 
 def test_integerize_examples():
@@ -263,9 +283,8 @@ def test_integerized_kernel_points_feed_realize():
     for _ in range(5):
         table = cylinder_table(random_current(rng), 1)
         system = MatchingSystem(2, 1, table.support())
-        problem = KernelProblem(system.matrix(), system.vector_of(table),
-                                Fraction(1, 1000))
-        v = rational_kernel_point(problem)
+        v = rational_kernel_point(system.matrix(), system.vector_of(table),
+                                  Fraction(1, 1000))
         repaired = WeightTable(2, 1, {t: v[j]
                                       for j, t in enumerate(system.columns)})
         theta, _scale = integerize(repaired)

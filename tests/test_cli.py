@@ -372,3 +372,31 @@ def test_table_file_of_a_bad_rank_exits_2(tmp_path, capsys):
                      ["approx", str(tmp_path / "t.txt")]):
             assert main(argv) == 2
             assert "rank must be between" in capsys.readouterr().err
+
+
+def test_subgroup_file_of_a_bad_rank_exits_2(tmp_path, capsys):
+    # The same header is a format error in a subgroup file and a table file.
+    (tmp_path / "s.txt").write_text("rank 99\nx\n")
+    for argv in (["rank", str(tmp_path / "s.txt")],
+                 ["cylinders", str(tmp_path / "s.txt"), "--radius", "1"]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: rank must be between 1 and 25, got 99")
+
+
+def test_computed_values_past_the_digit_cap_are_refused(tmp_path, capsys):
+    # Each number read has at most 4,300 digits, but a value computed from
+    # them can have one more: the subgroup <xx> has two hull vertices with
+    # one ball, and a table may list one round-graph twice.
+    sub = write_sub(tmp_path, "xx.txt", ["xx"])
+    assert main(["cylinders", str(sub), "--radius", "1",
+                 "--coeffs", "9e4299"]) == 1
+    assert "cap of 4300 digits" in one_line_refusal(capsys)
+    table = tmp_path / "table.txt"
+    table.write_text("rank 2\nradius 1\n" + "e,x,X,y,Y = 9e4299\n" * 2)
+    assert main(["approx", str(table)]) == 1
+    assert "cap of 4300 digits" in one_line_refusal(capsys)
+    # One digit fewer is printed in full.
+    assert main(["cylinders", str(sub), "--radius", "1",
+                 "--coeffs", "4e4299"]) == 0
+    assert "= 8" + "0" * 4299 + "\n" in capsys.readouterr().out

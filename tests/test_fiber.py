@@ -1,13 +1,13 @@
 import random
-from itertools import product as iter_product
+from itertools import chain, product as iter_product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from subsetcurrents import (CoreGraph, LabeledGraph, Subgroup, Word,
                             basis_of, component_census, conjugate,
-                            fiber_product, fold, intersection,
+                            fiber_product, finite_index, fold, intersection,
                             label_isomorphic, product_rank,
                             random_finite_cover, reduce, shnc_margin)
 from subsetcurrents.errors import BasisMismatchError
@@ -69,7 +69,7 @@ def test_product_of_disjoint_labels_is_empty():
     x_loop = CoreGraph(2, 1, [(0, 0, 1)], None)
     y_loop = CoreGraph(2, 1, [(0, 0, 2)], None)
     for p in (fiber_product(x_loop, y_loop), fiber_product(y_loop, x_loop)):
-        assert p.vertices == () and p.edges == () and p.components == ()
+        assert p.vertices == () and p.components == ()
         assert p.component_edges == []
         assert component_census(p) == (0, 0, 0)
 
@@ -79,8 +79,8 @@ def test_product_with_an_empty_hull_is_empty():
     assert empty.is_empty
     for a, b in ((empty, ROSE_HULL), (ROSE_HULL, empty), (empty, empty)):
         p = fiber_product(a, b)
-        assert (p.vertices, p.edges, p.components, p.component_edges) == \
-            ((), (), (), [])
+        assert (p.vertices, p.components, p.component_edges) == \
+            ((), (), [])
         assert component_census(p) == (0, 0, 0)
     assert product_rank(Subgroup([], 2), Subgroup.full(2)) == 0
 
@@ -106,22 +106,26 @@ def test_product_matches_dense_oracle():
             continue
         p = fiber_product(a, b)
         _vertices, edges, comps = dense_product(a, b)
-        assert set(p.edges) == edges
+        assert set(chain(*p.component_edges)) == edges
         assert {frozenset(c) for c in p.components} == comps
         assert len(p.component_edges) == len(p.components)
         for comp, comp_edges in zip(p.components, p.component_edges):
-            assert comp_edges == [e for e in p.edges if e[0] in comp]
+            assert comp_edges == sorted(e for e in edges if e[0] in comp)
+
+
+def subgroups(rank):
+    """Subgroups of the free group of this rank on 1 to 3 random words."""
+    letter = st.integers(1, rank).flatmap(lambda m: st.sampled_from((m, -m)))
+    word = st.lists(letter, min_size=1, max_size=6).map(
+        lambda letters: reduce(letters, rank))
+    return st.lists(word, min_size=1, max_size=3).map(
+        lambda words: Subgroup(words, rank))
 
 
 @st.composite
 def subgroup_pairs(draw):
     """Two random subgroups of one free group of rank 2 or 3."""
-    rank = draw(st.integers(2, 3))
-    letter = st.integers(1, rank).flatmap(lambda m: st.sampled_from((m, -m)))
-    word = st.lists(letter, min_size=1, max_size=6).map(
-        lambda letters: reduce(letters, rank))
-    subgroup = st.lists(word, min_size=1, max_size=3).map(
-        lambda words: Subgroup(words, rank))
+    subgroup = subgroups(draw(st.integers(2, 3)))
     return draw(subgroup), draw(subgroup)
 
 
@@ -132,7 +136,7 @@ def test_product_matches_dense_oracle_and_shnc(pair):
     if not (h.hull.is_empty or k.hull.is_empty):
         p = fiber_product(h.hull, k.hull)
         _vertices, edges, comps = dense_product(h.hull, k.hull)
-        assert set(p.edges) == edges
+        assert set(chain(*p.component_edges)) == edges
         assert {frozenset(c) for c in p.components} == comps
     assert product_rank(h, k) <= h.reduced_rank() * k.reduced_rank()
 
@@ -150,7 +154,7 @@ def hull_pairs(draw):
 
 
 def product_fields(p):
-    return p.rank, p.vertices, p.edges, p.components, p.component_edges
+    return p.rank, p.components, p.component_edges
 
 
 @settings(deadline=None, max_examples=300)
@@ -170,14 +174,14 @@ def test_fiber_product_is_built_in_canonical_order(pair):
     h, k = pair
     for a, b in ((h.hull, k.hull), (k.hull, h.hull)):
         p = fiber_product(a, b)
-        for seq in (p.vertices, p.edges):
+        for seq in p.components + tuple(p.component_edges):
             assert all(x < y for x, y in zip(seq, seq[1:]))
-        assert all(list(c) == sorted(c) for c in p.components)
         assert [c[0] for c in p.components] == \
             sorted(c[0] for c in p.components)
+        edges = sorted(chain(*p.component_edges))
         comp_of = {v: n for n, c in enumerate(p.components) for v in c}
         assert p.component_edges == [
-            [e for e in p.edges if comp_of[e[0]] == n]
+            [e for e in edges if comp_of[e[0]] == n]
             for n in range(len(p.components))]
 
 
@@ -413,3 +417,48 @@ def test_intersection_of_random_covers():
         meet = intersection(h, k)
         idx = finite_index(meet.core)
         assert idx is not None and idx <= 6 and 6 % idx == 0
+
+
+# The paper's index formulas as oracles, independent of the pair-by-pair
+# enumeration behind `dense_product` and `reference_fiber_product`: a
+# fiber product with a degree-d cover is a degree-d cover, so vertex
+# counts and Euler characteristics multiply by d.
+
+@st.composite
+def finite_index_pairs(draw):
+    """Two finite-index subgroups J, K of one free group of rank 2 or 3,
+    each of index 1 to 7, with their indices."""
+    rank = draw(st.integers(2, 3))
+    degrees = [draw(st.integers(1, 7)) for _ in range(2)]
+    covers = [Subgroup.from_core(random_finite_cover(
+        rank, d, draw(st.integers(0, 10 ** 6)))) for d in degrees]
+    return covers, degrees
+
+
+@settings(deadline=None, max_examples=200)
+@given(finite_index_pairs())
+def test_intersection_index_divides_and_is_bounded(pairs):
+    # [F:J cap K] = [F:J][J:J cap K] <= [F:J][F:K], and symmetrically.
+    (j, k), (dj, dk) = pairs
+    index = finite_index(intersection(j, k).core)
+    assert index is not None
+    assert index % dj == 0 and index % dk == 0
+    assert index <= dj * dk
+
+
+@settings(deadline=None, max_examples=200)
+@given(finite_index_pairs())
+def test_product_of_covers_has_every_vertex_pair(pairs):
+    (j, k), (dj, dk) = pairs
+    assert len(fiber_product(j.hull, k.hull).vertices) == dj * dk
+
+
+@settings(deadline=None, max_examples=200)
+@given(finite_index_pairs(), st.data())
+def test_product_rank_with_a_cover_scales_the_reduced_rank(pairs, data):
+    # Every component of the product covers H's hull, whose reduced rank
+    # is its #E - #V, and the degrees of the components sum to [F:J].
+    (j, _k), (dj, _dk) = pairs
+    h = data.draw(subgroups(j.rank))
+    assume(not h.is_trivial())
+    assert product_rank(j, h) == dj * h.reduced_rank()

@@ -35,17 +35,12 @@ def test_weight_system_validation():
         WeightSystem(WeightTable(2, 1, {X_AXIS: Fraction(1, 2)}))
     with pytest.raises(ValueError):
         WeightSystem(WeightTable(2, 1, {}))
+    # The constructor takes an unbalanced table; realize names its row.
+    unbalanced = WeightTable(2, 1, {RoundGraph(2, 1, [(), (1,), (2,)]): 1})
     with pytest.raises(AdmissibilityError) as err:
-        WeightSystem(WeightTable(2, 1, {RoundGraph(2, 1, [(), (1,), (2,)]): 1}))
+        realize(WeightSystem(unbalanced))
     assert err.value.generator == 1
     assert err.value.lens == ((), (1,))
-
-
-def unchecked_weight_system(table):
-    """A WeightSystem that skips the constructor's admissibility check."""
-    theta = object.__new__(WeightSystem)
-    object.__setattr__(theta, "table", table)
-    return theta
 
 
 def test_realize_reports_the_first_violated_row():
@@ -67,7 +62,7 @@ def test_realize_reports_the_first_violated_row():
         if not violations:
             continue
         with pytest.raises(AdmissibilityError) as err:
-            realize(unchecked_weight_system(table))
+            realize(WeightSystem(table))
         first = violations[0]
         assert (err.value.generator, err.value.lens, err.value.lhs,
                 err.value.rhs) == (first.generator, first.lens, first.lhs,
@@ -279,10 +274,10 @@ def test_realize_raises_the_reference_first_violation(table):
                               for v in table.entries.values())))
     expected = reference_check_matching(table)
     if not expected:
-        assert realize(unchecked_weight_system(table)).edges == \
+        assert realize(WeightSystem(table)).edges == \
             reference_realize(WeightSystem(table)).edges
         return
     with pytest.raises(AdmissibilityError) as err:
-        realize(unchecked_weight_system(table))
+        realize(WeightSystem(table))
     assert (err.value.generator, err.value.lens, err.value.lhs,
             err.value.rhs) == expected[0]

@@ -68,6 +68,33 @@ def test_only_lens_rows_reads_lens_keys():
     assert readers == ["cylinders.py:lens_rows"]
 
 
+def _calls(node: ast.AST, name: str) -> bool:
+    """True iff `node` holds a call of `name`, plain or as an attribute."""
+    return any(isinstance(n, ast.Call)
+               and name in (getattr(n.func, "id", None),
+                            getattr(n.func, "attr", None))
+               for n in ast.walk(node))
+
+
+def test_only_the_cylinders_report_calls_check_matching():
+    # Each matching row is checked once, where it is used: `realize` raises
+    # the first violated row and `rational_kernel_point` checks every
+    # residual, so no value is checked again on its way between them.  Only
+    # the CLI's `cylinders` report lists the violations of a table.
+    callers = []
+    for path, tree in package_trees():
+        functions = [node for node in ast.walk(tree)
+                     if isinstance(node, ast.FunctionDef)]
+        inner = {id(n) for f in functions for n in ast.walk(f)}
+        callers.extend(f"{path.name}:{f.name}" for f in functions
+                       if _calls(f, "check_matching"))
+        callers.extend(f"{path.name}:<module>" for node in ast.walk(tree)
+                       if id(node) not in inner
+                       and isinstance(node, ast.Call)
+                       and _calls(node, "check_matching"))
+    assert callers == ["cli.py:_cmd_cylinders"]
+
+
 def _calls_object_setattr_on_self(cls: ast.ClassDef) -> bool:
     return any(isinstance(n, ast.Call)
                and isinstance(n.func, ast.Attribute)

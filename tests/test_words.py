@@ -11,7 +11,7 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 import subsetcurrents
-from subsetcurrents import (CoreGraph, KernelProblem, MatchingSystem,
+from subsetcurrents import (CoreGraph, MatchingSystem,
                             RationalCurrent, Subgroup, WeightTable, Word,
                             axis, concat, cyclic_reduce, cylinder_table,
                             fiber_product, format_word, integerize, invert,
@@ -202,8 +202,7 @@ def _value_instances():
     return [Word(2, (1, 2)), sub.core, sub,
             fiber_product(sub.hull, sub.hull), axis(2, 1, 1), table,
             RationalCurrent.eta(sub), theta,
-            MatchingSystem(2, 1, table.support()), realize(theta),
-            KernelProblem([[1, -1]], [1, 1], 1)]
+            MatchingSystem(2, 1, table.support()), realize(theta)]
 
 
 @pytest.mark.parametrize("value", _value_instances(),
