@@ -8,8 +8,7 @@ realization algorithm, and rational kernel approximation.
 from .errors import (AdmissibilityError, BasisMismatchError,
                      FileFormatError, InfeasibleKernelError,
                      LetterRangeError)
-from .words import (Word, concat, cyclic_reduce, format_word, invert,
-                    parse_word, reduce)
+from .words import Word, cyclic_reduce, format_word, parse_word, reduce
 from .stallings import (CoreGraph, LabeledGraph, Subgroup, basis_of,
                         canonical_form, conjugate, contains,
                         core_from_generators, finite_index, fold,

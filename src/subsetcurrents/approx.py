@@ -165,7 +165,7 @@ def rational_kernel_point(matrix: Iterable[Iterable[int]],
     gap = max((abs(u[i] - v[i]) for i in range(n)), default=Fraction(0))
     if gap >= eps:
         raise InfeasibleKernelError(
-            f"no kernel point within {eps} of the target (gap {gap})")
+            f"no kernel point within {eps} of the target")
     for row in matrix:
         residual = sum(c * x for c, x in zip(row, v) if c)
         if residual != 0:

@@ -15,14 +15,13 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from itertools import repeat
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import AdmissibilityError
 from .cylinders import (RationalCurrent, RoundGraph, WeightTable,
                         cylinder_table, enumerate_round_graphs, lens_rows)
-from .stallings import (CoreGraph, Subgroup, connected_components,
-                        edges_by_component, hull_on, least_bfs_encoding,
-                        signed_adjacency)
+from .stallings import (CoreGraph, Subgroup, canonical_form, find_root,
+                        hull_on)
 from .words import _Frozen
 
 
@@ -132,37 +131,23 @@ def matching_system(rank: int, radius: int) -> MatchingSystem:
 class SCGraphQuotient(_Frozen):
     """Quotient of a realized SC-graph: theta(T) copies of each T, with a
     labeled matching per generator.  Immersed over the rose, minimum
-    degree 2.  `component_edges[k]` holds the edges of component k."""
+    degree 2.  `components` are sorted vertex tuples in order of least
+    vertex, and `component_edges[k]` holds the sorted edges of component
+    k.  The fields are stored as given, in the form `realize` builds and
+    proves them."""
 
-    __slots__ = ("rank", "radius", "vertices", "edges", "components",
+    __slots__ = ("rank", "radius", "vertices", "components",
                  "component_edges")
 
     def __init__(self, rank: int, radius: int,
-                 vertices: Sequence[tuple[RoundGraph, int]],
-                 edges: Iterable[tuple[int, int, int]]):
-        vertices = tuple(vertices)
-        edges = tuple(sorted(edges))
-        # Folded over the rose is the immersion condition.
-        step = signed_adjacency(rank, len(vertices), edges)
-        stars: dict[RoundGraph, set[int]] = {}
-        for i, (t, _copy) in enumerate(vertices):
-            if t not in stars:
-                stars[t] = {w[0] for w in t.words if len(w) == 1}
-            letters = step[i].keys()
-            if radius >= 1 and letters != stars[t]:
-                raise ValueError(
-                    f"vertex {i} disagrees with its round-graph on letters "
-                    f"{sorted(letters ^ stars[t])}")
-            if len(letters) < 2:
-                raise ValueError(f"vertex {i} has degree {len(letters)} < 2")
-        components = connected_components(step)
+                 vertices: tuple[tuple[RoundGraph, int], ...],
+                 components: tuple[tuple[int, ...], ...],
+                 component_edges: list[list[tuple[int, int, int]]]):
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "radius", radius)
         object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "components", components)
-        object.__setattr__(self, "component_edges",
-                           edges_by_component(components, edges))
+        object.__setattr__(self, "component_edges", component_edges)
 
     def __repr__(self) -> str:
         return (f"SCGraphQuotient(rank={self.rank}, radius={self.radius}, "
@@ -189,6 +174,14 @@ def realize(theta: WeightSystem) -> SCGraphQuotient:
     order `check_matching` reports them in, so an unbalanced table raises
     the AdmissibilityError of its first violated row.
 
+    The quotient is built in final form and needs no second check.  A
+    copy of T sits in exactly one out-row per letter u in T and one
+    in-row per u^-1 in T, and each row pairs its sides one to one, so the
+    graph is folded, each copy reads exactly T's letters, and every degree
+    is >= 2.  Union-find joins each edge's ends under the least root, so
+    components come out sorted, in order of least vertex, and each sorted
+    edge is filed under its source's component.
+
     At radius 0 the only round-graph is the bare root and carries no
     matching constraints; each copy becomes a single vertex with a loop
     of the first generator, realizing the weight as copies of a cyclic
@@ -201,10 +194,8 @@ def realize(theta: WeightSystem) -> SCGraphQuotient:
         start = len(vertices)
         vertices.extend((t, i) for i in range(1, theta.weight(t) + 1))
         copies[t] = range(start, len(vertices))
-    if theta.radius == 0:
-        edges = [(k, k, 1) for k in range(len(vertices))]
-        return SCGraphQuotient(theta.rank, 0, vertices, edges)
-    edges = []
+    # No row meets the bare root of radius 0: each copy gets an x-loop.
+    edges = [] if theta.radius else [(k, k, 1) for k in range(len(vertices))]
     for gen, key, outs, ins in lens_rows(table.support(), theta.rank):
         sources: list[int] = []
         targets: list[int] = []
@@ -216,21 +207,38 @@ def realize(theta: WeightSystem) -> SCGraphQuotient:
             raise AdmissibilityError(gen, key, Fraction(len(sources)),
                                      Fraction(len(targets)))
         edges.extend(zip(sources, targets, repeat(gen)))
-    return SCGraphQuotient(theta.rank, theta.radius, vertices, edges)
+    edges.sort()
+    parent = list(range(len(vertices)))
+    for (s, d, _l) in edges:
+        rs, rd = find_root(parent, s), find_root(parent, d)
+        parent[max(rs, rd)] = min(rs, rd)
+    # Parents are less than children: in increasing order each parent
+    # already points at its root, and each component starts at its root.
+    components: dict[int, list[int]] = {}
+    for v in range(len(parent)):
+        parent[v] = root = parent[parent[v]]
+        components.setdefault(root, []).append(v)
+    component_edges: dict[int, list[tuple[int, int, int]]] = {
+        root: [] for root in components}
+    for edge in edges:
+        component_edges[parent[edge[0]]].append(edge)
+    return SCGraphQuotient(theta.rank, theta.radius, tuple(vertices),
+                           tuple(map(tuple, components.values())),
+                           list(component_edges.values()))
 
 
 def decompose(quotient: SCGraphQuotient) -> RationalCurrent:
     """One counting current per component shape, its coefficient the
     number of components of that shape, in order of first appearance.
 
-    Each component is a hull-core; components of one canonical key (the
-    one `label_isomorphic` compares) share a shape.  Its subgroup is read
-    off a spanning-tree basis at the vertex of least canonical signature.
-    Reading a different basepoint would change the subgroup only within
-    its conjugacy class, which counting currents do not see.
+    Each component is a hull-core; components of one `canonical_form`
+    share a shape.  Its subgroup is read off a spanning-tree basis at the
+    vertex of least canonical signature.  Reading a different basepoint
+    would change the subgroup only within its conjugacy class, which
+    counting currents do not see.
     """
     rank = quotient.rank
-    # The key depends only on the edges up to renumbering, and a realized
+    # The shape depends only on the edges up to renumbering, and a realized
     # quotient repeats a few such local forms over many components.
     forms: Counter = Counter()
     for comp, edges in zip(quotient.components, quotient.component_edges):
@@ -239,10 +247,10 @@ def decompose(quotient: SCGraphQuotient) -> RationalCurrent:
                                 for (s, d, l) in edges])] += 1
     shapes: Counter = Counter()
     for (n, edges), count in forms.items():
-        step = signed_adjacency(rank, n, edges)
-        shapes[n, least_bfs_encoding(rank, step, edges, range(n))] += count
-    terms = [(count, Subgroup.from_core(CoreGraph(rank, n, edges, 0)))
-             for (n, edges), count in shapes.items()]
+        shapes[canonical_form(CoreGraph(rank, n, edges, None))] += count
+    terms = [(count, Subgroup.from_core(
+                  CoreGraph(rank, hull.num_vertices, hull.edges, 0)))
+             for hull, count in shapes.items()]
     return RationalCurrent(terms, rank)
 
 

@@ -177,17 +177,6 @@ def connected_components(step: Sequence[Mapping[int, int]]
     return tuple(comps)
 
 
-def edges_by_component(components: Sequence[Sequence],
-                       edges: Iterable[tuple]) -> list[list[tuple]]:
-    """Each edge in the bucket of its source's component, in one pass;
-    a bucket keeps the edges in their given order."""
-    comp_of = {v: k for k, comp in enumerate(components) for v in comp}
-    buckets: list[list[tuple]] = [[] for _ in components]
-    for edge in edges:
-        buckets[comp_of[edge[0]]].append(edge)
-    return buckets
-
-
 def hull_on(rank: int, vertices: Sequence, edges: Iterable[tuple]
             ) -> CoreGraph:
     """One component as a hull-core, its vertices numbered in order."""
@@ -436,34 +425,27 @@ def random_cover(c: CoreGraph, degree: int, seed: int) -> CoreGraph:
     return CoreGraph(c.rank, n, edges, keep[base])
 
 
-def least_bfs_encoding(rank: int, step: Sequence[Mapping[int, int]],
-                       edges: Sequence[tuple[int, int, int]],
-                       starts: Iterable[int]) -> tuple:
-    """Least sorted edge tuple over the relabelings of a connected folded
-    graph by BFS from each start, scanning signed letters x, X, y, Y, ...;
-    `step` is the graph's `signed_adjacency`."""
-    letters = _signed_letters(rank)
+def _canonical_key(c: CoreGraph) -> tuple:
+    """(vertex count, least sorted edge tuple over the relabelings by BFS
+    from each start, scanning signed letters x, X, y, Y, ...); the starts
+    are the basepoint, or every vertex of a hull-core."""
+    if c.num_vertices == 0:
+        return (0, ())
+    letters = _signed_letters(c.rank)
 
     def encoding(start) -> tuple:
         order = {start: 0}
         queue = [start]
         for v in queue:
             for m in letters:
-                w = step[v].get(m)
+                w = c._step[v].get(m)
                 if w is not None and w not in order:
                     order[w] = len(order)
                     queue.append(w)
-        return tuple(sorted((order[s], order[d], l) for (s, d, l) in edges))
+        return tuple(sorted((order[s], order[d], l) for (s, d, l) in c.edges))
 
-    return min(map(encoding, starts))
-
-
-def _canonical_key(c: CoreGraph) -> tuple:
-    if c.num_vertices == 0:
-        return (0, ())
     starts = range(c.num_vertices) if c.basepoint is None else (c.basepoint,)
-    return (c.num_vertices,
-            least_bfs_encoding(c.rank, c._step, c.edges, starts))
+    return (c.num_vertices, min(map(encoding, starts)))
 
 
 def canonical_form(c: CoreGraph) -> CoreGraph:

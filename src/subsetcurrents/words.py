@@ -109,17 +109,27 @@ class Word(_Frozen):
         )
 
     def __mul__(self, other: "Word") -> "Word":
-        return concat(self, other)
+        """Freely reduced product; the bases must agree."""
+        if self.rank != other.rank:
+            raise BasisMismatchError(f"rank {self.rank} vs rank {other.rank}")
+        # Only the junction can cancel: peel matching inverse pairs.
+        a, b = list(self.letters), list(other.letters)
+        i = 0
+        while a and i < len(b) and a[-1] == -b[i]:
+            a.pop()
+            i += 1
+        return Word(self.rank, tuple(a) + tuple(b[i:]))
 
     def __invert__(self) -> "Word":
-        return invert(self)
+        """Reversed sequence with negated signs."""
+        return Word(self.rank, tuple(-m for m in reversed(self.letters)))
 
     def __pow__(self, n: int) -> "Word":
         if n < 0:
-            return invert(self) ** (-n)
+            return (~self) ** (-n)
         out = Word(self.rank)
         for _ in range(n):
-            out = concat(out, self)
+            out = out * self
         return out
 
     def is_identity(self) -> bool:
@@ -135,24 +145,6 @@ class Word(_Frozen):
 def reduce(letters: Iterable[int], rank: int) -> Word:
     """Freely reduce a raw signed-index sequence into a Word."""
     return Word._reduced(rank, free_reduce(_check_letters(letters, rank)))
-
-
-def concat(w1: Word, w2: Word) -> Word:
-    """Freely reduced product w1 * w2; the bases must agree."""
-    if w1.rank != w2.rank:
-        raise BasisMismatchError(f"rank {w1.rank} vs rank {w2.rank}")
-    # Only the junction can cancel: peel matching inverse pairs.
-    a, b = list(w1.letters), list(w2.letters)
-    i = 0
-    while a and i < len(b) and a[-1] == -b[i]:
-        a.pop()
-        i += 1
-    return Word(w1.rank, tuple(a) + tuple(b[i:]))
-
-
-def invert(w: Word) -> Word:
-    """Reversed sequence with negated signs."""
-    return Word(w.rank, tuple(-m for m in reversed(w.letters)))
 
 
 def cyclic_reduce(w: Word) -> tuple[Word, Word]:

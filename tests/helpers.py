@@ -20,7 +20,7 @@ from subsetcurrents.errors import (AdmissibilityError, BasisMismatchError,
                                    LetterRangeError)
 from subsetcurrents.realize import SCGraphQuotient, WeightSystem
 from subsetcurrents.stallings import (WordLike, _prune_edges,
-                                      edges_by_component)
+                                      connected_components, signed_adjacency)
 from subsetcurrents.words import _signed_letters, char_to_letter
 
 
@@ -322,6 +322,17 @@ def matching_tables(draw):
     return WeightTable(table.rank, table.radius, entries)
 
 
+def edges_by_component(components: Sequence[Sequence],
+                       edges: Sequence[tuple]) -> list[list[tuple]]:
+    """Each edge in the bucket of its source's component, in one pass;
+    a bucket keeps the edges in their given order."""
+    comp_of = {v: k for k, comp in enumerate(components) for v in comp}
+    buckets: list[list[tuple]] = [[] for _ in components]
+    for edge in edges:
+        buckets[comp_of[edge[0]]].append(edge)
+    return buckets
+
+
 # Reference oracles: the per-copy `realize` and the per-component
 # `decompose` that `realize.realize` and `realize.decompose` must match.
 # `reference_realize` must equal `realize` bit for bit; the terms of
@@ -353,10 +364,8 @@ def reference_realize(theta: WeightSystem) -> SCGraphQuotient:
         for i in range(1, theta.weight(t) + 1):
             vertices.append((t, i))
     index = {v: k for k, v in enumerate(vertices)}
-    edges: list[tuple[int, int, int]] = []
-    if theta.radius == 0:
-        edges = [(k, k, 1) for k in range(len(vertices))]
-        return SCGraphQuotient(theta.rank, 0, vertices, edges)
+    # No vertex of radius 0 reads a letter: each copy gets an x-loop.
+    edges = [] if theta.radius else [(k, k, 1) for k in range(len(vertices))]
     for gen in range(1, theta.rank + 1):
         lens = lens_ball(theta.rank, theta.radius, gen)
         out_side: dict[LensKey, list[tuple[RoundGraph, int]]] = {}
@@ -378,7 +387,13 @@ def reference_realize(theta: WeightSystem) -> SCGraphQuotient:
                                          Fraction(len(targets)))
             edges.extend((index[s], index[d], gen)
                          for s, d in zip(sources, targets))
-    return SCGraphQuotient(theta.rank, theta.radius, vertices, edges)
+    # The components by breadth-first search over the signed adjacency,
+    # which also checks that the graph is folded.
+    edges.sort()
+    components = connected_components(
+        signed_adjacency(theta.rank, len(vertices), edges))
+    return SCGraphQuotient(theta.rank, theta.radius, tuple(vertices),
+                           components, edges_by_component(components, edges))
 
 
 def reference_decompose(quotient: SCGraphQuotient) -> RationalCurrent:

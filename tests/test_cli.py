@@ -400,3 +400,18 @@ def test_computed_values_past_the_digit_cap_are_refused(tmp_path, capsys):
     assert main(["cylinders", str(sub), "--radius", "1",
                  "--coeffs", "4e4299"]) == 0
     assert "= 8" + "0" * 4299 + "\n" in capsys.readouterr().out
+
+
+def test_a_kernel_gap_past_the_digit_cap_is_a_named_error(tmp_path, capsys):
+    # Both weights are read, but the gap between the table and its nearest
+    # kernel point has more digits than str() prints: the message names
+    # the tolerance, not the gap.
+    table = tmp_path / "table.txt"
+    table.write_text("rank 2\nradius 1\ne,x,Y = 9e4299\ne,X,y = 0.5\n")
+    start = time.perf_counter()
+    assert main(["approx", str(table)]) == 1
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == \
+        "error: no kernel point within 1/1000 of the target\n"

@@ -7,10 +7,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from subsetcurrents import (RationalCurrent, RoundGraph, Subgroup, WeightTable,
-                            axis, check_matching, conjugate, concat,
+                            axis, check_matching, conjugate,
                             reduce,
                             count_round_graphs, cylinder_table, distance,
-                            enumerate_round_graphs, full_ball, invert,
+                            enumerate_round_graphs, full_ball,
                             local_ball, restrict, round_graph_from_text,
                             round_graph_to_text, table_from_text,
                             table_to_text, validate_round_graph)
@@ -213,11 +213,11 @@ def test_cylinder_table_generating_set_independence():
         if len(base) < 2:
             continue
         # two words in the host's basis, expanded to words over F
-        w1 = concat(concat(base[0], base[1]), invert(base[0]))
-        w2 = concat(base[0], base[0])
+        w1 = base[0] * base[1] * ~base[0]
+        w2 = base[0] * base[0]
         sub = Subgroup([w1, w2], 2)
         regenerated = Subgroup.from_core(sub.core)
-        nielsen = Subgroup([concat(w1, w2), w2], 2)
+        nielsen = Subgroup([w1 * w2, w2], 2)
         for r in (1, 2):
             reference = cylinder_table(RationalCurrent.eta(sub), r)
             assert cylinder_table(RationalCurrent.eta(regenerated), r) == \

@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 
 import pytest
@@ -13,8 +14,9 @@ from subsetcurrents import (MatchingSystem, RationalCurrent, RoundGraph,
                             enumerate_round_graphs, full_ball, integerize,
                             matching_system, realize, verify_realization)
 from subsetcurrents.errors import AdmissibilityError
-from subsetcurrents.realize import SCGraphQuotient, WeightSystem
-from subsetcurrents.stallings import _canonical_key
+from subsetcurrents.realize import WeightSystem
+from subsetcurrents.stallings import (_canonical_key, connected_components,
+                                      signed_adjacency)
 
 from helpers import (TWO_ROWS_PER_GENERATOR, current_tables,
                      matching_tables, random_current,
@@ -106,7 +108,7 @@ def test_realize_axis_weight_gives_x_loop():
     theta = WeightSystem(WeightTable(2, 1, {X_AXIS: 1}))
     quotient = realize(theta)
     assert len(quotient.vertices) == 1
-    assert quotient.edges == ((0, 0, 1),)
+    assert quotient.component_edges == [[(0, 0, 1)]]
     current = decompose(quotient)
     assert len(current.terms) == 1
     assert current.terms[0][1].equals(Subgroup(["x"], 2))
@@ -117,7 +119,7 @@ def test_realize_full_star_gives_rose():
     theta = WeightSystem(WeightTable(2, 1, {FULL_STAR: 1}))
     quotient = realize(theta)
     assert len(quotient.vertices) == 1
-    assert quotient.edges == ((0, 0, 1), (0, 0, 2))
+    assert quotient.component_edges == [[(0, 0, 1), (0, 0, 2)]]
     current = decompose(quotient)
     assert current.terms[0][1].equals(Subgroup.full(2))
     assert verify_realization(theta, current)
@@ -139,7 +141,7 @@ def test_realize_is_deterministic():
     theta = system_of(random_current(random.Random(8)), 2)
     a, b = realize(theta), realize(theta)
     assert a.vertices == b.vertices
-    assert a.edges == b.edges
+    assert a.component_edges == b.component_edges
     assert a.components == b.components
 
 
@@ -202,20 +204,6 @@ def test_round_trip_rank_three():
         assert verify_realization(theta, decompose(realize(theta)))
 
 
-def test_quotient_invariants_enforced():
-    with pytest.raises(ValueError):
-        SCGraphQuotient(2, 1, [(X_AXIS, 1)], [])  # missing the x edges
-    with pytest.raises(ValueError):
-        SCGraphQuotient(2, 1, [(X_AXIS, 1), (X_AXIS, 2)],
-                        [(0, 0, 1), (1, 0, 1)])  # two incoming x at vertex 0
-    with pytest.raises(ValueError, match="missing vertex"):
-        SCGraphQuotient(2, 1, [(X_AXIS, 1)], [(0, 0, 1), (-1, 0, 1)])
-    with pytest.raises(ValueError, match="out of range for rank 2"):
-        SCGraphQuotient(2, 1, [(X_AXIS, 1)], [(0, 0, 1), (0, 0, 3)])
-    q = SCGraphQuotient(2, 1, [(X_AXIS, 1)], [(0, 0, 1)])
-    assert len(q.components) == 1
-
-
 @st.composite
 def weight_systems(draw):
     """Admissible integer tables: the integerized cylinder table of a
@@ -232,8 +220,38 @@ def weight_systems(draw):
 def test_realize_matches_reference(theta):
     quotient, reference = realize(theta), reference_realize(theta)
     assert quotient.vertices == reference.vertices
-    assert quotient.edges == reference.edges
     assert quotient.components == reference.components
+    assert quotient.component_edges == reference.component_edges
+
+
+@settings(deadline=None, max_examples=60)
+@given(weight_systems())
+@example(WeightSystem(WeightTable(2, 0, {RoundGraph(2, 0, [()]): 3})))
+def test_realized_quotient_satisfies_its_invariants(theta):
+    # The quotient stores what `realize` builds: it must be folded, each
+    # copy must read exactly its round-graph's letters, every degree must
+    # be >= 2, and the components must partition the copies, sorted and in
+    # order of least vertex, each holding both ends of its edges.
+    quotient = realize(theta)
+    n = len(quotient.vertices)
+    step = signed_adjacency(quotient.rank, n,
+                            chain(*quotient.component_edges))
+    for (t, _copy), letters in zip(quotient.vertices, step):
+        if quotient.radius >= 1:
+            assert letters.keys() == {w[0] for w in t.words if len(w) == 1}
+        assert len(letters) >= 2
+    components = quotient.components
+    assert sorted(chain(*components)) == list(range(n))
+    assert all(comp and list(comp) == sorted(comp) for comp in components)
+    assert [comp[0] for comp in components] == \
+        sorted(comp[0] for comp in components)
+    assert len(quotient.component_edges) == len(components)
+    for comp, edges in zip(components, quotient.component_edges):
+        members = set(comp)
+        assert all(s in members and d in members for (s, d, _l) in edges)
+    # Each part is closed under edges, so as many parts as connected
+    # components means each part is connected.
+    assert len(connected_components(step)) == len(components)
 
 
 @settings(deadline=None, max_examples=60)
@@ -274,8 +292,8 @@ def test_realize_raises_the_reference_first_violation(table):
                               for v in table.entries.values())))
     expected = reference_check_matching(table)
     if not expected:
-        assert realize(WeightSystem(table)).edges == \
-            reference_realize(WeightSystem(table)).edges
+        assert realize(WeightSystem(table)).component_edges == \
+            reference_realize(WeightSystem(table)).component_edges
         return
     with pytest.raises(AdmissibilityError) as err:
         realize(WeightSystem(table))

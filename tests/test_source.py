@@ -76,23 +76,43 @@ def _calls(node: ast.AST, name: str) -> bool:
                for n in ast.walk(node))
 
 
-def test_only_the_cylinders_report_calls_check_matching():
-    # Each matching row is checked once, where it is used: `realize` raises
-    # the first violated row and `rational_kernel_point` checks every
-    # residual, so no value is checked again on its way between them.  Only
-    # the CLI's `cylinders` report lists the violations of a table.
+def _callers(name: str) -> list[str]:
+    """Each package function that calls `name`, as file:function, and
+    file:<module> for each call outside every function."""
     callers = []
     for path, tree in package_trees():
         functions = [node for node in ast.walk(tree)
                      if isinstance(node, ast.FunctionDef)]
         inner = {id(n) for f in functions for n in ast.walk(f)}
         callers.extend(f"{path.name}:{f.name}" for f in functions
-                       if _calls(f, "check_matching"))
+                       if _calls(f, name))
         callers.extend(f"{path.name}:<module>" for node in ast.walk(tree)
                        if id(node) not in inner
                        and isinstance(node, ast.Call)
-                       and _calls(node, "check_matching"))
-    assert callers == ["cli.py:_cmd_cylinders"]
+                       and _calls(node, name))
+    return callers
+
+
+def test_only_the_cylinders_report_calls_check_matching():
+    # Each matching row is checked once, where it is used: `realize` raises
+    # the first violated row and `rational_kernel_point` checks every
+    # residual, so no value is checked again on its way between them.  Only
+    # the CLI's `cylinders` report lists the violations of a table.
+    assert _callers("check_matching") == ["cli.py:_cmd_cylinders"]
+
+
+def test_each_class_stored_as_given_has_one_builder():
+    # `SCGraphQuotient` and `ProductGraph` store their fields unchecked,
+    # because the one function that builds each proves them by how it
+    # builds them; a second builder would bring in fields nothing proved.
+    assert _callers("SCGraphQuotient") == ["realize.py:realize"]
+    assert _callers("ProductGraph") == ["fiber.py:fiber_product"]
+    # `realize` builds its components by union-find, with no adjacency
+    # pass, no breadth-first search and no second shape key.
+    (tree,) = [tree for path, tree in package_trees()
+               if path.name == "realize.py"]
+    assert {"signed_adjacency", "connected_components",
+            "least_bfs_encoding"}.isdisjoint(_names(tree))
 
 
 def _calls_object_setattr_on_self(cls: ast.ClassDef) -> bool:

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subsetcurrents import (CoreGraph, LabeledGraph, Subgroup, Word, basis_of,
-                            canonical_form, concat, conjugate, contains,
+                            canonical_form, conjugate, contains,
                             core_from_generators, finite_index, fold,
-                            graph_from_text, graph_to_text, hull_core, invert,
+                            graph_from_text, graph_to_text, hull_core,
                             label_isomorphic, parse_word, random_cover,
                             random_finite_cover, reduce, reduced_rank,
                             subgroup_from_text, subgroup_to_text)
@@ -190,15 +190,15 @@ def generator_lists(draw):
         if kind == "repeat":
             gens.append(a)
         elif kind == "inverse":
-            gens.append(invert(a))
+            gens.append(~a)
         elif kind == "power":
             gens.append(a ** draw(st.integers(2, 4)))
         elif kind == "conjugate":
-            gens.append(concat(concat(b, a), invert(b)))
+            gens.append(b * a * ~b)
         elif kind == "prefix":
-            gens.append(concat(a, b))
+            gens.append(a * b)
         elif kind == "suffix":
-            gens.append(concat(b, a))
+            gens.append(b * a)
         else:
             gens.append(Word(rank))
     return gens, rank
@@ -279,7 +279,7 @@ def test_contains_bfs_products_oracle():
             w = reduce([], 2)
             for c in combo:
                 g = gens[abs(c) - 1]
-                w = concat(w, g if c > 0 else invert(g))
+                w = w * (g if c > 0 else ~g)
             elements.add(w)
     c = core_from_generators(["xy", "xY"], 2)
     for w in elements:
@@ -308,7 +308,7 @@ def test_contains_accepts_short_generator_products():
             for c in combo:
                 if c:
                     g = gens[abs(c) - 1]
-                    w = concat(w, g if c > 0 else invert(g))
+                    w = w * (g if c > 0 else ~g)
             assert sub.contains(w)
 
 
@@ -332,7 +332,7 @@ def test_finite_index_against_coset_enumeration():
     for length in range(5):
         for combo in product([1, -1, 2, -2], repeat=length):
             w = reduce(combo, 2)
-            if all(not sub.contains(concat(w, invert(r)))
+            if all(not sub.contains(w * ~r)
                    for r in representatives):
                 representatives.append(w)
     assert len(representatives) == 2
@@ -361,7 +361,7 @@ def test_conjugate_membership():
         g = random_word(rng, 2, 3)
         moved = conjugate(sub.core, g)
         w = random_word(rng, 2, 4)
-        assert contains(moved, concat(concat(g, w), invert(g))) == \
+        assert contains(moved, g * w * ~g) == \
             contains(sub.core, w)
 
 

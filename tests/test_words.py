@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 import subsetcurrents
 from subsetcurrents import (CoreGraph, MatchingSystem,
                             RationalCurrent, Subgroup, WeightTable, Word,
-                            axis, concat, cyclic_reduce, cylinder_table,
-                            fiber_product, format_word, integerize, invert,
+                            axis, cyclic_reduce, cylinder_table,
+                            fiber_product, format_word, integerize,
                             parse_word, realize, reduce)
 from subsetcurrents.errors import BasisMismatchError, LetterRangeError
 from subsetcurrents.words import (MAX_RANK, enumerate_reduced_words,
@@ -76,20 +76,20 @@ def test_reduce_equals_the_checked_constructor(case):
 
 
 def test_concat_examples():
-    assert concat(reduce([1], 2), reduce([-1], 2)).letters == ()
-    assert concat(Word(2), reduce([2], 2)).letters == (2,)
-    assert concat(reduce([1, 2], 2), reduce([-2, -1, 2], 2)).letters == (2,)
+    assert (reduce([1], 2) * reduce([-1], 2)).letters == ()
+    assert (Word(2) * reduce([2], 2)).letters == (2,)
+    assert (reduce([1, 2], 2) * reduce([-2, -1, 2], 2)).letters == (2,)
 
 
 def test_concat_rejects_basis_mismatch():
     with pytest.raises(BasisMismatchError):
-        concat(Word(2, (1,)), Word(3, (1,)))
+        Word(2, (1,)) * Word(3, (1,))
 
 
 def test_invert_examples():
-    assert invert(reduce([1, 2], 2)).letters == (-2, -1)
-    assert invert(Word(2)).letters == ()
-    assert invert(reduce([-1], 2)).letters == (1,)
+    assert (~reduce([1, 2], 2)).letters == (-2, -1)
+    assert (~Word(2)).letters == ()
+    assert (~reduce([-1], 2)).letters == (1,)
 
 
 def test_cyclic_reduce_examples():
@@ -165,30 +165,30 @@ def test_reduce_is_idempotent(ls):
 
 @given(words(), words(), words())
 def test_concat_is_associative(a, b, c):
-    assert concat(concat(a, b), c) == concat(a, concat(b, c))
+    assert (a * b) * c == a * (b * c)
 
 
 @given(words())
 def test_identity_is_two_sided(w):
     e = Word(2)
-    assert concat(e, w) == w == concat(w, e)
+    assert e * w == w == w * e
 
 
 @given(words())
 def test_invert_is_involution(w):
-    assert invert(invert(w)) == w
-    assert concat(w, invert(w)).is_identity()
+    assert ~~w == w
+    assert (w * ~w).is_identity()
 
 
 @given(words(), words())
 def test_invert_is_antihomomorphism(a, b):
-    assert invert(concat(a, b)) == concat(invert(b), invert(a))
+    assert ~(a * b) == ~b * ~a
 
 
 @given(words())
 def test_cyclic_reduce_roundtrip(w):
     core, conj = cyclic_reduce(w)
-    assert concat(conj, concat(core, invert(conj))) == w
+    assert conj * (core * ~conj) == w
     assert core.is_identity() == w.is_identity()
     if not core.is_identity():
         assert core.letters[0] != -core.letters[-1]
