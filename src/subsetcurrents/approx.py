@@ -2,12 +2,17 @@
 
 The matching equations form an integer homogeneous system; any
 nonnegative real solution can be approximated, coordinate support
-preserved, by a nonnegative rational solution.  This module does that
-exactly: fraction-free elimination gives a rational kernel basis and
-solves the normal equations projecting the target orthogonally onto it,
-and coordinates forced negative are zeroed inductively (they can only be
+preserved, by a nonnegative rational solution.  This module finds one
+exactly, smallest denominators first.  For q = 1, 2, ..., SCAN_BOUND it
+rounds the target to the nearest multiples of 1/q and keeps the first
+rounding that is nonzero, within the tolerance and a solution of every
+row in plain integers.  When no q passes, the orthogonal projection is
+the last step: fraction-free elimination gives a rational kernel basis
+and solves the normal equations projecting the target onto it, and
+coordinates forced negative are zeroed inductively (they can only be
 noise below the tolerance).  Scaling by the least common denominator
-then yields an admissible integer weight system.
+then yields an admissible integer weight system, whose scale M divides
+q when the scan found the point.
 
 The second half builds the rank-2 subgroup families G_n (index n,
 generated by x, y^n and the conjugates y^i x y^-i) and H_n (the same
@@ -19,7 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .errors import InfeasibleKernelError
 from .cylinders import (RationalCurrent, WeightTable, cylinder_table,
@@ -31,6 +36,7 @@ from .words import Word
 Rational = Union[Fraction, int]
 
 FLOAT_DENOMINATOR_BOUND = 10 ** 6
+SCAN_BOUND = 16
 
 
 def rationalize(value) -> Fraction:
@@ -117,17 +123,54 @@ def _project_onto_kernel(basis: list[list[Fraction]],
             for i in range(len(target))]
 
 
+def _rounded_kernel_point(rows: list[list[tuple[int, int]]],
+                          u: Sequence[Fraction], eps: Fraction
+                          ) -> Optional[tuple[Fraction, ...]]:
+    """k/q for the least q <= SCAN_BOUND at which k, the nearest integers
+    to q.u, is nonzero (unless u is), within q.eps of q.u in every
+    coordinate and a solution of every sparse row (j, c) in integers;
+    None when no q passes.  All arithmetic is on integers."""
+    pairs = [(x.numerator, x.denominator) for x in u]
+    e_num, e_den = eps.numerator, eps.denominator
+    nonzero = any(u)
+    for q in range(1, SCAN_BOUND + 1):
+        ks = []
+        for a, b in pairs:
+            k = (2 * q * a + b) // (2 * b)
+            # |a/b - k/q| < eps  <=>  |q.a - k.b| . e_den < q . e_num . b
+            if abs(q * a - k * b) * e_den >= q * e_num * b:
+                break
+            ks.append(k)
+        else:
+            if (any(ks) or not nonzero) and all(
+                    sum(c * ks[j] for j, c in row) == 0 for row in rows):
+                return tuple(Fraction(k, q) for k in ks)
+    return None
+
+
 def rational_kernel_point(matrix: Iterable[Iterable[int]],
                           target: Iterable[Rational], tolerance: Rational
                           ) -> tuple[Fraction, ...]:
     """A nonnegative rational v with A.v = 0 and ||u - v||_inf < eps, for
     the integer matrix A, the nonnegative target u and the tolerance eps.
 
-    Coordinates of the target equal to 0 stay 0.  Coordinates whose
-    projection comes out negative are zeroed and the projection repeated,
-    but only while the target there is below the tolerance; a coordinate
-    both large and forced negative means the support admits no nearby
-    kernel point.  Every row's residual is checked last.
+    Small denominators come first: for q = 1, ..., SCAN_BOUND, with k the
+    nearest integers to q.u, the answer is k/q at the first q where k is
+    nonzero (unless u is), every |u_i - k_i/q| < eps and every row sums
+    to 0 over k.  That integer row sum is the one kernel check of k/q,
+    since c.k = 0 exactly when c.(k/q) = 0.
+
+    When no q passes, v is the orthogonal projection of u onto the
+    kernel.  Coordinates of the target equal to 0 stay 0.  Coordinates
+    whose projection comes out negative are zeroed and the projection
+    repeated, but only while the target there is below the tolerance; a
+    coordinate both large and forced negative means the support admits
+    no nearby kernel point.  The projection's gap and every row's
+    residual are checked last.
+
+    Either way u_i = 0 gives v_i = 0 and u_i >= eps gives v_i > 0, since
+    v_i is within eps of u_i: only coordinates below the tolerance can
+    leave the support.
     """
     matrix = [tuple(map(int, row)) for row in matrix]
     u = tuple(map(Fraction, target))
@@ -139,6 +182,10 @@ def rational_kernel_point(matrix: Iterable[Iterable[int]],
         raise ValueError("target must be nonnegative")
     if eps <= 0:
         raise ValueError("tolerance must be positive")
+    rows = [[(j, c) for j, c in enumerate(row) if c] for row in matrix]
+    rounded = _rounded_kernel_point(rows, u, eps)
+    if rounded is not None:
+        return rounded
     support = [i for i in range(n) if u[i] > 0]
     v = [Fraction(0)] * n
     while support:
@@ -166,8 +213,8 @@ def rational_kernel_point(matrix: Iterable[Iterable[int]],
     if gap >= eps:
         raise InfeasibleKernelError(
             f"no kernel point within {eps} of the target")
-    for row in matrix:
-        residual = sum(c * x for c, x in zip(row, v) if c)
+    for row in rows:
+        residual = sum(c * v[j] for j, c in row)
         if residual != 0:
             raise InfeasibleKernelError(
                 f"projection left the kernel: a row evaluates to {residual}")

@@ -3,6 +3,7 @@ the test modules."""
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -17,7 +18,7 @@ from subsetcurrents.cylinders import (LensKey, RationalCurrent, RoundGraph,
                                       lens_ball, lens_keys, local_ball,
                                       translate_words, word_key)
 from subsetcurrents.errors import (AdmissibilityError, BasisMismatchError,
-                                   LetterRangeError)
+                                   InfeasibleKernelError, LetterRangeError)
 from subsetcurrents.realize import SCGraphQuotient, WeightSystem
 from subsetcurrents.stallings import (WordLike, _prune_edges,
                                       connected_components, signed_adjacency)
@@ -48,6 +49,15 @@ def random_current(rng: random.Random, rank: int = 2, max_terms: int = 3,
               random_subgroup(rng, rank, max_len=max_len))
              for _ in range(rng.randint(1, max_terms))]
     return RationalCurrent(terms, rank)
+
+
+def noised_floats(table: WeightTable, rng: random.Random
+                  ) -> dict[RoundGraph, float]:
+    """Each weight of an exact table as a float times 1 + a uniform
+    relative noise below 1e-6, the way the benchmark's repair items are
+    made."""
+    return {t: float(v) * (1 + rng.uniform(-1e-6, 1e-6))
+            for t, v in table.entries.items()}
 
 
 def reference_round_graph_key(t: RoundGraph) -> tuple:
@@ -539,3 +549,89 @@ def reference_solve_rational(gram: list[list[Fraction]], rhs: list[Fraction]
                 factor = aug[i][c]
                 aug[i] = [a - factor * b for a, b in zip(aug[i], aug[c])]
     return [aug[i][n] for i in range(n)]
+
+
+# Reference oracles for the kernel repair: the rounding scan over dense
+# Fraction rows, and the orthogonal projection through a Gauss-Jordan
+# kernel basis.  The projection onto a subspace does not depend on the
+# basis chosen, so `rational_kernel_point` must match both exactly.
+
+def reference_scan(matrix: Sequence[Sequence[int]],
+                   target: Sequence[Fraction], tolerance: Fraction,
+                   bound: int) -> Optional[tuple[Fraction, ...]]:
+    """The rounding k/q of the target, k_i = floor(q.u_i + 1/2), at the
+    least q <= bound where it is nonzero (unless the target is), within
+    the tolerance and in the kernel; None when no q passes."""
+    for q in range(1, bound + 1):
+        v = [Fraction(math.floor(q * x + Fraction(1, 2)), q) for x in target]
+        gap = max((abs(x - y) for x, y in zip(target, v)), default=0)
+        if ((any(v) or not any(target)) and gap < tolerance
+                and all(sum(c * x for c, x in zip(row, v)) == 0
+                        for row in matrix)):
+            return tuple(v)
+    return None
+
+
+def reference_nullspace(matrix: Sequence[Sequence[int]], width: int
+                        ) -> list[list[Fraction]]:
+    """A kernel basis by Gauss-Jordan elimination over Fraction, one
+    vector per free column."""
+    rows = [[Fraction(x) for x in row] for row in matrix]
+    pivots: list[int] = []
+    for c in range(width):
+        r = len(pivots)
+        p = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                factor = rows[i][c]
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+    basis = []
+    for f in (c for c in range(width) if c not in pivots):
+        vec = [Fraction(0)] * width
+        vec[f] = Fraction(1)
+        for k, c in enumerate(pivots):
+            vec[c] = -rows[k][f]
+        basis.append(vec)
+    return basis
+
+
+def reference_projection(matrix: Sequence[Sequence[int]],
+                         target: Sequence[Fraction], tolerance: Fraction
+                         ) -> tuple[Fraction, ...]:
+    """The orthogonal projection of the target onto the kernel over its
+    support; coordinates that come out negative are dropped from the
+    support while the target there is below the tolerance, and the
+    projection repeated.  Raises InfeasibleKernelError where
+    `rational_kernel_point` must."""
+    n = len(target)
+    support = [i for i in range(n) if target[i] > 0]
+    v = [Fraction(0)] * n
+    while support:
+        basis = reference_nullspace([[row[i] for i in support]
+                                     for row in matrix], len(support))
+        if not basis:
+            raise InfeasibleKernelError("trivial kernel on the support")
+        sub = [target[i] for i in support]
+        gram = [[sum(a * b for a, b in zip(x, y)) for y in basis]
+                for x in basis]
+        rhs = [sum(a * b for a, b in zip(x, sub)) for x in basis]
+        coeffs = reference_solve_rational(gram, rhs)
+        proj = [sum(c * x[k] for c, x in zip(coeffs, basis))
+                for k in range(len(support))]
+        negatives = [support[k] for k, x in enumerate(proj) if x < 0]
+        if not negatives:
+            for k, i in enumerate(support):
+                v[i] = proj[k]
+            break
+        drop = [i for i in negatives if target[i] < tolerance]
+        if not drop:
+            raise InfeasibleKernelError("negative beyond tolerance")
+        support = [i for i in support if i not in drop]
+    if max((abs(x - y) for x, y in zip(target, v)), default=0) >= tolerance:
+        raise InfeasibleKernelError("no kernel point within tolerance")
+    return tuple(v)

@@ -17,7 +17,8 @@ from subsetcurrents.cylinders import WeightTable, table_from_text
 from subsetcurrents.errors import InfeasibleKernelError
 from subsetcurrents.realize import MatchingSystem, matching_system
 
-from helpers import random_current, reference_solve_rational
+from helpers import (noised_floats, random_current, reference_projection,
+                     reference_scan, reference_solve_rational)
 
 
 def test_rationalize():
@@ -52,8 +53,17 @@ def test_kernel_point_passthrough_when_already_in_kernel():
 
 
 def test_kernel_point_zero_matrix():
-    assert rational_kernel_point([], [Fraction(1, 7), Fraction(0)],
-                                 Fraction(1, 10)) == (Fraction(1, 7), 0)
+    # The least q whose rounding of 1/7 is nonzero and within eps: q = 7
+    # at eps = 1/100, but q = 5 at eps = 1/10 (|1/7 - 1/5| = 2/35).
+    target = [Fraction(1, 7), Fraction(0)]
+    assert rational_kernel_point([], target, Fraction(1, 100)) == \
+        (Fraction(1, 7), 0)
+    assert rational_kernel_point([], target, Fraction(1, 10)) == \
+        (Fraction(1, 5), 0)
+    # The least q wins, not the nearest rounding: 1 misses 7/10 by 3/10,
+    # and q = 2 would give 1/2, which misses it by only 1/5.
+    assert rational_kernel_point([], [Fraction(7, 10)], Fraction(1, 3)) \
+        == (1,)
 
 
 def test_kernel_point_projects_perturbed_current_table():
@@ -63,12 +73,19 @@ def test_kernel_point_projects_perturbed_current_table():
     system = MatchingSystem(2, 1, table.support())
     target = system.vector_of(table)
     target[0] += Fraction(1, 10 ** 9)
-    v = rational_kernel_point(system.matrix(), target, Fraction(1, 1000))
+    # Every rounding misses by exactly 10**-9, so at that tolerance only
+    # the projection, which misses by half as much, is near enough.
+    eps = Fraction(1, 10 ** 9)
+    v = rational_kernel_point(system.matrix(), target, eps)
     for row in system.matrix():
         assert sum(c * x for c, x in zip(row, v)) == 0
     assert all(x >= 0 for x in v)
-    assert max(abs(a - b) for a, b in zip(v, target)) < Fraction(1, 1000)
+    assert max(abs(a - b) for a, b in zip(v, target)) < eps
     assert v[0] == v[1] == 1 + Fraction(1, 2 * 10 ** 9)
+    # A wider tolerance takes the rounding at q = 1: the table itself.
+    v = rational_kernel_point(system.matrix(), target, Fraction(1, 1000))
+    assert v[0] == v[1] == 1
+    assert list(v) == system.vector_of(table)
 
 
 def test_kernel_point_float_derived_mixture():
@@ -82,6 +99,16 @@ def test_kernel_point_float_derived_mixture():
     v = rational_kernel_point(system.matrix(), system.vector_of(floats),
                               Fraction(1, 1000))
     assert list(v) == system.vector_of(exact)
+
+
+def test_kernel_point_refuses_the_zero_rounding():
+    # Every q <= SCAN_BOUND rounds these weights of 1/1000 to 0, a kernel
+    # point within eps; it is no weight system, so the projection answers.
+    table = cylinder_table(RationalCurrent.eta(Subgroup(["x"], 2)),
+                           1).scale(Fraction(1, 1000))
+    theta, scale, exact = approximate_table(table, Fraction(1, 100))
+    assert exact == table
+    assert scale == 1000 and theta.table == table.scale(1000)
 
 
 def test_kernel_point_preserves_zero_coordinates():
@@ -134,6 +161,23 @@ def test_kernel_point_is_a_nearby_nonnegative_kernel_point(problem):
     for row in matrix:
         assert sum(c * x for c, x in zip(row, v)) == 0
     assert max(abs(a - b) for a, b in zip(target, v)) < tolerance
+
+
+@settings(deadline=None, max_examples=100)
+@given(nudged_kernel_problems())
+def test_kernel_point_is_the_rounding_at_the_least_q(problem):
+    # The rounding at the least admissible q <= SCAN_BOUND, and the
+    # orthogonal projection only when no such q exists.
+    matrix, target, tolerance = problem
+    expected = reference_scan(matrix, target, tolerance, approx.SCAN_BOUND)
+    if expected is None:
+        try:
+            expected = reference_projection(matrix, target, tolerance)
+        except InfeasibleKernelError:
+            with pytest.raises(InfeasibleKernelError):
+                rational_kernel_point(matrix, target, tolerance)
+            return
+    assert rational_kernel_point(matrix, target, tolerance) == expected
 
 
 @st.composite
@@ -200,6 +244,29 @@ def test_approximate_table_accepts_exact_current_tables():
         theta, scale, exact = approximate_table(table, Fraction(1, 10 ** 6))
         assert exact == table
         assert theta.table == table.scale(scale)
+
+
+@pytest.mark.parametrize("radius", [2, 3])
+def test_noised_integer_table_repairs_to_itself_and_realizes(radius):
+    subs = [Subgroup(gens, 2) for gens in (["xy", "yxY"], ["xx", "y"],
+                                            ["xyXY"], ["xYxxy"])]
+    exact = cylinder_table(RationalCurrent(
+        [(Fraction(1), sub) for sub in subs], 2), radius)
+    noisy = WeightTable(2, radius, noised_floats(exact, random.Random(radius)))
+    theta, scale, repaired = approximate_table(noisy, Fraction(1, 100))
+    assert scale == 1 and repaired == exact and theta.table == exact
+    assert verify_realization(theta, decompose(realize(theta)))
+
+
+def test_noised_thirds_repair_at_q_3():
+    # (1/3) * (eta_F + 2 * eta_<x>) at r = 2
+    current = (RationalCurrent.full(2)
+               + RationalCurrent.eta(Subgroup(["x"], 2)).scale(2))
+    exact = cylinder_table(current.scale(Fraction(1, 3)), 2)
+    noisy = WeightTable(2, 2, noised_floats(exact, random.Random(3)))
+    theta, scale, repaired = approximate_table(noisy, Fraction(1, 100))
+    assert scale == 3 and repaired == exact
+    assert theta.table == exact.scale(3)
 
 
 def test_subgroup_Hn_structure():

@@ -1,12 +1,16 @@
+import random
 import time
 from fractions import Fraction
 
 from subsetcurrents import (Subgroup, cylinder_table, graph_from_text,
-                            label_isomorphic, subgroup_from_text,
-                            subgroup_to_text, table_from_text, table_to_text)
+                            label_isomorphic, round_graph_to_text,
+                            subgroup_from_text, subgroup_to_text,
+                            table_from_text, table_to_text)
 from subsetcurrents.cli import _check_ball, main
 from subsetcurrents.cylinders import RationalCurrent
 from subsetcurrents.errors import AdmissibilityError
+
+from helpers import noised_floats
 
 
 def write_sub(tmp_path, name, gens, rank=2):
@@ -113,6 +117,27 @@ def test_approx_command(tmp_path, capsys):
     assert out.startswith("M = ")
     theta = table_from_text(out_path.read_text())
     assert theta.is_integral()
+
+
+def test_approx_output_realizes(tmp_path, capsys):
+    # A float table like a benchmark repair item: radius 3, weights of
+    # integer currents, each off by a relative noise below 1e-6.
+    subs = [Subgroup(gens, 2) for gens in (["xy", "yxY"], ["xx", "y"],
+                                            ["xyXY"])]
+    exact = cylinder_table(RationalCurrent(
+        [(Fraction(1), sub) for sub in subs], 2), 3)
+    noisy = tmp_path / "noisy.txt"
+    noisy.write_text("rank 2\nradius 3\n" + "".join(
+        f"{round_graph_to_text(t)} = {value!r}\n"
+        for t, value in noised_floats(exact, random.Random(1)).items()))
+    theta = tmp_path / "th.txt"
+    assert main(["approx", str(noisy), "--epsilon", "1/100",
+                 "--out", str(theta)]) == 0
+    assert capsys.readouterr().out == "M = 1\n"
+    assert table_from_text(theta.read_text()) == exact
+    assert main(["realize", str(theta),
+                 "--outdir", str(tmp_path / "out")]) == 0
+    assert "verified = true" in capsys.readouterr().out.splitlines()
 
 
 def test_converge_command(capsys):

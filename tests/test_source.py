@@ -115,6 +115,16 @@ def test_each_class_stored_as_given_has_one_builder():
             "least_bfs_encoding"}.isdisjoint(_names(tree))
 
 
+def test_kernel_repair_rounds_without_floats():
+    # The repair is exact end to end.  `float(` or `math.floor`/`ceil`
+    # is how a float shortcut would enter the rounding scan, and a float
+    # q.u_i can round to the wrong k_i near a half or past 2**53.
+    (tree,) = [tree for path, tree in package_trees()
+               if path.name == "approx.py"]
+    assert [name for name in ("float", "floor", "ceil")
+            if _calls(tree, name)] == []
+
+
 def _calls_object_setattr_on_self(cls: ast.ClassDef) -> bool:
     return any(isinstance(n, ast.Call)
                and isinstance(n.func, ast.Attribute)
