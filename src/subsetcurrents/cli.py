@@ -12,6 +12,7 @@ import argparse
 import math
 import re
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -89,8 +90,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # Most round-graphs `cylinders --enumerate` lists, most letters one ball
-# B(id, radius), one input's words or one H_n of `converge` spell, and
-# most quotient vertices (units of total weight) `realize` builds.
+# B(id, radius), one input's words or one H_n of `converge` spell, most
+# quotient vertices (units of total weight) `realize` builds, and most
+# edges of the fiber product `intersect` joins.
 SIZE_CAP = 10 ** 6
 
 # Most digits, its decimal exponent included, of a number read: Python's
@@ -164,6 +166,12 @@ def _cmd_member(args) -> int:
 def _cmd_intersect(args) -> int:
     left = stallings.subgroup_from_text(_capped(args.left))
     right = stallings.subgroup_from_text(_capped(args.right))
+    # The join lists one edge per pair of same-label hull edges.
+    per_label = Counter(l for (_s, _d, l) in right.hull.edges)
+    pairs = sum(per_label[l] for (_s, _d, l) in left.hull.edges)
+    if pairs > SIZE_CAP:
+        raise ValueError(f"refusing the fiber product of {pairs} edges "
+                         f"above the cap of {SIZE_CAP}")
     product = fiber.fiber_product(left.hull, right.hull)
     n = sum(max(e - v, 0) for (v, e) in product.component_stats())
     bound = left.reduced_rank() * right.reduced_rank()

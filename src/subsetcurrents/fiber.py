@@ -14,12 +14,11 @@ basepoint's component of core x core.
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import accumulate, chain, compress
 from typing import Union
 
 from .errors import BasisMismatchError
-from .stallings import (CoreGraph, Subgroup, find_root, hull_on,
-                        _prune_edges)
+from .stallings import CoreGraph, Subgroup, hull_on
 from .words import _Frozen, _signed_letters
 
 Pair = tuple[int, int]
@@ -63,8 +62,10 @@ def fiber_product(a_graph: CoreGraph, b_graph: CoreGraph) -> ProductGraph:
     Each pair of an l-edge of A and an l-edge of B is a product edge, so
     the join costs sum over labels l of |A_l| * |B_l|.  A pair (a, b) is
     coded a * |V(B)| + b, which orders codes as pairs, so the sorted codes
-    decode straight into the product's final order; union-find joins each
-    edge's ends under the least root, the component's least pair.
+    decode straight into the product's final order.  Union-find hangs the
+    greater of two roots under the lesser, so every parent is less than
+    its child and each component's root is its least pair, whether that
+    pair is an edge's source or only a target.
     """
     if a_graph.rank != b_graph.rank:
         raise BasisMismatchError(
@@ -75,21 +76,35 @@ def fiber_product(a_graph: CoreGraph, b_graph: CoreGraph) -> ProductGraph:
     b_by_label: dict[int, list[tuple[int, int]]] = {}
     for (s, d, l) in b_graph.edges:
         b_by_label.setdefault(l, []).append((s, d))
-    coded = sorted((sa * width + sb, da * width + db, l)
-                   for (sa, da, l) in a_graph.edges
+    coded = sorted((sw + sb, dw + db, l)
+                   for (sw, dw, l) in [(sa * width, da * width, l)
+                                       for (sa, da, l) in a_graph.edges]
                    for (sb, db) in b_by_label.get(l, ()))
-    parent = {v: v for (s, d, _l) in coded for v in (s, d)}
+    parent: dict[int, int] = {}
     for (s, d, _l) in coded:
-        rs, rd = find_root(parent, s), find_root(parent, d)
-        parent[max(rs, rd)] = min(rs, rd)
-    # Parents are less than children: in increasing order each parent
-    # already points at its root, and each component starts at its root.
+        parent[s] = s
+        parent[d] = d
+    for (s, d, _l) in coded:
+        # Find both roots, halving each path, then join them.
+        while s != (p := parent[s]):
+            parent[s] = s = parent[p]
+        while d != (p := parent[d]):
+            parent[d] = d = parent[p]
+        if s < d:
+            parent[d] = s
+        elif d < s:
+            parent[s] = d
+    # In increasing order each parent already points at its root, and
+    # each component starts at its root.
     pair: dict[int, Pair] = {}
     components: dict[int, list[Pair]] = {}
     for v in sorted(parent):
         parent[v] = root = parent[parent[v]]
         pair[v] = p = divmod(v, width)
-        components.setdefault(root, []).append(p)
+        if root == v:
+            components[v] = [p]
+        else:
+            components[root].append(p)
     component_edges: dict[int, list[tuple[Pair, Pair, int]]] = {
         root: [] for root in components}
     for (s, d, l) in coded:
@@ -97,27 +112,6 @@ def fiber_product(a_graph: CoreGraph, b_graph: CoreGraph) -> ProductGraph:
     del coded, parent           # freed before the fields are copied
     return ProductGraph(a_graph.rank, tuple(map(tuple, components.values())),
                         list(component_edges.values()))
-
-
-def _product_component(a_core: CoreGraph, b_core: CoreGraph
-                       ) -> tuple[list[Pair], list[tuple[Pair, Pair, int]]]:
-    """The basepoints' product component in breadth-first order over
-    signed letters x, X, y, Y, ..., and its edges."""
-    a_step, b_step = a_core._step, b_core._step
-    comp = [(a_core.basepoint, b_core.basepoint)]
-    seen = set(comp)
-    edges: list[tuple[Pair, Pair, int]] = []
-    for v in comp:
-        a_out, b_out = a_step[v[0]], b_step[v[1]]
-        for m in _signed_letters(a_core.rank):
-            if m in a_out and m in b_out:
-                w = (a_out[m], b_out[m])
-                if m > 0:           # each edge once, from its source
-                    edges.append((v, w, m))
-                if w not in seen:
-                    seen.add(w)
-                    comp.append(w)
-    return comp, edges
 
 
 HullLike = Union[Subgroup, CoreGraph]
@@ -138,15 +132,73 @@ def shnc_margin(h: Subgroup, k: Subgroup) -> tuple[int, int]:
 
 
 def intersection(h: Subgroup, k: Subgroup) -> Subgroup:
-    """The subgroup H intersect K, via the basepointed fiber product."""
+    """The subgroup H intersect K, via the basepointed fiber product.
+
+    The basepoints' component of core x core is walked breadth-first over
+    pair codes a * |V(K)| + b, scanning signed letters x, X, y, Y, ...;
+    each vertex keeps its row, a map from signed letter to walk id.  The
+    prune runs on those rows, and the survivors, renumbered in walk order,
+    give the sorted edges and the signed adjacency directly.  The core is
+    stored unchecked: the walk reaches one component, the product of two
+    folded cores is folded, the prune leaves every vertex but the
+    basepoint with degree at least 2, and the edges are sorted.
+    """
     if h.rank != k.rank:
         raise BasisMismatchError(f"rank {h.rank} vs rank {k.rank}")
-    comp, edges = _product_component(h.core, k.core)
-    # The product of two folded graphs is folded: only the prune is left.
-    ids = {v: n for n, v in enumerate(comp)}
-    n, core_edges, _ = _prune_edges(
-        len(comp), [(ids[s], ids[d], l) for (s, d, l) in edges], 0)
-    return Subgroup.from_core(CoreGraph(h.rank, n, core_edges, 0))
+    a_core, b_core = h.core, k.core
+    width = b_core.num_vertices
+    letters = _signed_letters(h.rank)
+    # Each vertex of A's letters in scan order, its neighbours pre-scaled.
+    a_reads = [[(m, out[m] * width) for m in letters if m in out]
+               for out in a_core._step]
+    b_step = b_core._step
+    start = a_core.basepoint * width + b_core.basepoint
+    walk = [start]
+    ids = {start: 0}
+    rows: list[dict[int, int]] = []
+    for v in walk:
+        a, b = divmod(v, width)
+        b_out = b_step[b]
+        row = {}
+        for (m, aw) in a_reads[a]:
+            if m in b_out:
+                code = aw + b_out[m]
+                j = ids.get(code)
+                if j is None:
+                    j = ids[code] = len(walk)
+                    walk.append(code)
+                row[m] = j
+        rows.append(row)
+    del a_reads, walk, ids
+    # Delete degree-<=1 vertices but the basepoint, as `_prune_edges`
+    # does; a loop reads two letters, so it adds 2 to the degree.
+    degree = list(map(len, rows))
+    alive = [True] * len(rows)
+    queue = [i for i in range(1, len(rows)) if degree[i] <= 1]
+    while queue:
+        i = queue.pop()
+        alive[i] = False
+        for j in rows[i].values():
+            if alive[j]:
+                degree[j] -= 1
+                if degree[j] == 1 and j:
+                    queue.append(j)
+    new_id = [n - 1 for n in accumulate(alive)]
+    edges = []
+    step = []
+    for i in compress(range(len(rows)), alive):
+        s = len(step)
+        out = {}
+        for m, j in rows[i].items():
+            if alive[j]:
+                out[m] = d = new_id[j]
+                if m > 0:
+                    edges.append((s, d, m))
+        step.append(out)
+    del rows, alive, new_id     # freed before the basis is built
+    edges.sort()
+    return Subgroup.from_core(
+        CoreGraph._proved(h.rank, len(step), tuple(edges), 0, step))
 
 
 def component_census(product: ProductGraph) -> tuple[int, int, int]:

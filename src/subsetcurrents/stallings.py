@@ -98,6 +98,24 @@ class CoreGraph(_Frozen):
         object.__setattr__(self, "_hash",
                            hash((rank, num_vertices, edges, basepoint)))
 
+    @classmethod
+    def _proved(cls, rank: int, num_vertices: int,
+                edges: tuple[tuple[int, int, int], ...],
+                basepoint: Optional[int],
+                step: list[dict[int, int]]) -> "CoreGraph":
+        """A CoreGraph from fields its builder proved: `edges` sorted and
+        `step` their signed adjacency, of a folded connected graph whose
+        vertices but the basepoint have degree at least 2."""
+        c = object.__new__(cls)
+        object.__setattr__(c, "rank", rank)
+        object.__setattr__(c, "num_vertices", num_vertices)
+        object.__setattr__(c, "edges", edges)
+        object.__setattr__(c, "basepoint", basepoint)
+        object.__setattr__(c, "_step", step)
+        object.__setattr__(c, "_hash",
+                           hash((rank, num_vertices, edges, basepoint)))
+        return c
+
     def __eq__(self, other) -> bool:
         return (isinstance(other, CoreGraph)
                 and self.rank == other.rank
@@ -373,7 +391,10 @@ def basis_of(c: CoreGraph) -> list[Word]:
     """Spanning-tree free basis: one word per non-tree edge."""
     if c.basepoint is None:
         raise ValueError("basis extraction needs a basepointed core")
-    path: dict[int, tuple[int, ...]] = {c.basepoint: ()}
+    # Each vertex's tree path from the basepoint, and that path inverted.
+    path: list = [None] * c.num_vertices
+    inverse: list = [None] * c.num_vertices
+    path[c.basepoint] = inverse[c.basepoint] = ()
     order = [c.basepoint]
     tree: set[tuple[int, int, int]] = set()
     letters = _signed_letters(c.rank)
@@ -381,18 +402,15 @@ def basis_of(c: CoreGraph) -> list[Word]:
         out = c._step[v]
         for letter in letters:
             w = out.get(letter)
-            if w is not None and w not in path:
+            if w is not None and path[w] is None:
                 path[w] = path[v] + (letter,)
+                inverse[w] = (-letter,) + inverse[v]
                 order.append(w)
                 tree.add((v, w, letter) if letter > 0 else (w, v, -letter))
-    words = []
-    for (s, d, l) in c.edges:
-        if (s, d, l) not in tree:
-            # Tree paths are reduced, and neither junction can cancel in a
-            # folded core: that would make (s, d, l) a tree edge.
-            words.append(Word._reduced(c.rank, path[s] + (l,) + tuple(
-                -m for m in reversed(path[d]))))
-    return words
+    # Tree paths are reduced, and neither junction can cancel in a folded
+    # core: that would make (s, d, l) a tree edge.
+    return [Word._reduced(c.rank, path[s] + (l,) + inverse[d])
+            for (s, d, l) in c.edges if (s, d, l) not in tree]
 
 
 def random_finite_cover(rank: int, degree: int, seed: int) -> CoreGraph:

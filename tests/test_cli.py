@@ -2,6 +2,8 @@ import random
 import time
 from fractions import Fraction
 
+import pytest
+
 from subsetcurrents import (Subgroup, cylinder_table, graph_from_text,
                             label_isomorphic, round_graph_to_text,
                             subgroup_from_text, subgroup_to_text,
@@ -276,6 +278,30 @@ def test_converge_refuses_an_n_above_the_cap(capsys, monkeypatch):
         assert main(["converge", "--radius", "1", "--ns", ns]) == 1
         err = one_line_refusal(capsys)
         assert "H_n spells" in err and "above the cap of 1000000" in err
+
+
+def test_intersect_refuses_a_product_above_the_cap(tmp_path, capsys,
+                                                  monkeypatch):
+    class Joined(Exception):
+        pass
+
+    def joined(*args):
+        raise Joined
+
+    monkeypatch.setattr("subsetcurrents.fiber.fiber_product", joined)
+    # <x^4000> and <x^4001> have 4,000- and 4,001-cycle hulls, whose join
+    # would list 16,004,000 x-edges.
+    a = write_sub(tmp_path, "a.txt", ["x^4000"])
+    b = write_sub(tmp_path, "b.txt", ["x^4001"])
+    assert main(["intersect", str(a), str(b)]) == 1
+    err = one_line_refusal(capsys)
+    assert "16004000 edges" in err and "cap of 1000000" in err
+    # The count is per label: 1000 * 999 x-edges plus 1000 * 1 y-edges is
+    # exactly the cap, though the hulls have 2,000 and 1,000 edges.
+    a = write_sub(tmp_path, "a.txt", ["x^1000", "y^1000"])
+    b = write_sub(tmp_path, "b.txt", ["x^999", "y"])
+    with pytest.raises(Joined):
+        main(["intersect", str(a), str(b)])
 
 
 def test_ball_cap_admits_every_radius_of_the_old_default():

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import chain, product as iter_product
 
 import pytest
@@ -11,9 +12,9 @@ from subsetcurrents import (CoreGraph, LabeledGraph, Subgroup, Word,
                             label_isomorphic, product_rank,
                             random_finite_cover, reduce, shnc_margin)
 from subsetcurrents.errors import BasisMismatchError
-from subsetcurrents.fiber import _product_component
 
-from helpers import (random_subgroup, random_word, reference_basis_of,
+from helpers import (_reference_product_component, random_subgroup,
+                     random_word, reference_basis_of,
                      reference_fiber_product, reference_intersection_core)
 
 ROSE_HULL = CoreGraph(2, 1, [(0, 0, 1), (0, 0, 2)], None)
@@ -72,6 +73,19 @@ def test_product_of_disjoint_labels_is_empty():
         assert p.vertices == () and p.components == ()
         assert p.component_edges == []
         assert component_census(p) == (0, 0, 0)
+    # Two 2,000-vertex cycles with no label in common: the join lists no
+    # edge, so nothing of size |V(A)|*|V(B)| = 4e6 may be allocated (a
+    # table of 4e6 one-byte slots alone would take 4 MB).
+    x_cycle, y_cycle = (Subgroup([w], 2).hull for w in ("x^2000", "y^2000"))
+    assert x_cycle.num_vertices == y_cycle.num_vertices == 2000
+    tracemalloc.start()
+    try:
+        p = fiber_product(x_cycle, y_cycle)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (p.components, p.component_edges) == ((), [])
+    assert peak < 10 ** 6
 
 
 def test_product_with_an_empty_hull_is_empty():
@@ -194,6 +208,9 @@ def test_intersection_equals_reference(pair):
     meet = intersection(h, k)
     core = reference_intersection_core(h, k)
     assert meet.core == core
+    # `==` ignores the stored adjacency, which the constructor derives.
+    assert meet.core._step == CoreGraph(core.rank, core.num_vertices,
+                                        meet.core.edges, 0)._step
     assert list(meet.generators) == reference_basis_of(core)
     for c in (h.core, k.core, core):
         basis = basis_of(c)
@@ -208,7 +225,9 @@ def test_intersection_core_is_the_folded_product(pair):
     # The basepointed product of two folded cores is already folded, so
     # pruning it alone gives what folding it would.
     h, k = pair
-    comp, edges = _product_component(h.core, k.core)
+    edges = set()
+    comp = _reference_product_component(
+        h.core, k.core, (h.core.basepoint, k.core.basepoint), set(), edges)
     ids = {v: n for n, v in enumerate(comp)}
     raw = LabeledGraph(h.rank, len(comp),
                        [(ids[s], ids[d], l) for (s, d, l) in edges], 0)

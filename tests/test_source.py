@@ -102,11 +102,14 @@ def test_only_the_cylinders_report_calls_check_matching():
 
 
 def test_each_class_stored_as_given_has_one_builder():
-    # `SCGraphQuotient` and `ProductGraph` store their fields unchecked,
-    # because the one function that builds each proves them by how it
-    # builds them; a second builder would bring in fields nothing proved.
+    # `SCGraphQuotient`, `ProductGraph` and the `CoreGraph` of an
+    # intersection store their fields unchecked, because the one function
+    # that builds each proves them by how it builds them; a second builder
+    # would bring in fields nothing proved.  Every other `CoreGraph` runs
+    # the public constructor's checks.
     assert _callers("SCGraphQuotient") == ["realize.py:realize"]
     assert _callers("ProductGraph") == ["fiber.py:fiber_product"]
+    assert _callers("_proved") == ["fiber.py:intersection"]
     # `realize` builds its components by union-find, with no adjacency
     # pass, no breadth-first search and no second shape key.
     (tree,) = [tree for path, tree in package_trees()
