@@ -24,8 +24,8 @@ from .cylinders import (RationalCurrent, RoundGraph, WeightTable, axis,
                         round_graph_from_text, round_graph_to_text,
                         table_from_text, table_to_text,
                         validate_round_graph)
-from .realize import (MatchingSystem, SCGraphQuotient, WeightSystem,
-                      decompose, matching_system, realize, verify_realization)
+from .realize import (SCGraphQuotient, WeightSystem, decompose, realize,
+                      verify_realization)
 from .approx import (approximate_table, convergence_run, integerize,
                      nullspace_basis, rational_kernel_point, rationalize,
                      subgroup_Gn, subgroup_Hn)

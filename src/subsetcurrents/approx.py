@@ -27,9 +27,9 @@ from math import lcm
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import InfeasibleKernelError
-from .cylinders import (RationalCurrent, WeightTable, cylinder_table,
-                        distance)
-from .realize import MatchingSystem, WeightSystem
+from .cylinders import (RationalCurrent, RoundGraph, WeightTable,
+                        cylinder_table, distance, lens_rows)
+from .realize import WeightSystem
 from .stallings import Subgroup
 from .words import Word
 
@@ -231,6 +231,27 @@ def integerize(table: WeightTable) -> tuple[WeightSystem, int]:
     return WeightSystem(table.scale(scale)), scale
 
 
+def _matching_matrix(columns: Sequence[RoundGraph], rank: int
+                     ) -> list[list[int]]:
+    """The matching equations over `columns` as integer rows, in
+    `lens_rows` order: row (u, J) carries +1 on its `outs` columns and -1
+    on its `ins` columns, a column on both sides nets to 0, and a row left
+    empty is dropped.  Admissible vectors over the columns are exactly the
+    nonnegative kernel points, since the rows of the full system that meet
+    no column vanish on them identically."""
+    index = {t: j for j, t in enumerate(columns)}
+    matrix = []
+    for _gen, _key, outs, ins in lens_rows(columns, rank):
+        row = [0] * len(columns)
+        for t in outs:
+            row[index[t]] += 1
+        for t in ins:
+            row[index[t]] -= 1
+        if any(row):
+            matrix.append(row)
+    return matrix
+
+
 def approximate_table(table: WeightTable, tolerance: Rational
                       ) -> tuple[WeightSystem, int, WeightTable]:
     """Full pipeline: rationalize, repair to the kernel, integerize.
@@ -239,14 +260,10 @@ def approximate_table(table: WeightTable, tolerance: Rational
     kernel table within `tolerance` of the input (sup-norm over
     round-graphs) and theta = M * exact.
     """
-    snapped = WeightTable(table.rank, table.radius,
-                          {t: rationalize(v)
-                           for t, v in table.entries.items()})
-    system = MatchingSystem(snapped.rank, snapped.radius, snapped.support())
-    v = rational_kernel_point(system.matrix(), system.vector_of(snapped),
-                              tolerance)
-    exact = WeightTable(snapped.rank, snapped.radius,
-                        {t: v[j] for j, t in enumerate(system.columns)})
+    snapped = {t: rationalize(v) for t, v in table.entries.items()}
+    v = rational_kernel_point(_matching_matrix(list(snapped), table.rank),
+                              snapped.values(), tolerance)
+    exact = WeightTable(table.rank, table.radius, dict(zip(snapped, v)))
     theta, scale = integerize(exact)
     return theta, scale, exact
 

@@ -253,6 +253,7 @@ def _cmd_cylinders(args) -> int:
 
 def _cmd_realize(args) -> int:
     table = cyl.table_from_text(_capped(args.table))
+    _check_ball(table.rank, table.radius)
     total = table.total()
     if total > SIZE_CAP:
         # str() has a digit limit, so a long total is named by its digit
@@ -285,6 +286,7 @@ def _cmd_realize(args) -> int:
 
 def _cmd_approx(args) -> int:
     table = cyl.table_from_text(_capped(args.table))
+    _check_ball(table.rank, table.radius)
     eps = _parse_fraction(_capped("--epsilon", args.epsilon))
     theta, scale, _exact = approx_mod.approximate_table(table, eps)
     _check_digits("the repaired table", [scale, *theta.table.entries.values()])
@@ -298,7 +300,7 @@ def _cmd_approx(args) -> int:
 
 
 def _cmd_converge(args) -> int:
-    ns = [int(x) for x in args.ns.split(",") if x.strip()]
+    ns = [int(x) for x in _capped("--ns", args.ns).split(",") if x.strip()]
     for n in ns:            # H_n's generators: y^n, y^i x y^-i (0 < i < n)
         if n * n + n - 1 > SIZE_CAP:
             raise ValueError(f"refusing n = {n}: H_n spells {n * n + n - 1} "

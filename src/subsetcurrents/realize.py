@@ -15,12 +15,11 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from itertools import repeat
-from typing import Sequence
 
 from .errors import AdmissibilityError
 from .cylinders import (RationalCurrent, RoundGraph, WeightTable,
-                        cylinder_table, enumerate_round_graphs, lens_rows)
-from .stallings import (CoreGraph, Subgroup, canonical_form, find_root,
+                        cylinder_table, lens_rows)
+from .stallings import (CoreGraph, Subgroup, _canonical_key, find_root,
                         hull_on)
 from .words import _Frozen
 
@@ -57,75 +56,6 @@ class WeightSystem(_Frozen):
 
     def __repr__(self) -> str:
         return f"WeightSystem({self.table!r})"
-
-
-class MatchingSystem(_Frozen):
-    """The lens-balance equations as an integer matrix over round-graphs.
-
-    Row (u, J) of `lens_rows` carries +1 on its `outs` columns and -1
-    on its `ins` columns; a column on both sides nets to 0, and a row
-    left empty is dropped.  Admissible vectors are exactly the
-    nonnegative kernel points.
-
-    The columns may be any set of round-graphs, such as a table's
-    support: a vector on them lies in the kernel of the full system iff
-    it lies in this one's, since the rows not meeting the columns vanish
-    on it identically.
-    """
-
-    __slots__ = ("rank", "radius", "columns", "column_index", "rows")
-
-    def __init__(self, rank: int, radius: int,
-                 columns: Sequence[RoundGraph]):
-        columns = tuple(sorted(columns))
-        index = {t: j for j, t in enumerate(columns)}
-        cleaned = []
-        for gen, key, outs, ins in lens_rows(columns, rank):
-            signs = dict.fromkeys(map(index.__getitem__, outs), 1)
-            for j in map(index.__getitem__, ins):
-                signs[j] = signs.get(j, 0) - 1
-            entries = {j: c for j, c in sorted(signs.items()) if c}
-            if entries:
-                cleaned.append(((gen, key), entries))
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "radius", radius)
-        object.__setattr__(self, "columns", columns)
-        object.__setattr__(self, "column_index", index)
-        object.__setattr__(self, "rows", tuple(cleaned))
-
-    def matrix(self) -> list[list[int]]:
-        out = []
-        for _key, entries in self.rows:
-            row = [0] * len(self.columns)
-            for j, c in entries.items():
-                row[j] = c
-            out.append(row)
-        return out
-
-    def vector_of(self, table: WeightTable) -> list[Fraction]:
-        """The table as a coordinate vector over this system's columns."""
-        if any(t not in self.column_index for t in table.support()):
-            raise ValueError("table support is not covered by the columns")
-        vec = [Fraction(0)] * len(self.columns)
-        for t in table.support():
-            vec[self.column_index[t]] = table[t]
-        return vec
-
-    def residuals(self, table: WeightTable) -> list[Fraction]:
-        """Row values A.x for the table's coordinate vector."""
-        vec = self.vector_of(table)
-        return [sum((c * vec[j] for j, c in entries.items()), Fraction(0))
-                for _key, entries in self.rows]
-
-    def __repr__(self) -> str:
-        return (f"MatchingSystem(rank={self.rank}, radius={self.radius}, "
-                f"{len(self.rows)} rows x {len(self.columns)} columns)")
-
-
-def matching_system(rank: int, radius: int) -> MatchingSystem:
-    """The full system over every round-graph at this radius."""
-    columns = list(enumerate_round_graphs(rank, radius))
-    return MatchingSystem(rank, radius, columns)
 
 
 class SCGraphQuotient(_Frozen):
@@ -231,11 +161,12 @@ def decompose(quotient: SCGraphQuotient) -> RationalCurrent:
     """One counting current per component shape, its coefficient the
     number of components of that shape, in order of first appearance.
 
-    Each component is a hull-core; components of one `canonical_form`
-    share a shape.  Its subgroup is read off a spanning-tree basis at the
-    vertex of least canonical signature.  Reading a different basepoint
-    would change the subgroup only within its conjugacy class, which
-    counting currents do not see.
+    Each component is a hull-core; components of one canonical key (the
+    numbering `canonical_form` stores) share a shape.  One core per shape,
+    based at that numbering's vertex 0, the vertex of least canonical
+    signature, gives its subgroup by a spanning-tree basis.  Reading a
+    different basepoint would change the subgroup only within its
+    conjugacy class, which counting currents do not see.
     """
     rank = quotient.rank
     # The shape depends only on the edges up to renumbering, and a realized
@@ -247,10 +178,9 @@ def decompose(quotient: SCGraphQuotient) -> RationalCurrent:
                                 for (s, d, l) in edges])] += 1
     shapes: Counter = Counter()
     for (n, edges), count in forms.items():
-        shapes[canonical_form(CoreGraph(rank, n, edges, None))] += count
-    terms = [(count, Subgroup.from_core(
-                  CoreGraph(rank, hull.num_vertices, hull.edges, 0)))
-             for hull, count in shapes.items()]
+        shapes[_canonical_key(CoreGraph(rank, n, edges, None))] += count
+    terms = [(count, Subgroup.from_core(CoreGraph(rank, n, edges, 0)))
+             for (n, edges), count in shapes.items()]
     return RationalCurrent(terms, rank)
 
 

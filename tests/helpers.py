@@ -223,9 +223,9 @@ def reference_cylinder_table(current: RationalCurrent, radius: int
 
 
 # Reference oracles: the per-generator `check_matching` and the
-# per-column `MatchingSystem` row builder, each grouping the matching
-# rows on its own, that `cylinders.check_matching` and
-# `realize.MatchingSystem` (both read `cylinders.lens_rows`) must match
+# per-column row builder of the matching matrix, each grouping the
+# matching rows on its own, that `cylinders.check_matching` and
+# `approx._matching_matrix` (both read `cylinders.lens_rows`) must match
 # row for row and in order.  A violation is (generator, lens, lhs, rhs).
 
 def reference_check_matching(table: WeightTable

@@ -7,15 +7,16 @@ from hypothesis import strategies as st
 
 from subsetcurrents import (RationalCurrent, Subgroup,
                             approximate_table, check_matching,
-                            convergence_run, cylinder_table, finite_index,
+                            convergence_run, cylinder_table,
+                            enumerate_round_graphs, finite_index,
                             full_ball, integerize, nullspace_basis,
                             rational_kernel_point, rationalize, realize,
                             decompose, subgroup_Gn, subgroup_Hn,
                             verify_realization)
 from subsetcurrents import approx
+from subsetcurrents.approx import _matching_matrix
 from subsetcurrents.cylinders import WeightTable, table_from_text
 from subsetcurrents.errors import InfeasibleKernelError
-from subsetcurrents.realize import MatchingSystem, matching_system
 
 from helpers import (noised_floats, random_current, reference_projection,
                      reference_scan, reference_solve_rational)
@@ -70,22 +71,22 @@ def test_kernel_point_projects_perturbed_current_table():
     # the cylinder vector of eta_<xy> at r=1, nudged off the kernel
     sub = Subgroup(["xy"], 2)
     table = cylinder_table(RationalCurrent.eta(sub), 1)
-    system = MatchingSystem(2, 1, table.support())
-    target = system.vector_of(table)
+    matrix = _matching_matrix(table.support(), 2)
+    target = list(table.entries.values())
     target[0] += Fraction(1, 10 ** 9)
     # Every rounding misses by exactly 10**-9, so at that tolerance only
     # the projection, which misses by half as much, is near enough.
     eps = Fraction(1, 10 ** 9)
-    v = rational_kernel_point(system.matrix(), target, eps)
-    for row in system.matrix():
+    v = rational_kernel_point(matrix, target, eps)
+    for row in matrix:
         assert sum(c * x for c, x in zip(row, v)) == 0
     assert all(x >= 0 for x in v)
     assert max(abs(a - b) for a, b in zip(v, target)) < eps
     assert v[0] == v[1] == 1 + Fraction(1, 2 * 10 ** 9)
     # A wider tolerance takes the rounding at q = 1: the table itself.
-    v = rational_kernel_point(system.matrix(), target, Fraction(1, 1000))
+    v = rational_kernel_point(matrix, target, Fraction(1, 1000))
     assert v[0] == v[1] == 1
-    assert list(v) == system.vector_of(table)
+    assert list(v) == list(table.entries.values())
 
 
 def test_kernel_point_float_derived_mixture():
@@ -95,10 +96,9 @@ def test_kernel_point_float_derived_mixture():
     exact = cylinder_table(full + ex.scale(2), 1).scale(Fraction(1, 3))
     floats = WeightTable(2, 1, {t: rationalize(float(v))
                                 for t, v in exact.entries.items()})
-    system = MatchingSystem(2, 1, floats.support())
-    v = rational_kernel_point(system.matrix(), system.vector_of(floats),
-                              Fraction(1, 1000))
-    assert list(v) == system.vector_of(exact)
+    v = rational_kernel_point(_matching_matrix(floats.support(), 2),
+                              floats.entries.values(), Fraction(1, 1000))
+    assert list(v) == [exact[t] for t in floats.support()]
 
 
 def test_kernel_point_refuses_the_zero_rounding():
@@ -138,14 +138,13 @@ def nudged_kernel_problems(draw):
     current = random_current(random.Random(draw(st.integers(0, 2 ** 32))))
     radius = draw(st.integers(1, 2))
     table = cylinder_table(current, radius)
-    system = MatchingSystem(2, radius, table.support())
     nudge = st.builds(Fraction, st.integers(-9, 9),
                       st.sampled_from((10, 10 ** 3, 10 ** 6)))
     target = [max(x + draw(nudge), Fraction(0))
-              for x in system.vector_of(table)]
+              for x in table.entries.values()]
     tolerance = draw(st.sampled_from((Fraction(1, 10), Fraction(1, 100),
                                       Fraction(1, 10 ** 4))))
-    return system.matrix(), target, tolerance
+    return _matching_matrix(table.support(), 2), target, tolerance
 
 
 @settings(deadline=None, max_examples=60)
@@ -349,16 +348,17 @@ def test_integerized_kernel_points_feed_realize():
     rng = random.Random(31)
     for _ in range(5):
         table = cylinder_table(random_current(rng), 1)
-        system = MatchingSystem(2, 1, table.support())
-        v = rational_kernel_point(system.matrix(), system.vector_of(table),
-                                  Fraction(1, 1000))
-        repaired = WeightTable(2, 1, {t: v[j]
-                                      for j, t in enumerate(system.columns)})
+        v = rational_kernel_point(_matching_matrix(table.support(), 2),
+                                  table.entries.values(), Fraction(1, 1000))
+        repaired = WeightTable(2, 1, dict(zip(table.support(), v)))
         theta, _scale = integerize(repaired)
         assert verify_realization(theta, decompose(realize(theta)))
 
 
 def test_full_matching_system_residuals_at_r2():
     table = cylinder_table(RationalCurrent.eta(Subgroup(["xy", "yxY"], 2)), 2)
-    ms = matching_system(2, 2)
-    assert all(x == 0 for x in ms.residuals(table))
+    columns = list(enumerate_round_graphs(2, 2))
+    vec = [table[t] for t in columns]
+    assert all(sum(c * vec[j] for j, c in enumerate(row) if c) == 0
+               for row in _matching_matrix(columns, 2))
+    assert check_matching(table) == []

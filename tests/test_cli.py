@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from subsetcurrents import (Subgroup, cylinder_table, graph_from_text,
-                            label_isomorphic, round_graph_to_text,
-                            subgroup_from_text, subgroup_to_text,
-                            table_from_text, table_to_text)
+from subsetcurrents import (Subgroup, WeightTable, axis, cylinder_table,
+                            graph_from_text, label_isomorphic,
+                            round_graph_to_text, subgroup_from_text,
+                            subgroup_to_text, table_from_text,
+                            table_to_text)
 from subsetcurrents.cli import _check_ball, main
 from subsetcurrents.cylinders import RationalCurrent
 from subsetcurrents.errors import AdmissibilityError
@@ -229,14 +230,24 @@ def test_ball_cap_refuses_before_counting_or_tracing(tmp_path, capsys,
                         unreachable)
     monkeypatch.setattr("subsetcurrents.cylinders.cylinder_table",
                         unreachable)
+    monkeypatch.setattr("subsetcurrents.cylinders.lens_ball", unreachable)
     path = write_sub(tmp_path, "x.txt", ["x"])
+    # One axis weight at radius 13 is a 231-byte file, but its matching
+    # rows would enumerate the ball B(id, 13) of about 3.2 million words.
+    table = tmp_path / "axis13.txt"
+    table.write_text(table_to_text(WeightTable(2, 13, {axis(2, 1, 13): 1})))
+    assert len(table.read_bytes()) == 231
     for argv in (["cylinders", "--radius", "1000000", "--enumerate"],
                  ["cylinders", str(path), "--radius", "1000000"],
                  ["converge", "--radius", "1000000", "--ns", "2"],
-                 ["cylinders", "--radius", "10", "--enumerate"]):
+                 ["cylinders", "--radius", "10", "--enumerate"],
+                 ["realize", str(table), "--outdir", str(tmp_path / "out")],
+                 ["approx", str(table), "--out", str(tmp_path / "t.txt")]):
         assert main(argv) == 1
         err = one_line_refusal(capsys)
         assert "its ball holds more than the cap of 1000000 letters" in err
+    assert not (tmp_path / "out" / "report.txt").exists()
+    assert not (tmp_path / "t.txt").exists()
 
 
 def test_parsed_words_are_capped_before_parsing(tmp_path, capsys,
@@ -278,6 +289,15 @@ def test_converge_refuses_an_n_above_the_cap(capsys, monkeypatch):
         assert main(["converge", "--radius", "1", "--ns", ns]) == 1
         err = one_line_refusal(capsys)
         assert "H_n spells" in err and "above the cap of 1000000" in err
+
+
+def test_converge_refuses_an_n_past_the_digit_cap(capsys):
+    # int() of a 5,000-digit n would end in Python's own digit-limit
+    # message; the CLI names the cap before any conversion.
+    assert main(["converge", "--radius", "1", "--ns",
+                 "2," + "9" * 5000]) == 1
+    assert "refusing --ns: a number in it spells more than the cap of " \
+        "4300 digits" in one_line_refusal(capsys)
 
 
 def test_intersect_refuses_a_product_above_the_cap(tmp_path, capsys,

@@ -8,11 +8,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from subsetcurrents import (MatchingSystem, RationalCurrent, RoundGraph,
-                            Subgroup, WeightTable, axis, canonical_form,
+from subsetcurrents import (RationalCurrent, RoundGraph, Subgroup,
+                            WeightTable, axis, canonical_form,
                             check_matching, cylinder_table, decompose,
                             enumerate_round_graphs, full_ball, integerize,
-                            matching_system, realize, verify_realization)
+                            realize, verify_realization)
+from subsetcurrents.approx import _matching_matrix
+from subsetcurrents.cylinders import lens_rows
 from subsetcurrents.errors import AdmissibilityError
 from subsetcurrents.realize import WeightSystem
 from subsetcurrents.stallings import (_canonical_key, connected_components,
@@ -71,37 +73,57 @@ def test_realize_reports_the_first_violated_row():
                                    first.rhs)
 
 
+ROUND_GRAPHS_R1 = list(enumerate_round_graphs(2, 1))
+
+
+def row_values(matrix, columns, table):
+    """Row values A.x for the table as a vector over the columns."""
+    vec = [table[t] for t in columns]
+    return [sum(c * vec[j] for j, c in enumerate(row) if c)
+            for row in matrix]
+
+
+def in_full_kernel_r1(table):
+    """True iff the table solves the full radius-1 system and
+    `check_matching` finds no violated row."""
+    matrix = _matching_matrix(ROUND_GRAPHS_R1, 2)
+    return (all(x == 0 for x in row_values(matrix, ROUND_GRAPHS_R1, table))
+            and check_matching(table) == [])
+
+
 def test_matching_system_shape_r1():
-    ms = matching_system(2, 1)
-    assert len(ms.columns) == 11
-    assert len(ms.rows) == 2
-    keys = [key for key, _entries in ms.rows]
-    assert keys == [(1, ((), (1,))), (2, ((), (2,)))]
+    matrix = _matching_matrix(ROUND_GRAPHS_R1, 2)
+    assert len(ROUND_GRAPHS_R1) == 11
+    assert len(matrix) == 2 and all(len(row) == 11 for row in matrix)
+    # Row (u, J) is +1 where T holds u, -1 where it holds u^-1, and 0
+    # where it holds both; one lens class per generator at radius 1.
+    for gen, row in zip((1, 2), matrix):
+        assert row == [((gen,) in t.word_set) - ((-gen,) in t.word_set)
+                       for t in ROUND_GRAPHS_R1]
+    assert [(gen, key) for gen, key, _outs, _ins
+            in lens_rows(ROUND_GRAPHS_R1, 2)] == [(1, ((), (1,))),
+                                                  (2, ((), (2,)))]
 
 
 def test_matching_system_kernel_contains_current_tables():
     rng = random.Random(3)
-    ms = matching_system(2, 1)
-    assert all(x == 0 for x in ms.residuals(
-        WeightTable(2, 1, {})))  # the zero vector
+    assert in_full_kernel_r1(WeightTable(2, 1, {}))  # the zero vector
     for _ in range(10):
-        table = cylinder_table(random_current(rng), 1)
-        assert all(x == 0 for x in ms.residuals(table))
+        assert in_full_kernel_r1(cylinder_table(random_current(rng), 1))
 
 
 def test_matching_system_unit_axis_vector_in_kernel():
-    ms = matching_system(2, 1)
-    assert all(x == 0 for x in ms.residuals(WeightTable(2, 1, {X_AXIS: 1})))
+    assert in_full_kernel_r1(WeightTable(2, 1, {X_AXIS: 1}))
 
 
 def test_support_system_matches_full_system():
     rng = random.Random(5)
-    full = matching_system(2, 1)
     for _ in range(10):
         table = cylinder_table(random_current(rng), 1)
-        sub = MatchingSystem(2, 1, table.support())
-        assert all(x == 0 for x in sub.residuals(table))
-        assert all(x == 0 for x in full.residuals(table))
+        columns = table.support()
+        sub = _matching_matrix(columns, 2)
+        assert all(x == 0 for x in row_values(sub, columns, table))
+        assert in_full_kernel_r1(table)
 
 
 def test_realize_axis_weight_gives_x_loop():
@@ -277,10 +299,14 @@ def test_decompose_groups_reference_terms(theta):
 @given(matching_tables())
 @example(TWO_ROWS_PER_GENERATOR)
 def test_support_system_rows_match_reference(table):
-    system = MatchingSystem(table.rank, table.radius, table.support())
-    expected = reference_matching_rows(table.rank, system.columns)
-    assert [(key, list(entries.items())) for key, entries in system.rows] \
-        == [(key, list(entries.items())) for key, entries in expected]
+    columns = table.support()
+    expected = []
+    for _key, entries in reference_matching_rows(table.rank, columns):
+        row = [0] * len(columns)
+        for j, c in entries.items():
+            row[j] = c
+        expected.append(row)
+    assert _matching_matrix(columns, table.rank) == expected
 
 
 @settings(deadline=None, max_examples=100)

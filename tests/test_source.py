@@ -51,7 +51,8 @@ def _names(node: ast.AST):
 
 def test_only_lens_rows_reads_lens_keys():
     # The matching rows are grouped in one place, `cylinders.lens_rows`;
-    # check_matching, MatchingSystem and realize read the rows from it.
+    # check_matching, realize and approx._matching_matrix read the rows
+    # from it.
     readers = []
     for path, tree in package_trees():
         scopes = [node for node in ast.walk(tree)
@@ -99,6 +100,16 @@ def test_only_the_cylinders_report_calls_check_matching():
     # residual, so no value is checked again on its way between them.  Only
     # the CLI's `cylinders` report lists the violations of a table.
     assert _callers("check_matching") == ["cli.py:_cmd_cylinders"]
+
+
+def test_lens_rows_has_one_reader_per_use():
+    # The rows are summed as rationals to check a table, paired as copies
+    # to realize one, and written once as integers for the kernel repair;
+    # a second integer form of them would be a second place to keep in
+    # step with `lens_rows`.
+    assert _callers("lens_rows") == ["approx.py:_matching_matrix",
+                                     "cylinders.py:check_matching",
+                                     "realize.py:realize"]
 
 
 def test_each_class_stored_as_given_has_one_builder():

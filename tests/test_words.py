@@ -11,11 +11,10 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 import subsetcurrents
-from subsetcurrents import (CoreGraph, MatchingSystem,
-                            RationalCurrent, Subgroup, WeightTable, Word,
-                            axis, cyclic_reduce, cylinder_table,
-                            fiber_product, format_word, integerize,
-                            parse_word, realize, reduce)
+from subsetcurrents import (CoreGraph, RationalCurrent, Subgroup,
+                            WeightTable, Word, axis, cyclic_reduce,
+                            cylinder_table, fiber_product, format_word,
+                            integerize, parse_word, realize, reduce)
 from subsetcurrents.errors import BasisMismatchError, LetterRangeError
 from subsetcurrents.words import (MAX_RANK, enumerate_reduced_words,
                                  free_reduce)
@@ -201,8 +200,7 @@ def _value_instances():
     theta, _scale = integerize(table)
     return [Word(2, (1, 2)), sub.core, sub,
             fiber_product(sub.hull, sub.hull), axis(2, 1, 1), table,
-            RationalCurrent.eta(sub), theta,
-            MatchingSystem(2, 1, table.support()), realize(theta)]
+            RationalCurrent.eta(sub), theta, realize(theta)]
 
 
 @pytest.mark.parametrize("value", _value_instances(),
