@@ -228,7 +228,7 @@ def integerize(table: WeightTable) -> tuple[WeightSystem, int]:
     the integer balance equations, so theta is admissible.
     """
     scale = lcm(*(v.denominator for v in table.entries.values()))
-    return WeightSystem(table.scale(scale)), scale
+    return WeightSystem(table.scale(scale) if scale > 1 else table), scale
 
 
 def _matching_matrix(columns: Sequence[RoundGraph], rank: int

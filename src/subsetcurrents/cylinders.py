@@ -22,24 +22,36 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import AdmissibilityError, BasisMismatchError, FileFormatError
 from .stallings import CoreGraph, Subgroup, _content_lines
-from .words import (enumerate_reduced_words, format_word, free_reduce,
-                    parse_word, _check_rank, _Frozen, _signed_letters)
+from .words import (MAX_RANK, enumerate_reduced_words, format_word,
+                    free_reduce, parse_word, _check_rank, _Frozen,
+                    _signed_letters)
 
 WordTuple = tuple[int, ...]
 
-
-def _letter_key(m: int) -> tuple[int, bool]:
-    # Generator before its inverse: x < X < y < Y ...
-    return (abs(m), m < 0)
-
-
-def word_key(w: WordTuple) -> tuple:
-    return (len(w), tuple(_letter_key(m) for m in w))
+# Letter codes in round-graph order, x < X < y < Y ...: 2m for a
+# generator m and 1 - 2m for its inverse, all below 256 at MAX_RANK.
+_CODE = {m: 2 * m if m > 0 else 1 - 2 * m
+         for g in range(1, MAX_RANK + 1) for m in (g, -g)}
 
 
 def _canonical_words(words: Iterable[WordTuple]) -> tuple[WordTuple, ...]:
-    """Length-then-lexicographic order on signed indices."""
-    return tuple(sorted(set(words), key=word_key))
+    """Length-then-lexicographic order on letter codes."""
+    return tuple(sorted(set(words), key=lambda w: (
+        len(w), bytes(map(_CODE.__getitem__, w)))))
+
+
+def _order_key(words: tuple[WordTuple, ...]) -> bytes:
+    """The round-graph order of canonical words as one byte string: the
+    word count, then each word's length and letter codes, so fewer words
+    come first, then the first differing word in shortlex order."""
+    flat = [len(words)]
+    for w in words:
+        flat.append(len(w))
+        flat.extend(map(_CODE.__getitem__, w))
+    if max(flat) < 255:
+        return bytes(flat)
+    # n > 254 goes as n // 255 bytes 255, then n % 255: still in order.
+    return b"".join(b"\xff" * (n // 255) + bytes((n % 255,)) for n in flat)
 
 
 def validate_round_graph(words: Iterable[WordTuple], radius: int,
@@ -87,19 +99,31 @@ def validate_round_graph(words: Iterable[WordTuple], radius: int,
 class RoundGraph(_Frozen):
     """Canonical rooted subtree of the radius-r ball; hashable table key."""
 
-    __slots__ = ("rank", "radius", "words", "word_set", "_hash")
+    __slots__ = ("rank", "radius", "words", "word_set", "_hash", "_key")
 
     def __init__(self, rank: int, radius: int, words: Iterable[WordTuple]):
         _check_rank(rank)
-        words = _canonical_words(words)
+        words = tuple(words)
         if not validate_round_graph(words, radius, rank):
             raise ValueError(
                 f"not a valid round-graph at radius {radius}: {words}")
+        self._store(rank, radius, _canonical_words(words))
+
+    @classmethod
+    def _traced(cls, rank: int, radius: int, words: tuple) -> "RoundGraph":
+        """A ball `_traced_words` read off a hull-core, stored unchecked:
+        canonical by the trace, valid since hull degrees are >= 2."""
+        t = object.__new__(cls)
+        t._store(rank, radius, words)
+        return t
+
+    def _store(self, rank: int, radius: int, words: tuple) -> None:
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "radius", radius)
         object.__setattr__(self, "words", words)
         object.__setattr__(self, "word_set", frozenset(words))
         object.__setattr__(self, "_hash", hash((rank, radius, words)))
+        object.__setattr__(self, "_key", _order_key(words))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, RoundGraph)
@@ -111,13 +135,7 @@ class RoundGraph(_Frozen):
         return self._hash
 
     def __lt__(self, other: "RoundGraph") -> bool:
-        # Fewer words first, then the first differing word by word_key.
-        if len(self.words) != len(other.words):
-            return len(self.words) < len(other.words)
-        for a, b in zip(self.words, other.words):
-            if a != b:
-                return word_key(a) < word_key(b)
-        return False
+        return self._key < other._key
 
     def __contains__(self, word: WordTuple) -> bool:
         return tuple(word) in self.word_set
@@ -443,9 +461,10 @@ def cylinder_table(current: RationalCurrent, radius: int) -> WeightTable:
     local ball; the total mass is the coefficient-weighted sum of hull
     vertex counts, independent of the radius.  Vertices are grouped by
     traced ball first, so one `RoundGraph` is built per distinct ball of
-    each term, weighted by its multiplicity.  No radius is refused: the
-    support has at most one entry per hull vertex, but each entry's tree
-    grows with the ball, whose size is exponential in the radius.
+    each term, weighted by its multiplicity, and stored as traced.  No
+    radius is refused: the support has at most one entry per hull vertex,
+    but each entry's tree grows with the ball, whose size is exponential
+    in the radius.
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
@@ -455,7 +474,7 @@ def cylinder_table(current: RationalCurrent, radius: int) -> WeightTable:
         balls = Counter(_traced_words(hull, v, radius)
                         for v in range(hull.num_vertices))
         for words, count in balls.items():
-            t = RoundGraph(hull.rank, radius, words)
+            t = RoundGraph._traced(hull.rank, radius, words)
             table[t] = table.get(t, Fraction(0)) + coeff * count
     return WeightTable(current.rank, radius, table)
 

@@ -14,9 +14,9 @@ from subsetcurrents import (CoreGraph, LabeledGraph, ProductGraph, Subgroup,
                             Word, canonical_form, cylinder_table, fold,
                             parse_word, reduce)
 from subsetcurrents.cylinders import (LensKey, RationalCurrent, RoundGraph,
-                                      WeightTable, _canonical_words,
+                                      WeightTable, WordTuple,
                                       lens_ball, lens_keys, local_ball,
-                                      translate_words, word_key)
+                                      translate_words)
 from subsetcurrents.errors import (AdmissibilityError, BasisMismatchError,
                                    InfeasibleKernelError, LetterRangeError)
 from subsetcurrents.realize import SCGraphQuotient, WeightSystem
@@ -58,6 +58,23 @@ def noised_floats(table: WeightTable, rng: random.Random
     made."""
     return {t: float(v) * (1 + rng.uniform(-1e-6, 1e-6))
             for t, v in table.entries.items()}
+
+
+# Reference order: the round-graph order spelled on letter pairs
+# (|m|, m < 0), independent of the integer letter codes that
+# `cylinders` sorts and compares by.
+
+def _letter_key(m: int) -> tuple[int, bool]:
+    # Generator before its inverse: x < X < y < Y ...
+    return (abs(m), m < 0)
+
+
+def word_key(w: WordTuple) -> tuple:
+    return (len(w), tuple(_letter_key(m) for m in w))
+
+
+def reference_canonical_words(words) -> tuple[WordTuple, ...]:
+    return tuple(sorted(set(words), key=word_key))
 
 
 def reference_round_graph_key(t: RoundGraph) -> tuple:
@@ -383,10 +400,11 @@ def reference_realize(theta: WeightSystem) -> SCGraphQuotient:
         for v in vertices:
             t = v[0]
             if (gen,) in t.word_set:
-                key = _canonical_words(t.word_set & lens)
+                key = reference_canonical_words(t.word_set & lens)
                 out_side.setdefault(key, []).append(v)
             if (-gen,) in t.word_set:
-                key = _canonical_words(translate_words(t.words, gen) & lens)
+                key = reference_canonical_words(
+                    translate_words(t.words, gen) & lens)
                 in_side.setdefault(key, []).append(v)
         for key in sorted(set(out_side) | set(in_side)):
             sources = out_side.get(key, [])

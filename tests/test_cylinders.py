@@ -15,6 +15,7 @@ from subsetcurrents import (RationalCurrent, RoundGraph, Subgroup, WeightTable,
                             round_graph_to_text, table_from_text,
                             table_to_text, validate_round_graph)
 from subsetcurrents.approx import subgroup_Hn
+from subsetcurrents.cylinders import _traced_words
 from subsetcurrents.errors import AdmissibilityError, FileFormatError
 from subsetcurrents.stallings import basis_of, random_cover
 from subsetcurrents.words import enumerate_reduced_words
@@ -372,6 +373,55 @@ def round_graph_lists(draw):
 @given(round_graph_lists())
 def test_round_graphs_sort_as_by_the_reference_key(graphs):
     assert sorted(graphs) == sorted(graphs, key=reference_round_graph_key)
+
+
+def test_round_graph_order_past_255_words_and_letters():
+    # Word counts around 255 and words longer than 255 letters, against
+    # the reference key: axes of radius 126-128 have 253-257 words, and
+    # a three-ray tree of radius 200 has as many words as an axis of
+    # radius 300 (601).
+    x, y = 1, 2
+    three_rays = RoundGraph(2, 200, [()] + [(m,) * k for m in (x, -x, y)
+                                           for k in range(1, 201)])
+    graphs = [axis(2, g, r) for g in (x, y)
+              for r in (126, 127, 128, 254, 255, 256, 300)]
+    graphs += [three_rays, full_ball(2, 1), full_ball(2, 3)]
+    for shuffle in range(3):
+        random.Random(shuffle).shuffle(graphs)
+        assert sorted(graphs) == sorted(graphs,
+                                        key=reference_round_graph_key)
+
+
+@st.composite
+def hulls(draw):
+    """The hull-core of a random nontrivial subgroup of rank 2-3: 1-3
+    generators of 1-5 letters."""
+    rank = draw(st.integers(2, 3))
+    letter = st.integers(1, rank).flatmap(lambda m: st.sampled_from((m, -m)))
+    word = st.lists(letter, min_size=1, max_size=5).map(
+        lambda letters: reduce(letters, rank))
+    sub = draw(st.lists(word, min_size=1, max_size=3).map(
+        lambda words: Subgroup(words, rank)).filter(
+            lambda s: not s.is_trivial()))
+    return sub.hull
+
+
+@settings(deadline=None, max_examples=100)
+@given(hulls(), st.integers(0, 3))
+def test_traced_balls_equal_the_checked_round_graphs(hull, radius):
+    # `cylinder_table` stores each traced ball unchecked; the public
+    # constructor, which validates and sorts, must give the same value.
+    rank = hull.rank
+    for v in range(hull.num_vertices):
+        words = _traced_words(hull, v, radius)
+        assert validate_round_graph(words, radius, rank)
+        traced = RoundGraph._traced(rank, radius, words)
+        checked = RoundGraph(rank, radius, words)
+        assert traced.words == checked.words == words
+        assert traced.word_set == checked.word_set
+        assert hash(traced) == hash(checked)
+        assert traced._key == checked._key
+        assert traced == checked
 
 
 def test_round_graph_canonical_order_is_stable():

@@ -113,14 +113,18 @@ def test_lens_rows_has_one_reader_per_use():
 
 
 def test_each_class_stored_as_given_has_one_builder():
-    # `SCGraphQuotient`, `ProductGraph` and the `CoreGraph` of an
-    # intersection store their fields unchecked, because the one function
-    # that builds each proves them by how it builds them; a second builder
-    # would bring in fields nothing proved.  Every other `CoreGraph` runs
-    # the public constructor's checks.
+    # `SCGraphQuotient`, `ProductGraph`, the `CoreGraph` of an
+    # intersection and the traced `RoundGraph` of a hull-core ball store
+    # their fields unchecked, because the one function that builds each
+    # proves them by how it builds them; a second builder would bring in
+    # fields nothing proved.  Every other `CoreGraph` and `RoundGraph`
+    # runs the public constructor's checks.
     assert _callers("SCGraphQuotient") == ["realize.py:realize"]
     assert _callers("ProductGraph") == ["fiber.py:fiber_product"]
     assert _callers("_proved") == ["fiber.py:intersection"]
+    assert _callers("_traced") == ["cylinders.py:cylinder_table"]
+    assert _callers("_store") == ["cylinders.py:__init__",
+                                  "cylinders.py:_traced"]
     # `realize` builds its components by union-find, with no adjacency
     # pass, no breadth-first search and no second shape key.
     (tree,) = [tree for path, tree in package_trees()
