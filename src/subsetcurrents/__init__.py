@@ -13,8 +13,8 @@ from .stallings import (CoreGraph, LabeledGraph, Subgroup, basis_of,
                         canonical_form, conjugate, contains,
                         core_from_generators, finite_index, fold,
                         graph_from_text, graph_to_text, hull_core,
-                        label_isomorphic, random_cover, random_finite_cover,
-                        reduced_rank, subgroup_from_text, subgroup_to_text)
+                        label_isomorphic, reduced_rank, subgroup_from_text,
+                        subgroup_to_text)
 from .fiber import (ProductGraph, component_census, fiber_product,
                     intersection, product_rank, shnc_margin)
 from .cylinders import (RationalCurrent, RoundGraph, WeightTable, axis,

@@ -348,7 +348,8 @@ class WeightTable(_Frozen):
                 raise ValueError(
                     f"table key has rank {t.rank}, radius {t.radius}; "
                     f"expected {rank}, {radius}")
-            value = Fraction(value)
+            if type(value) is not Fraction:
+                value = Fraction(value)
             if value < 0:
                 raise ValueError(f"negative weight {value} for {t}")
             if value:

@@ -14,7 +14,8 @@ basepoint's component of core x core.
 
 from __future__ import annotations
 
-from itertools import accumulate, chain, compress
+from collections import Counter
+from itertools import accumulate, chain, compress, count, repeat
 from typing import Union
 
 from .errors import BasisMismatchError
@@ -25,30 +26,58 @@ Pair = tuple[int, int]
 
 
 class ProductGraph(_Frozen):
-    """The edge-bearing part of a fiber product, split into components;
-    `component_edges[k]` holds the edges of component k.  The fields are
-    stored as given, in the order `fiber_product` builds them."""
+    """The edge-bearing part of a fiber product in coded form, stored as
+    `fiber_product` builds it.  A pair (a, b) is coded a * width + b and
+    an edge (s, d, l) of pair codes (s * size + d) * rank + l - 1, with
+    width = |V(B)| and size = |V(A)| * |V(B)|, so codes order as tuples.
+    `codes` are the pair codes component by component, each component
+    sorted and components by least pair, `stats` is (#V, #E) per
+    component and `edges` the edge codes in join order.  Each read of
+    `vertices`, `components` or `component_edges` decodes them."""
 
-    __slots__ = ("rank", "components", "component_edges")
+    __slots__ = ("rank", "width", "size", "codes", "stats", "edges")
 
-    def __init__(self, rank: int, components: tuple, component_edges: list):
+    def __init__(self, rank: int, width: int, size: int, codes: list,
+                 stats: list, edges: list):
         object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "components", components)
-        object.__setattr__(self, "component_edges", component_edges)
+        object.__setattr__(self, "width", width)
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "codes", codes)
+        object.__setattr__(self, "stats", stats)
+        object.__setattr__(self, "edges", edges)
 
     @property
     def vertices(self) -> tuple[Pair, ...]:
         """Every vertex pair, component by component."""
-        return tuple(chain.from_iterable(self.components))
+        return tuple(map(divmod, self.codes, repeat(self.width)))
+
+    @property
+    def components(self) -> tuple[tuple[Pair, ...], ...]:
+        """Each component's sorted vertex pairs."""
+        pairs, ends = self.vertices, list(accumulate(v for v, _ in self.stats))
+        return tuple(map(pairs.__getitem__, map(slice, [0] + ends, ends)))
+
+    @property
+    def component_edges(self) -> list[list[tuple[Pair, Pair, int]]]:
+        """Each component's sorted edges (s, d, l)."""
+        pair = dict(zip(self.codes, self.vertices))
+        where = dict(zip(self.codes, chain.from_iterable(
+            map(repeat, count(), [v for v, _ in self.stats]))))
+        edges: list[list[tuple[Pair, Pair, int]]] = [[] for _ in self.stats]
+        rank, size = self.rank, self.size
+        for code in sorted(self.edges):
+            sd, l = divmod(code, rank)
+            s, d = divmod(sd, size)
+            edges[where[s]].append((pair[s], pair[d], l + 1))
+        return edges
 
     def __repr__(self) -> str:
         return (f"ProductGraph(rank={self.rank}, "
-                f"components={len(self.components)})")
+                f"components={len(self.stats)})")
 
     def component_stats(self) -> list[tuple[int, int]]:
-        """(#vertices, #edges) per component."""
-        return [(len(comp), len(edges))
-                for comp, edges in zip(self.components, self.component_edges)]
+        """(#vertices, #edges) per component, read without decoding."""
+        return list(self.stats)
 
     def component_core(self, index: int) -> CoreGraph:
         """One component as a hull-core graph (fails on tree components)."""
@@ -60,31 +89,31 @@ def fiber_product(a_graph: CoreGraph, b_graph: CoreGraph) -> ProductGraph:
     """Fiber product of two hull-cores, built as an edge join with no BFS.
 
     Each pair of an l-edge of A and an l-edge of B is a product edge, so
-    the join costs sum over labels l of |A_l| * |B_l|.  A pair (a, b) is
-    coded a * |V(B)| + b, which orders codes as pairs, so the sorted codes
-    decode straight into the product's final order.  Union-find hangs the
-    greater of two roots under the lesser, so every parent is less than
-    its child and each component's root is its least pair, whether that
-    pair is an edge's source or only a target.
+    the join costs sum over labels l of |A_l| * |B_l|.  It lists integers
+    only: each edge's source, target and edge code (a part from A's edge
+    plus a part from B's).  Union-find hangs the greater of two roots
+    under the lesser, so every parent is less than its child and each
+    component's root is its least pair, whether that pair is an edge's
+    source or only a target; (#V, #E) is counted per root.
     """
     if a_graph.rank != b_graph.rank:
         raise BasisMismatchError(
             f"rank {a_graph.rank} vs rank {b_graph.rank}")
     if a_graph.basepoint is not None or b_graph.basepoint is not None:
         raise ValueError("fiber products act on hull-core form")
-    width = b_graph.num_vertices
-    b_by_label: dict[int, list[tuple[int, int]]] = {}
-    for (s, d, l) in b_graph.edges:
-        b_by_label.setdefault(l, []).append((s, d))
-    coded = sorted((sw + sb, dw + db, l)
-                   for (sw, dw, l) in [(sa * width, da * width, l)
-                                       for (sa, da, l) in a_graph.edges]
-                   for (sb, db) in b_by_label.get(l, ()))
-    parent: dict[int, int] = {}
-    for (s, d, _l) in coded:
-        parent[s] = s
-        parent[d] = d
-    for (s, d, _l) in coded:
+    rank, width = a_graph.rank, b_graph.num_vertices
+    size = a_graph.num_vertices * width
+    b_by_label: dict[int, list[tuple[int, int, int]]] = {}
+    for (sb, db, l) in b_graph.edges:
+        b_by_label.setdefault(l, []).append((sb, db, (sb * size + db) * rank))
+    joined = [(sa * width, da * width, (sa * size + da) * width * rank + l - 1,
+               b_by_label.get(l, ())) for (sa, da, l) in a_graph.edges]
+    sources = [sw + sb for (sw, _dw, _x, bs) in joined for (sb, _db, _y) in bs]
+    targets = [dw + db for (_sw, dw, _x, bs) in joined for (_sb, db, _y) in bs]
+    edges = [x + y for (_sw, _dw, x, bs) in joined for (_sb, _db, y) in bs]
+    parent = dict(zip(sources, sources))
+    parent.update(zip(targets, targets))
+    for s, d in zip(sources, targets):
         # Find both roots, halving each path, then join them.
         while s != (p := parent[s]):
             parent[s] = s = parent[p]
@@ -94,24 +123,17 @@ def fiber_product(a_graph: CoreGraph, b_graph: CoreGraph) -> ProductGraph:
             parent[d] = s
         elif d < s:
             parent[s] = d
-    # In increasing order each parent already points at its root, and
-    # each component starts at its root.
-    pair: dict[int, Pair] = {}
-    components: dict[int, list[Pair]] = {}
-    for v in sorted(parent):
-        parent[v] = root = parent[parent[v]]
-        pair[v] = p = divmod(v, width)
-        if root == v:
-            components[v] = [p]
-        else:
-            components[root].append(p)
-    component_edges: dict[int, list[tuple[Pair, Pair, int]]] = {
-        root: [] for root in components}
-    for (s, d, l) in coded:
-        component_edges[parent[s]].append((pair[s], pair[d], l))
-    del coded, parent           # freed before the fields are copied
-    return ProductGraph(a_graph.rank, tuple(map(tuple, components.values())),
-                        list(component_edges.values()))
+    # In increasing order each parent already points at its root.
+    order = sorted(parent)
+    for v in order:
+        parent[v] = parent[parent[v]]
+    sizes = Counter(parent.values())
+    per_root = Counter(map(parent.__getitem__, sources))
+    # A stable sort by root groups the sorted codes by component.
+    return ProductGraph(rank, width, size,
+                        sorted(order, key=parent.__getitem__),
+                        [(sizes[r], per_root[r]) for r in sorted(sizes)],
+                        edges)
 
 
 HullLike = Union[Subgroup, CoreGraph]

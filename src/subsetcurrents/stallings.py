@@ -10,7 +10,6 @@ subgroup is the empty graph.
 
 from __future__ import annotations
 
-import random
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import BasisMismatchError, FileFormatError
@@ -411,36 +410,6 @@ def basis_of(c: CoreGraph) -> list[Word]:
     # core: that would make (s, d, l) a tree edge.
     return [Word._reduced(c.rank, path[s] + (l,) + inverse[d])
             for (s, d, l) in c.edges if (s, d, l) not in tree]
-
-
-def random_finite_cover(rank: int, degree: int, seed: int) -> CoreGraph:
-    """Connected degree-`degree` cover of the rose: one random permutation
-    per generator, resampled until connected.  Deterministic per seed."""
-    return random_cover(Subgroup.full(rank).core, degree, seed)
-
-
-def random_cover(c: CoreGraph, degree: int, seed: int) -> CoreGraph:
-    """Connected degree-`degree` cover of a basepointed core: one random
-    permutation per edge.  Reads off an index-`degree` subgroup of the
-    core's subgroup, based at the lift (basepoint, sheet 0)."""
-    if c.basepoint is None:
-        raise ValueError("covering needs a basepointed core")
-    if degree < 1:
-        raise ValueError("degree must be >= 1")
-    rng = random.Random(seed)
-    while True:
-        edges = []
-        for (s, d, l) in c.edges:
-            perm = list(range(degree))
-            rng.shuffle(perm)
-            edges.extend((s * degree + i, d * degree + perm[i], l)
-                         for i in range(degree))
-        step = signed_adjacency(c.rank, c.num_vertices * degree, edges)
-        if len(connected_components(step)) == 1:
-            break
-    base = c.basepoint * degree
-    n, edges, keep = _prune_edges(c.num_vertices * degree, edges, base)
-    return CoreGraph(c.rank, n, edges, keep[base])
 
 
 def _canonical_key(c: CoreGraph) -> tuple:

@@ -10,9 +10,9 @@ from typing import Optional, Sequence
 
 from hypothesis import strategies as st
 
-from subsetcurrents import (CoreGraph, LabeledGraph, ProductGraph, Subgroup,
-                            Word, canonical_form, cylinder_table, fold,
-                            parse_word, reduce)
+from subsetcurrents import (CoreGraph, LabeledGraph, Subgroup, Word,
+                            canonical_form, cylinder_table, fold, parse_word,
+                            reduce)
 from subsetcurrents.cylinders import (LensKey, RationalCurrent, RoundGraph,
                                       WeightTable, WordTuple,
                                       lens_ball, lens_keys, local_ball,
@@ -41,6 +41,36 @@ def random_subgroup(rng: random.Random, rank: int = 2, max_gens: int = 3,
     count = rng.randint(1, max_gens)
     return Subgroup([random_word(rng, rank, max_len) for _ in range(count)],
                     rank)
+
+
+def random_finite_cover(rank: int, degree: int, seed: int) -> CoreGraph:
+    """Connected degree-`degree` cover of the rose: one random permutation
+    per generator, resampled until connected.  Deterministic per seed."""
+    return random_cover(Subgroup.full(rank).core, degree, seed)
+
+
+def random_cover(c: CoreGraph, degree: int, seed: int) -> CoreGraph:
+    """Connected degree-`degree` cover of a basepointed core: one random
+    permutation per edge.  Reads off an index-`degree` subgroup of the
+    core's subgroup, based at the lift (basepoint, sheet 0)."""
+    if c.basepoint is None:
+        raise ValueError("covering needs a basepointed core")
+    if degree < 1:
+        raise ValueError("degree must be >= 1")
+    rng = random.Random(seed)
+    while True:
+        edges = []
+        for (s, d, l) in c.edges:
+            perm = list(range(degree))
+            rng.shuffle(perm)
+            edges.extend((s * degree + i, d * degree + perm[i], l)
+                         for i in range(degree))
+        step = signed_adjacency(c.rank, c.num_vertices * degree, edges)
+        if len(connected_components(step)) == 1:
+            break
+    base = c.basepoint * degree
+    n, edges, keep = _prune_edges(c.num_vertices * degree, edges, base)
+    return CoreGraph(c.rank, n, edges, keep[base])
 
 
 def random_current(rng: random.Random, rank: int = 2, max_terms: int = 3,
@@ -460,9 +490,11 @@ def _product_neighbors(a_graph: CoreGraph, b_graph: CoreGraph,
                 yield (a2, b2), letter
 
 
-def reference_fiber_product(a_graph: CoreGraph,
-                            b_graph: CoreGraph) -> ProductGraph:
-    """Fiber product of two hull-cores, explored component by component.
+def reference_fiber_product(a_graph: CoreGraph, b_graph: CoreGraph
+                            ) -> tuple[int, tuple, list]:
+    """Fiber product of two hull-cores, explored component by component,
+    as (rank, components, component_edges) in the order a `ProductGraph`
+    decodes into.
 
     Only vertex pairs incident to at least one matched edge are visited,
     so memory is bounded by the edge-bearing part rather than by
@@ -492,8 +524,8 @@ def reference_fiber_product(a_graph: CoreGraph,
                   for seed in sorted(seeds) if seed not in seen]
     # The canonical order: everything sorted, components by least pair.
     components = tuple(sorted(tuple(sorted(c)) for c in components))
-    return ProductGraph(a_graph.rank, components,
-                        edges_by_component(components, sorted(edges)))
+    return (a_graph.rank, components,
+            edges_by_component(components, sorted(edges)))
 
 
 def _reference_product_component(a_graph: CoreGraph, b_graph: CoreGraph,

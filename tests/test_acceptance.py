@@ -15,14 +15,14 @@ from subsetcurrents import (RationalCurrent, Subgroup, WeightTable,
                             count_round_graphs, decompose, distance,
                             enumerate_round_graphs, fold, hull_core,
                             integerize, label_isomorphic, product_rank,
-                            random_finite_cover, realize, reduced_rank,
-                            restrict, shnc_margin, validate_round_graph,
-                            verify_realization)
+                            realize, reduced_rank, restrict, shnc_margin,
+                            validate_round_graph, verify_realization)
 from subsetcurrents.approx import convergence_run
-from subsetcurrents.stallings import LabeledGraph, random_cover
+from subsetcurrents.stallings import LabeledGraph
 from subsetcurrents.words import enumerate_reduced_words
 
-from helpers import random_current, random_subgroup, random_word
+from helpers import (random_cover, random_current, random_finite_cover,
+                     random_subgroup, random_word)
 
 
 def _report(number: int, description: str, started: float, budget: float):

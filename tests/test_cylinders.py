@@ -17,10 +17,10 @@ from subsetcurrents import (RationalCurrent, RoundGraph, Subgroup, WeightTable,
 from subsetcurrents.approx import subgroup_Hn
 from subsetcurrents.cylinders import _traced_words
 from subsetcurrents.errors import AdmissibilityError, FileFormatError
-from subsetcurrents.stallings import basis_of, random_cover
+from subsetcurrents.stallings import basis_of
 from subsetcurrents.words import enumerate_reduced_words
 
-from helpers import (TWO_ROWS_PER_GENERATOR, matching_tables,
+from helpers import (TWO_ROWS_PER_GENERATOR, matching_tables, random_cover,
                      random_current, random_subgroup, random_word,
                      reference_check_matching, reference_cylinder_table,
                      reference_round_graph_key)

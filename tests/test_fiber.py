@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 from subsetcurrents import (CoreGraph, LabeledGraph, Subgroup, Word,
                             basis_of, component_census, conjugate,
                             fiber_product, finite_index, fold, intersection,
-                            label_isomorphic, product_rank,
-                            random_finite_cover, reduce, shnc_margin)
+                            label_isomorphic, product_rank, reduce,
+                            shnc_margin)
 from subsetcurrents.errors import BasisMismatchError
 
-from helpers import (_reference_product_component, random_subgroup,
-                     random_word, reference_basis_of,
+from helpers import (_reference_product_component, random_finite_cover,
+                     random_subgroup, random_word, reference_basis_of,
                      reference_fiber_product, reference_intersection_core)
 
 ROSE_HULL = CoreGraph(2, 1, [(0, 0, 1), (0, 0, 2)], None)
@@ -177,14 +177,47 @@ def test_fiber_product_equals_reference_in_order(pair):
     h, k = pair
     for a, b in ((h.hull, k.hull), (k.hull, h.hull), (h.hull, h.hull)):
         assert product_fields(fiber_product(a, b)) == \
-            product_fields(reference_fiber_product(a, b))
+            reference_fiber_product(a, b)
+
+
+@settings(deadline=None, max_examples=200)
+@given(hull_pairs())
+def test_component_stats_count_the_decoded_product(pair):
+    # component_stats() is the join's count per union-find root, read
+    # without decoding; it must count what the decoded fields hold.
+    h, k = pair
+    for a, b in ((h.hull, k.hull), (k.hull, h.hull)):
+        p = fiber_product(a, b)
+        assert p.component_stats() == [
+            (len(comp), len(edges))
+            for comp, edges in zip(p.components, p.component_edges)]
+        assert p.vertices == tuple(chain.from_iterable(p.components))
+
+
+def test_product_rank_builds_no_tuple_per_pair():
+    # N(H, K) reads only the (#V, #E) counts of the coded join.  Decoded,
+    # a product of two covers of the rose holds a pair tuple per vertex
+    # and an edge tuple per edge, about 490 bytes a pair at rank 2 (two
+    # edges a pair); the coded join peaks at about 300 bytes a pair.
+    h, k = (Subgroup.from_core(random_finite_cover(2, degree, seed)).hull
+            for degree, seed in ((60, 1), (70, 2)))
+    pairs = h.num_vertices * k.num_vertices
+    tracemalloc.start()
+    try:
+        n = product_rank(h, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Every component has #E = 2 #V, so N = #E - #V = #V = 4,200.
+    assert n == pairs == 4200
+    assert peak < 400 * pairs
 
 
 @settings(deadline=None, max_examples=200)
 @given(hull_pairs())
 def test_fiber_product_is_built_in_canonical_order(pair):
-    # ProductGraph stores its fields as given, so the join alone owns
-    # this order.
+    # ProductGraph decodes its coded fields in this order, and the join
+    # alone decides it.
     h, k = pair
     for a, b in ((h.hull, k.hull), (k.hull, h.hull)):
         p = fiber_product(a, b)
@@ -383,7 +416,6 @@ def double_coset_oracle(h, k):
 
 
 def test_product_rank_matches_double_coset_sum():
-    from subsetcurrents import random_finite_cover
     rng = random.Random(77)
     for trial in range(10):
         h = Subgroup.from_core(random_finite_cover(2, rng.randint(1, 4),
@@ -429,7 +461,6 @@ def test_intersection_of_random_covers():
     # Intersections of finite-index subgroups have predictable index:
     # H' = H cap K has index dividing [F:H] * [F:K].
     rng = random.Random(50)
-    from subsetcurrents import finite_index, random_finite_cover
     for i in range(10):
         h = Subgroup.from_core(random_finite_cover(2, 2, seed=i))
         k = Subgroup.from_core(random_finite_cover(2, 3, seed=100 + i))

@@ -94,6 +94,34 @@ def _callers(name: str) -> list[str]:
     return callers
 
 
+def _function(file: str, name: str) -> ast.FunctionDef:
+    (tree,) = [tree for path, tree in package_trees() if path.name == file]
+    (function,) = [node for node in ast.walk(tree)
+                   if isinstance(node, ast.FunctionDef) and node.name == name]
+    return function
+
+
+def test_product_counts_are_read_without_decoding():
+    # A `ProductGraph` keeps (#V, #E) per component beside its coded pairs
+    # and edges, and decodes pairs and edges on each read.  N(H, K), the
+    # SHNC margin and the census read only the counts; `intersect` decodes
+    # for `--export` alone.
+    decoded = {"vertices", "components", "component_edges", "component_core"}
+    intersect = _function("cli.py", "_cmd_intersect")
+    counted = [stmt for stmt in intersect.body
+               if not (isinstance(stmt, ast.If)
+                       and "export" in set(_names(stmt.test)))]
+    assert len(counted) == len(intersect.body) - 1
+    rank, margin, census = (_function("fiber.py", name) for name in
+                            ("product_rank", "shnc_margin",
+                             "component_census"))
+    for node in [rank, margin, census] + counted:
+        assert decoded.isdisjoint(_names(node))
+    assert _calls(rank, "component_stats") and _calls(margin, "product_rank")
+    assert _calls(census, "component_stats")
+    assert _calls(ast.Module(counted, []), "component_stats")
+
+
 def test_only_the_cylinders_report_calls_check_matching():
     # Each matching row is checked once, where it is used: `realize` raises
     # the first violated row and `rational_kernel_point` checks every

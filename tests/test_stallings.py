@@ -9,17 +9,17 @@ from subsetcurrents import (CoreGraph, LabeledGraph, Subgroup, Word, basis_of,
                             canonical_form, conjugate, contains,
                             core_from_generators, finite_index, fold,
                             graph_from_text, graph_to_text, hull_core,
-                            label_isomorphic, parse_word, random_cover,
-                            random_finite_cover, reduce, reduced_rank,
-                            subgroup_from_text, subgroup_to_text)
+                            label_isomorphic, parse_word, reduce,
+                            reduced_rank, subgroup_from_text,
+                            subgroup_to_text)
 from subsetcurrents.approx import subgroup_Hn
 from subsetcurrents.errors import BasisMismatchError, FileFormatError
 from subsetcurrents.stallings import (_fold_edges, _prune_edges,
                                       signed_adjacency)
 
-from helpers import (random_subgroup, random_word,
-                     reference_core_from_generators, reference_fold_edges,
-                     reference_prune_edges)
+from helpers import (random_cover, random_finite_cover, random_subgroup,
+                     random_word, reference_core_from_generators,
+                     reference_fold_edges, reference_prune_edges)
 
 ROSE = core_from_generators(["x", "y"], 2)
 DOUBLE_COVER = CoreGraph(2, 2, [(0, 1, 1), (1, 0, 1), (0, 0, 2), (1, 1, 2)], 0)

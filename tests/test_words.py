@@ -11,8 +11,8 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 import subsetcurrents
-from subsetcurrents import (CoreGraph, RationalCurrent, Subgroup,
-                            WeightTable, Word, axis, cyclic_reduce,
+from subsetcurrents import (CoreGraph, ProductGraph, RationalCurrent,
+                            Subgroup, WeightTable, Word, axis, cyclic_reduce,
                             cylinder_table, fiber_product, format_word,
                             integerize, parse_word, realize, reduce)
 from subsetcurrents.errors import BasisMismatchError, LetterRangeError
@@ -244,6 +244,13 @@ def test_values_survive_pickle_and_copy(value):
         if "__eq__" in vars(type(value)):
             assert twin == value
             assert type(value).__hash__ is None or hash(twin) == hash(value)
+        if isinstance(value, ProductGraph):
+            # The coded fields are the slots; the rebuilt product must
+            # decode into the same pairs and edges, over several
+            # components.
+            assert len(value.component_stats()) > 1
+            assert (twin.components, twin.component_edges) == \
+                (value.components, value.component_edges)
 
 
 def test_values_unpickled_in_another_process_hash_as_built():
