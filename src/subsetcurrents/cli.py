@@ -91,8 +91,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 # Most round-graphs `cylinders --enumerate` lists, most letters one ball
 # B(id, radius), one input's words or one H_n of `converge` spell, most
-# quotient vertices (units of total weight) `realize` builds, and most
-# edges of the fiber product `intersect` joins.
+# units of total weight `realize` takes (its closure may cut as many
+# atoms), and most edges of the fiber product `intersect` joins.
 SIZE_CAP = 10 ** 6
 
 # Most digits, its decimal exponent included, of a number read: Python's
@@ -269,8 +269,8 @@ def _cmd_realize(args) -> int:
     current = decompose(quotient)
     ok = verify_realization(theta, current)
     args.outdir.mkdir(parents=True, exist_ok=True)
-    report = [f"vertices = {len(quotient.vertices)}",
-              f"components = {len(quotient.components)}",
+    report = [f"vertices = {theta.total()}",
+              f"components = {quotient.component_count()}",
               f"verified = {'true' if ok else 'false'}",
               f"shapes = {len(current.terms)}"]
     for k, (coeff, sub) in enumerate(current.terms):

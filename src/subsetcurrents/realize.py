@@ -2,25 +2,29 @@
 
 An admissible weight system assigns a nonnegative integer to every
 round-graph at a fixed radius, satisfying the per-generator lens balance
-equations.  The realization builds the quotient graph with theta(T)
-copies of each round-graph as vertices and, per generator and lens
-class, a positional bijection between the side containing the generator
-and the side containing its inverse.  Components of the quotient are
-hull-cores of subgroups; the sum of their counting currents evaluates on
-cylinders to exactly the input weights.
+equations.  The realization is the quotient graph with theta(T) copies
+of each round-graph as vertices and, per generator and lens class, a
+positional bijection between the side containing the generator and the
+side containing its inverse.  Each bijection translates whole blocks of
+copies, so `realize` builds the quotient on atoms, the blocks that every
+bijection moves as one, and an atom component of length L stands for L
+isomorphic components.  Components of the quotient are hull-cores of
+subgroups; the sum of their counting currents evaluates on cylinders to
+exactly the input weights.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
-from itertools import repeat
+from itertools import accumulate, chain, repeat
+from operator import sub
 
 from .errors import AdmissibilityError
 from .cylinders import (RationalCurrent, RoundGraph, WeightTable,
                         cylinder_table, lens_rows)
-from .stallings import (CoreGraph, Subgroup, _canonical_key, find_root,
-                        hull_on)
+from .stallings import CoreGraph, Subgroup, _canonical_key, find_root
 from .words import _Frozen
 
 
@@ -59,101 +63,153 @@ class WeightSystem(_Frozen):
 
 
 class SCGraphQuotient(_Frozen):
-    """Quotient of a realized SC-graph: theta(T) copies of each T, with a
-    labeled matching per generator.  Immersed over the rose, minimum
-    degree 2.  `components` are sorted vertex tuples in order of least
-    vertex, and `component_edges[k]` holds the sorted edges of component
-    k.  The fields are stored as given, in the form `realize` builds and
-    proves them."""
+    """Quotient of a realized SC-graph in atom form, stored as `realize`
+    builds it.  `weights` holds the (T, theta(T)) pairs, whose copies are
+    numbered consecutively; atom k is the `lengths[k]` copies from
+    `starts[k]`.  `atom_components` are sorted atom tuples in order of
+    least atom, `atom_edges[k]` the sorted edges of atom component k.  An
+    atom component of length L stands for L isomorphic components, copy
+    j adding j to each atom start; `vertices`, `components` and
+    `component_edges` decode them on each read."""
 
-    __slots__ = ("rank", "radius", "vertices", "components",
-                 "component_edges")
+    __slots__ = ("rank", "radius", "weights", "starts", "lengths",
+                 "atom_components", "atom_edges")
 
-    def __init__(self, rank: int, radius: int,
-                 vertices: tuple[tuple[RoundGraph, int], ...],
-                 components: tuple[tuple[int, ...], ...],
-                 component_edges: list[list[tuple[int, int, int]]]):
+    def __init__(self, rank: int, radius: int, weights: tuple,
+                 starts: list[int], lengths: list[int],
+                 atom_components: tuple, atom_edges: list):
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "radius", radius)
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "components", components)
-        object.__setattr__(self, "component_edges", component_edges)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "starts", starts)
+        object.__setattr__(self, "lengths", lengths)
+        object.__setattr__(self, "atom_components", atom_components)
+        object.__setattr__(self, "atom_edges", atom_edges)
+
+    @property
+    def vertices(self) -> tuple[tuple[RoundGraph, int], ...]:
+        """(T, i) for i = 1..theta(T), one pair per unit of weight."""
+        return tuple((t, i) for t, w in self.weights for i in range(1, w + 1))
+
+    @property
+    def components(self) -> tuple[tuple[int, ...], ...]:
+        """Each component's sorted vertices."""
+        starts, lengths = self.starts, self.lengths
+        return tuple(tuple([starts[a] + j for a in comp])
+                     for comp in self.atom_components
+                     for j in range(lengths[comp[0]]))
+
+    @property
+    def component_edges(self) -> list[list[tuple[int, int, int]]]:
+        """Each component's sorted edges (s, d, l)."""
+        starts, lengths = self.starts, self.lengths
+        return [[(starts[s] + j, starts[d] + j, l) for (s, d, l) in edges]
+                for comp, edges in zip(self.atom_components, self.atom_edges)
+                for j in range(lengths[comp[0]])]
+
+    def component_count(self) -> int:
+        """How many components the quotient has, read without decoding."""
+        return sum(self.lengths[comp[0]] for comp in self.atom_components)
 
     def __repr__(self) -> str:
         return (f"SCGraphQuotient(rank={self.rank}, radius={self.radius}, "
-                f"{len(self.vertices)} vertices, "
-                f"{len(self.components)} components)")
-
-    def component_graph(self, index: int) -> CoreGraph:
-        """One component as a hull-core graph."""
-        return hull_on(self.rank, self.components[index],
-                       self.component_edges[index])
+                f"{sum(w for _t, w in self.weights)} vertices, "
+                f"{self.component_count()} components)")
 
 
 def realize(theta: WeightSystem) -> SCGraphQuotient:
     """Build the quotient SC-graph realizing an admissible weight system.
 
-    Vertices are (T, i) for i = 1..theta(T), numbered consecutively.  For
-    each generator u and lens class J, the vertices whose round-graph
-    contains u and meets the lens in J are matched positionally (both
-    sides in vertex order, each T's copies joining as one range) with
-    those whose round-graph contains u^-1 and whose u-translate meets the
-    lens in J; each matched pair gets a u-edge.  The balance equations
-    make the two sides equinumerous, so the matching is total; the output
-    is identical across runs.  Rows are visited in `lens_rows` order, the
-    order `check_matching` reports them in, so an unbalanced table raises
-    the AdmissibilityError of its first violated row.
+    Vertices are (T, i) for i = 1..theta(T), each T's copies one range of
+    consecutive ids.  For each row (u, J) of `lens_rows`, the copies whose
+    round-graph contains u and meets the lens in J are matched in vertex
+    order with those whose round-graph contains u^-1 and whose u-translate
+    meets the lens in J, and each matched pair gets a u-edge.  The sides'
+    totals are compared row by row before anything is built, so an
+    unbalanced table raises the AdmissibilityError of its first violated
+    row, in `check_matching` order.  The output is identical across runs.
 
-    The quotient is built in final form and needs no second check.  A
-    copy of T sits in exactly one out-row per letter u in T and one
-    in-row per u^-1 in T, and each row pairs its sides one to one, so the
-    graph is folded, each copy reads exactly T's letters, and every degree
-    is >= 2.  Union-find joins each edge's ends under the least root, so
-    components come out sorted, in order of least vertex, and each sorted
-    edge is filed under its source's component.
+    Each row is a piecewise translation, so the quotient is built on
+    atoms (the interval-exchange step of the Rips machine).  A worklist
+    closes the range starts under every row, mapping a cut at an offset
+    of T across each row T sits in by bisect over the other side's
+    ranges.  The spans between consecutive cuts are the atoms: each row
+    then pairs its atoms one to one, each with one of equal length.  The
+    work follows the atoms, not the weight, though the closure can cut
+    up to sum(theta) of them.
+
+    A copy of T sits in exactly one out-row per letter u in T and one
+    in-row per u^-1 in T, so the graph is folded, each copy reads exactly
+    T's letters, and every degree is >= 2, with no second check.
+    Union-find joins each atom edge's ends under the least root, so atom
+    components come out sorted, in order of least atom, and each sorted
+    atom edge is filed under its source's component.  An atom component
+    has one length L, and its L copies have their least vertices in its
+    least atom, so they decode in order of least vertex.
 
     At radius 0 the only round-graph is the bare root and carries no
     matching constraints; each copy becomes a single vertex with a loop
     of the first generator, realizing the weight as copies of a cyclic
     subgroup's current.
     """
-    table = theta.table
-    vertices: list[tuple[RoundGraph, int]] = []
-    copies: dict[RoundGraph, range] = {}
-    for t in table.support():
-        start = len(vertices)
-        vertices.extend((t, i) for i in range(1, theta.weight(t) + 1))
-        copies[t] = range(start, len(vertices))
-    # No row meets the bare root of radius 0: each copy gets an x-loop.
-    edges = [] if theta.radius else [(k, k, 1) for k in range(len(vertices))]
-    for gen, key, outs, ins in lens_rows(table.support(), theta.rank):
-        sources: list[int] = []
-        targets: list[int] = []
-        for t in outs:
-            sources.extend(copies[t])
-        for t in ins:
-            targets.extend(copies[t])
-        if len(sources) != len(targets):
-            raise AdmissibilityError(gen, key, Fraction(len(sources)),
-                                     Fraction(len(targets)))
-        edges.extend(zip(sources, targets, repeat(gen)))
+    weights = tuple((t, int(w)) for t, w in theta.table.entries.items())
+    weight = dict(weights)
+    # A row side is its round-graphs and their offsets within it;
+    # `seats[t]` holds t's offset and the other side, per side t is on.
+    rows = []
+    seats: dict[RoundGraph, list] = {t: [] for t in weight}
+    for gen, key, outs, ins in lens_rows(tuple(weight), theta.rank):
+        sides = [(ts, list(accumulate([0] + [weight[t] for t in ts])))
+                 for ts in (outs, ins)]
+        (_, lhs), (_, rhs) = sides
+        if lhs[-1] != rhs[-1]:
+            raise AdmissibilityError(gen, key, Fraction(lhs[-1]),
+                                     Fraction(rhs[-1]))
+        for (ts, offsets), other in zip(sides, reversed(sides)):
+            for t, offset in zip(ts, offsets):
+                seats[t].append((offset, other))
+        rows.append((gen, outs, ins))
+    cuts = {t: {0} for t in weight}
+    work = [(t, 0) for t in weight]
+    while work:
+        t, cut = work.pop()
+        for offset, (ts, offsets) in seats[t]:
+            at = offset + cut
+            k = bisect_right(offsets, at) - 1
+            u, at = ts[k], at - offsets[k]
+            if at not in cuts[u]:
+                cuts[u].add(at)
+                work.append((u, at))
+    starts, lengths, atoms = [], [], {}
+    for t, w in weights:
+        bounds = sorted(cuts[t]) + [w]
+        begin = starts[-1] + lengths[-1] if starts else 0
+        atoms[t] = range(len(starts), len(starts) + len(bounds) - 1)
+        starts.extend(begin + b for b in bounds[:-1])
+        lengths.extend(map(sub, bounds[1:], bounds))
+    # No row meets the bare root of radius 0: each atom gets an x-loop.
+    edges = [] if theta.radius else [(a, a, 1) for a in range(len(starts))]
+    for gen, outs, ins in rows:
+        edges.extend(zip(chain.from_iterable(map(atoms.__getitem__, outs)),
+                         chain.from_iterable(map(atoms.__getitem__, ins)),
+                         repeat(gen)))
     edges.sort()
-    parent = list(range(len(vertices)))
+    parent = list(range(len(starts)))
     for (s, d, _l) in edges:
         rs, rd = find_root(parent, s), find_root(parent, d)
         parent[max(rs, rd)] = min(rs, rd)
     # Parents are less than children: in increasing order each parent
     # already points at its root, and each component starts at its root.
     components: dict[int, list[int]] = {}
-    for v in range(len(parent)):
-        parent[v] = root = parent[parent[v]]
-        components.setdefault(root, []).append(v)
+    for a in range(len(parent)):
+        parent[a] = root = parent[parent[a]]
+        components.setdefault(root, []).append(a)
     component_edges: dict[int, list[tuple[int, int, int]]] = {
         root: [] for root in components}
     for edge in edges:
         component_edges[parent[edge[0]]].append(edge)
-    return SCGraphQuotient(theta.rank, theta.radius, tuple(vertices),
-                           tuple(map(tuple, components.values())),
+    return SCGraphQuotient(theta.rank, theta.radius, weights, starts,
+                           lengths, tuple(map(tuple, components.values())),
                            list(component_edges.values()))
 
 
@@ -161,21 +217,23 @@ def decompose(quotient: SCGraphQuotient) -> RationalCurrent:
     """One counting current per component shape, its coefficient the
     number of components of that shape, in order of first appearance.
 
-    Each component is a hull-core; components of one canonical key (the
-    numbering `canonical_form` stores) share a shape.  One core per shape,
-    based at that numbering's vertex 0, the vertex of least canonical
-    signature, gives its subgroup by a spanning-tree basis.  Reading a
-    different basepoint would change the subgroup only within its
-    conjugacy class, which counting currents do not see.
+    Each component is a hull-core, and an atom component of length L
+    stands for L components of one local form (its edges renumbered in
+    vertex order), so each form is keyed once per atom component and
+    counted L times.  Forms of one `_canonical_key` share a shape.  One
+    core per shape, based at that key's vertex 0, the vertex of least
+    canonical signature, gives its subgroup by a spanning-tree basis.
+    Reading a different basepoint would change the subgroup only within
+    its conjugacy class, which counting currents do not see.
     """
-    rank = quotient.rank
+    rank, lengths = quotient.rank, quotient.lengths
     # The shape depends only on the edges up to renumbering, and a realized
     # quotient repeats a few such local forms over many components.
     forms: Counter = Counter()
-    for comp, edges in zip(quotient.components, quotient.component_edges):
-        ids = {v: k for k, v in enumerate(comp)}
+    for comp, edges in zip(quotient.atom_components, quotient.atom_edges):
+        ids = {a: k for k, a in enumerate(comp)}
         forms[len(comp), tuple([(ids[s], ids[d], l)
-                                for (s, d, l) in edges])] += 1
+                                for (s, d, l) in edges])] += lengths[comp[0]]
     shapes: Counter = Counter()
     for (n, edges), count in forms.items():
         shapes[_canonical_key(CoreGraph(rank, n, edges, None))] += count

@@ -19,9 +19,10 @@ from subsetcurrents.cylinders import (LensKey, RationalCurrent, RoundGraph,
                                       translate_words)
 from subsetcurrents.errors import (AdmissibilityError, BasisMismatchError,
                                    InfeasibleKernelError, LetterRangeError)
-from subsetcurrents.realize import SCGraphQuotient, WeightSystem
+from subsetcurrents.realize import WeightSystem
 from subsetcurrents.stallings import (WordLike, _prune_edges,
-                                      connected_components, signed_adjacency)
+                                      connected_components, hull_on,
+                                      signed_adjacency)
 from subsetcurrents.words import _signed_letters, char_to_letter
 
 
@@ -336,19 +337,23 @@ TWO_ROWS_PER_GENERATOR = WeightTable(2, 2, {
         RationalCurrent.eta(Subgroup(["xy", "yx"], 2)), 2).support())})
 
 
+def subgroups(rank: int, max_len: int = 4):
+    """Subgroups of 1-3 generators of length <= `max_len` at one rank."""
+    letter = st.integers(1, rank).flatmap(lambda m: st.sampled_from((m, -m)))
+    word = st.lists(letter, min_size=1, max_size=max_len).map(
+        lambda letters: reduce(letters, rank))
+    return st.lists(word, min_size=1, max_size=3).map(
+        lambda words: Subgroup(words, rank))
+
+
 @st.composite
 def current_tables(draw):
     """The cylinder table of a random rational current: ranks 2-3, radii
     1-2, 1-3 terms of 1-3 generators of length <= 4."""
     rank = draw(st.integers(2, 3))
     radius = draw(st.integers(1, 2))
-    letter = st.integers(1, rank).flatmap(lambda m: st.sampled_from((m, -m)))
-    word = st.lists(letter, min_size=1, max_size=4).map(
-        lambda letters: reduce(letters, rank))
-    subgroup = st.lists(word, min_size=1, max_size=3).map(
-        lambda words: Subgroup(words, rank))
-    terms = draw(st.lists(st.tuples(SMALL_RATIOS, subgroup), min_size=1,
-                          max_size=3))
+    terms = draw(st.lists(st.tuples(SMALL_RATIOS, subgroups(rank)),
+                          min_size=1, max_size=3))
     return cylinder_table(RationalCurrent(terms, rank), radius)
 
 
@@ -392,12 +397,20 @@ def edges_by_component(components: Sequence[Sequence],
 
 # Reference oracles: the per-copy `realize` and the per-component
 # `decompose` that `realize.realize` and `realize.decompose` must match.
-# `reference_realize` must equal `realize` bit for bit; the terms of
+# `reference_realize` must equal the decoded `vertices`, `components` and
+# `component_edges` of `realize` bit for bit; the terms of
 # `reference_decompose`, one per component, grouped by canonical key,
 # must equal the terms of `decompose` with their coefficients.
 
-def reference_realize(theta: WeightSystem) -> SCGraphQuotient:
-    """Build the quotient SC-graph realizing an admissible weight system.
+Realized = tuple[tuple[tuple[RoundGraph, int], ...],
+                 tuple[tuple[int, ...], ...],
+                 list[list[tuple[int, int, int]]]]
+
+
+def reference_realize(theta: WeightSystem) -> Realized:
+    """Build the quotient SC-graph realizing an admissible weight system,
+    one vertex per copy, as (vertices, components, component_edges) in
+    the order an `SCGraphQuotient` decodes into.
 
     Vertices are (T, i) for i = 1..theta(T).  For each generator u and
     lens class J, the vertices whose round-graph contains u and meets the
@@ -450,24 +463,35 @@ def reference_realize(theta: WeightSystem) -> SCGraphQuotient:
     edges.sort()
     components = connected_components(
         signed_adjacency(theta.rank, len(vertices), edges))
-    return SCGraphQuotient(theta.rank, theta.radius, tuple(vertices),
-                           components, edges_by_component(components, edges))
+    return (tuple(vertices), components,
+            edges_by_component(components, edges))
 
 
-def reference_decompose(quotient: SCGraphQuotient) -> RationalCurrent:
-    """One counting current per component of the quotient.
+def component_graphs(rank: int, components: Sequence[Sequence[int]],
+                     component_edges: Sequence[Sequence[tuple]]
+                     ) -> list[CoreGraph]:
+    """Each component of a decoded quotient as a hull-core graph."""
+    return [hull_on(rank, comp, edges)
+            for comp, edges in zip(components, component_edges)]
+
+
+def reference_decompose(realized: Realized) -> RationalCurrent:
+    """One counting current per component of a `reference_realize`
+    quotient.
 
     Each component is a hull-core; its subgroup is read off a
     spanning-tree basis at the vertex of least canonical signature.
     Reading a different basepoint would change the subgroup only within
     its conjugacy class, which counting currents do not see.
     """
+    vertices, components, component_edges = realized
+    rank = vertices[0][0].rank
     terms = []
-    for k in range(len(quotient.components)):
-        hull = canonical_form(quotient.component_graph(k))
+    for graph in component_graphs(rank, components, component_edges):
+        hull = canonical_form(graph)
         core = CoreGraph(hull.rank, hull.num_vertices, hull.edges, 0)
         terms.append((Fraction(1), Subgroup.from_core(core)))
-    return RationalCurrent(terms, quotient.rank)
+    return RationalCurrent(terms, rank)
 
 
 # Reference oracles for the fiber product and the spanning-tree basis:

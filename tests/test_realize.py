@@ -1,7 +1,9 @@
 import random
+import time
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
-from itertools import chain
+from itertools import accumulate, chain
 from math import lcm
 
 import pytest
@@ -20,10 +22,10 @@ from subsetcurrents.realize import WeightSystem
 from subsetcurrents.stallings import (_canonical_key, connected_components,
                                       signed_adjacency)
 
-from helpers import (TWO_ROWS_PER_GENERATOR, current_tables,
-                     matching_tables, random_current,
+from helpers import (TWO_ROWS_PER_GENERATOR, component_graphs,
+                     current_tables, matching_tables, random_current,
                      reference_check_matching, reference_decompose,
-                     reference_matching_rows, reference_realize)
+                     reference_matching_rows, reference_realize, subgroups)
 
 X_AXIS = axis(2, 1, 1)
 FULL_STAR = full_ball(2, 1)
@@ -192,8 +194,8 @@ def test_realized_components_are_hull_cores():
     for _ in range(8):
         theta = system_of(random_current(rng), 2)
         quotient = realize(theta)
-        components = Counter(_canonical_key(quotient.component_graph(k))
-                             for k in range(len(quotient.components)))
+        components = Counter(map(_canonical_key, component_graphs(
+            quotient.rank, quotient.components, quotient.component_edges)))
         terms = Counter()
         for coeff, sub in decompose(quotient).terms:
             assert coeff.denominator == 1
@@ -240,10 +242,11 @@ def weight_systems(draw):
 @settings(deadline=None, max_examples=60)
 @given(weight_systems())
 def test_realize_matches_reference(theta):
-    quotient, reference = realize(theta), reference_realize(theta)
-    assert quotient.vertices == reference.vertices
-    assert quotient.components == reference.components
-    assert quotient.component_edges == reference.component_edges
+    quotient = realize(theta)
+    vertices, components, component_edges = reference_realize(theta)
+    assert quotient.vertices == vertices
+    assert quotient.components == components
+    assert quotient.component_edges == component_edges
 
 
 @settings(deadline=None, max_examples=60)
@@ -281,8 +284,8 @@ def test_realized_quotient_satisfies_its_invariants(theta):
 def test_decompose_groups_reference_terms(theta):
     quotient = realize(theta)
     current = decompose(quotient)
-    expected = [_canonical_key(sub.hull)
-                for _c, sub in reference_decompose(quotient).terms]
+    expected = [_canonical_key(sub.hull) for _c, sub
+                in reference_decompose(reference_realize(theta)).terms]
     keys = [_canonical_key(sub.hull) for _c, sub in current.terms]
     assert keys == list(dict.fromkeys(expected))
     assert Counter(expected) == Counter(
@@ -319,9 +322,88 @@ def test_realize_raises_the_reference_first_violation(table):
     expected = reference_check_matching(table)
     if not expected:
         assert realize(WeightSystem(table)).component_edges == \
-            reference_realize(WeightSystem(table)).component_edges
+            reference_realize(WeightSystem(table))[2]
         return
     with pytest.raises(AdmissibilityError) as err:
         realize(WeightSystem(table))
     assert (err.value.generator, err.value.lens, err.value.lhs,
             err.value.rhs) == expected[0]
+
+
+@st.composite
+def atom_weight_systems(draw):
+    """Admissible integer tables whose rows cut inside ranges: the
+    cylinder table of 2-3 subgroups (generators of length <= 6) at
+    distinct integer coefficients up to 50, ranks 2-3, radii 1-2.  The
+    sides of a row then split their weight at different offsets, and
+    atoms longer than 1 are common."""
+    rank = draw(st.integers(2, 3))
+    coefficients = draw(st.lists(st.integers(1, 50), min_size=2,
+                                 max_size=3, unique=True))
+    terms = [(c, draw(subgroups(rank, max_len=6))) for c in coefficients]
+    table = cylinder_table(RationalCurrent(terms, rank),
+                           draw(st.integers(1, 2)))
+    assume(len(table) > 0)
+    return WeightSystem(table)
+
+
+# <xY> at 3 and <xyy> at 5 at radius 1: the closure adds six cuts inside
+# ranges, and the longest atom has length 5.
+CUT_INSIDE = WeightSystem(cylinder_table(RationalCurrent(
+    [(3, Subgroup(["xY"], 2)), (5, Subgroup(["xyy"], 2))], 2), 1))
+
+
+@settings(deadline=None, max_examples=60)
+@given(atom_weight_systems())
+@example(CUT_INSIDE)
+def test_atoms_tile_the_weight_and_match_the_reference(theta):
+    # The atoms tile the copies in order; paired atoms have equal length,
+    # so each atom component has one length L and stands for L
+    # components, and the L-weighted atom components cover the weight.
+    quotient = realize(theta)
+    lengths, atom_components = quotient.lengths, quotient.atom_components
+    assert quotient.starts == list(accumulate([0] + lengths[:-1]))
+    assert sorted(chain(*atom_components)) == list(range(len(lengths)))
+    assert all(len({lengths[a] for a in comp}) == 1
+               for comp in atom_components)
+    assert sum(lengths[comp[0]] * len(comp)
+               for comp in atom_components) == theta.total()
+    vertices, components, component_edges = reference_realize(theta)
+    assert quotient.vertices == vertices
+    assert quotient.components == components
+    assert quotient.component_edges == component_edges
+    current = decompose(quotient)
+    assert quotient.component_count() == len(components) == \
+        sum(c for c, _sub in current.terms)
+    assert Counter(_canonical_key(sub.hull) for _c, sub
+                   in reference_decompose((vertices, components,
+                                           component_edges)).terms) == \
+        Counter({_canonical_key(sub.hull): int(c)
+                 for c, sub in current.terms})
+    assert verify_realization(theta, current)
+
+
+def test_realize_cost_follows_the_atoms_not_the_weight():
+    # theta x 10**6 of a radius-2 table has the atoms of theta, each 10**6
+    # times as long; a build of one vertex per copy would hold tens of
+    # millions of copies.
+    theta = system_of(RationalCurrent(
+        [(Fraction(1, 2), Subgroup(["xy", "yx"], 2)),
+         (Fraction(1, 3), Subgroup(["xxY", "yxy"], 2))], 2), 2)
+    big = WeightSystem(theta.table.scale(10 ** 6))
+    start = time.perf_counter()
+    assert verify_realization(big, decompose(realize(big)))
+    assert time.perf_counter() - start < 1
+    tracemalloc.start()
+    try:
+        quotient = realize(big)
+        current = decompose(quotient)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
+    small = realize(theta)
+    assert len(quotient.starts) == len(small.starts)
+    assert quotient.lengths == [n * 10 ** 6 for n in small.lengths]
+    assert [c for c, _sub in current.terms] == \
+        [c * 10 ** 6 for c, _sub in decompose(small).terms]

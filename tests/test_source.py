@@ -122,6 +122,22 @@ def test_product_counts_are_read_without_decoding():
     assert _calls(ast.Module(counted, []), "component_stats")
 
 
+def test_realize_counts_are_read_without_decoding():
+    # An `SCGraphQuotient` keeps atoms and their lengths, and decodes its
+    # copies on each read of `vertices`, `components` or `component_edges`.
+    # `decompose` counts each atom component's form by its length, and the
+    # `realize` report counts vertices by theta's total and components by
+    # the atom lengths, so neither costs what the weight costs.
+    decoded = {"vertices", "components", "component_edges"}
+    report, decompose = (_function("cli.py", "_cmd_realize"),
+                         _function("realize.py", "decompose"))
+    for node in (report, decompose):
+        assert decoded.isdisjoint(_names(node))
+    assert _calls(report, "total") and _calls(report, "component_count")
+    assert {"atom_components", "atom_edges", "lengths"} <= set(
+        _names(decompose))
+
+
 def test_only_the_cylinders_report_calls_check_matching():
     # Each matching row is checked once, where it is used: `realize` raises
     # the first violated row and `rational_kernel_point` checks every
