@@ -8,18 +8,20 @@ reduced ranks.  Vertices incident to no matched edge are never
 materialized: they are isolated singletons and contribute nothing.
 
 `fiber_product` builds the product as an edge join costing sum over
-labels l of |A_l| * |B_l|, with no BFS; `intersection` walks only the
-basepoint's component of core x core.
+labels l of |A_l| * |B_l|, with no BFS, and finds its components with
+`stallings.join_least`; `intersection` walks only the basepoint's
+component of core x core and prunes it with `stallings._prune`, the
+prune that `fold` and `hull_core` run.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from itertools import accumulate, chain, compress, count, repeat
+from itertools import accumulate, chain, count, repeat
 from typing import Union
 
 from .errors import BasisMismatchError
-from .stallings import CoreGraph, Subgroup, hull_on
+from .stallings import CoreGraph, Subgroup, _prune, join_least
 from .words import _Frozen, _signed_letters
 
 Pair = tuple[int, int]
@@ -60,15 +62,15 @@ class ProductGraph(_Frozen):
     @property
     def component_edges(self) -> list[list[tuple[Pair, Pair, int]]]:
         """Each component's sorted edges (s, d, l)."""
-        pair = dict(zip(self.codes, self.vertices))
         where = dict(zip(self.codes, chain.from_iterable(
             map(repeat, count(), [v for v, _ in self.stats]))))
         edges: list[list[tuple[Pair, Pair, int]]] = [[] for _ in self.stats]
-        rank, size = self.rank, self.size
+        rank, size, width = self.rank, self.size, self.width
         for code in sorted(self.edges):
             sd, l = divmod(code, rank)
             s, d = divmod(sd, size)
-            edges[where[s]].append((pair[s], pair[d], l + 1))
+            edges[where[s]].append((divmod(s, width), divmod(d, width),
+                                    l + 1))
         return edges
 
     def __repr__(self) -> str:
@@ -79,11 +81,6 @@ class ProductGraph(_Frozen):
         """(#vertices, #edges) per component, read without decoding."""
         return list(self.stats)
 
-    def component_core(self, index: int) -> CoreGraph:
-        """One component as a hull-core graph (fails on tree components)."""
-        return hull_on(self.rank, self.components[index],
-                       self.component_edges[index])
-
 
 def fiber_product(a_graph: CoreGraph, b_graph: CoreGraph) -> ProductGraph:
     """Fiber product of two hull-cores, built as an edge join with no BFS.
@@ -91,8 +88,7 @@ def fiber_product(a_graph: CoreGraph, b_graph: CoreGraph) -> ProductGraph:
     Each pair of an l-edge of A and an l-edge of B is a product edge, so
     the join costs sum over labels l of |A_l| * |B_l|.  It lists integers
     only: each edge's source, target and edge code (a part from A's edge
-    plus a part from B's).  Union-find hangs the greater of two roots
-    under the lesser, so every parent is less than its child and each
+    plus a part from B's).  `join_least` joins each edge's ends, so each
     component's root is its least pair, whether that pair is an edge's
     source or only a target; (#V, #E) is counted per root.
     """
@@ -113,20 +109,7 @@ def fiber_product(a_graph: CoreGraph, b_graph: CoreGraph) -> ProductGraph:
     edges = [x + y for (_sw, _dw, x, bs) in joined for (_sb, _db, y) in bs]
     parent = dict(zip(sources, sources))
     parent.update(zip(targets, targets))
-    for s, d in zip(sources, targets):
-        # Find both roots, halving each path, then join them.
-        while s != (p := parent[s]):
-            parent[s] = s = parent[p]
-        while d != (p := parent[d]):
-            parent[d] = d = parent[p]
-        if s < d:
-            parent[d] = s
-        elif d < s:
-            parent[s] = d
-    # In increasing order each parent already points at its root.
-    order = sorted(parent)
-    for v in order:
-        parent[v] = parent[parent[v]]
+    order = join_least(parent, sources, targets)
     sizes = Counter(parent.values())
     per_root = Counter(map(parent.__getitem__, sources))
     # A stable sort by root groups the sorted codes by component.
@@ -158,11 +141,11 @@ def intersection(h: Subgroup, k: Subgroup) -> Subgroup:
 
     The basepoints' component of core x core is walked breadth-first over
     pair codes a * |V(K)| + b, scanning signed letters x, X, y, Y, ...;
-    each vertex keeps its row, a map from signed letter to walk id.  The
-    prune runs on those rows, and the survivors, renumbered in walk order,
-    give the sorted edges and the signed adjacency directly.  The core is
-    stored unchecked: the walk reaches one component, the product of two
-    folded cores is folded, the prune leaves every vertex but the
+    each vertex keeps its row, a map from signed letter to walk id.
+    `_prune` runs on those rows, and the survivors, renumbered in walk
+    order, give the sorted edges and the signed adjacency directly.  The
+    core is stored unchecked: the walk reaches one component, the product
+    of two folded cores is folded, the prune leaves every vertex but the
     basepoint with degree at least 2, and the edges are sorted.
     """
     if h.rank != k.rank:
@@ -192,33 +175,8 @@ def intersection(h: Subgroup, k: Subgroup) -> Subgroup:
                 row[m] = j
         rows.append(row)
     del a_reads, walk, ids
-    # Delete degree-<=1 vertices but the basepoint, as `_prune_edges`
-    # does; a loop reads two letters, so it adds 2 to the degree.
-    degree = list(map(len, rows))
-    alive = [True] * len(rows)
-    queue = [i for i in range(1, len(rows)) if degree[i] <= 1]
-    while queue:
-        i = queue.pop()
-        alive[i] = False
-        for j in rows[i].values():
-            if alive[j]:
-                degree[j] -= 1
-                if degree[j] == 1 and j:
-                    queue.append(j)
-    new_id = [n - 1 for n in accumulate(alive)]
-    edges = []
-    step = []
-    for i in compress(range(len(rows)), alive):
-        s = len(step)
-        out = {}
-        for m, j in rows[i].items():
-            if alive[j]:
-                out[m] = d = new_id[j]
-                if m > 0:
-                    edges.append((s, d, m))
-        step.append(out)
-    del rows, alive, new_id     # freed before the basis is built
-    edges.sort()
+    edges, step = _prune(rows, 0)[:2]
+    del rows                    # freed before the basis is built
     return Subgroup.from_core(
         CoreGraph._proved(h.rank, len(step), tuple(edges), 0, step))
 

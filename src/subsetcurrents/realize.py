@@ -24,7 +24,7 @@ from operator import sub
 from .errors import AdmissibilityError
 from .cylinders import (RationalCurrent, RoundGraph, WeightTable,
                         cylinder_table, lens_rows)
-from .stallings import CoreGraph, Subgroup, _canonical_key, find_root
+from .stallings import CoreGraph, Subgroup, _canonical_key, join_least
 from .words import _Frozen
 
 
@@ -141,7 +141,7 @@ def realize(theta: WeightSystem) -> SCGraphQuotient:
     A copy of T sits in exactly one out-row per letter u in T and one
     in-row per u^-1 in T, so the graph is folded, each copy reads exactly
     T's letters, and every degree is >= 2, with no second check.
-    Union-find joins each atom edge's ends under the least root, so atom
+    `join_least` joins each atom edge's ends under the least root, so atom
     components come out sorted, in order of least atom, and each sorted
     atom edge is filed under its source's component.  An atom component
     has one length L, and its L copies have their least vertices in its
@@ -195,14 +195,10 @@ def realize(theta: WeightSystem) -> SCGraphQuotient:
                          repeat(gen)))
     edges.sort()
     parent = list(range(len(starts)))
-    for (s, d, _l) in edges:
-        rs, rd = find_root(parent, s), find_root(parent, d)
-        parent[max(rs, rd)] = min(rs, rd)
-    # Parents are less than children: in increasing order each parent
-    # already points at its root, and each component starts at its root.
+    join_least(parent, [e[0] for e in edges], [e[1] for e in edges])
+    # Each component starts at its root, its least atom.
     components: dict[int, list[int]] = {}
-    for a in range(len(parent)):
-        parent[a] = root = parent[parent[a]]
+    for a, root in enumerate(parent):
         components.setdefault(root, []).append(a)
     component_edges: dict[int, list[tuple[int, int, int]]] = {
         root: [] for root in components}

@@ -6,10 +6,15 @@ spell exactly the subgroup elements; the hull-core form is the basepointed
 core with degree-<=1 vertices iteratively pruned (the quotient of the
 convex hull of the subgroup's limit set).  The hull-core of the trivial
 subgroup is the empty graph.
+
+`_prune` is the one prune, on signed-adjacency rows, of every graph the
+package builds, and `join_least` the one union-find that finds their
+components, each rooted at its least vertex.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate, compress
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import BasisMismatchError, FileFormatError
@@ -82,7 +87,9 @@ class CoreGraph(_Frozen):
         step = signed_adjacency(rank, num_vertices, edges)
         if basepoint is not None and not 0 <= basepoint < num_vertices:
             raise ValueError("basepoint out of range")
-        if len(connected_components(step)) > 1:
+        parent = list(range(num_vertices))
+        join_least(parent, [e[0] for e in edges], [e[1] for e in edges])
+        if any(parent):
             raise ValueError("graph is disconnected")
         # A folded graph's degree is the number of signed letters read at
         # a vertex; a loop reads two.
@@ -174,34 +181,6 @@ def signed_adjacency(rank: int, num_vertices: int,
     return step
 
 
-def connected_components(step: Sequence[Mapping[int, int]]
-                         ) -> tuple[tuple[int, ...], ...]:
-    """Sorted vertex tuples of the components of a signed adjacency, in
-    order of least vertex."""
-    seen = [False] * len(step)
-    comps = []
-    for v in range(len(step)):
-        if seen[v]:
-            continue
-        seen[v] = True
-        comp = [v]
-        for u in comp:
-            for w in step[u].values():
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-        comps.append(tuple(sorted(comp)))
-    return tuple(comps)
-
-
-def hull_on(rank: int, vertices: Sequence, edges: Iterable[tuple]
-            ) -> CoreGraph:
-    """One component as a hull-core, its vertices numbered in order."""
-    ids = {v: k for k, v in enumerate(vertices)}
-    return CoreGraph(rank, len(ids), [(ids[s], ids[d], l)
-                                      for (s, d, l) in edges], None)
-
-
 def find_root(parent, v: int) -> int:
     """v's root in a union-find parent map; each step halves the path."""
     while parent[v] != v:
@@ -209,8 +188,35 @@ def find_root(parent, v: int) -> int:
     return v
 
 
+def join_least(parent, sources: Iterable[int], targets: Iterable[int]
+               ) -> Sequence[int]:
+    """Join each source to its target in a union-find parent map, and
+    return the map's keys in increasing order.
+
+    `parent` is a list over 0..n-1 or a dict over the touched keys, each
+    key its own parent.  Both roots are found by halving their paths,
+    and the greater root hangs under the lesser, so every parent is less
+    than its child and each component's root is its least key.  Then, in
+    increasing order, each parent already points at its root, so one
+    pass points every key at its root.
+    """
+    for s, d in zip(sources, targets):
+        while s != (p := parent[s]):
+            parent[s] = s = parent[p]
+        while d != (p := parent[d]):
+            parent[d] = d = parent[p]
+        if s < d:
+            parent[d] = s
+        elif d < s:
+            parent[s] = d
+    order = sorted(parent) if isinstance(parent, dict) else range(len(parent))
+    for v in order:
+        parent[v] = parent[parent[v]]
+    return order
+
+
 def _fold_edges(num_vertices: int, edges: Sequence[tuple[int, int, int]]
-                ) -> tuple[int, list[tuple[int, int, int]], list[int]]:
+                ) -> tuple[list[dict[int, int]], list[int]]:
     """Stallings folding by a worklist union-find; returns the quotient.
 
     Each class root keeps one map from signed label to a neighbour.  Two
@@ -221,7 +227,8 @@ def _fold_edges(num_vertices: int, edges: Sequence[tuple[int, int, int]]
     the fold runs in near-linear time.
     Classes are numbered in order of their least vertex.
 
-    The result is (new_count, new_edges, mapping old vertex -> new vertex).
+    The result is (each class's row, its map from signed label to
+    neighbouring class; mapping old vertex -> new vertex).
     """
     parent = list(range(num_vertices))
     nbrs: list[dict[int, int]] = [{} for _ in range(num_vertices)]
@@ -250,44 +257,47 @@ def _fold_edges(num_vertices: int, edges: Sequence[tuple[int, int, int]]
     new_id: dict[int, int] = {}
     mapping = [new_id.setdefault(find_root(parent, v), len(new_id))
                for v in range(num_vertices)]
-    new_edges = sorted({(mapping[s], mapping[d], l) for (s, d, l) in edges})
-    return len(new_id), new_edges, mapping
+    rows = [{m: mapping[w] for m, w in nbrs[root].items()} for root in new_id]
+    return rows, mapping
 
 
-def _prune_edges(num_vertices: int, edges: Sequence[tuple[int, int, int]],
-                 protect: Optional[int]
-                 ) -> tuple[int, list[tuple[int, int, int]], dict[int, int]]:
-    """Iteratively delete degree-<=1 vertices (except `protect`).
+def _prune(rows: Sequence[Mapping[int, int]], protect: Optional[int]
+           ) -> tuple[list[tuple[int, int, int]], list[dict[int, int]],
+                      list[int]]:
+    """Iteratively delete degree-<=1 vertices (except `protect`) of a
+    folded graph given by its rows, each vertex's map from signed letter
+    to neighbour; a vertex's degree is its row's size, a loop reading two.
 
-    A queue of degree-<=1 vertices over incidence lists: each vertex is
-    deleted once and each edge looked at twice, so the prune runs in
-    linear time.  A loop adds 2 to its vertex's degree.  Survivors are
-    renumbered in increasing order.
+    A queue of degree-<=1 vertices deletes each vertex once and looks at
+    each edge twice, so the prune runs in linear time.  Survivors are
+    renumbered in increasing order.  The result is (their sorted edges,
+    their rows, each old vertex's new id or -1 if deleted).
     """
-    deg = [0] * num_vertices
-    incident: list[list[int]] = [[] for _ in range(num_vertices)]
-    for (s, d, _l) in edges:
-        deg[s] += 1
-        deg[d] += 1
-        incident[s].append(d)
-        incident[d].append(s)
-    alive = [True] * num_vertices
-    queue = [v for v in range(num_vertices) if deg[v] <= 1 and v != protect]
+    degree = list(map(len, rows))
+    alive = [True] * len(rows)
+    queue = [v for v in range(len(rows)) if degree[v] <= 1 and v != protect]
     while queue:
         v = queue.pop()
         alive[v] = False
-        for w in incident[v]:
+        for w in rows[v].values():
             if alive[w]:
-                deg[w] -= 1
-                if deg[w] == 1 and w != protect:
+                degree[w] -= 1
+                if degree[w] == 1 and w != protect:
                     queue.append(w)
-    new_id: dict[int, int] = {}
-    for v in range(num_vertices):
-        if alive[v]:
-            new_id[v] = len(new_id)
-    new_edges = sorted((new_id[s], new_id[d], l) for (s, d, l) in edges
-                       if alive[s] and alive[d])
-    return len(new_id), new_edges, new_id
+    new_id = [n - 1 if a else -1 for n, a in zip(accumulate(alive), alive)]
+    edges = []
+    step = []
+    for v in compress(range(len(rows)), alive):
+        s = len(step)
+        out = {}
+        for m, w in rows[v].items():
+            if (d := new_id[w]) >= 0:
+                out[m] = d
+                if m > 0:
+                    edges.append((s, d, m))
+        step.append(out)
+    edges.sort()
+    return edges, step, new_id
 
 
 def fold(g: LabeledGraph) -> CoreGraph:
@@ -296,13 +306,21 @@ def fold(g: LabeledGraph) -> CoreGraph:
     Identifications never change the set of reduced words read by closed
     paths at the basepoint.  Degree-<=1 vertices other than the basepoint
     are trimmed afterwards so the result satisfies the core invariants;
-    such vertices cannot lie on any reduced loop.
+    such vertices cannot lie on any reduced loop.  An edge end or a
+    basepoint outside 0..num_vertices-1 raises ValueError.
     """
-    n, edges, mapping = _fold_edges(g.num_vertices, g.edges)
-    base = mapping[g.basepoint] if g.basepoint is not None else None
-    n, edges, keep = _prune_edges(n, edges, base)
-    base = keep[base] if base is not None else None
-    return CoreGraph(g.rank, n, edges, base)
+    n, base = g.num_vertices, g.basepoint
+    if base is not None and not 0 <= base < n:
+        raise ValueError(f"basepoint {base} out of range")
+    for edge in g.edges:
+        if not (0 <= edge[0] < n and 0 <= edge[1] < n):
+            raise ValueError(f"edge {edge} references a missing vertex")
+    rows, mapping = _fold_edges(n, g.edges)
+    base = mapping[base] if base is not None else None
+    # Rebinding `rows` frees the unpruned rows before the checked build.
+    edges, rows, new_id = _prune(rows, base)
+    base = new_id[base] if base is not None else None
+    return CoreGraph(g.rank, len(rows), edges, base)
 
 
 def core_from_generators(gens: Sequence[WordLike], rank: int) -> CoreGraph:
@@ -342,8 +360,9 @@ def core_from_generators(gens: Sequence[WordLike], rank: int) -> CoreGraph:
 
 def hull_core(c: CoreGraph) -> CoreGraph:
     """Prune degree-<=1 vertices iteratively; the basepoint has no immunity."""
-    n, edges, _ = _prune_edges(c.num_vertices, c.edges, None)
-    return CoreGraph(c.rank, n, edges, None)
+    edges, step, _ = _prune(c._step, None)
+    # Deleting leaves keeps a folded core connected and folded.
+    return CoreGraph._proved(c.rank, len(step), tuple(edges), None, step)
 
 
 def contains(c: CoreGraph, w: WordLike) -> bool:

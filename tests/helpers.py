@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from hypothesis import strategies as st
 
@@ -20,9 +20,7 @@ from subsetcurrents.cylinders import (LensKey, RationalCurrent, RoundGraph,
 from subsetcurrents.errors import (AdmissibilityError, BasisMismatchError,
                                    InfeasibleKernelError, LetterRangeError)
 from subsetcurrents.realize import WeightSystem
-from subsetcurrents.stallings import (WordLike, _prune_edges,
-                                      connected_components, hull_on,
-                                      signed_adjacency)
+from subsetcurrents.stallings import WordLike, signed_adjacency
 from subsetcurrents.words import _signed_letters, char_to_letter
 
 
@@ -70,7 +68,8 @@ def random_cover(c: CoreGraph, degree: int, seed: int) -> CoreGraph:
         if len(connected_components(step)) == 1:
             break
     base = c.basepoint * degree
-    n, edges, keep = _prune_edges(c.num_vertices * degree, edges, base)
+    n, edges, keep = reference_prune_edges(c.num_vertices * degree, edges,
+                                           base)
     return CoreGraph(c.rank, n, edges, keep[base])
 
 
@@ -157,8 +156,10 @@ def reference_parse_word(text: str, rank: int) -> Word:
 
 
 # Reference oracles: the fixed-point fold and the layer-per-pass prune
-# that `stallings._fold_edges` and `stallings._prune_edges` must match
-# output for output.  Quadratic; keep the inputs small.
+# that `stallings._fold_edges` and `stallings._prune` must match output
+# for output, and the breadth-first component search that
+# `stallings.join_least` must agree with.  Quadratic; keep the inputs
+# small.
 
 def reference_fold_edges(num_vertices: int,
                          edges: Sequence[tuple[int, int, int]]
@@ -230,6 +231,26 @@ def reference_prune_edges(num_vertices: int,
     new_id = {v: i for i, v in enumerate(sorted(alive))}
     new_edges = sorted((new_id[s], new_id[d], l) for (s, d, l) in cur)
     return len(alive), new_edges, new_id
+
+
+def connected_components(step: Sequence[Mapping[int, int]]
+                         ) -> tuple[tuple[int, ...], ...]:
+    """Sorted vertex tuples of the components of a signed adjacency, in
+    order of least vertex."""
+    seen = [False] * len(step)
+    comps = []
+    for v in range(len(step)):
+        if seen[v]:
+            continue
+        seen[v] = True
+        comp = [v]
+        for u in comp:
+            for w in step[u].values():
+                if not seen[w]:
+                    seen[w] = True
+                    comp.append(w)
+        comps.append(tuple(sorted(comp)))
+    return tuple(comps)
 
 
 # Reference oracles: the bouquet-of-loops `core_from_generators` and the
@@ -470,9 +491,15 @@ def reference_realize(theta: WeightSystem) -> Realized:
 def component_graphs(rank: int, components: Sequence[Sequence[int]],
                      component_edges: Sequence[Sequence[tuple]]
                      ) -> list[CoreGraph]:
-    """Each component of a decoded quotient as a hull-core graph."""
-    return [hull_on(rank, comp, edges)
-            for comp, edges in zip(components, component_edges)]
+    """Each component of a decoded quotient or product as a hull-core
+    graph, its vertices numbered in order."""
+    graphs = []
+    for comp, edges in zip(components, component_edges):
+        ids = {v: k for k, v in enumerate(comp)}
+        graphs.append(CoreGraph(rank, len(ids), [(ids[s], ids[d], l)
+                                                 for (s, d, l) in edges],
+                                None))
+    return graphs
 
 
 def reference_decompose(realized: Realized) -> RationalCurrent:
@@ -577,7 +604,7 @@ def reference_intersection_core(h: Subgroup, k: Subgroup) -> CoreGraph:
                                         (h.core.basepoint, k.core.basepoint),
                                         set(), edges)
     ids = {v: n for n, v in enumerate(comp)}
-    n, core_edges, _ = _prune_edges(
+    n, core_edges, _ = reference_prune_edges(
         len(comp), sorted((ids[s], ids[d], l) for (s, d, l) in edges), 0)
     return CoreGraph(h.rank, n, core_edges, 0)
 

@@ -13,9 +13,10 @@ from subsetcurrents import (CoreGraph, LabeledGraph, Subgroup, Word,
                             shnc_margin)
 from subsetcurrents.errors import BasisMismatchError
 
-from helpers import (_reference_product_component, random_finite_cover,
-                     random_subgroup, random_word, reference_basis_of,
-                     reference_fiber_product, reference_intersection_core)
+from helpers import (_reference_product_component, component_graphs,
+                     random_finite_cover, random_subgroup, random_word,
+                     reference_basis_of, reference_fiber_product,
+                     reference_intersection_core)
 
 ROSE_HULL = CoreGraph(2, 1, [(0, 0, 1), (0, 0, 2)], None)
 DOUBLE_HULL = CoreGraph(2, 2, [(0, 1, 1), (1, 0, 1), (0, 0, 2), (1, 1, 2)],
@@ -63,7 +64,9 @@ def test_product_with_rose_is_identity():
             continue
         p = fiber_product(ROSE_HULL, hull)
         assert len(p.components) == 1
-        assert label_isomorphic(p.component_core(0), hull)
+        (component,) = component_graphs(p.rank, p.components,
+                                        p.component_edges)
+        assert label_isomorphic(component, hull)
 
 
 def test_product_of_disjoint_labels_is_empty():

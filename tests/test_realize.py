@@ -19,11 +19,10 @@ from subsetcurrents.approx import _matching_matrix
 from subsetcurrents.cylinders import lens_rows
 from subsetcurrents.errors import AdmissibilityError
 from subsetcurrents.realize import WeightSystem
-from subsetcurrents.stallings import (_canonical_key, connected_components,
-                                      signed_adjacency)
+from subsetcurrents.stallings import _canonical_key, signed_adjacency
 
 from helpers import (TWO_ROWS_PER_GENERATOR, component_graphs,
-                     current_tables, matching_tables, random_current,
+                     connected_components, current_tables, matching_tables, random_current,
                      reference_check_matching, reference_decompose,
                      reference_matching_rows, reference_realize, subgroups)
 

@@ -106,7 +106,7 @@ def test_product_counts_are_read_without_decoding():
     # and edges, and decodes pairs and edges on each read.  N(H, K), the
     # SHNC margin and the census read only the counts; `intersect` decodes
     # for `--export` alone.
-    decoded = {"vertices", "components", "component_edges", "component_core"}
+    decoded = {"vertices", "components", "component_edges"}
     intersect = _function("cli.py", "_cmd_intersect")
     counted = [stmt for stmt in intersect.body
                if not (isinstance(stmt, ast.If)
@@ -158,14 +158,15 @@ def test_lens_rows_has_one_reader_per_use():
 
 def test_each_class_stored_as_given_has_one_builder():
     # `SCGraphQuotient`, `ProductGraph`, the `CoreGraph` of an
-    # intersection and the traced `RoundGraph` of a hull-core ball store
-    # their fields unchecked, because the one function that builds each
-    # proves them by how it builds them; a second builder would bring in
-    # fields nothing proved.  Every other `CoreGraph` and `RoundGraph`
-    # runs the public constructor's checks.
+    # intersection or of a hull-core and the traced `RoundGraph` of a
+    # hull-core ball store their fields unchecked, because the one
+    # function that builds each proves them by how it builds them; a
+    # second builder would bring in fields nothing proved.  Every other
+    # `CoreGraph` and `RoundGraph` runs the public constructor's checks.
     assert _callers("SCGraphQuotient") == ["realize.py:realize"]
     assert _callers("ProductGraph") == ["fiber.py:fiber_product"]
-    assert _callers("_proved") == ["fiber.py:intersection"]
+    assert _callers("_proved") == ["fiber.py:intersection",
+                                   "stallings.py:hull_core"]
     assert _callers("_traced") == ["cylinders.py:cylinder_table"]
     assert _callers("_store") == ["cylinders.py:__init__",
                                   "cylinders.py:_traced"]
@@ -175,6 +176,24 @@ def test_each_class_stored_as_given_has_one_builder():
                if path.name == "realize.py"]
     assert {"signed_adjacency", "connected_components",
             "least_bfs_encoding"}.isdisjoint(_names(tree))
+
+
+def test_one_prune_and_one_component_join():
+    # Every graph the package builds is pruned by `stallings._prune` and
+    # has its components joined by `stallings.join_least`; a second prune
+    # or union-find would be a second place to keep in step.
+    assert _callers("_prune") == ["fiber.py:intersection",
+                                  "stallings.py:fold",
+                                  "stallings.py:hull_core"]
+    assert _callers("join_least") == ["fiber.py:fiber_product",
+                                      "realize.py:realize",
+                                      "stallings.py:__init__"]
+    for path, tree in package_trees():
+        names = set(_names(tree))
+        assert "connected_components" not in names, path.name
+        assert "_prune_edges" not in names, path.name
+        if path.name in ("fiber.py", "realize.py"):
+            assert "find_root" not in names, path.name
 
 
 def test_kernel_repair_rounds_without_floats():

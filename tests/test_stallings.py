@@ -14,12 +14,11 @@ from subsetcurrents import (CoreGraph, LabeledGraph, Subgroup, Word, basis_of,
                             subgroup_to_text)
 from subsetcurrents.approx import subgroup_Hn
 from subsetcurrents.errors import BasisMismatchError, FileFormatError
-from subsetcurrents.stallings import (_fold_edges, _prune_edges,
-                                      signed_adjacency)
+from subsetcurrents.stallings import _fold_edges, _prune, signed_adjacency
 
 from helpers import (random_cover, random_finite_cover, random_subgroup,
                      random_word, reference_core_from_generators,
-                     reference_fold_edges, reference_prune_edges)
+                     reference_fold_edges, reference_prune_edges, subgroups)
 
 ROSE = core_from_generators(["x", "y"], 2)
 DOUBLE_COVER = CoreGraph(2, 2, [(0, 1, 1), (1, 0, 1), (0, 0, 2), (1, 1, 2)], 0)
@@ -150,16 +149,40 @@ def raw_graphs(draw, connected=False):
 
 @given(raw_graphs())
 def test_fold_edges_matches_reference(graph):
-    _rank, n, edges = graph
-    assert _fold_edges(n, edges) == reference_fold_edges(n, edges)
+    # The quotient comes back as its rows; they are the signed adjacency
+    # of the reference quotient's edges.
+    rank, n, edges = graph
+    count, folded, mapping = reference_fold_edges(n, edges)
+    assert _fold_edges(n, edges) == (
+        signed_adjacency(rank, count, folded), mapping)
 
 
 @given(raw_graphs(), st.data())
 def test_prune_edges_matches_reference(graph, data):
-    _rank, n, edges = graph
+    # The prune acts on folded graphs: the reference quotient of a raw one,
+    # its rows filled in a drawn edge order.
+    rank, n, edges = graph
+    n, edges, _ = reference_fold_edges(n, edges)
     protect = data.draw(st.none() | st.integers(0, n - 1))
-    assert _prune_edges(n, edges, protect) == \
-        reference_prune_edges(n, edges, protect)
+    rows = signed_adjacency(rank, n, data.draw(st.permutations(edges)))
+    count, pruned, new_id = reference_prune_edges(n, edges, protect)
+    assert _prune(rows, protect) == (
+        pruned, signed_adjacency(rank, count, pruned),
+        [new_id.get(v, -1) for v in range(n)])
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 3).flatmap(subgroups))
+def test_hull_core_matches_the_checked_constructor(sub):
+    # `hull_core` stores its result unchecked; the public constructor on
+    # the reference prune's edges must build the same graph.
+    c = sub.core
+    n, edges, _ = reference_prune_edges(c.num_vertices, c.edges, None)
+    hull, checked = hull_core(c), CoreGraph(c.rank, n, edges, None)
+    assert hull == checked and hull._hash == checked._hash
+    assert (hull.rank, hull.num_vertices, hull.edges, hull.basepoint,
+            hull._step) == (checked.rank, checked.num_vertices,
+                            checked.edges, checked.basepoint, checked._step)
 
 
 @given(raw_graphs(connected=True), st.data())
@@ -464,6 +487,20 @@ def test_intersection_core_does_not_fold(monkeypatch):
         meet.core
         assert calls == []
         monkeypatch.undo()
+
+
+@pytest.mark.parametrize("graph, message", [
+    (LabeledGraph(2, 2, [(0, 0, 1), (0, 5, 2)], 0), "missing vertex"),
+    (LabeledGraph(1, 2, [(0, 0, 1), (0, -1, 1)], 0), "missing vertex"),
+    (LabeledGraph(2, 1, [(0, 0, 1)], 3), "basepoint 3 out of range"),
+    (LabeledGraph(2, 1, [(0, 0, 1)], -1), "basepoint -1 out of range"),
+], ids=["edge-past-end", "edge-negative", "basepoint-past-end",
+        "basepoint-negative"])
+def test_fold_rejects_out_of_range_input(graph, message):
+    # Neither an index error nor a negative index wrapping round to the
+    # last vertex: a named ValueError.
+    with pytest.raises(ValueError, match=message):
+        fold(graph)
 
 
 def test_core_graph_validation():
