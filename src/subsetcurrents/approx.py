@@ -40,11 +40,36 @@ SCAN_BOUND = 16
 
 
 def rationalize(value) -> Fraction:
-    """Snap a float to the nearest rational with denominator at most
-    FLOAT_DENOMINATOR_BOUND; exact inputs (int, Fraction, decimal string)
-    pass through limit_denominator too, which leaves them unchanged when
-    already small."""
-    return Fraction(value).limit_denominator(FLOAT_DENOMINATOR_BOUND)
+    """Snap a value to the nearest rational of denominator at most
+    FLOAT_DENOMINATOR_BOUND: the answer of `Fraction.limit_denominator`,
+    found on integers and built as the one Fraction returned.
+
+    A float, int or Fraction is read exactly as n/d; other input goes
+    through `Fraction`.  Past the bound, the continued fraction of n/d
+    runs until the next convergent's denominator would pass it.  Of the
+    last convergent p1/q1 and the largest semiconvergent
+    (p0 + k.p1)/(q0 + k.q1) within it, the nearer n/d wins, p1/q1 on a
+    tie.  The two lie 1/(q1.(q0 + k.q1)) apart and p1/q1 lies d'/(q1.d)
+    from n/d, d' the last remainder: p1/q1 wins iff 2.d'.(q0 + k.q1) <= d.
+    """
+    if not isinstance(value, (float, int, Fraction)):
+        value = Fraction(value)
+    n, d = value.as_integer_ratio()
+    if d <= FLOAT_DENOMINATOR_BOUND:
+        return Fraction(n, d)
+    denominator = d
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    while True:
+        a = n // d
+        q2 = q0 + a * q1
+        if q2 > FLOAT_DENOMINATOR_BOUND:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        n, d = d, n - a * d
+    k = (FLOAT_DENOMINATOR_BOUND - q0) // q1
+    if 2 * d * (q0 + k * q1) <= denominator:
+        return Fraction(p1, q1)
+    return Fraction(p0 + k * p1, q0 + k * q1)
 
 
 def _bareiss_echelon(matrix: Sequence[Sequence[int]]

@@ -483,21 +483,6 @@ def cylinder_table(current: RationalCurrent, radius: int) -> WeightTable:
 # ---------------------------------------------------------------------------
 # matching equations and the cylinder pseudo-distance
 
-@lru_cache(maxsize=None)
-def lens_ball(rank: int, radius: int, generator: int) -> frozenset[WordTuple]:
-    """Vertices of B(id, r) within distance r of the generator vertex."""
-    inverse = (-generator,)
-    return frozenset(
-        w for w in _ball_words(rank, radius)
-        if len(free_reduce(inverse + w)) <= radius)
-
-
-def translate_words(words: Iterable[WordTuple], letter: int
-                    ) -> frozenset[WordTuple]:
-    """Left-translate a vertex set by a single signed letter."""
-    return frozenset(free_reduce((letter,) + w) for w in words)
-
-
 LensKey = tuple[WordTuple, ...]
 
 
@@ -505,13 +490,29 @@ def lens_keys(t: RoundGraph, generator: int
               ) -> tuple[Optional[LensKey], Optional[LensKey]]:
     """The lens classes of t for generator u: t meeting the lens if u is
     in t, and the u-translate of t meeting the lens if u^-1 is in t (None
-    where t lacks the letter).  Matching pairs equal keys."""
-    lens = lens_ball(t.rank, t.radius, generator)
+    where t lacks the letter).  Matching pairs equal keys.
+
+    Both are read off word prefixes, with no walk of the ball.  A word w
+    of t (|w| <= r) lies in L = B(id, r) & B(u, r) exactly when |w| < r
+    or w starts with u.  Its u-translate is w[1:] when w starts with u^-1,
+    which always lies in L, and (u,) + w otherwise, which lies in L
+    exactly when |w| < r.
+    """
+    r = t.radius
+    u = generator
     # A filter of the canonical t.words is canonical.
-    out = (tuple(w for w in t.words if w in lens)
-           if (generator,) in t.word_set else None)
-    inc = (_canonical_words(translate_words(t.words, generator) & lens)
-           if (-generator,) in t.word_set else None)
+    out = (tuple([w for w in t.words if len(w) < r or w[0] == u])
+           if (u,) in t.word_set else None)
+    inc = None
+    if (-u,) in t.word_set:
+        # r >= 1 here, so a word of length >= r has a first letter.
+        moved = [w[1:] if w and w[0] == -u else (u,) + w
+                 for w in t.words if len(w) < r or w[0] == -u]
+        # The stripped words never start with u, the prefixed ones always
+        # do, and each kind comes in canonical order: a stable sort by
+        # length and first letter merges them canonically.
+        inc = tuple(sorted(moved, key=lambda w: (
+            len(w), _CODE[w[0]] if w else 0)))
     return out, inc
 
 

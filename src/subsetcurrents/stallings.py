@@ -307,20 +307,24 @@ def fold(g: LabeledGraph) -> CoreGraph:
     paths at the basepoint.  Degree-<=1 vertices other than the basepoint
     are trimmed afterwards so the result satisfies the core invariants;
     such vertices cannot lie on any reduced loop.  An edge end or a
-    basepoint outside 0..num_vertices-1 raises ValueError.
+    basepoint outside 0..num_vertices-1, or an edge label outside
+    1..rank, raises ValueError, even where the prune would drop the edge.
     """
-    n, base = g.num_vertices, g.basepoint
+    n, base, rank = g.num_vertices, g.basepoint, g.rank
     if base is not None and not 0 <= base < n:
         raise ValueError(f"basepoint {base} out of range")
     for edge in g.edges:
         if not (0 <= edge[0] < n and 0 <= edge[1] < n):
             raise ValueError(f"edge {edge} references a missing vertex")
+        if not 1 <= edge[2] <= rank:
+            raise ValueError(
+                f"edge label {edge[2]} out of range for rank {rank}")
     rows, mapping = _fold_edges(n, g.edges)
     base = mapping[base] if base is not None else None
     # Rebinding `rows` frees the unpruned rows before the checked build.
     edges, rows, new_id = _prune(rows, base)
     base = new_id[base] if base is not None else None
-    return CoreGraph(g.rank, len(rows), edges, base)
+    return CoreGraph(rank, len(rows), edges, base)
 
 
 def core_from_generators(gens: Sequence[WordLike], rank: int) -> CoreGraph:

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from subsetcurrents import (RationalCurrent, Subgroup,
@@ -28,6 +28,43 @@ def test_rationalize():
     assert rationalize(Fraction(7, 11)) == Fraction(7, 11)
     assert rationalize(2) == 2
     assert rationalize(0.0) == 0
+
+
+# Values exactly halfway between the two candidates at the bound:
+# 1/(2 * 10**6) between 0 and 1/10**6, its negative, and 1 - 1/(2 * 10**6)
+# between 1 - 1/10**6 and 1.  limit_denominator keeps the convergent, the
+# candidate of smaller denominator.
+TIES = (Fraction(1, 2 * 10 ** 6), Fraction(-1, 2 * 10 ** 6),
+        Fraction(2 * 10 ** 6 - 1, 2 * 10 ** 6))
+
+
+@settings(max_examples=400)
+@given(st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True,
+              min_value=-1e-300, max_value=1e-300),
+    st.floats(1e-8, 1e8),
+    st.integers(),
+    st.fractions(),
+    st.fractions(max_denominator=10 ** 15),
+    st.from_regex(r"-?[0-9]{1,9}(\.[0-9]{1,12})?(e-?[0-9])?",
+                  fullmatch=True)))
+@example(TIES[0])
+@example(TIES[1])
+@example(TIES[2])
+@example(5e-324)
+@example(-0.0)
+def test_rationalize_matches_limit_denominator(value):
+    snapped = rationalize(value)
+    assert type(snapped) is Fraction
+    assert snapped == Fraction(value).limit_denominator(
+        approx.FLOAT_DENOMINATOR_BOUND)
+
+
+def test_rationalize_keeps_the_convergent_on_a_tie():
+    # Each tie is 1/(2 * 10**6) from both candidates.
+    assert [rationalize(x) for x in TIES] == [
+        Fraction(0), Fraction(0), Fraction(1)]
 
 
 def test_rational_kernel_point_validation():

@@ -1,6 +1,7 @@
 import random
 import time
 from fractions import Fraction
+from importlib import import_module
 
 import pytest
 
@@ -230,10 +231,14 @@ def test_ball_cap_refuses_before_counting_or_tracing(tmp_path, capsys,
                         unreachable)
     monkeypatch.setattr("subsetcurrents.cylinders.cylinder_table",
                         unreachable)
-    monkeypatch.setattr("subsetcurrents.cylinders.lens_ball", unreachable)
+    # No matching row of a refused table is read, in any module that
+    # reads the rows.
+    for module in ("cylinders", "realize", "approx"):
+        monkeypatch.setattr(import_module(f"subsetcurrents.{module}"),
+                            "lens_rows", unreachable)
     path = write_sub(tmp_path, "x.txt", ["x"])
-    # One axis weight at radius 13 is a 231-byte file, but its matching
-    # rows would enumerate the ball B(id, 13) of about 3.2 million words.
+    # One axis weight at radius 13 is a 231-byte file, but radius 13 is
+    # past the cap: the ball B(id, 13) holds about 3.2 million words.
     table = tmp_path / "axis13.txt"
     table.write_text(table_to_text(WeightTable(2, 13, {axis(2, 1, 13): 1})))
     assert len(table.read_bytes()) == 231

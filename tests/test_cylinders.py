@@ -15,7 +15,7 @@ from subsetcurrents import (RationalCurrent, RoundGraph, Subgroup, WeightTable,
                             round_graph_to_text, table_from_text,
                             table_to_text, validate_round_graph)
 from subsetcurrents.approx import subgroup_Hn
-from subsetcurrents.cylinders import _traced_words
+from subsetcurrents.cylinders import _traced_words, lens_keys
 from subsetcurrents.errors import AdmissibilityError, FileFormatError
 from subsetcurrents.stallings import basis_of
 from subsetcurrents.words import enumerate_reduced_words
@@ -23,7 +23,7 @@ from subsetcurrents.words import enumerate_reduced_words
 from helpers import (TWO_ROWS_PER_GENERATOR, matching_tables, random_cover,
                      random_current, random_subgroup, random_word,
                      reference_check_matching, reference_cylinder_table,
-                     reference_round_graph_key)
+                     reference_lens_keys, reference_round_graph_key)
 
 ETA_F = RationalCurrent.full(2)
 ETA_X = RationalCurrent.eta(Subgroup(["x"], 2))
@@ -393,10 +393,10 @@ def test_round_graph_order_past_255_words_and_letters():
 
 
 @st.composite
-def hulls(draw):
-    """The hull-core of a random nontrivial subgroup of rank 2-3: 1-3
-    generators of 1-5 letters."""
-    rank = draw(st.integers(2, 3))
+def hulls(draw, lowest_rank=2):
+    """The hull-core of a random nontrivial subgroup of rank
+    `lowest_rank`-3: 1-3 generators of 1-5 letters."""
+    rank = draw(st.integers(lowest_rank, 3))
     letter = st.integers(1, rank).flatmap(lambda m: st.sampled_from((m, -m)))
     word = st.lists(letter, min_size=1, max_size=5).map(
         lambda letters: reduce(letters, rank))
@@ -422,6 +422,25 @@ def test_traced_balls_equal_the_checked_round_graphs(hull, radius):
         assert hash(traced) == hash(checked)
         assert traced._key == checked._key
         assert traced == checked
+
+
+def test_lens_keys_match_the_ball_walk_on_every_small_round_graph():
+    # Every rank-2 round-graph of radius <= 2, both generators: the keys
+    # read off word prefixes equal the lens of the walked ball.
+    graphs = [t for r in (0, 1, 2) for t in enumerate_round_graphs(2, r)]
+    assert len(graphs) == 1 + 11 + 4067
+    for t in graphs:
+        for gen in (1, 2):
+            assert lens_keys(t, gen) == reference_lens_keys(t, gen), (t, gen)
+
+
+@settings(deadline=None, max_examples=150)
+@given(hulls(lowest_rank=1), st.integers(0, 4))
+def test_lens_keys_match_the_ball_walk_on_traced_balls(hull, radius):
+    for v in range(hull.num_vertices):
+        t = local_ball(hull, v, radius)
+        for gen in range(1, hull.rank + 1):
+            assert lens_keys(t, gen) == reference_lens_keys(t, gen), (t, gen)
 
 
 def test_round_graph_canonical_order_is_stable():

@@ -69,6 +69,18 @@ def test_only_lens_rows_reads_lens_keys():
     assert readers == ["cylinders.py:lens_rows"]
 
 
+def test_lens_keys_and_rationalize_walk_no_ball_and_build_no_candidates():
+    # `lens_keys` reads each lens class off word prefixes, so no ball is
+    # walked and no word translated; `rationalize` runs the continued
+    # fraction on integers, so no candidate Fraction is built.  The ball
+    # walk lives on in tests/helpers.py as the reference.
+    banned = {"lens_ball", "translate_words", "limit_denominator"}
+    for path, tree in package_trees():
+        defined = {node.name for node in ast.walk(tree)
+                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        assert banned.isdisjoint(set(_names(tree)) | defined), path.name
+
+
 def _calls(node: ast.AST, name: str) -> bool:
     """True iff `node` holds a call of `name`, plain or as an attribute."""
     return any(isinstance(n, ast.Call)

@@ -494,11 +494,20 @@ def test_intersection_core_does_not_fold(monkeypatch):
     (LabeledGraph(1, 2, [(0, 0, 1), (0, -1, 1)], 0), "missing vertex"),
     (LabeledGraph(2, 1, [(0, 0, 1)], 3), "basepoint 3 out of range"),
     (LabeledGraph(2, 1, [(0, 0, 1)], -1), "basepoint -1 out of range"),
+    (LabeledGraph(2, 2, [(0, 0, 1), (0, 1, 5)], 0),
+     "edge label 5 out of range for rank 2"),
+    (LabeledGraph(2, 2, [(0, 0, 1), (0, 1, -1)], 0),
+     "edge label -1 out of range for rank 2"),
+    (LabeledGraph(2, 2, [(0, 0, 1), (0, 1, 0)], 0),
+     "edge label 0 out of range for rank 2"),
 ], ids=["edge-past-end", "edge-negative", "basepoint-past-end",
-        "basepoint-negative"])
+        "basepoint-negative", "label-past-rank", "label-negative",
+        "label-zero"])
 def test_fold_rejects_out_of_range_input(graph, message):
     # Neither an index error nor a negative index wrapping round to the
-    # last vertex: a named ValueError.
+    # last vertex, nor a bad label on an edge the prune would drop (each
+    # of the last three graphs would fold to the one-vertex x-loop core):
+    # a named ValueError.
     with pytest.raises(ValueError, match=message):
         fold(graph)
 
