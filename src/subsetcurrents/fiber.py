@@ -10,19 +10,20 @@ materialized: they are isolated singletons and contribute nothing.
 `fiber_product` builds the product as an edge join costing sum over
 labels l of |A_l| * |B_l|, with no BFS, and finds its components with
 `stallings.join_least`; `intersection` walks only the basepoint's
-component of core x core and prunes it with `stallings._prune`, the
-prune that `fold` and `hull_core` run.
+component of core x core, recording the walk's spanning tree, prunes it
+with `stallings._prune`, the prune that `fold` and `hull_core` run, and
+reads the basis off the recorded tree, so no second walk runs.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from itertools import accumulate, chain, count, repeat
+from itertools import accumulate, chain, compress, count, repeat
 from typing import Union
 
 from .errors import BasisMismatchError
 from .stallings import CoreGraph, Subgroup, _prune, join_least
-from .words import _Frozen, _signed_letters
+from .words import Word, _Frozen, _signed_letters
 
 Pair = tuple[int, int]
 
@@ -141,18 +142,27 @@ def intersection(h: Subgroup, k: Subgroup) -> Subgroup:
 
     The basepoints' component of core x core is walked breadth-first over
     pair codes a * |V(K)| + b, scanning signed letters x, X, y, Y, ...;
-    each vertex keeps its row, a map from signed letter to walk id.
-    `_prune` runs on those rows, and the survivors, renumbered in walk
-    order, give the sorted edges and the signed adjacency directly.  The
-    core is stored unchecked: the walk reaches one component, the product
-    of two folded cores is folded, the prune leaves every vertex but the
+    each vertex keeps its row, a map from signed letter to walk id, and
+    the walk records its tree: the letter that first reached each vertex,
+    its tree path from the basepoint and that path inverted.  `_prune`
+    runs on the rows, and the survivors, renumbered in walk order, give
+    the sorted edges and the signed adjacency directly.  The core is
+    stored unchecked: the walk reaches one component, the product of two
+    folded cores is folded, the prune leaves every vertex but the
     basepoint with degree at least 2, and the edges are sorted.
+
+    The basis is read off the walk's tree, one word per non-tree edge, as
+    `basis_of` reads it off its own breadth-first tree; the two trees are
+    one, because a pruned vertex is never the tree parent of a survivor
+    and never discovers one.  In a folded graph an edge (s, d, l) is the
+    only one reading l at s and -l at d, so it is a tree edge exactly when
+    l first reached d or -l first reached s.
     """
     if h.rank != k.rank:
         raise BasisMismatchError(f"rank {h.rank} vs rank {k.rank}")
     a_core, b_core = h.core, k.core
-    width = b_core.num_vertices
-    letters = _signed_letters(h.rank)
+    rank, width = h.rank, b_core.num_vertices
+    letters = _signed_letters(rank)
     # Each vertex of A's letters in scan order, its neighbours pre-scaled.
     a_reads = [[(m, out[m] * width) for m in letters if m in out]
                for out in a_core._step]
@@ -161,7 +171,8 @@ def intersection(h: Subgroup, k: Subgroup) -> Subgroup:
     walk = [start]
     ids = {start: 0}
     rows: list[dict[int, int]] = []
-    for v in walk:
+    reach, path, inverse = [0], [()], [()]
+    for v, p, q in zip(walk, path, inverse):     # all three grow together
         a, b = divmod(v, width)
         b_out = b_step[b]
         row = {}
@@ -172,13 +183,24 @@ def intersection(h: Subgroup, k: Subgroup) -> Subgroup:
                 if j is None:
                     j = ids[code] = len(walk)
                     walk.append(code)
+                    reach.append(m)
+                    path.append(p + (m,))
+                    inverse.append((-m,) + q)
                 row[m] = j
         rows.append(row)
     del a_reads, walk, ids
-    edges, step = _prune(rows, 0)[:2]
-    del rows                    # freed before the basis is built
-    return Subgroup.from_core(
-        CoreGraph._proved(h.rank, len(step), tuple(edges), 0, step))
+    # Rebinding `rows` frees the walk's rows when the prune rebuilt them.
+    edges, rows, new_id = _prune(rows, 0)
+    if len(rows) < len(new_id):
+        kept = [i >= 0 for i in new_id]
+        reach, path, inverse = (list(compress(x, kept))
+                                for x in (reach, path, inverse))
+    # Tree paths are reduced, and neither junction can cancel in a folded
+    # core: that would make (s, d, l) a tree edge.
+    basis = [Word._reduced(rank, path[s] + (l,) + inverse[d])
+             for (s, d, l) in edges if reach[d] != l and reach[s] != -l]
+    return Subgroup._with_basis(
+        CoreGraph._proved(rank, len(rows), tuple(edges), 0, rows), basis)
 
 
 def component_census(product: ProductGraph) -> tuple[int, int, int]:

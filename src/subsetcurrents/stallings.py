@@ -25,8 +25,15 @@ WordLike = Union[Word, str]
 
 
 def _as_word(w: WordLike, rank: int) -> Word:
-    """Parse text at this rank, or pass a Word of this rank through."""
-    word = parse_word(w, rank) if isinstance(w, str) else w
+    """Parse text at this rank, or pass a Word of this rank through; any
+    other type raises TypeError."""
+    if isinstance(w, str):
+        word = parse_word(w, rank)
+    elif isinstance(w, Word):
+        word = w
+    else:
+        raise TypeError(
+            f"expected a Word or a string, got {type(w).__name__}")
     if word.rank != rank:
         raise BasisMismatchError(f"word rank {word.rank} vs rank {rank}")
     return word
@@ -262,7 +269,7 @@ def _fold_edges(num_vertices: int, edges: Sequence[tuple[int, int, int]]
 
 
 def _prune(rows: Sequence[Mapping[int, int]], protect: Optional[int]
-           ) -> tuple[list[tuple[int, int, int]], list[dict[int, int]],
+           ) -> tuple[list[tuple[int, int, int]], Sequence[Mapping[int, int]],
                       list[int]]:
     """Iteratively delete degree-<=1 vertices (except `protect`) of a
     folded graph given by its rows, each vertex's map from signed letter
@@ -270,34 +277,34 @@ def _prune(rows: Sequence[Mapping[int, int]], protect: Optional[int]
 
     A queue of degree-<=1 vertices deletes each vertex once and looks at
     each edge twice, so the prune runs in linear time.  Survivors are
-    renumbered in increasing order.  The result is (their sorted edges,
-    their rows, each old vertex's new id or -1 if deleted).
+    renumbered in increasing order, and their rows are rebuilt only when
+    a vertex was deleted: when the queue starts empty, the given rows are
+    returned as they are and every new id is the old one.  The result is
+    (the survivors' sorted edges, their rows, each old vertex's new id or
+    -1 if deleted).
     """
+    n = len(rows)
     degree = list(map(len, rows))
-    alive = [True] * len(rows)
-    queue = [v for v in range(len(rows)) if degree[v] <= 1 and v != protect]
-    while queue:
-        v = queue.pop()
-        alive[v] = False
-        for w in rows[v].values():
-            if alive[w]:
-                degree[w] -= 1
-                if degree[w] == 1 and w != protect:
-                    queue.append(w)
-    new_id = [n - 1 if a else -1 for n, a in zip(accumulate(alive), alive)]
-    edges = []
-    step = []
-    for v in compress(range(len(rows)), alive):
-        s = len(step)
-        out = {}
-        for m, w in rows[v].items():
-            if (d := new_id[w]) >= 0:
-                out[m] = d
-                if m > 0:
-                    edges.append((s, d, m))
-        step.append(out)
+    queue = [v for v in range(n) if degree[v] <= 1 and v != protect]
+    if queue:
+        alive = [True] * n
+        while queue:
+            v = queue.pop()
+            alive[v] = False
+            for w in rows[v].values():
+                if alive[w]:
+                    degree[w] -= 1
+                    if degree[w] == 1 and w != protect:
+                        queue.append(w)
+        new_id = [k - 1 if a else -1 for k, a in zip(accumulate(alive), alive)]
+        rows = [{m: d for m, w in rows[v].items() if (d := new_id[w]) >= 0}
+                for v in compress(range(n), alive)]
+    else:
+        new_id = list(range(n))
+    edges = [(s, d, m) for s, out in enumerate(rows)
+             for m, d in out.items() if m > 0]
     edges.sort()
-    return edges, step, new_id
+    return edges, rows, new_id
 
 
 def fold(g: LabeledGraph) -> CoreGraph:
@@ -497,6 +504,17 @@ class Subgroup(_Frozen):
         """The subgroup `core` reads; keeps `core`."""
         sub = cls(basis_of(core), core.rank)
         object.__setattr__(sub, "_core", core)
+        return sub
+
+    @classmethod
+    def _with_basis(cls, core: CoreGraph, basis: list[Word]) -> "Subgroup":
+        """The subgroup `core` reads, stored unchecked with `basis`, which
+        its builder proved equal to `basis_of(core)`."""
+        sub = object.__new__(cls)
+        object.__setattr__(sub, "rank", core.rank)
+        object.__setattr__(sub, "generators", tuple(basis))
+        object.__setattr__(sub, "_core", core)
+        object.__setattr__(sub, "_hull", None)
         return sub
 
     @property

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from subsetcurrents import (CoreGraph, LabeledGraph, Subgroup, Word,
                             basis_of, component_census, conjugate,
                             fiber_product, finite_index, fold, intersection,
-                            label_isomorphic, product_rank, reduce,
-                            shnc_margin)
+                            label_isomorphic, parse_word, product_rank,
+                            reduce, shnc_margin)
 from subsetcurrents.errors import BasisMismatchError
 
 from helpers import (_reference_product_component, component_graphs,
@@ -253,6 +253,26 @@ def test_intersection_equals_reference(pair):
         assert basis == reference_basis_of(c)
         assert all(Word(w.rank, w.letters) == w and
                    hash(Word(w.rank, w.letters)) == hash(w) for w in basis)
+
+
+@pytest.mark.parametrize("h, k, walked, kept, basis", [
+    (["x", "yxY"], ["xy", "Xyx"], 6, 5, ["XyxYX"]),
+    # The pruned pair is walked second, before a survivor.
+    (["xy", "yy"], ["xx", "yy"], 3, 2, ["yy"]),
+])
+def test_intersection_basis_after_the_prune_deletes(h, k, walked, kept,
+                                                    basis):
+    # No benchmark item prunes its walked component, so the branch that
+    # cuts the walk's tree down to the survivors is pinned here.
+    h, k = Subgroup(h, 2), Subgroup(k, 2)
+    component = _reference_product_component(
+        h.core, k.core, (h.core.basepoint, k.core.basepoint), set(), set())
+    meet = intersection(h, k)
+    core = reference_intersection_core(h, k)
+    assert (len(component), core.num_vertices) == (walked, kept)
+    assert meet.core == core and meet.core._step == core._step
+    assert list(meet.generators) == reference_basis_of(core) == [
+        parse_word(w, 2) for w in basis]
 
 
 @settings(deadline=None, max_examples=150)

@@ -170,15 +170,18 @@ def test_lens_rows_has_one_reader_per_use():
 
 def test_each_class_stored_as_given_has_one_builder():
     # `SCGraphQuotient`, `ProductGraph`, the `CoreGraph` of an
-    # intersection or of a hull-core and the traced `RoundGraph` of a
+    # intersection or of a hull-core, the `Subgroup` of an intersection
+    # with its basis (`_with_basis`) and the traced `RoundGraph` of a
     # hull-core ball store their fields unchecked, because the one
     # function that builds each proves them by how it builds them; a
     # second builder would bring in fields nothing proved.  Every other
-    # `CoreGraph` and `RoundGraph` runs the public constructor's checks.
+    # `CoreGraph`, `Subgroup` and `RoundGraph` runs the public
+    # constructor's checks.
     assert _callers("SCGraphQuotient") == ["realize.py:realize"]
     assert _callers("ProductGraph") == ["fiber.py:fiber_product"]
     assert _callers("_proved") == ["fiber.py:intersection",
                                    "stallings.py:hull_core"]
+    assert _callers("_with_basis") == ["fiber.py:intersection"]
     assert _callers("_traced") == ["cylinders.py:cylinder_table"]
     assert _callers("_store") == ["cylinders.py:__init__",
                                   "cylinders.py:_traced"]
@@ -188,6 +191,13 @@ def test_each_class_stored_as_given_has_one_builder():
                if path.name == "realize.py"]
     assert {"signed_adjacency", "connected_components",
             "least_bfs_encoding"}.isdisjoint(_names(tree))
+
+
+def test_intersection_walks_the_product_once():
+    # `intersection` reads its basis off the tree its product walk
+    # recorded; only `Subgroup.from_core` walks a core again for one.
+    assert _callers("basis_of") == ["stallings.py:from_core"]
+    assert not _calls(_function("fiber.py", "intersection"), "from_core")
 
 
 def test_one_prune_and_one_component_join():

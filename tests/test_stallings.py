@@ -2,7 +2,7 @@ import random
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from subsetcurrents import (CoreGraph, LabeledGraph, Subgroup, Word, basis_of,
@@ -169,6 +169,28 @@ def test_prune_edges_matches_reference(graph, data):
     assert _prune(rows, protect) == (
         pruned, signed_adjacency(rank, count, pruned),
         [new_id.get(v, -1) for v in range(n)])
+
+
+@example(Subgroup(["yxY"], 2))
+@example(Subgroup([], 2))
+@given(st.integers(1, 3).flatmap(subgroups))
+def test_prune_returns_the_given_rows_when_nothing_is_deleted(sub):
+    # A core with its basepoint protected and a hull-core have no vertex
+    # to delete, so the rows come back as given with every id kept; a
+    # core with a degree-1 basepoint unprotected is pruned and rebuilt.
+    # Both branches give the reference prune's edges and rows.
+    core, hull = sub.core, sub.hull
+    for c, protect in ((core, core.basepoint), (hull, None), (core, None)):
+        n = c.num_vertices
+        count, pruned, new_id = reference_prune_edges(n, c.edges, protect)
+        edges, rows, ids = _prune(c._step, protect)
+        assert (edges, rows, ids) == (
+            pruned, signed_adjacency(c.rank, count, pruned),
+            [new_id.get(v, -1) for v in range(n)])
+        assert (rows is c._step) == (count == n)
+        assert count == n or (c is core and protect is None)
+    if hull.num_vertices == core.num_vertices:
+        assert hull._step is core._step
 
 
 @settings(max_examples=60)
@@ -421,6 +443,20 @@ def test_word_arguments_share_one_rank_check():
             call()
     assert contains(ROSE, "xyX") and Subgroup(["xy"], 2).generators == (
         Word(2, (1, 2)),)
+
+
+@pytest.mark.parametrize("call, type_name", [
+    (lambda: Subgroup([(1, 2)], 2), "tuple"),
+    (lambda: Subgroup(["xy"], 2).contains((1, 2)), "tuple"),
+    (lambda: Subgroup([12], 2), "int"),
+])
+def test_word_arguments_of_another_type_raise_a_named_type_error(call,
+                                                                 type_name):
+    # A word is a `Word` or its text; anything else is refused by name
+    # before any attribute of it is read.
+    with pytest.raises(TypeError, match=f"expected a Word or a string, "
+                                        f"got {type_name}$"):
+        call()
 
 
 def test_random_cover_index_and_membership():
