@@ -3,16 +3,16 @@
 The matching equations form an integer homogeneous system; any
 nonnegative real solution can be approximated, coordinate support
 preserved, by a nonnegative rational solution.  This module finds one
-exactly, smallest denominators first.  For q = 1, 2, ..., SCAN_BOUND it
-rounds the target to the nearest multiples of 1/q and keeps the first
-rounding that is nonzero, within the tolerance and a solution of every
-row in plain integers.  When no q passes, the orthogonal projection is
-the last step: fraction-free elimination gives a rational kernel basis
-and solves the normal equations projecting the target onto it, and
-coordinates forced negative are zeroed inductively (they can only be
-noise below the tolerance).  Scaling by the least common denominator
-then yields an admissible integer weight system, whose scale M divides
-q when the scan found the point.
+exactly on rows {column: coefficient}, smallest denominators first: for
+q = 1, ..., SCAN_BOUND it rounds the target to the nearest multiples of
+1/q and keeps the first rounding that is nonzero, within the tolerance
+and a solution of every row in plain integers.  Else the orthogonal
+projection is the last step: fraction-free elimination of the rows made
+dense on the support gives a rational kernel basis, the normal equations
+project the target onto it, and coordinates forced negative are zeroed
+inductively (they can only be noise below the tolerance).  Scaling by
+the least common denominator then gives an admissible integer weight
+system, whose scale M divides q when the scan found the point.
 
 The second half builds the rank-2 subgroup families G_n (index n,
 generated by x, y^n and the conjugates y^i x y^-i) and H_n (the same
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import InfeasibleKernelError
 from .cylinders import (RationalCurrent, RoundGraph, WeightTable,
@@ -72,10 +72,9 @@ def rationalize(value) -> Fraction:
     return Fraction(p0 + k * p1, q0 + k * q1)
 
 
-def _bareiss_echelon(matrix: Sequence[Sequence[int]]
+def _bareiss_echelon(mat: list[list[int]]
                      ) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free integer row echelon; returns rows and pivot columns."""
-    mat = [list(row) for row in matrix]
+    """Fraction-free integer row echelon, in place: rows, pivot columns."""
     m = len(mat)
     n = len(mat[0]) if mat else 0
     pivots: list[int] = []
@@ -101,11 +100,14 @@ def _bareiss_echelon(matrix: Sequence[Sequence[int]]
 
 def nullspace_basis(matrix: Sequence[Sequence[int]], width: int
                     ) -> list[list[Fraction]]:
-    """Rational basis of the kernel, one vector per free column."""
-    echelon, pivots = _bareiss_echelon(matrix)
-    free = [c for c in range(width) if c not in pivots]
+    """Rational kernel basis of integral rows, one vector per free column."""
+    rows = [list(row) for row in matrix]
+    ints = [list(map(int, row)) for row in rows]
+    if ints != rows or any(len(row) != width for row in rows):
+        raise ValueError(f"each row must hold {width} integral entries")
+    echelon, pivots = _bareiss_echelon(ints)
     basis = []
-    for f in free:
+    for f in (c for c in range(width) if c not in pivots):
         vec = [Fraction(0)] * width
         vec[f] = Fraction(1)
         for k in reversed(range(len(pivots))):
@@ -148,13 +150,13 @@ def _project_onto_kernel(basis: list[list[Fraction]],
             for i in range(len(target))]
 
 
-def _rounded_kernel_point(rows: list[list[tuple[int, int]]],
+def _rounded_kernel_point(rows: list[dict[int, int]],
                           u: Sequence[Fraction], eps: Fraction
                           ) -> Optional[tuple[Fraction, ...]]:
     """k/q for the least q <= SCAN_BOUND at which k, the nearest integers
     to q.u, is nonzero (unless u is), within q.eps of q.u in every
-    coordinate and a solution of every sparse row (j, c) in integers;
-    None when no q passes.  All arithmetic is on integers."""
+    coordinate and a solution of every row {j: c} in integers; None
+    when no q passes.  All arithmetic is on integers."""
     pairs = [(x.numerator, x.denominator) for x in u]
     e_num, e_den = eps.numerator, eps.denominator
     nonzero = any(u)
@@ -168,16 +170,18 @@ def _rounded_kernel_point(rows: list[list[tuple[int, int]]],
             ks.append(k)
         else:
             if (any(ks) or not nonzero) and all(
-                    sum(c * ks[j] for j, c in row) == 0 for row in rows):
+                    sum(c * ks[j] for j, c in r.items()) == 0 for r in rows):
                 return tuple(Fraction(k, q) for k in ks)
     return None
 
 
-def rational_kernel_point(matrix: Iterable[Iterable[int]],
+def rational_kernel_point(rows: Iterable[Mapping[int, Rational]],
                           target: Iterable[Rational], tolerance: Rational
                           ) -> tuple[Fraction, ...]:
     """A nonnegative rational v with A.v = 0 and ||u - v||_inf < eps, for
-    the integer matrix A, the nonnegative target u and the tolerance eps.
+    the integer matrix A given as rows {column: coefficient}, the
+    nonnegative target u and the tolerance eps.  Columns must lie in
+    0..len(u) - 1 and coefficients be integral, else ValueError; 2.0 is 2.
 
     Small denominators come first: for q = 1, ..., SCAN_BOUND, with k the
     nearest integers to q.u, the answer is k/q at the first q where k is
@@ -197,29 +201,27 @@ def rational_kernel_point(matrix: Iterable[Iterable[int]],
     v_i is within eps of u_i: only coordinates below the tolerance can
     leave the support.
     """
-    matrix = [tuple(map(int, row)) for row in matrix]
     u = tuple(map(Fraction, target))
     eps = Fraction(tolerance)
     n = len(u)
-    if any(len(row) != n for row in matrix):
-        raise ValueError("matrix width disagrees with target length")
+    given = list(rows)
+    rows = [{int(j): int(c) for j, c in row.items()} for row in given]
+    if rows != given:
+        raise ValueError("row columns and coefficients must be integers")
+    if any(not 0 <= j < n for row in rows for j in row):
+        raise ValueError(f"a row has a column outside 0..{n - 1}")
     if any(x < 0 for x in u):
         raise ValueError("target must be nonnegative")
     if eps <= 0:
         raise ValueError("tolerance must be positive")
-    rows = [[(j, c) for j, c in enumerate(row) if c] for row in matrix]
     rounded = _rounded_kernel_point(rows, u, eps)
     if rounded is not None:
         return rounded
     support = [i for i in range(n) if u[i] > 0]
     v = [Fraction(0)] * n
     while support:
-        sub_rows = []
-        for row in matrix:
-            cut = [row[i] for i in support]
-            if any(cut):
-                sub_rows.append(cut)
-        basis = nullspace_basis(sub_rows, len(support))
+        cuts = ([row.get(i, 0) for i in support] for row in rows)
+        basis = nullspace_basis([c for c in cuts if any(c)], len(support))
         if not basis:
             raise InfeasibleKernelError(
                 "the kernel restricted to the support is trivial")
@@ -239,7 +241,7 @@ def rational_kernel_point(matrix: Iterable[Iterable[int]],
         raise InfeasibleKernelError(
             f"no kernel point within {eps} of the target")
     for row in rows:
-        residual = sum(c * v[j] for j, c in row)
+        residual = sum(c * v[j] for j, c in row.items())
         if residual != 0:
             raise InfeasibleKernelError(
                 f"projection left the kernel: a row evaluates to {residual}")
@@ -257,24 +259,24 @@ def integerize(table: WeightTable) -> tuple[WeightSystem, int]:
 
 
 def _matching_matrix(columns: Sequence[RoundGraph], rank: int
-                     ) -> list[list[int]]:
-    """The matching equations over `columns` as integer rows, in
-    `lens_rows` order: row (u, J) carries +1 on its `outs` columns and -1
-    on its `ins` columns, a column on both sides nets to 0, and a row left
-    empty is dropped.  Admissible vectors over the columns are exactly the
+                     ) -> list[dict[int, int]]:
+    """The matching equations over `columns` as rows {column: nonzero
+    coefficient}, in `lens_rows` order: row (u, J) is +1 on its `outs` and
+    -1 on its `ins` (each side lists a column once, and one on both sides
+    is left out), and an empty row is dropped.  Admissible vectors over
+    the columns are exactly the
     nonnegative kernel points, since the rows of the full system that meet
     no column vanish on them identically."""
     index = {t: j for j, t in enumerate(columns)}
-    matrix = []
+    rows = []
     for _gen, _key, outs, ins in lens_rows(columns, rank):
-        row = [0] * len(columns)
-        for t in outs:
-            row[index[t]] += 1
-        for t in ins:
-            row[index[t]] -= 1
-        if any(row):
-            matrix.append(row)
-    return matrix
+        row = dict.fromkeys(map(index.__getitem__, outs), 1)
+        for j in map(index.__getitem__, ins):
+            if row.pop(j, None) is None:
+                row[j] = -1
+        if row:
+            rows.append(row)
+    return rows
 
 
 def approximate_table(table: WeightTable, tolerance: Rational

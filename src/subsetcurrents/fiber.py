@@ -22,8 +22,8 @@ from itertools import accumulate, chain, compress, count, repeat
 from typing import Union
 
 from .errors import BasisMismatchError
-from .stallings import CoreGraph, Subgroup, _prune, join_least
-from .words import Word, _Frozen, _signed_letters
+from .stallings import CoreGraph, Subgroup, _prune, _tree_basis, join_least
+from .words import _Frozen, _signed_letters
 
 Pair = tuple[int, int]
 
@@ -151,12 +151,10 @@ def intersection(h: Subgroup, k: Subgroup) -> Subgroup:
     folded cores is folded, the prune leaves every vertex but the
     basepoint with degree at least 2, and the edges are sorted.
 
-    The basis is read off the walk's tree, one word per non-tree edge, as
-    `basis_of` reads it off its own breadth-first tree; the two trees are
-    one, because a pruned vertex is never the tree parent of a survivor
-    and never discovers one.  In a folded graph an edge (s, d, l) is the
-    only one reading l at s and -l at d, so it is a tree edge exactly when
-    l first reached d or -l first reached s.
+    The basis is read off the walk's tree by `_tree_basis`, as `basis_of`
+    reads it off its own breadth-first tree; the two trees are one,
+    because a pruned vertex is never the tree parent of a survivor and
+    never discovers one.
     """
     if h.rank != k.rank:
         raise BasisMismatchError(f"rank {h.rank} vs rank {k.rank}")
@@ -195,12 +193,9 @@ def intersection(h: Subgroup, k: Subgroup) -> Subgroup:
         kept = [i >= 0 for i in new_id]
         reach, path, inverse = (list(compress(x, kept))
                                 for x in (reach, path, inverse))
-    # Tree paths are reduced, and neither junction can cancel in a folded
-    # core: that would make (s, d, l) a tree edge.
-    basis = [Word._reduced(rank, path[s] + (l,) + inverse[d])
-             for (s, d, l) in edges if reach[d] != l and reach[s] != -l]
     return Subgroup._with_basis(
-        CoreGraph._proved(rank, len(rows), tuple(edges), 0, rows), basis)
+        CoreGraph._proved(rank, len(rows), tuple(edges), 0, rows),
+        _tree_basis(rank, edges, reach, path, inverse))
 
 
 def component_census(product: ProductGraph) -> tuple[int, int, int]:

@@ -62,7 +62,10 @@ class LabeledGraph:
 
     def add_path(self, start: int, end: int, letters: Sequence[int]) -> None:
         """Attach a path from `start` to `end` reading the signed letters,
-        through fresh vertices numbered in reading order."""
+        through fresh vertices numbered in reading order; an empty path
+        between two vertices raises ValueError, since it cannot be laid."""
+        if not letters and start != end:
+            raise ValueError(f"no letters to lay from {start} to {end}")
         prev = start
         last = len(letters) - 1
         for i, m in enumerate(letters):
@@ -91,6 +94,8 @@ class CoreGraph(_Frozen):
                  basepoint: Optional[int]):
         edges = tuple(sorted(edges))
         _check_rank(rank)
+        if num_vertices < 0:
+            raise ValueError(f"vertex count {num_vertices} is negative")
         step = signed_adjacency(rank, num_vertices, edges)
         if basepoint is not None and not 0 <= basepoint < num_vertices:
             raise ValueError("basepoint out of range")
@@ -315,9 +320,12 @@ def fold(g: LabeledGraph) -> CoreGraph:
     are trimmed afterwards so the result satisfies the core invariants;
     such vertices cannot lie on any reduced loop.  An edge end or a
     basepoint outside 0..num_vertices-1, or an edge label outside
-    1..rank, raises ValueError, even where the prune would drop the edge.
+    1..rank, raises ValueError, even where the prune would drop the edge;
+    so does a negative vertex count.
     """
     n, base, rank = g.num_vertices, g.basepoint, g.rank
+    if n < 0:
+        raise ValueError(f"vertex count {n} is negative")
     if base is not None and not 0 <= base < n:
         raise ValueError(f"basepoint {base} out of range")
     for edge in g.edges:
@@ -420,26 +428,41 @@ def basis_of(c: CoreGraph) -> list[Word]:
     """Spanning-tree free basis: one word per non-tree edge."""
     if c.basepoint is None:
         raise ValueError("basis extraction needs a basepointed core")
-    # Each vertex's tree path from the basepoint, and that path inverted.
+    # Each vertex's first letter, tree path from the basepoint, and that
+    # path inverted; the basepoint's letter 0 is no signed letter.
+    reach = [0] * c.num_vertices
     path: list = [None] * c.num_vertices
     inverse: list = [None] * c.num_vertices
     path[c.basepoint] = inverse[c.basepoint] = ()
     order = [c.basepoint]
-    tree: set[tuple[int, int, int]] = set()
     letters = _signed_letters(c.rank)
     for v in order:
         out = c._step[v]
         for letter in letters:
             w = out.get(letter)
             if w is not None and path[w] is None:
+                reach[w] = letter
                 path[w] = path[v] + (letter,)
                 inverse[w] = (-letter,) + inverse[v]
                 order.append(w)
-                tree.add((v, w, letter) if letter > 0 else (w, v, -letter))
-    # Tree paths are reduced, and neither junction can cancel in a folded
-    # core: that would make (s, d, l) a tree edge.
-    return [Word._reduced(c.rank, path[s] + (l,) + inverse[d])
-            for (s, d, l) in c.edges if (s, d, l) not in tree]
+    return _tree_basis(c.rank, c.edges, reach, path, inverse)
+
+
+def _tree_basis(rank: int, edges: Iterable[tuple[int, int, int]],
+                reach: Sequence[int], path: Sequence[tuple],
+                inverse: Sequence[tuple]) -> list[Word]:
+    """One word per non-tree edge of a folded core's breadth-first tree,
+    given each vertex's first letter `reach` (0 at the root), its tree
+    path and that path inverted: the free basis of the loops at the root.
+
+    In a folded graph an edge (s, d, l) is the only one reading l at s
+    and -l at d, so it is a tree edge exactly when l first reached d or
+    -l first reached s.  Tree paths are reduced, and neither junction of
+    path[s] + (l,) + inverse[d] can cancel: that would make the edge a
+    tree edge.
+    """
+    return [Word._reduced(rank, path[s] + (l,) + inverse[d])
+            for (s, d, l) in edges if reach[d] != l and reach[s] != -l]
 
 
 def _canonical_key(c: CoreGraph) -> tuple:

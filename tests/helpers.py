@@ -686,7 +686,15 @@ def reference_solve_rational(gram: list[list[Fraction]], rhs: list[Fraction]
 # Reference oracles for the kernel repair: the rounding scan over dense
 # Fraction rows, and the orthogonal projection through a Gauss-Jordan
 # kernel basis.  The projection onto a subspace does not depend on the
-# basis chosen, so `rational_kernel_point` must match both exactly.
+# basis chosen, so `rational_kernel_point` must match both exactly, on
+# the sparse rows that `dense_rows` writes out for them.
+
+def dense_rows(rows: Sequence[Mapping[int, int]], width: int
+               ) -> list[list[int]]:
+    """Sparse rows {column: coefficient} written out over `width`
+    columns."""
+    return [[row.get(j, 0) for j in range(width)] for row in rows]
+
 
 def reference_scan(matrix: Sequence[Sequence[int]],
                    target: Sequence[Fraction], tolerance: Fraction,

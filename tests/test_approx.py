@@ -18,8 +18,9 @@ from subsetcurrents.approx import _matching_matrix
 from subsetcurrents.cylinders import WeightTable, table_from_text
 from subsetcurrents.errors import InfeasibleKernelError
 
-from helpers import (noised_floats, random_current, reference_projection,
-                     reference_scan, reference_solve_rational)
+from helpers import (dense_rows, noised_floats, random_current,
+                     reference_projection, reference_scan,
+                     reference_solve_rational)
 
 
 def test_rationalize():
@@ -68,12 +69,44 @@ def test_rationalize_keeps_the_convergent_on_a_tie():
 
 
 def test_rational_kernel_point_validation():
+    with pytest.raises(ValueError, match="outside 0..0"):
+        rational_kernel_point([{1: 1}], [1], 1)  # column past the target
+    with pytest.raises(ValueError, match="outside 0..1"):
+        rational_kernel_point([{-1: 1}], [1, 1], 1)  # negative column
     with pytest.raises(ValueError):
-        rational_kernel_point([[1, 0]], [1], 1)  # width mismatch
+        rational_kernel_point([{0: 1}], [-1], 1)  # negative target
     with pytest.raises(ValueError):
-        rational_kernel_point([[1]], [-1], 1)  # negative target
-    with pytest.raises(ValueError):
-        rational_kernel_point([[1]], [1], 0)  # zero tolerance
+        rational_kernel_point([{0: 1}], [1], 0)  # zero tolerance
+
+
+@pytest.mark.parametrize("row", [{0: 0.9, 1: -0.1}, {0: Fraction(1, 2)},
+                                 {0.5: 1}, {0: "1"}])
+def test_rational_kernel_point_refuses_a_row_that_is_not_integral(row):
+    # Truncated to integers, 0.9.x0 - 0.1.x1 = 0 would become 0 = 0, and
+    # the point (1, 1) would be returned as a solution.
+    with pytest.raises(ValueError, match="must be integers"):
+        rational_kernel_point([row], [1, 1], Fraction(1, 10))
+
+
+def test_rational_kernel_point_reads_integral_coefficients_as_ints(
+        monkeypatch):
+    # The scan sees the validated rows: 2.0, Fraction(-2), a column 1.0
+    # and a coefficient True are integral, and are stored as ints.
+    seen = []
+    scan = approx._rounded_kernel_point
+
+    def recording_scan(rows, u, eps):
+        seen.extend(rows)
+        return scan(rows, u, eps)
+
+    monkeypatch.setattr(approx, "_rounded_kernel_point", recording_scan)
+    v = rational_kernel_point([{0: 2.0, 1: Fraction(-2)}, {1.0: True, 0: -1}],
+                              [Fraction(1, 2), Fraction(1, 2)],
+                              Fraction(1, 10))
+    assert v == (Fraction(1, 2), Fraction(1, 2))
+    assert seen == [{0: 2, 1: -2}, {1: 1, 0: -1}]
+    assert {type(x) for row in seen for pair in row.items()
+            for x in pair} == {int}
 
 
 def test_nullspace_basis_small_cases():
@@ -82,12 +115,27 @@ def test_nullspace_basis_small_cases():
     assert nullspace_basis([[1, 0], [0, 1]], 2) == []
     identity_kernel = nullspace_basis([], 3)
     assert len(identity_kernel) == 3
+    # Integral entries of another type are read as ints, so the basis
+    # stays exact.
+    assert nullspace_basis([[2.0, Fraction(-4)]], 2) == [[2, 1]]
+    assert all(type(x) is Fraction for x in nullspace_basis([[2.0, 1]], 2)[0])
+
+
+@pytest.mark.parametrize("matrix, width", [
+    ([[1, 2]], 3),      # a short row: an IndexError deep in the echelon
+    ([[1, 2, 3]], 2),   # a long row: its last column dropped
+    ([[0.5, 1]], 2),    # not integral: a float inside the exact basis
+], ids=["short", "long", "float"])
+def test_nullspace_basis_validates_its_rows(matrix, width):
+    with pytest.raises(ValueError, match=f"each row must hold {width} "
+                                         "integral entries"):
+        nullspace_basis(matrix, width)
 
 
 def test_kernel_point_passthrough_when_already_in_kernel():
     target = [Fraction(2, 3), Fraction(2, 3), Fraction(1, 5)]
-    assert rational_kernel_point([[1, -1, 0]], target, Fraction(1, 1000)) \
-        == tuple(target)
+    assert rational_kernel_point([{0: 1, 1: -1}], target,
+                                 Fraction(1, 1000)) == tuple(target)
 
 
 def test_kernel_point_zero_matrix():
@@ -116,7 +164,7 @@ def test_kernel_point_projects_perturbed_current_table():
     eps = Fraction(1, 10 ** 9)
     v = rational_kernel_point(matrix, target, eps)
     for row in matrix:
-        assert sum(c * x for c, x in zip(row, v)) == 0
+        assert sum(c * v[j] for j, c in row.items()) == 0
     assert all(x >= 0 for x in v)
     assert max(abs(a - b) for a, b in zip(v, target)) < eps
     assert v[0] == v[1] == 1 + Fraction(1, 2 * 10 ** 9)
@@ -149,7 +197,7 @@ def test_kernel_point_refuses_the_zero_rounding():
 
 
 def test_kernel_point_preserves_zero_coordinates():
-    v = rational_kernel_point([[1, -1, 0], [0, 0, 1]],
+    v = rational_kernel_point([{0: 1, 1: -1}, {2: 1}],
                               [Fraction(1), Fraction(1), Fraction(0)],
                               Fraction(1, 100))
     assert v[2] == 0
@@ -157,7 +205,7 @@ def test_kernel_point_preserves_zero_coordinates():
 
 def test_kernel_point_infeasible():
     with pytest.raises(InfeasibleKernelError):
-        rational_kernel_point([[1]], [Fraction(1)], Fraction(1, 1000))
+        rational_kernel_point([{0: 1}], [Fraction(1)], Fraction(1, 1000))
 
 
 def test_kernel_point_rejects_projection_outside_kernel(monkeypatch):
@@ -165,7 +213,35 @@ def test_kernel_point_rejects_projection_outside_kernel(monkeypatch):
     monkeypatch.setattr(approx, "_project_onto_kernel",
                         lambda basis, target: list(target))
     with pytest.raises(InfeasibleKernelError, match="left the kernel"):
-        rational_kernel_point([[1, -1]], [1, 2], 10)
+        rational_kernel_point([{0: 1, 1: -1}], [1, 2], 10)
+
+
+# x0 - x1 - x2 = 0 with x2 small: the projection of (1, 3/2, x2) puts x2
+# below 0, and no q <= SCAN_BOUND rounds either target into the kernel.
+DROP_ROW = {0: 1, 1: -1, 2: -1}
+
+
+def test_kernel_point_drops_a_small_negative_coordinate_and_reprojects():
+    target = [Fraction(1), Fraction(3, 2), Fraction(1, 100)]
+    tolerance = Fraction(1, 2)
+    dense = dense_rows([DROP_ROW], 3)
+    assert reference_scan(dense, target, tolerance, approx.SCAN_BOUND) is None
+    expected = (Fraction(5, 4), Fraction(5, 4), Fraction(0))
+    assert reference_projection(dense, target, tolerance) == expected
+    assert rational_kernel_point([DROP_ROW], target, tolerance) == expected
+
+
+def test_kernel_point_refuses_a_large_coordinate_forced_negative():
+    # At tolerance 1/10, x2 = 1/5 is no noise to drop.
+    target = [Fraction(1), Fraction(3, 2), Fraction(1, 5)]
+    tolerance = Fraction(1, 10)
+    dense = dense_rows([DROP_ROW], 3)
+    assert reference_scan(dense, target, tolerance, approx.SCAN_BOUND) is None
+    with pytest.raises(InfeasibleKernelError):
+        reference_projection(dense, target, tolerance)
+    with pytest.raises(InfeasibleKernelError, match="projection forces a "
+                       "coordinate negative beyond tolerance"):
+        rational_kernel_point([DROP_ROW], target, tolerance)
 
 
 @st.composite
@@ -195,7 +271,7 @@ def test_kernel_point_is_a_nearby_nonnegative_kernel_point(problem):
     assert len(v) == len(target)
     assert all(x >= 0 for x in v)
     for row in matrix:
-        assert sum(c * x for c, x in zip(row, v)) == 0
+        assert sum(c * v[j] for j, c in row.items()) == 0
     assert max(abs(a - b) for a, b in zip(target, v)) < tolerance
 
 
@@ -203,12 +279,14 @@ def test_kernel_point_is_a_nearby_nonnegative_kernel_point(problem):
 @given(nudged_kernel_problems())
 def test_kernel_point_is_the_rounding_at_the_least_q(problem):
     # The rounding at the least admissible q <= SCAN_BOUND, and the
-    # orthogonal projection only when no such q exists.
+    # orthogonal projection only when no such q exists; the references
+    # read the same rows written out densely.
     matrix, target, tolerance = problem
-    expected = reference_scan(matrix, target, tolerance, approx.SCAN_BOUND)
+    dense = dense_rows(matrix, len(target))
+    expected = reference_scan(dense, target, tolerance, approx.SCAN_BOUND)
     if expected is None:
         try:
-            expected = reference_projection(matrix, target, tolerance)
+            expected = reference_projection(dense, target, tolerance)
         except InfeasibleKernelError:
             with pytest.raises(InfeasibleKernelError):
                 rational_kernel_point(matrix, target, tolerance)
@@ -396,6 +474,6 @@ def test_full_matching_system_residuals_at_r2():
     table = cylinder_table(RationalCurrent.eta(Subgroup(["xy", "yxY"], 2)), 2)
     columns = list(enumerate_round_graphs(2, 2))
     vec = [table[t] for t in columns]
-    assert all(sum(c * vec[j] for j, c in enumerate(row) if c) == 0
+    assert all(sum(c * vec[j] for j, c in row.items()) == 0
                for row in _matching_matrix(columns, 2))
     assert check_matching(table) == []

@@ -80,8 +80,7 @@ ROUND_GRAPHS_R1 = list(enumerate_round_graphs(2, 1))
 def row_values(matrix, columns, table):
     """Row values A.x for the table as a vector over the columns."""
     vec = [table[t] for t in columns]
-    return [sum(c * vec[j] for j, c in enumerate(row) if c)
-            for row in matrix]
+    return [sum(c * vec[j] for j, c in row.items()) for row in matrix]
 
 
 def in_full_kernel_r1(table):
@@ -95,12 +94,14 @@ def in_full_kernel_r1(table):
 def test_matching_system_shape_r1():
     matrix = _matching_matrix(ROUND_GRAPHS_R1, 2)
     assert len(ROUND_GRAPHS_R1) == 11
-    assert len(matrix) == 2 and all(len(row) == 11 for row in matrix)
-    # Row (u, J) is +1 where T holds u, -1 where it holds u^-1, and 0
-    # where it holds both; one lens class per generator at radius 1.
+    assert len(matrix) == 2
+    # Row (u, J) is +1 where T holds u, -1 where it holds u^-1, and leaves
+    # out T holding both or neither; one lens class per generator at
+    # radius 1.
     for gen, row in zip((1, 2), matrix):
-        assert row == [((gen,) in t.word_set) - ((-gen,) in t.word_set)
-                       for t in ROUND_GRAPHS_R1]
+        signs = [((gen,) in t.word_set) - ((-gen,) in t.word_set)
+                 for t in ROUND_GRAPHS_R1]
+        assert row == {j: c for j, c in enumerate(signs) if c}
     assert [(gen, key) for gen, key, _outs, _ins
             in lens_rows(ROUND_GRAPHS_R1, 2)] == [(1, ((), (1,))),
                                                   (2, ((), (2,)))]
@@ -301,14 +302,11 @@ def test_decompose_groups_reference_terms(theta):
 @given(matching_tables())
 @example(TWO_ROWS_PER_GENERATOR)
 def test_support_system_rows_match_reference(table):
+    # The rows are sparse and hold no zero coefficient.
     columns = table.support()
-    expected = []
-    for _key, entries in reference_matching_rows(table.rank, columns):
-        row = [0] * len(columns)
-        for j, c in entries.items():
-            row[j] = c
-        expected.append(row)
-    assert _matching_matrix(columns, table.rank) == expected
+    assert _matching_matrix(columns, table.rank) == [
+        entries for _key, entries in reference_matching_rows(table.rank,
+                                                             columns)]
 
 
 @settings(deadline=None, max_examples=100)

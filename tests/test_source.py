@@ -160,9 +160,9 @@ def test_only_the_cylinders_report_calls_check_matching():
 
 def test_lens_rows_has_one_reader_per_use():
     # The rows are summed as rationals to check a table, paired as copies
-    # to realize one, and written once as integers for the kernel repair;
-    # a second integer form of them would be a second place to keep in
-    # step with `lens_rows`.
+    # to realize one, and written once as sparse integer rows for the
+    # kernel repair; a second integer form of them would be a second place
+    # to keep in step with `lens_rows`.
     assert _callers("lens_rows") == ["approx.py:_matching_matrix",
                                      "cylinders.py:check_matching",
                                      "realize.py:realize"]
@@ -198,6 +198,17 @@ def test_intersection_walks_the_product_once():
     # recorded; only `Subgroup.from_core` walks a core again for one.
     assert _callers("basis_of") == ["stallings.py:from_core"]
     assert not _calls(_function("fiber.py", "intersection"), "from_core")
+
+
+def test_one_rule_reads_a_basis_off_a_breadth_first_tree():
+    # `basis_of` and `intersection` each record a breadth-first tree as
+    # every vertex's first letter and tree paths, and `_tree_basis` alone
+    # tells the tree edges from the rest and spells the basis words.
+    assert _callers("_tree_basis") == ["fiber.py:intersection",
+                                       "stallings.py:basis_of"]
+    for node in (_function("fiber.py", "intersection"),
+                 _function("stallings.py", "basis_of")):
+        assert {"_reduced", "tree"}.isdisjoint(_names(node))
 
 
 def test_one_prune_and_one_component_join():

@@ -536,9 +536,10 @@ def test_intersection_core_does_not_fold(monkeypatch):
      "edge label -1 out of range for rank 2"),
     (LabeledGraph(2, 2, [(0, 0, 1), (0, 1, 0)], 0),
      "edge label 0 out of range for rank 2"),
+    (LabeledGraph(2, -2), "vertex count -2 is negative"),
 ], ids=["edge-past-end", "edge-negative", "basepoint-past-end",
         "basepoint-negative", "label-past-rank", "label-negative",
-        "label-zero"])
+        "label-zero", "vertices-negative"])
 def test_fold_rejects_out_of_range_input(graph, message):
     # Neither an index error nor a negative index wrapping round to the
     # last vertex, nor a bad label on an edge the prune would drop (each
@@ -557,6 +558,18 @@ def test_core_graph_validation():
         CoreGraph(2, 2, [(0, 1, 1)], 0)  # dangling non-basepoint vertex
     with pytest.raises(ValueError):
         CoreGraph(2, 1, [(0, 0, 3)], 0)  # label out of range
+    # No graph has -3 vertices; counted as one, it had reduced rank 3.
+    with pytest.raises(ValueError, match="vertex count -3 is negative"):
+        CoreGraph(2, -3, [], None)
+
+
+def test_add_path_refuses_a_path_that_cannot_be_laid():
+    # No letters join two different vertices; an empty loop lays nothing.
+    g = LabeledGraph(2, 2)
+    with pytest.raises(ValueError, match="no letters to lay from 0 to 1"):
+        g.add_path(0, 1, [])
+    g.add_path(1, 1, [])
+    assert (g.num_vertices, g.edges) == (2, [])
 
 
 def test_signed_adjacency():
@@ -623,3 +636,5 @@ def test_graph_text_errors():
     with pytest.raises(FileFormatError):
         graph_from_text("rank 2\nvertices 2\nbasepoint 0\nedge 0 1 g1\n"
                         "edge 0 1 g1\n")
+    with pytest.raises(FileFormatError, match="vertex count -1 is negative"):
+        graph_from_text("rank 2\nvertices -1\nbasepoint none\n")
