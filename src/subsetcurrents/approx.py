@@ -102,7 +102,10 @@ def nullspace_basis(matrix: Sequence[Sequence[int]], width: int
                     ) -> list[list[Fraction]]:
     """Rational kernel basis of integral rows, one vector per free column."""
     rows = [list(row) for row in matrix]
-    ints = [list(map(int, row)) for row in rows]
+    try:
+        ints = [list(map(int, row)) for row in rows]
+    except OverflowError as exc:  # an infinity; a NaN raises ValueError
+        raise ValueError(str(exc)) from exc
     if ints != rows or any(len(row) != width for row in rows):
         raise ValueError(f"each row must hold {width} integral entries")
     echelon, pivots = _bareiss_echelon(ints)
@@ -201,11 +204,14 @@ def rational_kernel_point(rows: Iterable[Mapping[int, Rational]],
     v_i is within eps of u_i: only coordinates below the tolerance can
     leave the support.
     """
-    u = tuple(map(Fraction, target))
-    eps = Fraction(tolerance)
-    n = len(u)
     given = list(rows)
-    rows = [{int(j): int(c) for j, c in row.items()} for row in given]
+    try:
+        u = tuple(map(Fraction, target))
+        eps = Fraction(tolerance)
+        rows = [{int(j): int(c) for j, c in row.items()} for row in given]
+    except OverflowError as exc:  # an infinity; a NaN raises ValueError
+        raise ValueError(str(exc)) from exc
+    n = len(u)
     if rows != given:
         raise ValueError("row columns and coefficients must be integers")
     if any(not 0 <= j < n for row in rows for j in row):

@@ -21,7 +21,7 @@ from itertools import combinations, product
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import AdmissibilityError, BasisMismatchError, FileFormatError
-from .stallings import CoreGraph, Subgroup, _content_lines
+from .stallings import CoreGraph, Subgroup, _read_file
 from .words import (MAX_RANK, enumerate_reduced_words, format_word,
                     free_reduce, parse_word, _check_rank, _Frozen,
                     _signed_letters)
@@ -349,7 +349,10 @@ class WeightTable(_Frozen):
                     f"table key has rank {t.rank}, radius {t.radius}; "
                     f"expected {rank}, {radius}")
             if type(value) is not Fraction:
-                value = Fraction(value)
+                try:
+                    value = Fraction(value)
+                except OverflowError as exc:  # an infinity; NaN: ValueError
+                    raise ValueError(str(exc)) from exc
             if value < 0:
                 raise ValueError(f"negative weight {value} for {t}")
             if value:
@@ -593,21 +596,12 @@ def table_to_text(table: WeightTable) -> str:
 
 
 def table_from_text(text: str) -> WeightTable:
-    rank = None
-    radius = None
+    header, body = _read_file(text, ("rank", "radius"))
+    rank, radius = header["rank"], header["radius"]
+    if radius < 0:
+        raise FileFormatError(f"radius must be >= 0, got {radius}")
     entries: dict[RoundGraph, Fraction] = {}
-    for line in _content_lines(text):
-        parts = line.split()
-        if parts[0] in ("rank", "radius") and len(parts) == 2:
-            if not parts[1].isdigit():
-                raise FileFormatError(f"expected '{parts[0]} N', got {line!r}")
-            if parts[0] == "rank":
-                rank = int(parts[1])
-            else:
-                radius = int(parts[1])
-            continue
-        if rank is None or radius is None:
-            raise FileFormatError("table entries before rank/radius header")
+    for line in body:
         if "=" not in line:
             raise FileFormatError(f"malformed table line {line!r}")
         graph_part, value_part = line.split("=", 1)
@@ -621,10 +615,4 @@ def table_from_text(text: str) -> WeightTable:
             raise FileFormatError(f"bad round-graph {graph_part!r}: {exc}") \
                 from exc
         entries[key] = entries.get(key, Fraction(0)) + value
-    if rank is None or radius is None:
-        raise FileFormatError("missing rank/radius header")
-    try:
-        _check_rank(rank)
-    except ValueError as exc:
-        raise FileFormatError(str(exc)) from exc
     return WeightTable(rank, radius, entries)

@@ -14,6 +14,7 @@ components, each rooted at its least vertex.
 
 from __future__ import annotations
 
+import re
 from itertools import accumulate, compress
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
@@ -45,6 +46,8 @@ class LabeledGraph:
     def __init__(self, rank: int, num_vertices: int = 0,
                  edges: Iterable[tuple[int, int, int]] = (),
                  basepoint: Optional[int] = None):
+        if num_vertices < 0:
+            raise ValueError(f"vertex count {num_vertices} is negative")
         self.rank = rank
         self.num_vertices = num_vertices
         self.edges = list(edges)
@@ -525,9 +528,7 @@ class Subgroup(_Frozen):
     @classmethod
     def from_core(cls, core: CoreGraph) -> "Subgroup":
         """The subgroup `core` reads; keeps `core`."""
-        sub = cls(basis_of(core), core.rank)
-        object.__setattr__(sub, "_core", core)
-        return sub
+        return cls._with_basis(core, basis_of(core))
 
     @classmethod
     def _with_basis(cls, core: CoreGraph, basis: list[Word]) -> "Subgroup":
@@ -582,6 +583,39 @@ def _content_lines(text: str) -> Iterator[str]:
             yield line
 
 
+# ASCII digits only: '²', '٢', '+2' and '1_0' are no integers.
+_INTEGER = "-?[0-9]+"
+
+
+def _read_file(text: str, names: Sequence[str]
+               ) -> tuple[dict[str, Optional[int]], list[str]]:
+    """The header and the body lines of a text file.  The header is one
+    line `name value` for each of `names` (`rank` among them), in any
+    order; a value is an ASCII integer, or `none` for a basepoint, and the
+    rank lies in 1..MAX_RANK.  Any other header raises FileFormatError."""
+    lines = list(_content_lines(text))
+    header: dict[str, Optional[int]] = {}
+    for i, line in enumerate(lines):
+        name, *value = line.split()
+        is_header = name in names and len(value) == 1
+        if is_header != (i < len(names)):
+            raise FileFormatError(f"expected one line each of "
+                                  f"{', '.join(names)}, then the body; "
+                                  f"got {line!r}")
+        if is_header:
+            if not (re.fullmatch(_INTEGER, value[0])
+                    or (name, value[0]) == ("basepoint", "none")):
+                raise FileFormatError(f"expected '{name} N', got {line!r}")
+            header[name] = None if value[0] == "none" else int(value[0])
+    if len(header) < len(names):
+        raise FileFormatError(f"missing header; expected {', '.join(names)}")
+    try:
+        _check_rank(header["rank"])
+    except ValueError as exc:
+        raise FileFormatError(str(exc)) from exc
+    return header, lines[len(names):]
+
+
 def subgroup_to_text(sub: Subgroup) -> str:
     lines = [f"rank {sub.rank}"]
     lines.extend(format_word(w) for w in sub.generators)
@@ -589,23 +623,8 @@ def subgroup_to_text(sub: Subgroup) -> str:
 
 
 def subgroup_from_text(text: str) -> Subgroup:
-    rank = None
-    gens: list[str] = []
-    for line in _content_lines(text):
-        if rank is None:
-            parts = line.split()
-            if len(parts) != 2 or parts[0] != "rank" or not parts[1].isdigit():
-                raise FileFormatError(f"expected 'rank N', got {line!r}")
-            rank = int(parts[1])
-        else:
-            gens.append(line)
-    if rank is None:
-        raise FileFormatError("missing 'rank N' header")
-    try:
-        _check_rank(rank)
-    except ValueError as exc:
-        raise FileFormatError(str(exc)) from exc
-    return Subgroup(gens, rank)
+    header, body = _read_file(text, ("rank",))
+    return Subgroup(body, header["rank"])
 
 
 def graph_to_text(c: CoreGraph) -> str:
@@ -618,32 +637,16 @@ def graph_to_text(c: CoreGraph) -> str:
 
 
 def graph_from_text(text: str) -> CoreGraph:
-    rank = None
-    num = None
-    base: Optional[int] = None
+    header, body = _read_file(text, ("rank", "vertices", "basepoint"))
     edges = []
-    for line in _content_lines(text):
-        parts = line.split()
-        try:
-            if parts[0] == "rank":
-                rank = int(parts[1])
-            elif parts[0] == "vertices":
-                num = int(parts[1])
-            elif parts[0] == "basepoint":
-                base = None if parts[1] == "none" else int(parts[1])
-            elif parts[0] == "edge":
-                if not parts[3].startswith("g"):
-                    raise FileFormatError(f"bad edge label {parts[3]!r}")
-                edges.append((int(parts[1]), int(parts[2]), int(parts[3][1:])))
-            else:
-                raise FileFormatError(f"unknown directive {parts[0]!r}")
-        except (IndexError, ValueError) as exc:
-            if isinstance(exc, FileFormatError):
-                raise
-            raise FileFormatError(f"malformed line {line!r}") from exc
-    if rank is None or num is None:
-        raise FileFormatError("missing rank/vertices header")
+    for line in body:
+        match = re.fullmatch(
+            rf"edge\s+({_INTEGER})\s+({_INTEGER})\s+g({_INTEGER})", line)
+        if match is None:
+            raise FileFormatError(f"expected 'edge S D gK', got {line!r}")
+        edges.append(tuple(map(int, match.groups())))
     try:
-        return CoreGraph(rank, num, edges, base)
+        return CoreGraph(header["rank"], header["vertices"], edges,
+                         header["basepoint"])
     except ValueError as exc:
         raise FileFormatError(f"not a valid core graph: {exc}") from exc

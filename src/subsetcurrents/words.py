@@ -224,7 +224,7 @@ def parse_word(text: str, rank: int) -> Word:
                     sign = -1
                     i += 1
                 start = i
-                while i < len(token) and token[i].isdigit():
+                while i < len(token) and "0" <= token[i] <= "9":
                     i += 1
                 if start == i:
                     raise LetterRangeError(f"missing exponent in {text!r}")

@@ -175,7 +175,7 @@ def reference_parse_word(text: str, rank: int) -> Word:
                     sign = -1
                     i += 1
                 start = i
-                while i < len(token) and token[i].isdigit():
+                while i < len(token) and "0" <= token[i] <= "9":
                     i += 1
                 if start == i:
                     raise LetterRangeError(f"missing exponent in {text!r}")
@@ -434,6 +434,48 @@ def matching_tables(draw):
                                st.integers(1, 3)))
         entries[t] = max(entries[t] + delta, Fraction(0))
     return WeightTable(table.rank, table.radius, entries)
+
+
+# A valid file of each text format, as (header lines, body lines).
+FILES = {
+    "subgroup": (["rank 2"], ["xy", "xY"]),
+    "graph": (["rank 2", "vertices 1", "basepoint 0"],
+              ["edge 0 0 g1", "edge 0 0 g2"]),
+    "table": (["rank 2", "radius 1"], ["e,x,X = 1", "e,y,Y = 1"]),
+}
+
+# Header values that are no ASCII integer, though `str.isdigit`, `int`
+# or `Fraction` read some of them; only a basepoint may be `none`.
+NON_INTEGERS = {"superscript": "\u00b2", "arabic": "\u0662", "plus": "+2",
+                "underscore": "1_0", "none": "none"}
+
+
+def malformed_files(kind: str) -> dict[str, str]:
+    """Each malformed header of the valid `kind` file in FILES, by name:
+    a missing, repeated, conflicting or misplaced header line, a value
+    that is no ASCII integer, or an extra token.  A file cut short in its
+    header and a repeat in place of a later name each leave a name out."""
+    header, body = FILES[kind]
+    first, *rest = header
+    name = first.split()[0]
+    cases = {
+        "truncated": header[:-1],
+        "repeated": [first, first] + rest + body,
+        "conflicting": [first, f"{name} 3"] + rest + body,
+        "after-body": rest + body[:1] + [first] + body[1:],
+        "again-after-body": header + body + [f"{name} 3"],
+    }
+    for i, line in enumerate(header):
+        key = line.split()[0]
+        cases[f"{key}-missing"] = header[:i] + header[i + 1:] + body
+        for label, value in NON_INTEGERS.items():
+            if (key, value) == ("basepoint", "none"):
+                continue
+            cases[f"{key}-{label}"] = (header[:i] + [f"{key} {value}"]
+                                       + header[i + 1:] + body)
+        cases[f"{key}-extra"] = header[:i] + [f"{line} 0"] + header[i + 1:] \
+            + body
+    return {case: "\n".join(lines) + "\n" for case, lines in cases.items()}
 
 
 def edges_by_component(components: Sequence[Sequence],

@@ -15,7 +15,7 @@ from subsetcurrents import (RationalCurrent, Subgroup,
                             verify_realization)
 from subsetcurrents import approx
 from subsetcurrents.approx import _matching_matrix
-from subsetcurrents.cylinders import WeightTable, table_from_text
+from subsetcurrents.cylinders import WeightTable, axis, table_from_text
 from subsetcurrents.errors import InfeasibleKernelError
 
 from helpers import (dense_rows, noised_floats, random_current,
@@ -77,6 +77,20 @@ def test_rational_kernel_point_validation():
         rational_kernel_point([{0: 1}], [-1], 1)  # negative target
     with pytest.raises(ValueError):
         rational_kernel_point([{0: 1}], [1], 0)  # zero tolerance
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"),
+                                   float("nan")], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("call", [
+    lambda v: rational_kernel_point([{0: v}], [1], Fraction(1, 10)),
+    lambda v: rational_kernel_point([{0: 1}], [v], Fraction(1, 10)),
+    lambda v: nullspace_basis([[v]], 1),
+    lambda v: WeightTable(2, 1, {axis(2, 1, 1): v}),
+], ids=["kernel-row", "kernel-target", "nullspace", "table"])
+def test_a_number_that_is_not_finite_is_a_value_error(call, value):
+    # int() and Fraction() raise OverflowError on an infinity.
+    with pytest.raises(ValueError):
+        call(value)
 
 
 @pytest.mark.parametrize("row", [{0: 0.9, 1: -0.1}, {0: Fraction(1, 2)},

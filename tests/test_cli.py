@@ -12,9 +12,9 @@ from subsetcurrents import (Subgroup, WeightTable, axis, cylinder_table,
                             table_to_text)
 from subsetcurrents.cli import _check_ball, main
 from subsetcurrents.cylinders import RationalCurrent
-from subsetcurrents.errors import AdmissibilityError
+from subsetcurrents.errors import AdmissibilityError, FileFormatError
 
-from helpers import noised_floats
+from helpers import malformed_files, noised_floats
 
 
 def write_sub(tmp_path, name, gens, rank=2):
@@ -65,6 +65,19 @@ def test_intersect_export(tmp_path, capsys):
     assert exported
     graph = graph_from_text(exported[0].read_text())
     assert graph.num_vertices == 2  # the 2-cycle reading xy
+
+
+def test_intersect_export_may_not_be_a_core_graph(tmp_path, capsys):
+    # A fiber-product component can keep a degree-1 vertex, so the
+    # exported file is no core graph and graph_from_text refuses it.
+    a = write_sub(tmp_path, "a.txt", ["xy", "yx"])
+    b = write_sub(tmp_path, "b.txt", ["xx", "y"])
+    prefix = tmp_path / "comp"
+    assert main(["intersect", str(a), str(b), "--export", str(prefix)]) == 0
+    (exported,) = tmp_path.glob("comp.*.txt")
+    assert "vertices 6\n" in exported.read_text()
+    with pytest.raises(FileFormatError, match="vertex 3 has degree 1 < 2"):
+        graph_from_text(exported.read_text())
 
 
 def test_cylinders_enumerate(capsys):
@@ -458,6 +471,21 @@ def test_subgroup_file_of_a_bad_rank_exits_2(tmp_path, capsys):
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith(
             "error: rank must be between 1 and 25, got 99")
+
+
+@pytest.mark.parametrize("kind, case", [
+    (kind, case) for kind in ("subgroup", "table")
+    for case in malformed_files(kind)])
+def test_malformed_headers_exit_2(tmp_path, capsys, kind, case):
+    path = tmp_path / "f.txt"
+    path.write_text(malformed_files(kind)[case], encoding="utf-8")
+    argvs = ([["rank", str(path)], ["cylinders", str(path), "--radius", "1"]]
+             if kind == "subgroup" else
+             [["realize", str(path), "--outdir", str(tmp_path / "out")],
+              ["approx", str(path)]])
+    for argv in argvs:
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_computed_values_past_the_digit_cap_are_refused(tmp_path, capsys):

@@ -170,8 +170,9 @@ def test_lens_rows_has_one_reader_per_use():
 
 def test_each_class_stored_as_given_has_one_builder():
     # `SCGraphQuotient`, `ProductGraph`, the `CoreGraph` of an
-    # intersection or of a hull-core, the `Subgroup` of an intersection
-    # with its basis (`_with_basis`) and the traced `RoundGraph` of a
+    # intersection or of a hull-core, the `Subgroup` of an intersection or
+    # of `from_core` with its basis (`_with_basis`) and the traced
+    # `RoundGraph` of a
     # hull-core ball store their fields unchecked, because the one
     # function that builds each proves them by how it builds them; a
     # second builder would bring in fields nothing proved.  Every other
@@ -181,7 +182,8 @@ def test_each_class_stored_as_given_has_one_builder():
     assert _callers("ProductGraph") == ["fiber.py:fiber_product"]
     assert _callers("_proved") == ["fiber.py:intersection",
                                    "stallings.py:hull_core"]
-    assert _callers("_with_basis") == ["fiber.py:intersection"]
+    assert _callers("_with_basis") == ["fiber.py:intersection",
+                                       "stallings.py:from_core"]
     assert _callers("_traced") == ["cylinders.py:cylinder_table"]
     assert _callers("_store") == ["cylinders.py:__init__",
                                   "cylinders.py:_traced"]
@@ -191,6 +193,24 @@ def test_each_class_stored_as_given_has_one_builder():
                if path.name == "realize.py"]
     assert {"signed_adjacency", "connected_components",
             "least_bfs_encoding"}.isdisjoint(_names(tree))
+
+
+def test_one_reader_reads_every_file_header():
+    # `_read_file` alone splits subgroup, graph and table files into a
+    # header and a body and reads the header, rank check included, so the
+    # three formats share one rule; nothing tests text with `isdigit`,
+    # which passes digits such as '\u00b2' that are no ASCII integer.
+    readers = ["cylinders.py:table_from_text",
+               "stallings.py:subgroup_from_text",
+               "stallings.py:graph_from_text"]
+    assert _callers("_content_lines") == ["stallings.py:_read_file"]
+    assert _callers("_read_file") == readers
+    for path, tree in package_trees():
+        assert "isdigit" not in _names(tree), path.name
+    for reader in readers:
+        file, name = reader.split(":")
+        assert not _calls(_function(file, name), "_check_rank"), reader
+    assert _calls(_function("stallings.py", "_read_file"), "_check_rank")
 
 
 def test_intersection_walks_the_product_once():

@@ -13,12 +13,14 @@ from subsetcurrents import (CoreGraph, LabeledGraph, Subgroup, Word, basis_of,
                             reduced_rank, subgroup_from_text,
                             subgroup_to_text)
 from subsetcurrents.approx import subgroup_Hn
+from subsetcurrents.cylinders import table_from_text, table_to_text
 from subsetcurrents.errors import BasisMismatchError, FileFormatError
 from subsetcurrents.stallings import _fold_edges, _prune, signed_adjacency
 
-from helpers import (random_cover, random_finite_cover, random_subgroup,
-                     random_word, reference_core_from_generators,
-                     reference_fold_edges, reference_prune_edges, subgroups)
+from helpers import (FILES, current_tables, malformed_files, random_cover,
+                     random_finite_cover, random_subgroup, random_word,
+                     reference_core_from_generators, reference_fold_edges,
+                     reference_prune_edges, subgroups)
 
 ROSE = core_from_generators(["x", "y"], 2)
 DOUBLE_COVER = CoreGraph(2, 2, [(0, 1, 1), (1, 0, 1), (0, 0, 2), (1, 1, 2)], 0)
@@ -525,6 +527,13 @@ def test_intersection_core_does_not_fold(monkeypatch):
         monkeypatch.undo()
 
 
+def _recounted(graph: LabeledGraph, num_vertices: int) -> LabeledGraph:
+    """`graph` with its vertex count set after construction, since the
+    constructor refuses a negative count itself."""
+    graph.num_vertices = num_vertices
+    return graph
+
+
 @pytest.mark.parametrize("graph, message", [
     (LabeledGraph(2, 2, [(0, 0, 1), (0, 5, 2)], 0), "missing vertex"),
     (LabeledGraph(1, 2, [(0, 0, 1), (0, -1, 1)], 0), "missing vertex"),
@@ -536,7 +545,7 @@ def test_intersection_core_does_not_fold(monkeypatch):
      "edge label -1 out of range for rank 2"),
     (LabeledGraph(2, 2, [(0, 0, 1), (0, 1, 0)], 0),
      "edge label 0 out of range for rank 2"),
-    (LabeledGraph(2, -2), "vertex count -2 is negative"),
+    (_recounted(LabeledGraph(2), -2), "vertex count -2 is negative"),
 ], ids=["edge-past-end", "edge-negative", "basepoint-past-end",
         "basepoint-negative", "label-past-rank", "label-negative",
         "label-zero", "vertices-negative"])
@@ -561,6 +570,12 @@ def test_core_graph_validation():
     # No graph has -3 vertices; counted as one, it had reduced rank 3.
     with pytest.raises(ValueError, match="vertex count -3 is negative"):
         CoreGraph(2, -3, [], None)
+
+
+def test_labeled_graph_refuses_a_negative_vertex_count():
+    # Else add_vertex would hand out the ids -2, -1, ... before any fold.
+    with pytest.raises(ValueError, match="vertex count -2 is negative"):
+        LabeledGraph(2, -2)
 
 
 def test_add_path_refuses_a_path_that_cannot_be_laid():
@@ -638,3 +653,57 @@ def test_graph_text_errors():
                         "edge 0 1 g1\n")
     with pytest.raises(FileFormatError, match="vertex count -1 is negative"):
         graph_from_text("rank 2\nvertices -1\nbasepoint none\n")
+
+
+READERS = {"subgroup": subgroup_from_text, "graph": graph_from_text,
+           "table": table_from_text}
+
+
+@pytest.mark.parametrize("kind, text", [
+    pytest.param(kind, text, id=f"{kind}-{case}")
+    for kind in FILES for case, text in malformed_files(kind).items()])
+def test_every_malformed_header_is_a_format_error(kind, text):
+    # One reader takes the header of every format: each name exactly
+    # once, in any order, before the body, its value an ASCII integer.
+    header, body = FILES[kind]
+    READERS[kind]("\n".join(header + body))
+    with pytest.raises(FileFormatError):
+        READERS[kind](text)
+
+
+@pytest.mark.parametrize("line", [
+    "edge 0 0 g1 extra", "edge 0 0 g+1", "edge 0 0 g\u00b2",
+    "edge \u0660 0 g1", "edge 0 0 1", "edge 0 0"])
+def test_graph_edge_lines_are_read_exactly(line):
+    # Read loosely, each line but the last two would add the x-loop.
+    with pytest.raises(FileFormatError, match="expected 'edge S D gK'"):
+        graph_from_text(f"rank 2\nvertices 1\nbasepoint 0\nedge 0 0 g2\n"
+                        f"{line}\n")
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 3).flatmap(subgroups), current_tables(), st.data())
+def test_written_files_read_back_under_any_header_order(sub, table, data):
+    def shuffled(text, size):
+        lines = text.splitlines()
+        header = data.draw(st.permutations(lines[:size]))
+        return "\n".join(header + lines[size:])
+
+    for text in (subgroup_to_text(sub), shuffled(subgroup_to_text(sub), 1)):
+        again = subgroup_from_text(text)
+        assert (again.rank, again.generators) == (sub.rank, sub.generators)
+    for graph in (sub.core, sub.hull):
+        text = graph_to_text(graph)
+        assert graph_from_text(text) == graph
+        assert graph_from_text(shuffled(text, 3)) == graph
+    text = table_to_text(table)
+    assert table_from_text(text) == table
+    assert table_from_text(shuffled(text, 2)) == table
+
+
+def test_a_body_word_that_spells_a_header_name_reads_back():
+    # At rank 25 'rank' and 'radius' are words; a body line is taken for
+    # a misplaced header only in the form `name value`.
+    sub = Subgroup(["rank", "radius"], 25)
+    again = subgroup_from_text(subgroup_to_text(sub))
+    assert again.generators == sub.generators

@@ -116,6 +116,15 @@ def test_parse_and_format():
         parse_word("z", 2)
 
 
+@pytest.mark.parametrize("text", ["x^\u00b2", "x^\u0662", "y^-\u00b2",
+                                  "x^\uff12"])
+def test_parse_word_reads_ascii_exponents_only(text):
+    # str.isdigit passes each of these; int() refuses the superscript
+    # two and reads the Arabic-Indic and the fullwidth two as 2.
+    with pytest.raises(LetterRangeError, match="missing exponent"):
+        parse_word(text, 2)
+
+
 # Pieces of word texts: letters in and out of rank 1-3 (every one is in
 # rank at MAX_RANK but 'e'/'E'), the Kelvin sign, which lowercases to the
 # ASCII 'k', the identity marks, exponents, digits, spaces, punctuation.
