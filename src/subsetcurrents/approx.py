@@ -315,11 +315,6 @@ def subgroup_Hn(n: int) -> Subgroup:
     return Subgroup([Word(2, g) for g in gens], 2)
 
 
-def subgroup_Gn(n: int) -> Subgroup:
-    """The index-n normal subgroup family: subgroup_Hn's generators plus x."""
-    return Subgroup((Word(2, (1,)),) + subgroup_Hn(n).generators, 2)
-
-
 def convergence_run(radius: int, ns: Iterable[int]
                     ) -> list[tuple[int, Fraction]]:
     """Exact cylinder distances from (1/n) eta_{H_n} to eta_F."""

@@ -53,13 +53,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="cylinder table of a rational current, or "
                             "round-graph enumeration")
     p.add_argument("subgroups", nargs="*", type=Path)
-    p.add_argument("--radius", type=int, required=True)
+    p.add_argument("--radius", type=_integer, required=True)
     p.add_argument("--coeffs", default=None,
                    help="comma-separated rational coefficients, one per "
                         "subgroup file (default all 1)")
     p.add_argument("--enumerate", action="store_true",
                    help="list every round-graph at this radius instead")
-    p.add_argument("--rank", type=int, default=2,
+    p.add_argument("--rank", type=_integer, default=2,
                    help="rank for --enumerate (default 2)")
     p.add_argument("--out", type=Path, default=None)
 
@@ -77,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("converge",
                        help="distance of (1/n) eta_{H_n} from eta_F")
-    p.add_argument("--radius", type=int, required=True)
+    p.add_argument("--radius", type=_integer, required=True)
     p.add_argument("--ns", default="2,4,8,16")
     p.add_argument("--decimal", action="store_true")
 
@@ -99,13 +99,16 @@ SIZE_CAP = 10 ** 6
 # limit on int/str conversion, so that every value read can be printed.
 DIGIT_CAP = 4300
 
-_NUMBER = re.compile(r"(\d[\d_]*(?:\.[\d_]*)?|\.\d[\d_]*)"
-                     r"(?:[eE]([-+]?\d[\d_]*))?")
+_NUMBER = re.compile(r"([0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE]([-+]?[0-9]+))?")
+
+
+def _integer(text: str) -> int:
+    return int(stallings._ascii_number(text))
 
 
 def _parse_fraction(text: str) -> Fraction:
     try:
-        return Fraction(text.strip())
+        return Fraction(stallings._ascii_number(text).strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad rational {text!r}") from exc
 
@@ -120,12 +123,12 @@ def _capped(source, text=None) -> str:
         text = source.read_text(encoding="utf-8")
     bound = sum(map(str.isalpha, text)) + sum(
         int(e) if len(e) <= len(str(SIZE_CAP)) else SIZE_CAP + 1
-        for e in re.findall(r"\^-?(\d+)", text))
+        for e in re.findall(r"\^-?([0-9]+)", text))
     if bound > SIZE_CAP:
         raise ValueError(f"refusing {source}: its words could expand "
                          f"above the cap of {SIZE_CAP} letters")
     for mantissa, exponent in _NUMBER.findall(text):
-        power = exponent.lstrip("+-").replace("_", "").lstrip("0")
+        power = exponent.lstrip("+-").lstrip("0")
         if len(power) > len(str(DIGIT_CAP)) or \
                 len(mantissa) + int(power or 0) > DIGIT_CAP:
             raise ValueError(f"refusing {source}: a number in it spells "
@@ -300,7 +303,8 @@ def _cmd_approx(args) -> int:
 
 
 def _cmd_converge(args) -> int:
-    ns = [int(x) for x in _capped("--ns", args.ns).split(",") if x.strip()]
+    ns = [_integer(x) for x in _capped("--ns", args.ns).split(",")
+          if x.strip()]
     for n in ns:            # H_n's generators: y^n, y^i x y^-i (0 < i < n)
         if n * n + n - 1 > SIZE_CAP:
             raise ValueError(f"refusing n = {n}: H_n spells {n * n + n - 1} "

@@ -16,15 +16,13 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations, product
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import AdmissibilityError, BasisMismatchError, FileFormatError
-from .stallings import CoreGraph, Subgroup, _read_file
-from .words import (MAX_RANK, enumerate_reduced_words, format_word,
-                    free_reduce, parse_word, _check_rank, _Frozen,
-                    _signed_letters)
+from .stallings import CoreGraph, Subgroup, _ascii_number, _read_file
+from .words import (MAX_RANK, format_word, free_reduce, parse_word,
+                    _check_rank, _Frozen, _signed_letters)
 
 WordTuple = tuple[int, ...]
 
@@ -144,33 +142,6 @@ class RoundGraph(_Frozen):
         return f"RoundGraph(r={self.radius}, {round_graph_to_text(self)!r})"
 
 
-def restrict(t: RoundGraph, new_radius: int) -> RoundGraph:
-    """Vertices of length <= new_radius; always a valid round-graph."""
-    if new_radius > t.radius:
-        raise ValueError(f"cannot restrict radius {t.radius} to {new_radius}")
-    return RoundGraph(t.rank, new_radius,
-                      [w for w in t.words if len(w) <= new_radius])
-
-
-def full_ball(rank: int, radius: int) -> RoundGraph:
-    """The whole ball B(id, radius): the round-graph of the full tree."""
-    return RoundGraph(rank, radius, _ball_words(rank, radius))
-
-
-def axis(rank: int, generator: int, radius: int) -> RoundGraph:
-    """The axis pattern of a generator: powers g^k, |k| <= radius."""
-    words = [()]
-    for k in range(1, radius + 1):
-        words.append((generator,) * k)
-        words.append((-generator,) * k)
-    return RoundGraph(rank, radius, words)
-
-
-@lru_cache(maxsize=None)
-def _ball_words(rank: int, radius: int) -> tuple[WordTuple, ...]:
-    return tuple(w.letters for w in enumerate_reduced_words(rank, radius))
-
-
 def enumerate_round_graphs(rank: int, radius: int) -> Iterator[RoundGraph]:
     """Yield every round-graph rooted at the identity, lazily.
 
@@ -227,79 +198,6 @@ def count_round_graphs(rank: int, radius: int) -> int:
     for _ in range(radius - 1):
         f = (1 + f) ** (2 * rank - 1) - 1
     return (1 + f) ** (2 * rank) - 1 - 2 * rank * f
-
-
-def realizable_witness(t: RoundGraph) -> CoreGraph:
-    """A hull-core whose vertex 0 has local ball exactly t.
-
-    Constructive content of the cylinder definition: the subtree is glued
-    into a finite folded graph of minimum degree 2 by chaining its sphere
-    leaves through fresh midpoint vertices.  Vertices of depth < radius
-    keep exactly their subtree edges, so nothing new enters the root's
-    radius-r neighborhood; in the universal cover the chains extend the
-    leaves to rays.
-    """
-    if t.radius == 0 or t.rank == 1:
-        # Any loop vertex works at radius 0; rank 1 admits only full balls,
-        # which a bare cycle already unrolls to.
-        return CoreGraph(t.rank, 1, [(0, 0, 1)], None)
-    index = {w: i for i, w in enumerate(t.words)}
-    edges: list[tuple[int, int, int]] = []
-    # (vertex, signed letter) slots taken: l leaving, -l arriving.
-    used: set[tuple[int, int]] = set()
-
-    def occupy(src: int, dst: int, label: int) -> None:
-        edges.append((src, dst, label))
-        used.add((src, label))
-        used.add((dst, -label))
-
-    for w in t.words:
-        if not w:
-            continue
-        parent, child, m = index[w[:-1]], index[w], w[-1]
-        if m > 0:
-            occupy(parent, child, m)
-        else:
-            occupy(child, parent, -m)
-
-    leaves = [index[w] for w in t.words if len(w) == t.radius]
-    count = len(t.words)
-    for i, leaf in enumerate(leaves):
-        nxt = leaves[(i + 1) % len(leaves)]
-        mid = count
-        count += 1
-        # Attach mid to each endpoint through any free slot whose mirror
-        # slot at mid is still open; mid starts fully free, so at most one
-        # endpoint choice is ever blocked.
-        for endpoint in (leaf, nxt):
-            for label in range(1, t.rank + 1):
-                if (endpoint, label) not in used and \
-                        (mid, -label) not in used:
-                    occupy(endpoint, mid, label)
-                    break
-                if (endpoint, -label) not in used and \
-                        (mid, label) not in used:
-                    occupy(mid, endpoint, label)
-                    break
-            else:
-                raise AssertionError("no free slot; cannot happen for rank >= 2")
-    return CoreGraph(t.rank, count, edges, None)
-
-
-def local_ball(hull: CoreGraph, vertex: int, radius: int) -> RoundGraph:
-    """Radius-r neighborhood of a hull-core vertex in the unrolled tree.
-
-    Reduced label words of length <= radius traced from the vertex are
-    exactly the vertices of g CH_H around the identity for the cosets
-    over this quotient vertex.
-    """
-    if hull.is_empty:
-        raise ValueError("the empty hull has no local balls")
-    if hull.basepoint is not None:
-        raise ValueError("local balls are read off the hull-core form")
-    if not 0 <= vertex < hull.num_vertices:
-        raise ValueError(f"vertex {vertex} out of range")
-    return RoundGraph(hull.rank, radius, _traced_words(hull, vertex, radius))
 
 
 def _traced_words(hull: CoreGraph, vertex: int, radius: int
@@ -606,7 +504,7 @@ def table_from_text(text: str) -> WeightTable:
             raise FileFormatError(f"malformed table line {line!r}")
         graph_part, value_part = line.split("=", 1)
         try:
-            value = Fraction(value_part.strip())
+            value = Fraction(_ascii_number(value_part).strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise FileFormatError(f"bad rational {value_part!r}") from exc
         try:

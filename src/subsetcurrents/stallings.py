@@ -99,6 +99,9 @@ class CoreGraph(_Frozen):
         _check_rank(rank)
         if num_vertices < 0:
             raise ValueError(f"vertex count {num_vertices} is negative")
+        # Nothing is built per vertex for a graph too sparse to connect.
+        if len(edges) < num_vertices - 1:
+            raise ValueError("graph is disconnected")
         step = signed_adjacency(rank, num_vertices, edges)
         if basepoint is not None and not 0 <= basepoint < num_vertices:
             raise ValueError("basepoint out of range")
@@ -414,19 +417,6 @@ def finite_index(c: CoreGraph) -> Optional[int]:
     return None
 
 
-def conjugate(c: CoreGraph, g: WordLike) -> CoreGraph:
-    """Basepointed core of g H g^-1: attach a g-path, fold, re-core."""
-    if c.basepoint is None:
-        raise ValueError("conjugation needs a basepointed core")
-    word = _as_word(g, c.rank)
-    if word.is_identity():
-        return c
-    raw = LabeledGraph(c.rank, c.num_vertices, c.edges)
-    raw.basepoint = raw.add_vertex()
-    raw.add_path(raw.basepoint, c.basepoint, word.letters)
-    return fold(raw)
-
-
 def basis_of(c: CoreGraph) -> list[Word]:
     """Spanning-tree free basis: one word per non-tree edge."""
     if c.basepoint is None:
@@ -489,14 +479,6 @@ def _canonical_key(c: CoreGraph) -> tuple:
 
     starts = range(c.num_vertices) if c.basepoint is None else (c.basepoint,)
     return (c.num_vertices, min(map(encoding, starts)))
-
-
-def canonical_form(c: CoreGraph) -> CoreGraph:
-    """Relabel vertices canonically: BFS from the basepoint, or from the
-    vertex of least BFS signature for hull-cores."""
-    n, edges = _canonical_key(c)
-    base = 0 if c.basepoint is not None else None
-    return CoreGraph(c.rank, n, edges, base)
 
 
 def label_isomorphic(a: CoreGraph, b: CoreGraph) -> bool:
@@ -585,6 +567,14 @@ def _content_lines(text: str) -> Iterator[str]:
 
 # ASCII digits only: '²', '٢', '+2' and '1_0' are no integers.
 _INTEGER = "-?[0-9]+"
+
+
+def _ascii_number(text: str) -> str:
+    """`text`, unless it holds a non-ASCII character or '_': int() and
+    Fraction() would read '٢' and '1_0' as numbers."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not an ASCII number: {text!r}")
+    return text
 
 
 def _read_file(text: str, names: Sequence[str]

@@ -142,21 +142,6 @@ class Word(_Frozen):
         return format_word(self)
 
 
-def reduce(letters: Iterable[int], rank: int) -> Word:
-    """Freely reduce a raw signed-index sequence into a Word."""
-    return Word._reduced(rank, free_reduce(_check_letters(letters, rank)))
-
-
-def cyclic_reduce(w: Word) -> tuple[Word, Word]:
-    """Split w as conjugator * core * conjugator^-1 with core cyclically reduced."""
-    letters = list(w.letters)
-    prefix: list[int] = []
-    while len(letters) >= 2 and letters[0] == -letters[-1]:
-        prefix.append(letters[0])
-        letters = letters[1:-1]
-    return Word(w.rank, letters), Word(w.rank, prefix)
-
-
 def letter_to_char(m: int) -> str:
     ch = ALPHABET[abs(m) - 1]
     return ch if m > 0 else ch.upper()
@@ -233,22 +218,6 @@ def parse_word(text: str, rank: int) -> Word:
                 m, power = -m, -power
             letters.extend([m] * power)
     return Word._reduced(rank, free_reduce(letters))
-
-
-def enumerate_reduced_words(rank: int, max_len: int) -> Iterator[Word]:
-    """All freely reduced words of length <= max_len, shortest first."""
-    yield Word(rank)
-    frontier: list[tuple[int, ...]] = [()]
-    for _ in range(max_len):
-        nxt: list[tuple[int, ...]] = []
-        for prefix in frontier:
-            last = prefix[-1] if prefix else 0
-            for m in _signed_letters(rank):
-                if m != -last:
-                    w = prefix + (m,)
-                    nxt.append(w)
-                    yield Word(rank, w)
-        frontier = nxt
 
 
 @lru_cache(maxsize=None)

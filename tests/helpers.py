@@ -7,21 +7,182 @@ import math
 import random
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from hypothesis import strategies as st
 
 from subsetcurrents import (CoreGraph, LabeledGraph, Subgroup, Word,
-                            canonical_form, cylinder_table, fold, parse_word,
-                            reduce)
+                            cylinder_table, fold, parse_word)
+from subsetcurrents.approx import subgroup_Hn
 from subsetcurrents.cylinders import (LensKey, RationalCurrent, RoundGraph,
-                                      WeightTable, WordTuple, local_ball)
+                                      WeightTable, WordTuple, _traced_words)
 from subsetcurrents.errors import (AdmissibilityError, BasisMismatchError,
                                    InfeasibleKernelError, LetterRangeError)
 from subsetcurrents.realize import WeightSystem
-from subsetcurrents.stallings import WordLike, signed_adjacency
-from subsetcurrents.words import (_signed_letters, char_to_letter,
-                                  enumerate_reduced_words, free_reduce)
+from subsetcurrents.stallings import (WordLike, _as_word, _canonical_key,
+                                      signed_adjacency)
+from subsetcurrents.words import (_check_letters, _signed_letters,
+                                  char_to_letter, free_reduce)
+
+
+# Words, cores and round-graphs, and the G_n family, that only the tests
+# build.
+
+def reduce(letters: Iterable[int], rank: int) -> Word:
+    """Freely reduce a raw signed-index sequence into a Word."""
+    return Word._reduced(rank, free_reduce(_check_letters(letters, rank)))
+
+
+def cyclic_reduce(w: Word) -> tuple[Word, Word]:
+    """Split w as conjugator * core * conjugator^-1 with core cyclically reduced."""
+    letters = list(w.letters)
+    prefix: list[int] = []
+    while len(letters) >= 2 and letters[0] == -letters[-1]:
+        prefix.append(letters[0])
+        letters = letters[1:-1]
+    return Word(w.rank, letters), Word(w.rank, prefix)
+
+
+def enumerate_reduced_words(rank: int, max_len: int) -> Iterator[Word]:
+    """All freely reduced words of length <= max_len, shortest first."""
+    yield Word(rank)
+    frontier: list[tuple[int, ...]] = [()]
+    for _ in range(max_len):
+        nxt: list[tuple[int, ...]] = []
+        for prefix in frontier:
+            last = prefix[-1] if prefix else 0
+            for m in _signed_letters(rank):
+                if m != -last:
+                    w = prefix + (m,)
+                    nxt.append(w)
+                    yield Word(rank, w)
+        frontier = nxt
+
+
+def conjugate(c: CoreGraph, g: WordLike) -> CoreGraph:
+    """Basepointed core of g H g^-1: attach a g-path, fold, re-core."""
+    if c.basepoint is None:
+        raise ValueError("conjugation needs a basepointed core")
+    word = _as_word(g, c.rank)
+    if word.is_identity():
+        return c
+    raw = LabeledGraph(c.rank, c.num_vertices, c.edges)
+    raw.basepoint = raw.add_vertex()
+    raw.add_path(raw.basepoint, c.basepoint, word.letters)
+    return fold(raw)
+
+
+def canonical_form(c: CoreGraph) -> CoreGraph:
+    """Relabel vertices canonically: BFS from the basepoint, or from the
+    vertex of least BFS signature for hull-cores."""
+    n, edges = _canonical_key(c)
+    base = 0 if c.basepoint is not None else None
+    return CoreGraph(c.rank, n, edges, base)
+
+
+def restrict(t: RoundGraph, new_radius: int) -> RoundGraph:
+    """Vertices of length <= new_radius; always a valid round-graph."""
+    if new_radius > t.radius:
+        raise ValueError(f"cannot restrict radius {t.radius} to {new_radius}")
+    return RoundGraph(t.rank, new_radius,
+                      [w for w in t.words if len(w) <= new_radius])
+
+
+def full_ball(rank: int, radius: int) -> RoundGraph:
+    """The whole ball B(id, radius): the round-graph of the full tree."""
+    return RoundGraph(rank, radius, _ball_words(rank, radius))
+
+
+def axis(rank: int, generator: int, radius: int) -> RoundGraph:
+    """The axis pattern of a generator: powers g^k, |k| <= radius."""
+    words = [()]
+    for k in range(1, radius + 1):
+        words.append((generator,) * k)
+        words.append((-generator,) * k)
+    return RoundGraph(rank, radius, words)
+
+
+@lru_cache(maxsize=None)
+def _ball_words(rank: int, radius: int) -> tuple[WordTuple, ...]:
+    return tuple(w.letters for w in enumerate_reduced_words(rank, radius))
+
+
+def realizable_witness(t: RoundGraph) -> CoreGraph:
+    """A hull-core whose vertex 0 has local ball exactly t.
+
+    Constructive content of the cylinder definition: the subtree is glued
+    into a finite folded graph of minimum degree 2 by chaining its sphere
+    leaves through fresh midpoint vertices.  Vertices of depth < radius
+    keep exactly their subtree edges, so nothing new enters the root's
+    radius-r neighborhood; in the universal cover the chains extend the
+    leaves to rays.
+    """
+    if t.radius == 0 or t.rank == 1:
+        # Any loop vertex works at radius 0; rank 1 admits only full balls,
+        # which a bare cycle already unrolls to.
+        return CoreGraph(t.rank, 1, [(0, 0, 1)], None)
+    index = {w: i for i, w in enumerate(t.words)}
+    edges: list[tuple[int, int, int]] = []
+    # (vertex, signed letter) slots taken: l leaving, -l arriving.
+    used: set[tuple[int, int]] = set()
+
+    def occupy(src: int, dst: int, label: int) -> None:
+        edges.append((src, dst, label))
+        used.add((src, label))
+        used.add((dst, -label))
+
+    for w in t.words:
+        if not w:
+            continue
+        parent, child, m = index[w[:-1]], index[w], w[-1]
+        if m > 0:
+            occupy(parent, child, m)
+        else:
+            occupy(child, parent, -m)
+
+    leaves = [index[w] for w in t.words if len(w) == t.radius]
+    count = len(t.words)
+    for i, leaf in enumerate(leaves):
+        nxt = leaves[(i + 1) % len(leaves)]
+        mid = count
+        count += 1
+        # Attach mid to each endpoint through any free slot whose mirror
+        # slot at mid is still open; mid starts fully free, so at most one
+        # endpoint choice is ever blocked.
+        for endpoint in (leaf, nxt):
+            for label in range(1, t.rank + 1):
+                if (endpoint, label) not in used and \
+                        (mid, -label) not in used:
+                    occupy(endpoint, mid, label)
+                    break
+                if (endpoint, -label) not in used and \
+                        (mid, label) not in used:
+                    occupy(mid, endpoint, label)
+                    break
+            else:
+                raise AssertionError("no free slot; cannot happen for rank >= 2")
+    return CoreGraph(t.rank, count, edges, None)
+
+
+def local_ball(hull: CoreGraph, vertex: int, radius: int) -> RoundGraph:
+    """Radius-r neighborhood of a hull-core vertex in the unrolled tree.
+
+    Reduced label words of length <= radius traced from the vertex are
+    exactly the vertices of g CH_H around the identity for the cosets
+    over this quotient vertex.
+    """
+    if hull.is_empty:
+        raise ValueError("the empty hull has no local balls")
+    if hull.basepoint is not None:
+        raise ValueError("local balls are read off the hull-core form")
+    if not 0 <= vertex < hull.num_vertices:
+        raise ValueError(f"vertex {vertex} out of range")
+    return RoundGraph(hull.rank, radius, _traced_words(hull, vertex, radius))
+
+
+def subgroup_Gn(n: int) -> Subgroup:
+    """The index-n normal subgroup family: subgroup_Hn's generators plus x."""
+    return Subgroup((Word(2, (1,)),) + subgroup_Hn(n).generators, 2)
 
 
 def random_word(rng: random.Random, rank: int = 2, max_len: int = 5) -> Word:

@@ -11,18 +11,18 @@ from fractions import Fraction
 from itertools import combinations
 
 from subsetcurrents import (RationalCurrent, Subgroup, WeightTable,
-                            check_matching, conjugate, cylinder_table,
+                            check_matching, cylinder_table,
                             count_round_graphs, decompose, distance,
                             enumerate_round_graphs, fold, hull_core,
                             integerize, label_isomorphic, product_rank,
-                            realize, reduced_rank, restrict, shnc_margin,
+                            realize, reduced_rank, shnc_margin,
                             validate_round_graph, verify_realization)
 from subsetcurrents.approx import convergence_run
 from subsetcurrents.stallings import LabeledGraph
-from subsetcurrents.words import enumerate_reduced_words
 
-from helpers import (random_cover, random_current, random_finite_cover,
-                     random_subgroup, random_word)
+from helpers import (conjugate, enumerate_reduced_words, random_cover,
+                     random_current, random_finite_cover, random_subgroup,
+                     random_word, restrict)
 
 
 def _report(number: int, description: str, started: float, budget: float):

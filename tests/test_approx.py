@@ -9,18 +9,17 @@ from subsetcurrents import (RationalCurrent, Subgroup,
                             approximate_table, check_matching,
                             convergence_run, cylinder_table,
                             enumerate_round_graphs, finite_index,
-                            full_ball, integerize, nullspace_basis,
+                            integerize, nullspace_basis,
                             rational_kernel_point, rationalize, realize,
-                            decompose, subgroup_Gn, subgroup_Hn,
-                            verify_realization)
+                            decompose, subgroup_Hn, verify_realization)
 from subsetcurrents import approx
 from subsetcurrents.approx import _matching_matrix
-from subsetcurrents.cylinders import WeightTable, axis, table_from_text
+from subsetcurrents.cylinders import WeightTable, table_from_text
 from subsetcurrents.errors import InfeasibleKernelError
 
-from helpers import (dense_rows, noised_floats, random_current,
-                     reference_projection, reference_scan,
-                     reference_solve_rational)
+from helpers import (axis, dense_rows, full_ball, noised_floats,
+                     random_current, reference_projection, reference_scan,
+                     reference_solve_rational, subgroup_Gn)
 
 
 def test_rationalize():

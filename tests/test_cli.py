@@ -5,7 +5,7 @@ from importlib import import_module
 
 import pytest
 
-from subsetcurrents import (Subgroup, WeightTable, axis, cylinder_table,
+from subsetcurrents import (Subgroup, WeightTable, cylinder_table,
                             graph_from_text, label_isomorphic,
                             round_graph_to_text, subgroup_from_text,
                             subgroup_to_text, table_from_text,
@@ -14,7 +14,7 @@ from subsetcurrents.cli import _check_ball, main
 from subsetcurrents.cylinders import RationalCurrent
 from subsetcurrents.errors import AdmissibilityError, FileFormatError
 
-from helpers import malformed_files, noised_floats
+from helpers import axis, malformed_files, noised_floats
 
 
 def write_sub(tmp_path, name, gens, rank=2):
@@ -486,6 +486,61 @@ def test_malformed_headers_exit_2(tmp_path, capsys, kind, case):
     for argv in argvs:
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+
+# int() and Fraction() read Arabic-Indic and full-width digits and '_'
+# separators as numbers; every number the CLI reads is ASCII digits only.
+NON_ASCII_NUMBERS = {"arabic": "\u0661\u0666", "fullwidth": "\uff11\uff16",
+                     "underscore": "1_6"}
+
+
+@pytest.mark.parametrize("case", NON_ASCII_NUMBERS)
+def test_a_table_value_is_an_ascii_number(tmp_path, monkeypatch, case):
+    # Refused as a format error (exit 2), before any Fraction is built;
+    # floats such as 1.0000001e-05 are still read.
+    line = "e,x,X,y,Y = {}\n"
+    assert table_from_text("rank 2\nradius 1\n" + line.format(
+        "1.0000001e-05")).total() == Fraction("1.0000001e-05")
+    text = "rank 2\nradius 1\n" + line.format(NON_ASCII_NUMBERS[case])
+
+    def unreachable(*args):
+        raise AssertionError("Fraction read a number that is not ASCII")
+
+    monkeypatch.setattr("subsetcurrents.cylinders.Fraction", unreachable)
+    with pytest.raises(FileFormatError, match="bad rational"):
+        table_from_text(text)
+    path = tmp_path / "t.txt"
+    path.write_text(text, encoding="utf-8")
+    for argv in (["realize", str(path), "--outdir", str(tmp_path / "out")],
+                 ["approx", str(path)]):
+        assert main(argv) == 2
+
+
+@pytest.mark.parametrize("flag, case", [
+    (flag, case) for flag in ("--coeffs", "--epsilon", "--ns", "--radius",
+                              "--rank")
+    for case in NON_ASCII_NUMBERS])
+def test_a_number_flag_is_an_ascii_number(tmp_path, capsys, flag, case):
+    # Refused as a non-number in its place is: a value of --coeffs,
+    # --epsilon or --ns exits 1, and an argparse type error exits 2.
+    sub = write_sub(tmp_path, "x.txt", ["x"])
+    table = tmp_path / "t.txt"
+    table.write_text("rank 2\nradius 1\ne,x,X,y,Y = 1\n")
+    argvs = {"--coeffs": ["cylinders", str(sub), "--radius", "1"],
+             "--epsilon": ["approx", str(table)],
+             "--ns": ["converge", "--radius", "1"],
+             "--radius": ["converge", "--ns", "2"],
+             "--rank": ["cylinders", "--enumerate", "--radius", "1"]}
+
+    def exit_code(value):
+        try:
+            return main(argvs[flag] + [flag, value])
+        except SystemExit as exc:
+            return exc.code
+
+    code = 2 if flag in ("--radius", "--rank") else 1
+    assert exit_code(NON_ASCII_NUMBERS[case]) == exit_code("q") == code
+    assert capsys.readouterr().out == ""
 
 
 def test_computed_values_past_the_digit_cap_are_refused(tmp_path, capsys):

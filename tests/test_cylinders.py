@@ -7,23 +7,23 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from subsetcurrents import (RationalCurrent, RoundGraph, Subgroup, WeightTable,
-                            axis, check_matching, conjugate,
-                            reduce,
-                            count_round_graphs, cylinder_table, distance,
-                            enumerate_round_graphs, full_ball,
-                            local_ball, restrict, round_graph_from_text,
+                            check_matching, count_round_graphs,
+                            cylinder_table, distance,
+                            enumerate_round_graphs, round_graph_from_text,
                             round_graph_to_text, table_from_text,
                             table_to_text, validate_round_graph)
 from subsetcurrents.approx import subgroup_Hn
 from subsetcurrents.cylinders import _traced_words, lens_keys
 from subsetcurrents.errors import AdmissibilityError, FileFormatError
 from subsetcurrents.stallings import basis_of
-from subsetcurrents.words import enumerate_reduced_words
 
-from helpers import (TWO_ROWS_PER_GENERATOR, matching_tables, random_cover,
-                     random_current, random_subgroup, random_word,
+from helpers import (TWO_ROWS_PER_GENERATOR, axis, conjugate,
+                     enumerate_reduced_words, full_ball, local_ball,
+                     matching_tables, random_cover, random_current,
+                     random_subgroup, random_word, reduce,
                      reference_check_matching, reference_cylinder_table,
-                     reference_lens_keys, reference_round_graph_key)
+                     reference_lens_keys, reference_round_graph_key,
+                     restrict)
 
 ETA_F = RationalCurrent.full(2)
 ETA_X = RationalCurrent.eta(Subgroup(["x"], 2))
@@ -454,7 +454,7 @@ def test_every_round_graph_is_a_hull_local_ball():
     # Both directions of validity: enumerated graphs validate (soundness,
     # enforced by the constructor) and each is realized by an explicit
     # hull vertex (the existential direction).
-    from subsetcurrents import realizable_witness
+    from helpers import realizable_witness
     for r in (0, 1, 2):
         for t in enumerate_round_graphs(2, r):
             assert local_ball(realizable_witness(t), 0, r) == t
@@ -463,7 +463,7 @@ def test_every_round_graph_is_a_hull_local_ball():
 
 
 def test_witness_subgroup_table_has_positive_weight():
-    from subsetcurrents import realizable_witness
+    from helpers import realizable_witness
     from subsetcurrents.stallings import CoreGraph, Subgroup
     for t in enumerate_round_graphs(2, 1):
         hull = realizable_witness(t)

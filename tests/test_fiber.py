@@ -7,14 +7,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from subsetcurrents import (CoreGraph, LabeledGraph, Subgroup, Word,
-                            basis_of, component_census, conjugate,
-                            fiber_product, finite_index, fold, intersection,
+                            basis_of, component_census, fiber_product,
+                            finite_index, fold, hull_core, intersection,
                             label_isomorphic, parse_word, product_rank,
-                            reduce, shnc_margin)
+                            shnc_margin)
 from subsetcurrents.errors import BasisMismatchError
 
 from helpers import (_reference_product_component, component_graphs,
-                     random_finite_cover, random_subgroup, random_word,
+                     conjugate, random_finite_cover, random_subgroup,
+                     random_word, reduce,
                      reference_basis_of, reference_fiber_product,
                      reference_intersection_core)
 
@@ -168,6 +169,21 @@ def hull_pairs(draw):
         h = Subgroup.from_core(random_finite_cover(
             h.rank, draw(st.integers(1, 6)), draw(st.integers(0, 10**6))))
     return h, k
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(2, 3), st.integers(1, 5), st.integers(0, 10**6),
+       st.data())
+def test_product_with_a_cover_has_degree_times_the_reduced_rank(
+        rank, degree, seed, data):
+    # Each component of the product of a degree-d cover of the rose with
+    # H's hull covers that hull, and Euler characteristic multiplies under
+    # covers, so N is exactly d times H's reduced rank (Stallings, Invent.
+    # Math. 1983): an oracle for the join at any rank, with no second
+    # product to compare against.
+    cover = hull_core(random_finite_cover(rank, degree, seed))
+    h = data.draw(subgroups(rank))
+    assert product_rank(cover, h) == degree * h.reduced_rank()
 
 
 def product_fields(p):
@@ -400,7 +416,8 @@ def double_coset_oracle(h, k):
     by tracing its generators, and each orbit is one double coset HgK
     with g the path word to the orbit representative.
     """
-    from subsetcurrents import Word, conjugate, finite_index
+    from subsetcurrents import Word, finite_index
+    from helpers import conjugate
     core_h = h.core
     assert finite_index(core_h) is not None
     parent = list(range(core_h.num_vertices))
@@ -464,7 +481,8 @@ def test_rank_three_products():
 
 
 def test_nested_subgroup_intersection():
-    from subsetcurrents import subgroup_Gn, subgroup_Hn
+    from subsetcurrents import subgroup_Hn
+    from helpers import subgroup_Gn
     for n in (2, 3, 4):
         meet = intersection(subgroup_Gn(n), subgroup_Hn(n))
         assert meet.equals(subgroup_Hn(n))

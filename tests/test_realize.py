@@ -11,9 +11,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from subsetcurrents import (RationalCurrent, RoundGraph, Subgroup,
-                            WeightTable, axis, canonical_form,
-                            check_matching, cylinder_table, decompose,
-                            enumerate_round_graphs, full_ball, integerize,
+                            WeightTable, check_matching, cylinder_table,
+                            decompose, enumerate_round_graphs, integerize,
                             realize, verify_realization)
 from subsetcurrents.approx import _matching_matrix
 from subsetcurrents.cylinders import lens_rows
@@ -21,8 +20,9 @@ from subsetcurrents.errors import AdmissibilityError
 from subsetcurrents.realize import WeightSystem
 from subsetcurrents.stallings import _canonical_key, signed_adjacency
 
-from helpers import (TWO_ROWS_PER_GENERATOR, component_graphs,
-                     connected_components, current_tables, matching_tables, random_current,
+from helpers import (TWO_ROWS_PER_GENERATOR, axis, canonical_form,
+                     component_graphs, connected_components, current_tables,
+                     full_ball, matching_tables, random_current,
                      reference_check_matching, reference_decompose,
                      reference_matching_rows, reference_realize, subgroups)
 

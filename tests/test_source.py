@@ -1,11 +1,13 @@
 """Checks on the package source itself."""
 
 import ast
+import re
 from pathlib import Path
 
 import subsetcurrents
 
 PACKAGE_DIR = Path(subsetcurrents.__file__).parent
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def package_trees():
@@ -79,6 +81,38 @@ def test_lens_keys_and_rationalize_walk_no_ball_and_build_no_candidates():
         defined = {node.name for node in ast.walk(tree)
                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
         assert banned.isdisjoint(set(_names(tree)) | defined), path.name
+
+
+# Builders that only tests call; tests/helpers.py holds them.
+TEST_ONLY = {"realizable_witness", "local_ball", "axis", "restrict",
+             "full_ball", "_ball_words", "conjugate", "canonical_form",
+             "cyclic_reduce", "reduce", "enumerate_reduced_words",
+             "subgroup_Gn"}
+
+
+def test_every_export_has_a_caller():
+    # The package exports only what a caller uses: a package module reads
+    # each exported name, the benchmark harness does, or the README names
+    # it as code for its readers.
+    (init,) = [tree for path, tree in package_trees()
+               if path.name == "__init__.py"]
+    exports = [alias.asname or alias.name for node in init.body
+               if isinstance(node, ast.ImportFrom) for alias in node.names]
+    read = {name for path, tree in package_trees()
+            if path.name != "__init__.py" for name in _names(tree)}
+    bench = "\n".join(path.read_text(encoding="utf-8")
+                      for path in sorted((ROOT / "perfbench").glob("*.py")))
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    code = "\n".join(re.findall(r"```.*?```|`[^`\n]+`", readme, re.S))
+    assert bench and code
+    uncalled = [name for name in exports if name not in read
+                and not re.search(rf"\b{name}\b", bench)
+                and not re.search(rf"\b{name}\b", code)]
+    assert uncalled == []
+    defined = {node.name for _path, tree in package_trees()
+               for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert TEST_ONLY.isdisjoint(defined)
 
 
 def _calls(node: ast.AST, name: str) -> bool:

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -6,18 +7,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from subsetcurrents import (CoreGraph, LabeledGraph, Subgroup, Word, basis_of,
-                            canonical_form, conjugate, contains,
-                            core_from_generators, finite_index, fold,
-                            graph_from_text, graph_to_text, hull_core,
-                            label_isomorphic, parse_word, reduce,
-                            reduced_rank, subgroup_from_text,
-                            subgroup_to_text)
+                            contains, core_from_generators, finite_index,
+                            fold, graph_from_text, graph_to_text, hull_core,
+                            label_isomorphic, parse_word, reduced_rank,
+                            subgroup_from_text, subgroup_to_text)
 from subsetcurrents.approx import subgroup_Hn
 from subsetcurrents.cylinders import table_from_text, table_to_text
 from subsetcurrents.errors import BasisMismatchError, FileFormatError
 from subsetcurrents.stallings import _fold_edges, _prune, signed_adjacency
 
-from helpers import (FILES, current_tables, malformed_files, random_cover,
+from helpers import (FILES, canonical_form, conjugate, current_tables,
+                     malformed_files, random_cover, reduce,
                      random_finite_cover, random_subgroup, random_word,
                      reference_core_from_generators, reference_fold_edges,
                      reference_prune_edges, subgroups)
@@ -653,6 +653,20 @@ def test_graph_text_errors():
                         "edge 0 1 g1\n")
     with pytest.raises(FileFormatError, match="vertex count -1 is negative"):
         graph_from_text("rank 2\nvertices -1\nbasepoint none\n")
+
+
+def test_a_graph_too_sparse_to_connect_is_refused_before_it_is_built():
+    # A connected graph on n vertices has at least n - 1 edges; a 38-byte
+    # file that declares a million vertices and no edge must not build an
+    # adjacency row per vertex before it is refused.
+    tracemalloc.start()
+    try:
+        with pytest.raises(FileFormatError, match="graph is disconnected"):
+            graph_from_text("rank 2\nvertices 1000000\nbasepoint 0\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 READERS = {"subgroup": subgroup_from_text, "graph": graph_from_text,

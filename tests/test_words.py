@@ -12,14 +12,14 @@ from hypothesis import strategies as st
 
 import subsetcurrents
 from subsetcurrents import (CoreGraph, ProductGraph, RationalCurrent,
-                            Subgroup, WeightTable, Word, axis, cyclic_reduce,
-                            cylinder_table, fiber_product, format_word,
-                            integerize, parse_word, realize, reduce)
+                            Subgroup, WeightTable, Word, cylinder_table,
+                            fiber_product, format_word, integerize,
+                            parse_word, realize)
 from subsetcurrents.errors import BasisMismatchError, LetterRangeError
-from subsetcurrents.words import (MAX_RANK, enumerate_reduced_words,
-                                 free_reduce)
+from subsetcurrents.words import MAX_RANK, free_reduce
 
-from helpers import reference_parse_word
+from helpers import (axis, cyclic_reduce, enumerate_reduced_words, reduce,
+                     reference_parse_word)
 
 letters = st.lists(st.integers(-2, 2).filter(bool), max_size=8)
 
@@ -269,13 +269,15 @@ def test_values_unpickled_in_another_process_hash_as_built():
     values = [sub.hull, axis(2, 1, 2)]
     script = (
         "import pickle, sys\n"
-        "from subsetcurrents import Subgroup, axis\n"
+        "from subsetcurrents import Subgroup\n"
+        "from helpers import axis\n"
         "hull, ball = pickle.loads(sys.stdin.buffer.read())\n"
         "sub = Subgroup(['xy', 'xY'], 2)\n"
         "print(hull in {sub.hull}, ball in {axis(2, 1, 2)})\n")
     src = Path(subsetcurrents.__file__).parents[1]
+    path = os.pathsep.join([str(src), str(Path(__file__).parent)])
     run = subprocess.run([sys.executable, "-c", script],
                          input=pickle.dumps(values), capture_output=True,
-                         env={**os.environ, "PYTHONPATH": str(src)},
+                         env={**os.environ, "PYTHONPATH": path},
                          check=True)
     assert run.stdout.decode().split() == ["True", "True"]
