@@ -22,6 +22,7 @@ from . import fiber
 from . import stallings
 from .errors import FileFormatError
 from .realize import WeightSystem, decompose, realize, verify_realization
+from .stallings import DIGIT_CAP, _over_digit_cap
 from .words import _check_rank
 
 
@@ -95,20 +96,13 @@ def build_parser() -> argparse.ArgumentParser:
 # atoms), and most edges of the fiber product `intersect` joins.
 SIZE_CAP = 10 ** 6
 
-# Most digits, its decimal exponent included, of a number read: Python's
-# limit on int/str conversion, so that every value read can be printed.
-DIGIT_CAP = 4300
-
-_NUMBER = re.compile(r"([0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE]([-+]?[0-9]+))?")
-
-
 def _integer(text: str) -> int:
-    return int(stallings._ascii_number(text))
+    return int(stallings._plain_number(text))
 
 
 def _parse_fraction(text: str) -> Fraction:
     try:
-        return Fraction(stallings._ascii_number(text).strip())
+        return Fraction(stallings._plain_number(text).strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad rational {text!r}") from exc
 
@@ -127,12 +121,9 @@ def _capped(source, text=None) -> str:
     if bound > SIZE_CAP:
         raise ValueError(f"refusing {source}: its words could expand "
                          f"above the cap of {SIZE_CAP} letters")
-    for mantissa, exponent in _NUMBER.findall(text):
-        power = exponent.lstrip("+-").lstrip("0")
-        if len(power) > len(str(DIGIT_CAP)) or \
-                len(mantissa) + int(power or 0) > DIGIT_CAP:
-            raise ValueError(f"refusing {source}: a number in it spells "
-                             f"more than the cap of {DIGIT_CAP} digits")
+    if _over_digit_cap(text):
+        raise ValueError(f"refusing {source}: a number in it spells "
+                         f"more than the cap of {DIGIT_CAP} digits")
     return text
 
 

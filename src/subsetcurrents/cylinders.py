@@ -20,7 +20,7 @@ from itertools import combinations, product
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import AdmissibilityError, BasisMismatchError, FileFormatError
-from .stallings import CoreGraph, Subgroup, _ascii_number, _read_file
+from .stallings import CoreGraph, Subgroup, _plain_number, _read_file
 from .words import (MAX_RANK, format_word, free_reduce, parse_word,
                     _check_rank, _Frozen, _signed_letters)
 
@@ -504,7 +504,7 @@ def table_from_text(text: str) -> WeightTable:
             raise FileFormatError(f"malformed table line {line!r}")
         graph_part, value_part = line.split("=", 1)
         try:
-            value = Fraction(_ascii_number(value_part).strip())
+            value = Fraction(_plain_number(value_part).strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise FileFormatError(f"bad rational {value_part!r}") from exc
         try:

@@ -216,9 +216,11 @@ def decompose(quotient: SCGraphQuotient) -> RationalCurrent:
     Each component is a hull-core, and an atom component of length L
     stands for L components of one local form (its edges renumbered in
     vertex order), so each form is keyed once per atom component and
-    counted L times.  Forms of one `_canonical_key` share a shape.  One
-    core per shape, based at that key's vertex 0, the vertex of least
-    canonical signature, gives its subgroup by a spanning-tree basis.
+    counted L times.  Forms of one `_canonical_key` share a shape; the key
+    drops a start as soon as one of its BFS blocks is not least, so most
+    forms are keyed from few starts.  One core per shape, based at that
+    key's vertex 0, the vertex of least canonical signature, gives its
+    subgroup by a spanning-tree basis.
     Reading a different basepoint would change the subgroup only within
     its conjugacy class, which counting currents do not see.
     """

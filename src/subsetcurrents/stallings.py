@@ -461,24 +461,55 @@ def _tree_basis(rank: int, edges: Iterable[tuple[int, int, int]],
 def _canonical_key(c: CoreGraph) -> tuple:
     """(vertex count, least sorted edge tuple over the relabelings by BFS
     from each start, scanning signed letters x, X, y, Y, ...); the starts
-    are the basepoint, or every vertex of a hull-core."""
-    if c.num_vertices == 0:
+    are the basepoint, or every vertex of a hull-core.
+
+    The sorted tuple of one start is its blocks in turn, block i the
+    sorted out-edges of the i-th vertex its BFS visits, whose ends are
+    numbered once that vertex is scanned.  So all starts advance together,
+    one block at a time, and only those whose block is least go on, until
+    one is left.  A shorter block compares greater: that start's next edge
+    leaves a later vertex.  A shape with a transitive automorphism group
+    keeps every start to the end, at V BFS runs of V vertices each, held
+    at once."""
+    n = c.num_vertices
+    if n == 0:
         return (0, ())
     letters = _signed_letters(c.rank)
-
-    def encoding(start) -> tuple:
-        order = {start: 0}
-        queue = [start]
-        for v in queue:
-            for m in letters:
-                w = c._step[v].get(m)
-                if w is not None and w not in order:
+    # Edge (i, d, l) of a block is the code d * k + l, so codes sort as
+    # the edges do, and n * k closes a block above every code.
+    k = c.rank + 1
+    scans = [[step[m] for m in letters if m in step] for step in c._step]
+    outs = [[(step[l], l) for l in range(1, k) if l in step]
+            for step in c._step]
+    live = [({s: 0}, [s]) for s in
+            (range(n) if c.basepoint is None else (c.basepoint,))]
+    for i in range(n):
+        if len(live) == 1:
+            break
+        least, kept = None, []
+        for start in live:
+            order, queue = start
+            v = queue[i]
+            for w in scans[v]:
+                if w not in order:
                     order[w] = len(order)
                     queue.append(w)
-        return tuple(sorted((order[s], order[d], l) for (s, d, l) in c.edges))
-
-    starts = range(c.num_vertices) if c.basepoint is None else (c.basepoint,)
-    return (c.num_vertices, min(map(encoding, starts)))
+            block = sorted([order[d] * k + l for d, l in outs[v]])
+            block.append(n * k)
+            if least is None or block < least:
+                least, kept = block, [start]
+            elif block == least:
+                kept.append(start)
+        live = kept
+    # Every start left gives the least tuple; finish the first one's BFS.
+    order, queue = live[0]
+    for v in queue:
+        for w in scans[v]:
+            if w not in order:
+                order[w] = len(order)
+                queue.append(w)
+    return (n, tuple(sorted([(order[s], order[d], l)
+                             for (s, d, l) in c.edges])))
 
 
 def label_isomorphic(a: CoreGraph, b: CoreGraph) -> bool:
@@ -569,11 +600,33 @@ def _content_lines(text: str) -> Iterator[str]:
 _INTEGER = "-?[0-9]+"
 
 
-def _ascii_number(text: str) -> str:
-    """`text`, unless it holds a non-ASCII character or '_': int() and
-    Fraction() would read '٢' and '1_0' as numbers."""
+# Most digits, its decimal exponent included, of a number read: Python's
+# limit on int/str conversion, so that every value read can be printed.
+DIGIT_CAP = 4300
+
+_NUMBER = re.compile(r"([0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE]([-+]?[0-9]+))?")
+
+
+def _over_digit_cap(text: str) -> bool:
+    """Whether a number in `text` spells more than DIGIT_CAP digits, its
+    decimal exponent included.  An exponent too long for the cap is
+    refused unread, never passed to int()."""
+    for mantissa, exponent in _NUMBER.findall(text):
+        power = exponent.lstrip("+-").lstrip("0")
+        if len(power) > len(str(DIGIT_CAP)) or \
+                len(mantissa) + int(power or 0) > DIGIT_CAP:
+            return True
+    return False
+
+
+def _plain_number(text: str) -> str:
+    """`text`, unless it holds a non-ASCII character or '_', which int()
+    and Fraction() would read ('٢', '1_0'), or spells more than DIGIT_CAP
+    digits, for which Fraction() would build 10**exponent in full."""
     if not text.isascii() or "_" in text:
         raise ValueError(f"not an ASCII number: {text!r}")
+    if _over_digit_cap(text):
+        raise ValueError(f"a number of more than {DIGIT_CAP} digits")
     return text
 
 

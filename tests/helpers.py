@@ -19,8 +19,7 @@ from subsetcurrents.cylinders import (LensKey, RationalCurrent, RoundGraph,
 from subsetcurrents.errors import (AdmissibilityError, BasisMismatchError,
                                    InfeasibleKernelError, LetterRangeError)
 from subsetcurrents.realize import WeightSystem
-from subsetcurrents.stallings import (WordLike, _as_word, _canonical_key,
-                                      signed_adjacency)
+from subsetcurrents.stallings import WordLike, _as_word, signed_adjacency
 from subsetcurrents.words import (_check_letters, _signed_letters,
                                   char_to_letter, free_reduce)
 
@@ -72,10 +71,35 @@ def conjugate(c: CoreGraph, g: WordLike) -> CoreGraph:
     return fold(raw)
 
 
+# The reference for `stallings._canonical_key`: one full BFS and one full
+# sort per start, and the least encoding over all of them.
+def reference_canonical_key(c: CoreGraph) -> tuple:
+    """(vertex count, least sorted edge tuple over the relabelings by BFS
+    from each start, scanning signed letters x, X, y, Y, ...); the starts
+    are the basepoint, or every vertex of a hull-core."""
+    if c.num_vertices == 0:
+        return (0, ())
+    letters = _signed_letters(c.rank)
+
+    def encoding(start) -> tuple:
+        order = {start: 0}
+        queue = [start]
+        for v in queue:
+            for m in letters:
+                w = c._step[v].get(m)
+                if w is not None and w not in order:
+                    order[w] = len(order)
+                    queue.append(w)
+        return tuple(sorted((order[s], order[d], l) for (s, d, l) in c.edges))
+
+    starts = range(c.num_vertices) if c.basepoint is None else (c.basepoint,)
+    return (c.num_vertices, min(map(encoding, starts)))
+
+
 def canonical_form(c: CoreGraph) -> CoreGraph:
     """Relabel vertices canonically: BFS from the basepoint, or from the
     vertex of least BFS signature for hull-cores."""
-    n, edges = _canonical_key(c)
+    n, edges = reference_canonical_key(c)
     base = 0 if c.basepoint is not None else None
     return CoreGraph(c.rank, n, edges, base)
 

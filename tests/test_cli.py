@@ -453,6 +453,26 @@ def test_huge_rationals_are_refused_before_parsing(tmp_path, capsys,
         one_line_refusal(capsys)
 
 
+def test_a_table_value_past_the_digit_cap_is_a_format_error(monkeypatch):
+    # A library caller reads the table without the CLI's file cap:
+    # Fraction("1e10000000") would build 10**10000000 in full, and a
+    # value it could read past 4,300 digits could not be written back.
+    def unreachable(*args):
+        raise AssertionError("a huge rational was parsed")
+
+    monkeypatch.setattr("subsetcurrents.cylinders.Fraction", unreachable)
+    for huge in ("1e10000000", "1e-10000000", "1e4300", "9" * 4301,
+                 "1/" + "9" * 4301):
+        start = time.perf_counter()
+        with pytest.raises(FileFormatError, match="bad rational"):
+            table_from_text(f"rank 2\nradius 1\ne,x,X,y,Y = {huge}\n")
+        assert time.perf_counter() - start < 0.1
+    monkeypatch.undo()
+    table = table_from_text("rank 2\nradius 1\ne,x,X,y,Y = 1e4299\n")
+    assert table.total() == 10 ** 4299
+    assert table_from_text(table_to_text(table)) == table
+
+
 def test_table_file_of_a_bad_rank_exits_2(tmp_path, capsys):
     for body in ("", "e,x,X = 1\n"):
         (tmp_path / "t.txt").write_text(f"rank 99\nradius 1\n{body}")

@@ -18,13 +18,15 @@ from subsetcurrents.approx import _matching_matrix
 from subsetcurrents.cylinders import lens_rows
 from subsetcurrents.errors import AdmissibilityError
 from subsetcurrents.realize import WeightSystem
-from subsetcurrents.stallings import _canonical_key, signed_adjacency
+from subsetcurrents.stallings import (CoreGraph, _canonical_key,
+                                      signed_adjacency)
 
 from helpers import (TWO_ROWS_PER_GENERATOR, axis, canonical_form,
                      component_graphs, connected_components, current_tables,
                      full_ball, matching_tables, random_current,
-                     reference_check_matching, reference_decompose,
-                     reference_matching_rows, reference_realize, subgroups)
+                     reference_canonical_key, reference_check_matching,
+                     reference_decompose, reference_matching_rows,
+                     reference_realize, subgroups)
 
 X_AXIS = axis(2, 1, 1)
 FULL_STAR = full_ball(2, 1)
@@ -296,6 +298,26 @@ def test_decompose_groups_reference_terms(theta):
         assert sub.hull == canonical_form(sub.hull)
         assert sub.core.basepoint == 0 and sub.core.edges == sub.hull.edges
     assert verify_realization(theta, current)
+
+
+@settings(deadline=None, max_examples=60)
+@given(weight_systems())
+def test_decompose_terms_equal_those_of_the_reference_key(theta):
+    # Each decoded component keyed by the all-starts reference, counted
+    # per shape in order of first appearance, read off at the key's
+    # vertex 0: the same coefficients, generators and order.
+    quotient = realize(theta)
+    shapes = Counter()
+    for comp, edges in zip(quotient.components, quotient.component_edges):
+        ids = {a: k for k, a in enumerate(comp)}
+        shapes[reference_canonical_key(CoreGraph(
+            theta.rank, len(comp), [(ids[s], ids[d], l)
+                                    for (s, d, l) in edges], None))] += 1
+    expected = [(count, Subgroup.from_core(
+        CoreGraph(theta.rank, n, edges, 0)).generators)
+        for (n, edges), count in shapes.items()]
+    assert [(c, sub.generators) for c, sub in decompose(quotient).terms] \
+        == expected
 
 
 @settings(deadline=None, max_examples=150)

@@ -1,4 +1,5 @@
 import random
+import time
 import tracemalloc
 from itertools import product
 
@@ -14,13 +15,14 @@ from subsetcurrents import (CoreGraph, LabeledGraph, Subgroup, Word, basis_of,
 from subsetcurrents.approx import subgroup_Hn
 from subsetcurrents.cylinders import table_from_text, table_to_text
 from subsetcurrents.errors import BasisMismatchError, FileFormatError
-from subsetcurrents.stallings import _fold_edges, _prune, signed_adjacency
+from subsetcurrents.stallings import (_canonical_key, _fold_edges, _prune,
+                                      signed_adjacency)
 
 from helpers import (FILES, canonical_form, conjugate, current_tables,
                      malformed_files, random_cover, reduce,
                      random_finite_cover, random_subgroup, random_word,
-                     reference_core_from_generators, reference_fold_edges,
-                     reference_prune_edges, subgroups)
+                     reference_canonical_key, reference_core_from_generators,
+                     reference_fold_edges, reference_prune_edges, subgroups)
 
 ROSE = core_from_generators(["x", "y"], 2)
 DOUBLE_COVER = CoreGraph(2, 2, [(0, 1, 1), (1, 0, 1), (0, 0, 2), (1, 1, 2)], 0)
@@ -612,6 +614,60 @@ def test_canonical_form_stability():
         canon = canonical_form(sub.core)
         assert label_isomorphic(canon, sub.core)
         assert canonical_form(canon) == canon
+
+
+@st.composite
+def keyed_graphs(draw):
+    """Basepointed cores and their hull-cores at ranks 1-3: of random
+    subgroups, or random finite covers of the rose of degree 1-8, whose
+    hull is the whole cover."""
+    rank = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        core = draw(subgroups(rank, max_len=6)).core
+    else:
+        core = random_finite_cover(rank, draw(st.integers(1, 8)),
+                                   draw(st.integers(0, 2 ** 32)))
+    return hull_core(core) if draw(st.booleans()) else core
+
+
+@settings(deadline=None, max_examples=300)
+@given(keyed_graphs())
+def test_canonical_key_equals_the_all_starts_reference(c):
+    assert _canonical_key(c) == reference_canonical_key(c)
+
+
+@settings(deadline=None, max_examples=200)
+@given(keyed_graphs(), st.data())
+def test_canonical_key_ignores_the_vertex_numbering(c, data):
+    perm = data.draw(st.permutations(range(c.num_vertices)))
+    renumbered = CoreGraph(
+        c.rank, c.num_vertices, [(perm[s], perm[d], l) for s, d, l in c.edges],
+        None if c.basepoint is None else perm[c.basepoint])
+    assert _canonical_key(renumbered) == _canonical_key(c)
+
+
+def cyclic_cover(n):
+    """The hull of the Z/n cover x: i -> i+1, y: i -> i+3, whose
+    automorphisms act transitively: no start drops out before the end."""
+    return CoreGraph(2, n, [(i, (i + 1) % n, 1) for i in range(n)]
+                     + [(i, (i + 3) % n, 2) for i in range(n)], None)
+
+
+@pytest.mark.parametrize("n", [1, 2, 100, 300])
+def test_canonical_key_of_a_transitive_shape_equals_the_reference(n):
+    c = cyclic_cover(n)
+    assert _canonical_key(c) == reference_canonical_key(c)
+
+
+def test_canonical_key_of_a_large_random_cover_drops_starts_early():
+    # Comparing every start's whole BFS costs about V^2 steps, seconds at
+    # V = 2,000; a random cover tells its starts apart within a few
+    # blocks.
+    hull = hull_core(random_finite_cover(2, 2000, 5))
+    start = time.perf_counter()
+    n, edges = _canonical_key(hull)
+    assert time.perf_counter() - start < 0.5
+    assert n == 2000 and len(edges) == 4000
 
 
 def test_subgroup_file_roundtrip(tmp_path):
