@@ -14,7 +14,6 @@ this module is exact: values are `fractions.Fraction`, never floats.
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
@@ -361,23 +360,46 @@ def cylinder_table(current: RationalCurrent, radius: int) -> WeightTable:
 
     Each hull-core vertex contributes its coefficient to the entry of its
     local ball; the total mass is the coefficient-weighted sum of hull
-    vertex counts, independent of the radius.  Vertices are grouped by
-    traced ball first, so one `RoundGraph` is built per distinct ball of
-    each term, weighted by its multiplicity, and stored as traced.  No
-    radius is refused: the support has at most one entry per hull vertex,
-    but each entry's tree grows with the ball, whose size is exponential
-    in the radius.
+    vertex counts, independent of the radius.  Each term's vertices are
+    first split by ball in r rounds: every vertex starts with id 0, and
+    each round gives it the interned tuple of its neighbours' previous
+    ids, read over x, X, y, Y, ... with -1 for a missing letter.  The
+    split is exact: a d-ball is the root plus, per letter m, the
+    m-neighbour's (d-1)-ball hung from m (less its words starting with
+    m^-1), and each neighbour's (d-1)-ball lies in the d-ball.  Then one
+    ball per id is traced, at the id's first vertex, weighted by the id's
+    multiplicity and stored as traced, so entries keep the order of first
+    vertices.  No radius is refused: the support has at most one
+    entry per hull vertex, but each entry's tree grows with the ball,
+    whose size is exponential in the radius.
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
     table: dict[RoundGraph, Fraction] = {}
     for coeff, sub in current.terms:
         hull = sub.hull
-        balls = Counter(_traced_words(hull, v, radius)
-                        for v in range(hull.num_vertices))
-        for words, count in balls.items():
-            t = RoundGraph._traced(hull.rank, radius, words)
-            table[t] = table.get(t, Fraction(0)) + coeff * count
+        n = hull.num_vertices
+        letters = _signed_letters(hull.rank)
+        ids = [0] * n
+        for _ in range(radius):
+            prev = ids + [-1]
+            seen: dict[tuple[int, ...], int] = {}
+            ids = [seen.setdefault(tuple([prev[step.get(m, n)]
+                                          for m in letters]), len(seen))
+                   for step in hull._step]
+        # Ids run 0, 1, ... in order of first vertex.
+        first: dict[int, int] = {}
+        for v, i in enumerate(ids):
+            first.setdefault(i, v)
+        counts = [0] * len(first)
+        for i in ids:
+            counts[i] += 1
+        for i, v in first.items():
+            t = RoundGraph._traced(hull.rank, radius,
+                                   _traced_words(hull, v, radius))
+            value = coeff * counts[i]
+            old = table.get(t)
+            table[t] = value if old is None else old + value
     return WeightTable(current.rank, radius, table)
 
 

@@ -366,16 +366,24 @@ def core_from_generators(gens: Sequence[WordLike], rank: int) -> CoreGraph:
         letters = _as_word(w, rank).letters
         if not letters:
             continue
+        last = len(letters) - 1
         head, i = 0, 0
-        while i < len(letters) - 1 and letters[i] in step[head]:
-            head = step[head][letters[i]]
+        while i < last:
+            nxt = step[head].get(letters[i])
+            if nxt is None:
+                break
+            head = nxt
             i += 1
-        tail, j = 0, len(letters)
-        while j - 1 > i and -letters[j - 1] in step[tail]:
-            tail = step[tail][-letters[j - 1]]
+        tail, j = 0, last
+        while j > i:
+            nxt = step[tail].get(-letters[j])
+            if nxt is None:
+                break
+            tail = nxt
             j -= 1
+        # letters[i..j] are laid: at least one, the rest were read.
         laid = len(g.edges)
-        g.add_path(head, tail, letters[i:j])
+        g.add_path(head, tail, letters[i:j + 1])
         step.extend({} for _ in range(g.num_vertices - len(step)))
         for (s, d, l) in g.edges[laid:]:
             step[s].setdefault(l, d)

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,18 +13,19 @@ from subsetcurrents import (RationalCurrent, RoundGraph, Subgroup, WeightTable,
                             enumerate_round_graphs, round_graph_from_text,
                             round_graph_to_text, table_from_text,
                             table_to_text, validate_round_graph)
+from subsetcurrents import cylinders
 from subsetcurrents.approx import subgroup_Hn
 from subsetcurrents.cylinders import _traced_words, lens_keys
 from subsetcurrents.errors import AdmissibilityError, FileFormatError
 from subsetcurrents.stallings import basis_of
 
-from helpers import (TWO_ROWS_PER_GENERATOR, axis, conjugate,
+from helpers import (SMALL_RATIOS, TWO_ROWS_PER_GENERATOR, axis, conjugate,
                      enumerate_reduced_words, full_ball, local_ball,
                      matching_tables, random_cover, random_current,
-                     random_subgroup, random_word, reduce,
-                     reference_check_matching, reference_cylinder_table,
-                     reference_lens_keys, reference_round_graph_key,
-                     restrict)
+                     random_finite_cover, random_subgroup, random_word,
+                     reduce, reference_check_matching,
+                     reference_cylinder_table, reference_lens_keys,
+                     reference_round_graph_key, restrict, subgroups)
 
 ETA_F = RationalCurrent.full(2)
 ETA_X = RationalCurrent.eta(Subgroup(["x"], 2))
@@ -158,14 +160,70 @@ def currents_with_repeats(draw):
     return RationalCurrent(terms, rank), draw(st.integers(0, 3))
 
 
+def traced_table(current, radius):
+    """`cylinder_table` with `_traced_words` counted: (table, calls)."""
+    with mock.patch.object(cylinders, "_traced_words",
+                           wraps=cylinders._traced_words) as traced:
+        table = cylinder_table(current, radius)
+    return table, traced.call_count
+
+
+def distinct_balls(current, radius):
+    """The number of distinct reference balls, summed over the terms."""
+    return sum(len({local_ball(sub.hull, v, radius)
+                    for v in range(sub.hull.num_vertices)})
+               for _c, sub in current.terms)
+
+
 @settings(deadline=None, max_examples=150)
 @given(currents_with_repeats())
 def test_cylinder_table_matches_reference(case):
+    # Same entries in the same order, with one ball traced per distinct
+    # ball of each term.
     current, radius = case
-    table = cylinder_table(current, radius)
+    table, calls = traced_table(current, radius)
     reference = reference_cylinder_table(current, radius)
     assert table == reference
     assert list(table.entries.items()) == list(reference.entries.items())
+    assert calls == distinct_balls(current, radius)
+
+
+def test_cylinder_table_traces_one_full_ball_per_cover_term():
+    # Every ball of a finite cover of the rose is the full ball.
+    covers = [Subgroup.from_core(random_finite_cover(2, degree, seed))
+              for degree, seed in ((5, 1), (12, 2))]
+    current = RationalCurrent([(1, covers[0]), (Fraction(1, 3), covers[1])])
+    for radius in (1, 2, 3):
+        table, calls = traced_table(current, radius)
+        assert calls == 2
+        assert table.entries == {full_ball(2, radius): Fraction(9)}
+
+
+@pytest.mark.parametrize("radius, balls", [(2, 4), (3, 6)])
+def test_cylinder_table_traces_the_few_balls_of_H_1024(radius, balls):
+    current = RationalCurrent.eta(subgroup_Hn(1024))
+    table, calls = traced_table(current, radius)
+    assert calls == balls == len(table)
+    assert table.total() == 1024
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(2, 3).flatmap(lambda rank: st.lists(
+    st.tuples(SMALL_RATIOS, subgroups(rank, max_len=8)),
+    min_size=1, max_size=3).map(lambda terms: RationalCurrent(terms, rank))),
+    st.integers(0, 4))
+# 7 distinct balls at r = 3 but 8 at r = 4; 14 at r = 2 but 15 at r = 3.
+@example(RationalCurrent.eta(Subgroup(["xxxxxxxy"], 2)), 4)
+@example(RationalCurrent.eta(Subgroup(["xxxxyyyy", "zzzzxxxx"], 3)), 3)
+def test_cylinder_table_splits_balls_that_differ_only_deep(current, radius):
+    # Long generators give hull vertices with equal letter sets and first
+    # levels whose balls differ only at depth r: the ids must split them.
+    table, calls = traced_table(current, radius)
+    reference = reference_cylinder_table(current, radius)
+    assert list(table.entries.items()) == list(reference.entries.items())
+    assert calls == distinct_balls(current, radius)
+    if radius == 0:
+        assert calls == len(current.terms)
 
 
 def test_cylinder_table_linearity():
