@@ -10,9 +10,11 @@ materialized: they are isolated singletons and contribute nothing.
 `fiber_product` builds the product as an edge join costing sum over
 labels l of |A_l| * |B_l|, with no BFS, and finds its components with
 `stallings.join_least`; `intersection` walks only the basepoint's
-component of core x core, recording the walk's spanning tree, prunes it
-with `stallings._prune`, the prune that `fold` and `hull_core` run, and
-reads the basis off the recorded tree, so no second walk runs.
+component of core x core, recording the walk's spanning tree as each
+vertex's first letter and tree parent, prunes it with `stallings._prune`,
+the prune that `fold`, `core_from_generators` and `hull_core` run, and
+reads the basis off the recorded tree by climbing parents, so no second
+walk runs and no tree path is stored per vertex.
 """
 
 from __future__ import annotations
@@ -143,18 +145,20 @@ def intersection(h: Subgroup, k: Subgroup) -> Subgroup:
     The basepoints' component of core x core is walked breadth-first over
     pair codes a * |V(K)| + b, scanning signed letters x, X, y, Y, ...;
     each vertex keeps its row, a map from signed letter to walk id, and
-    the walk records its tree: the letter that first reached each vertex,
-    its tree path from the basepoint and that path inverted.  `_prune`
-    runs on the rows, and the survivors, renumbered in walk order, give
-    the sorted edges and the signed adjacency directly.  The core is
-    stored unchecked: the walk reaches one component, the product of two
-    folded cores is folded, the prune leaves every vertex but the
-    basepoint with degree at least 2, and the edges are sorted.
+    the walk records its tree: the letter that first reached each vertex
+    and the walk id of the vertex it was reached from.  `_prune` runs on
+    the rows, and the survivors, renumbered in walk order, give the
+    sorted edges and the signed adjacency directly; each survivor's
+    parent is renumbered the same way.  The core is stored unchecked:
+    the walk reaches one component, the product of two folded cores is
+    folded, the prune leaves every vertex but the basepoint with degree
+    at least 2, and the edges are sorted.
 
     The basis is read off the walk's tree by `_tree_basis`, as `basis_of`
     reads it off its own breadth-first tree; the two trees are one,
     because a pruned vertex is never the tree parent of a survivor and
-    never discovers one.
+    never discovers one.  Memory is linear in the walk: <x^100> and
+    <x^101> meet in <x^10100>, a walk of 10,100 pairs.
     """
     if h.rank != k.rank:
         raise BasisMismatchError(f"rank {h.rank} vs rank {k.rank}")
@@ -169,8 +173,8 @@ def intersection(h: Subgroup, k: Subgroup) -> Subgroup:
     walk = [start]
     ids = {start: 0}
     rows: list[dict[int, int]] = []
-    reach, path, inverse = [0], [()], [()]
-    for v, p, q in zip(walk, path, inverse):     # all three grow together
+    reach, parent = [0], [0]
+    for i, v in enumerate(walk):
         a, b = divmod(v, width)
         b_out = b_step[b]
         row = {}
@@ -182,20 +186,22 @@ def intersection(h: Subgroup, k: Subgroup) -> Subgroup:
                     j = ids[code] = len(walk)
                     walk.append(code)
                     reach.append(m)
-                    path.append(p + (m,))
-                    inverse.append((-m,) + q)
+                    parent.append(i)
                 row[m] = j
         rows.append(row)
     del a_reads, walk, ids
     # Rebinding `rows` frees the walk's rows when the prune rebuilt them.
     edges, rows, new_id = _prune(rows, 0)
     if len(rows) < len(new_id):
+        # A survivor's tree parent survives: a tree path is a shortest
+        # path from the protected basepoint, and none enters a pruned
+        # hanging tree, which it could leave only by the edge it came in.
         kept = [i >= 0 for i in new_id]
-        reach, path, inverse = (list(compress(x, kept))
-                                for x in (reach, path, inverse))
+        reach = list(compress(reach, kept))
+        parent = [new_id[p] for p in compress(parent, kept)]
     return Subgroup._with_basis(
         CoreGraph._proved(rank, len(rows), tuple(edges), 0, rows),
-        _tree_basis(rank, edges, reach, path, inverse))
+        _tree_basis(rank, edges, reach, parent))
 
 
 def component_census(product: ProductGraph) -> tuple[int, int, int]:

@@ -24,7 +24,8 @@ from operator import sub
 from .errors import AdmissibilityError
 from .cylinders import (RationalCurrent, RoundGraph, WeightTable,
                         cylinder_table, lens_rows)
-from .stallings import CoreGraph, Subgroup, _canonical_key, join_least
+from .stallings import (CoreGraph, Subgroup, _canonical_key, join_least,
+                        signed_adjacency)
 from .words import _Frozen
 
 
@@ -48,9 +49,6 @@ class WeightSystem(_Frozen):
     @property
     def radius(self) -> int:
         return self.table.radius
-
-    def weight(self, t: RoundGraph) -> int:
-        return int(self.table[t])
 
     def total(self) -> int:
         return int(self.table.total())
@@ -223,6 +221,12 @@ def decompose(quotient: SCGraphQuotient) -> RationalCurrent:
     subgroup by a spanning-tree basis.
     Reading a different basepoint would change the subgroup only within
     its conjugacy class, which counting currents do not see.
+
+    Each form and each term's core is stored unchecked, its rows built
+    once by `signed_adjacency`: `realize` proved every component folded,
+    connected and of degree >= 2, and renumbering its vertices keeps all
+    three.  A form's edges stay sorted, since its atoms are renumbered in
+    increasing order, and a canonical key's edges come sorted.
     """
     rank, lengths = quotient.rank, quotient.lengths
     # The shape depends only on the edges up to renumbering, and a realized
@@ -234,8 +238,11 @@ def decompose(quotient: SCGraphQuotient) -> RationalCurrent:
                                 for (s, d, l) in edges])] += lengths[comp[0]]
     shapes: Counter = Counter()
     for (n, edges), count in forms.items():
-        shapes[_canonical_key(CoreGraph(rank, n, edges, None))] += count
-    terms = [(count, Subgroup.from_core(CoreGraph(rank, n, edges, 0)))
+        form = CoreGraph._proved(rank, n, edges, None,
+                                 signed_adjacency(rank, n, edges))
+        shapes[_canonical_key(form)] += count
+    terms = [(count, Subgroup.from_core(CoreGraph._proved(
+        rank, n, edges, 0, signed_adjacency(rank, n, edges))))
              for (n, edges), count in shapes.items()]
     return RationalCurrent(terms, rank)
 

@@ -41,7 +41,7 @@ def _as_word(w: WordLike, rank: int) -> Word:
 
 
 class LabeledGraph:
-    """A finite labeled graph, possibly unfolded; raw input for `fold`."""
+    """A possibly unfolded labeled graph: `fold`'s input, the CLI's export."""
 
     def __init__(self, rank: int, num_vertices: int = 0,
                  edges: Iterable[tuple[int, int, int]] = (),
@@ -52,32 +52,6 @@ class LabeledGraph:
         self.num_vertices = num_vertices
         self.edges = list(edges)
         self.basepoint = basepoint
-
-    def add_vertex(self) -> int:
-        v = self.num_vertices
-        self.num_vertices += 1
-        return v
-
-    def add_edge(self, src: int, dst: int, label: int) -> None:
-        if not 1 <= label <= self.rank:
-            raise ValueError(f"label {label} out of range for rank {self.rank}")
-        self.edges.append((src, dst, label))
-
-    def add_path(self, start: int, end: int, letters: Sequence[int]) -> None:
-        """Attach a path from `start` to `end` reading the signed letters,
-        through fresh vertices numbered in reading order; an empty path
-        between two vertices raises ValueError, since it cannot be laid."""
-        if not letters and start != end:
-            raise ValueError(f"no letters to lay from {start} to {end}")
-        prev = start
-        last = len(letters) - 1
-        for i, m in enumerate(letters):
-            nxt = end if i == last else self.add_vertex()
-            if m > 0:
-                self.add_edge(prev, nxt, m)
-            else:
-                self.add_edge(nxt, prev, -m)
-            prev = nxt
 
 
 class CoreGraph(_Frozen):
@@ -159,10 +133,6 @@ class CoreGraph(_Frozen):
     def num_edges(self) -> int:
         return len(self.edges)
 
-    @property
-    def is_empty(self) -> bool:
-        return self.num_vertices == 0
-
     def step(self, v: int, letter: int) -> Optional[int]:
         """Follow a signed letter from v; None if no such edge."""
         return self._step[v].get(letter)
@@ -233,31 +203,35 @@ def join_least(parent, sources: Iterable[int], targets: Iterable[int]
     return order
 
 
-def _fold_edges(num_vertices: int, edges: Sequence[tuple[int, int, int]]
-                ) -> tuple[list[dict[int, int]], list[int]]:
+def _lay(rows: list[dict[int, int]], pending: list[tuple[int, int]],
+         s: int, d: int, m: int) -> None:
+    """Lay the edge reading signed letter m from s to d into rows of each
+    vertex's first neighbour per signed letter; a second neighbour is a
+    pair that folding must identify, so it goes on the worklist."""
+    t = rows[s].setdefault(m, d)
+    if t != d:
+        pending.append((t, d))
+    t = rows[d].setdefault(-m, s)
+    if t != s:
+        pending.append((t, s))
+
+
+def _fold_rows(nbrs: list[dict[int, int]], pending: list[tuple[int, int]]
+               ) -> tuple[list[dict[int, int]], list[int]]:
     """Stallings folding by a worklist union-find; returns the quotient.
 
-    Each class root keeps one map from signed label to a neighbour.  Two
-    different neighbours under one signed label are a pair that folding
-    must identify, so it goes on the worklist; merging two classes folds
-    the smaller map into the larger, pushing every clash this creates.
-    A map holds at most 2 * rank entries, so each merge costs O(rank) and
-    the fold runs in near-linear time.
-    Classes are numbered in order of their least vertex.
+    `nbrs` and `pending` are what `_lay` wrote: each vertex's first
+    neighbour per signed letter, and the clashes still to identify.  Each
+    class root keeps one such map; merging two classes folds the smaller
+    map into the larger, pushing every clash this creates.  A map holds
+    at most 2 * rank entries, so each merge costs O(rank) and the fold
+    runs in near-linear time.  Classes are numbered in order of their
+    least vertex.
 
     The result is (each class's row, its map from signed label to
     neighbouring class; mapping old vertex -> new vertex).
     """
-    parent = list(range(num_vertices))
-    nbrs: list[dict[int, int]] = [{} for _ in range(num_vertices)]
-    pending: list[tuple[int, int]] = []
-    for (s, d, l) in edges:
-        t = nbrs[s].setdefault(l, d)
-        if t != d:
-            pending.append((t, d))
-        t = nbrs[d].setdefault(-l, s)
-        if t != s:
-            pending.append((t, s))
+    parent = list(range(len(nbrs)))
     while pending:
         a, b = pending.pop()
         a, b = find_root(parent, a), find_root(parent, b)
@@ -274,7 +248,7 @@ def _fold_edges(num_vertices: int, edges: Sequence[tuple[int, int, int]]
         nbrs[b] = {}
     new_id: dict[int, int] = {}
     mapping = [new_id.setdefault(find_root(parent, v), len(new_id))
-               for v in range(num_vertices)]
+               for v in range(len(nbrs))]
     rows = [{m: mapping[w] for m, w in nbrs[root].items()} for root in new_id]
     return rows, mapping
 
@@ -327,20 +301,24 @@ def fold(g: LabeledGraph) -> CoreGraph:
     such vertices cannot lie on any reduced loop.  An edge end or a
     basepoint outside 0..num_vertices-1, or an edge label outside
     1..rank, raises ValueError, even where the prune would drop the edge;
-    so does a negative vertex count.
+    so does a negative vertex count.  The result passes the checked
+    constructor, since a graph from outside need not be connected.
     """
     n, base, rank = g.num_vertices, g.basepoint, g.rank
     if n < 0:
         raise ValueError(f"vertex count {n} is negative")
     if base is not None and not 0 <= base < n:
         raise ValueError(f"basepoint {base} out of range")
+    rows: list[dict[int, int]] = [{} for _ in range(n)]
+    pending: list[tuple[int, int]] = []
     for edge in g.edges:
         if not (0 <= edge[0] < n and 0 <= edge[1] < n):
             raise ValueError(f"edge {edge} references a missing vertex")
         if not 1 <= edge[2] <= rank:
             raise ValueError(
                 f"edge label {edge[2]} out of range for rank {rank}")
-    rows, mapping = _fold_edges(n, g.edges)
+        _lay(rows, pending, *edge)
+    rows, mapping = _fold_rows(rows, pending)
     base = mapping[base] if base is not None else None
     # Rebinding `rows` frees the unpruned rows before the checked build.
     edges, rows, new_id = _prune(rows, base)
@@ -353,15 +331,22 @@ def core_from_generators(gens: Sequence[WordLike], rank: int) -> CoreGraph:
 
     Each generator is a closed path at the basepoint, but only its middle
     gets fresh vertices: its longest prefix readable forward from the
-    basepoint in the graph built so far, then its longest suffix readable
+    basepoint in the rows laid so far, then its longest suffix readable
     backward, are followed instead of laid, keeping at least one letter
     to lay.  Folding the full bouquet of loops would merge every skipped
-    vertex into the earlier vertex it was read at, so `fold` gives the
-    same core, classes still numbered by least vertex.
+    vertex into the earlier vertex it was read at, so folding the laid
+    middles gives the same core, classes still numbered by least vertex.
+
+    `_lay` writes the middles straight into the fold's rows, and the core
+    is stored unchecked: every path is laid from the basepoint, so it is
+    connected; `_fold_rows` folds it; `_prune`, sparing the basepoint,
+    leaves every other degree >= 2, sorts the edges and gives their
+    signed adjacency as the rows.
     """
-    g = LabeledGraph(rank, 1, basepoint=0)
-    # First neighbour laid per signed letter; the graph may be unfolded.
+    _check_rank(rank)
+    # First neighbour laid per signed letter; the rows may be unfolded.
     step: list[dict[int, int]] = [{}]
+    pending: list[tuple[int, int]] = []
     for w in gens:
         letters = _as_word(w, rank).letters
         if not letters:
@@ -381,14 +366,17 @@ def core_from_generators(gens: Sequence[WordLike], rank: int) -> CoreGraph:
                 break
             tail = nxt
             j -= 1
-        # letters[i..j] are laid: at least one, the rest were read.
-        laid = len(g.edges)
-        g.add_path(head, tail, letters[i:j + 1])
-        step.extend({} for _ in range(g.num_vertices - len(step)))
-        for (s, d, l) in g.edges[laid:]:
-            step[s].setdefault(l, d)
-            step[d].setdefault(-l, s)
-    return fold(g)
+        # letters[i..j] are laid, through fresh vertices numbered in
+        # reading order: at least one, the rest were read.
+        for m in letters[i:j]:
+            step.append({})
+            _lay(step, pending, head, len(step) - 1, m)
+            head = len(step) - 1
+        _lay(step, pending, head, tail, letters[j])
+    # The basepoint is vertex 0, the least of its class, so it stays 0.
+    rows, _ = _fold_rows(step, pending)
+    edges, rows, _ = _prune(rows, 0)
+    return CoreGraph._proved(rank, len(rows), tuple(edges), 0, rows)
 
 
 def hull_core(c: CoreGraph) -> CoreGraph:
@@ -429,40 +417,48 @@ def basis_of(c: CoreGraph) -> list[Word]:
     """Spanning-tree free basis: one word per non-tree edge."""
     if c.basepoint is None:
         raise ValueError("basis extraction needs a basepointed core")
-    # Each vertex's first letter, tree path from the basepoint, and that
-    # path inverted; the basepoint's letter 0 is no signed letter.
+    # Each vertex's first letter and tree parent; the basepoint's letter
+    # 0 is no signed letter.
     reach = [0] * c.num_vertices
-    path: list = [None] * c.num_vertices
-    inverse: list = [None] * c.num_vertices
-    path[c.basepoint] = inverse[c.basepoint] = ()
+    parent = [-1] * c.num_vertices
+    parent[c.basepoint] = c.basepoint
     order = [c.basepoint]
     letters = _signed_letters(c.rank)
     for v in order:
         out = c._step[v]
         for letter in letters:
             w = out.get(letter)
-            if w is not None and path[w] is None:
+            if w is not None and parent[w] < 0:
                 reach[w] = letter
-                path[w] = path[v] + (letter,)
-                inverse[w] = (-letter,) + inverse[v]
+                parent[w] = v
                 order.append(w)
-    return _tree_basis(c.rank, c.edges, reach, path, inverse)
+    return _tree_basis(c.rank, c.edges, reach, parent)
 
 
 def _tree_basis(rank: int, edges: Iterable[tuple[int, int, int]],
-                reach: Sequence[int], path: Sequence[tuple],
-                inverse: Sequence[tuple]) -> list[Word]:
+                reach: Sequence[int], parent: Sequence[int]) -> list[Word]:
     """One word per non-tree edge of a folded core's breadth-first tree,
-    given each vertex's first letter `reach` (0 at the root), its tree
-    path and that path inverted: the free basis of the loops at the root.
+    given each vertex's first letter `reach` (0 at the root) and its tree
+    parent: the free basis of the loops at the root.
 
     In a folded graph an edge (s, d, l) is the only one reading l at s
     and -l at d, so it is a tree edge exactly when l first reached d or
-    -l first reached s.  Tree paths are reduced, and neither junction of
-    path[s] + (l,) + inverse[d] can cancel: that would make the edge a
-    tree edge.
+    -l first reached s.  Its word is s's tree path, then l, then d's tree
+    path inverted, each path spelled by climbing the parents to the root,
+    so nothing is stored per vertex but its letter and parent.  Tree
+    paths are reduced, and neither junction can cancel: that would make
+    the edge a tree edge.
     """
-    return [Word._reduced(rank, path[s] + (l,) + inverse[d])
+    def climb(v: int) -> list[int]:
+        # The letters of v's tree path, last letter first.
+        up = []
+        while m := reach[v]:
+            up.append(m)
+            v = parent[v]
+        return up
+
+    return [Word._reduced(rank, tuple(climb(s)[::-1] + [l]
+                                      + [-m for m in climb(d)]))
             for (s, d, l) in edges if reach[d] != l and reach[s] != -l]
 
 
@@ -583,10 +579,6 @@ class Subgroup(_Frozen):
 
     def is_trivial(self) -> bool:
         return self.core.num_edges == 0
-
-    def equals(self, other: "Subgroup") -> bool:
-        """Equality as subgroups (cores label-isomorphic)."""
-        return self.rank == other.rank and label_isomorphic(self.core, other.core)
 
     def __repr__(self) -> str:
         gens = ", ".join(format_word(w) for w in self.generators)

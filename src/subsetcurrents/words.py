@@ -70,7 +70,7 @@ class Word(_Frozen):
     """A freely reduced word over a basis of the given rank.
 
     Instances are immutable and hashable; `*` concatenates (with free
-    reduction), `~` inverts, and `**` raises to an integer power.
+    reduction) and `~` inverts.
     """
 
     __slots__ = ("rank", "letters", "_hash")
@@ -123,17 +123,6 @@ class Word(_Frozen):
     def __invert__(self) -> "Word":
         """Reversed sequence with negated signs."""
         return Word(self.rank, tuple(-m for m in reversed(self.letters)))
-
-    def __pow__(self, n: int) -> "Word":
-        if n < 0:
-            return (~self) ** (-n)
-        out = Word(self.rank)
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def is_identity(self) -> bool:
-        return not self.letters
 
     def __repr__(self) -> str:
         return f"Word({self.rank}, {format_word(self)!r})"

@@ -58,16 +58,34 @@ def enumerate_reduced_words(rank: int, max_len: int) -> Iterator[Word]:
         frontier = nxt
 
 
+def add_path(g: LabeledGraph, start: int, end: int,
+             letters: Sequence[int]) -> None:
+    """Attach a path from `start` to `end` reading the signed letters,
+    through fresh vertices numbered in reading order; an empty path
+    between two vertices raises ValueError, since it cannot be laid."""
+    if not letters and start != end:
+        raise ValueError(f"no letters to lay from {start} to {end}")
+    prev = start
+    last = len(letters) - 1
+    for i, m in enumerate(letters):
+        if i == last:
+            nxt = end
+        else:
+            nxt = g.num_vertices
+            g.num_vertices += 1
+        g.edges.append((prev, nxt, m) if m > 0 else (nxt, prev, -m))
+        prev = nxt
+
+
 def conjugate(c: CoreGraph, g: WordLike) -> CoreGraph:
     """Basepointed core of g H g^-1: attach a g-path, fold, re-core."""
     if c.basepoint is None:
         raise ValueError("conjugation needs a basepointed core")
     word = _as_word(g, c.rank)
-    if word.is_identity():
+    if not word.letters:
         return c
-    raw = LabeledGraph(c.rank, c.num_vertices, c.edges)
-    raw.basepoint = raw.add_vertex()
-    raw.add_path(raw.basepoint, c.basepoint, word.letters)
+    raw = LabeledGraph(c.rank, c.num_vertices + 1, c.edges, c.num_vertices)
+    add_path(raw, raw.basepoint, c.basepoint, word.letters)
     return fold(raw)
 
 
@@ -195,7 +213,7 @@ def local_ball(hull: CoreGraph, vertex: int, radius: int) -> RoundGraph:
     exactly the vertices of g CH_H around the identity for the cosets
     over this quotient vertex.
     """
-    if hull.is_empty:
+    if hull.num_vertices == 0:
         raise ValueError("the empty hull has no local balls")
     if hull.basepoint is not None:
         raise ValueError("local balls are read off the hull-core form")
@@ -372,10 +390,10 @@ def reference_parse_word(text: str, rank: int) -> Word:
 
 
 # Reference oracles: the fixed-point fold and the layer-per-pass prune
-# that `stallings._fold_edges` and `stallings._prune` must match output
-# for output, and the breadth-first component search that
-# `stallings.join_least` must agree with.  Quadratic; keep the inputs
-# small.
+# that `stallings._fold_rows` (on the rows `_lay` writes) and
+# `stallings._prune` must match output for output, and the breadth-first
+# component search that `stallings.join_least` must agree with.
+# Quadratic; keep the inputs small.
 
 def reference_fold_edges(num_vertices: int,
                          edges: Sequence[tuple[int, int, int]]
@@ -475,16 +493,15 @@ def connected_components(step: Sequence[Mapping[int, int]]
 
 def reference_core_from_generators(gens: Sequence[WordLike],
                                    rank: int) -> CoreGraph:
-    """Basepointed Stallings core of the subgroup the words generate."""
-    g = LabeledGraph(rank)
-    base = g.add_vertex()
-    g.basepoint = base
+    """Basepointed Stallings core of the subgroup the words generate: a
+    bouquet of one loop per generator at vertex 0, folded by `fold`."""
+    g = LabeledGraph(rank, 1, basepoint=0)
     for w in gens:
         word = parse_word(w, rank) if isinstance(w, str) else w
         if word.rank != rank:
             raise BasisMismatchError(f"word rank {word.rank} vs rank {rank}")
-        if not word.is_identity():
-            g.add_path(base, base, word.letters)
+        if word.letters:
+            add_path(g, 0, 0, word.letters)
     return fold(g)
 
 
@@ -710,7 +727,7 @@ def reference_realize(theta: WeightSystem) -> Realized:
         raise AdmissibilityError(*violations[0])
     vertices: list[tuple[RoundGraph, int]] = []
     for t in table.support():
-        for i in range(1, theta.weight(t) + 1):
+        for i in range(1, int(theta.table[t]) + 1):
             vertices.append((t, i))
     index = {v: k for k, v in enumerate(vertices)}
     # No vertex of radius 0 reads a letter: each copy gets an x-loop.

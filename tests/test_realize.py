@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from subsetcurrents import (RationalCurrent, RoundGraph, Subgroup,
                             WeightTable, check_matching, cylinder_table,
                             decompose, enumerate_round_graphs, integerize,
-                            realize, verify_realization)
+                            label_isomorphic, realize, verify_realization)
 from subsetcurrents.approx import _matching_matrix
 from subsetcurrents.cylinders import lens_rows
 from subsetcurrents.errors import AdmissibilityError
@@ -137,7 +137,8 @@ def test_realize_axis_weight_gives_x_loop():
     assert quotient.component_edges == [[(0, 0, 1)]]
     current = decompose(quotient)
     assert len(current.terms) == 1
-    assert current.terms[0][1].equals(Subgroup(["x"], 2))
+    assert label_isomorphic(current.terms[0][1].core,
+                            Subgroup(["x"], 2).core)
     assert verify_realization(theta, current)
 
 
@@ -147,7 +148,8 @@ def test_realize_full_star_gives_rose():
     assert len(quotient.vertices) == 1
     assert quotient.component_edges == [[(0, 0, 1), (0, 0, 2)]]
     current = decompose(quotient)
-    assert current.terms[0][1].equals(Subgroup.full(2))
+    assert label_isomorphic(current.terms[0][1].core,
+                            Subgroup.full(2).core)
     assert verify_realization(theta, current)
 
 
@@ -159,7 +161,8 @@ def test_realize_doubled_full_table():
     current = decompose(quotient)
     assert len(current.terms) == 1  # one shape, two components
     coeff, sub = current.terms[0]
-    assert coeff == 2 and sub.equals(Subgroup.full(2))
+    assert coeff == 2
+    assert label_isomorphic(sub.core, Subgroup.full(2).core)
     assert verify_realization(theta, current)
 
 
@@ -318,6 +321,21 @@ def test_decompose_terms_equal_those_of_the_reference_key(theta):
         for (n, edges), count in shapes.items()]
     assert [(c, sub.generators) for c, sub in decompose(quotient).terms] \
         == expected
+
+
+@settings(deadline=None, max_examples=60)
+@given(weight_systems())
+def test_decompose_stores_each_term_core_as_the_checked_constructor(theta):
+    # Each term's core is stored unchecked; the public constructor on its
+    # fields must accept them and build the same graph, and its rows are
+    # the signed adjacency of its sorted edges.
+    for _c, sub in decompose(realize(theta)).terms:
+        c = sub.core
+        checked = CoreGraph(c.rank, c.num_vertices, c.edges, 0)
+        assert c == checked and c._hash == checked._hash
+        assert c._step == checked._step == signed_adjacency(
+            c.rank, c.num_vertices, c.edges)
+        assert list(c.edges) == sorted(c.edges) and c.basepoint == 0
 
 
 @settings(deadline=None, max_examples=150)

@@ -2,6 +2,7 @@
 
 import ast
 import re
+from collections import Counter
 from pathlib import Path
 
 import subsetcurrents
@@ -83,11 +84,16 @@ def test_lens_keys_and_rationalize_walk_no_ball_and_build_no_candidates():
         assert banned.isdisjoint(set(_names(tree)) | defined), path.name
 
 
+def _attributes(node: ast.AST) -> list[str]:
+    """Every attribute name `node` reads."""
+    return [n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)]
+
+
 # Builders that only tests call; tests/helpers.py holds them.
 TEST_ONLY = {"realizable_witness", "local_ball", "axis", "restrict",
              "full_ball", "_ball_words", "conjugate", "canonical_form",
              "cyclic_reduce", "reduce", "enumerate_reduced_words",
-             "subgroup_Gn"}
+             "subgroup_Gn", "add_path"}
 
 
 def test_every_export_has_a_caller():
@@ -113,6 +119,22 @@ def test_every_export_has_a_caller():
                for node in ast.walk(tree)
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     assert TEST_ONLY.isdisjoint(defined)
+    # So does each public method and property of an exported class: a
+    # package module reads it as an attribute outside its own `def`, or
+    # the harness or the README code does.  A power by repeated products
+    # is quadratic in the exponent, and nothing raises a Word to one.
+    attributes = Counter(name for _path, tree in package_trees()
+                         for name in _attributes(tree))
+    uncalled = [f"{cls.name}.{f.name}" for _path, tree in package_trees()
+                for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                and cls.name in exports for f in cls.body
+                if isinstance(f, ast.FunctionDef)
+                and not f.name.startswith("_")
+                and attributes[f.name] == _attributes(f).count(f.name)
+                and not re.search(rf"\.{f.name}\b", bench)
+                and not re.search(rf"\.{f.name}\b", code)]
+    assert uncalled == []
+    assert "__pow__" not in defined
 
 
 def _calls(node: ast.AST, name: str) -> bool:
@@ -204,17 +226,24 @@ def test_lens_rows_has_one_reader_per_use():
 
 def test_each_class_stored_as_given_has_one_builder():
     # `SCGraphQuotient`, `ProductGraph`, the `CoreGraph` of an
-    # intersection or of a hull-core, the `Subgroup` of an intersection or
-    # of `from_core` with its basis (`_with_basis`) and the traced
-    # `RoundGraph` of a
-    # hull-core ball store their fields unchecked, because the one
-    # function that builds each proves them by how it builds them; a
-    # second builder would bring in fields nothing proved.  Every other
-    # `CoreGraph`, `Subgroup` and `RoundGraph` runs the public
-    # constructor's checks.
+    # intersection, of a hull-core, of `core_from_generators` and of a
+    # `decompose` form or term, the `Subgroup` of an intersection or of
+    # `from_core` with its basis (`_with_basis`) and the traced
+    # `RoundGraph` of a hull-core ball store their fields unchecked,
+    # because the one function that builds each proves them by how it
+    # builds them; a second builder would bring in fields nothing proved.
+    # `core_from_generators` lays every path from the basepoint
+    # (connected), folds them (folded) and prunes with the basepoint
+    # spared (every other degree >= 2, sorted edges, rows their signed
+    # adjacency); `decompose` renumbers components that `realize` proved
+    # folded, connected and of degree >= 2, and builds their rows once
+    # with `signed_adjacency`.  Every other `CoreGraph`, `Subgroup` and
+    # `RoundGraph` runs the public constructor's checks.
     assert _callers("SCGraphQuotient") == ["realize.py:realize"]
     assert _callers("ProductGraph") == ["fiber.py:fiber_product"]
     assert _callers("_proved") == ["fiber.py:intersection",
+                                   "realize.py:decompose",
+                                   "stallings.py:core_from_generators",
                                    "stallings.py:hull_core"]
     assert _callers("_with_basis") == ["fiber.py:intersection",
                                        "stallings.py:from_core"]
@@ -225,8 +254,30 @@ def test_each_class_stored_as_given_has_one_builder():
     # pass, no breadth-first search and no second shape key.
     (tree,) = [tree for path, tree in package_trees()
                if path.name == "realize.py"]
-    assert {"signed_adjacency", "connected_components",
+    assert {"connected_components",
             "least_bfs_encoding"}.isdisjoint(_names(tree))
+    assert "signed_adjacency" not in _names(_function("realize.py",
+                                                      "realize"))
+    assert _callers("signed_adjacency") == ["realize.py:decompose",
+                                            "stallings.py:__init__"]
+
+
+def test_only_outside_input_is_validated():
+    # A core that `core_from_generators` or `decompose` builds is proved by
+    # how it is built (see the `_proved` pin above), so only the two
+    # entries for outside graphs run the checked constructor: `fold` on a
+    # `LabeledGraph` and `graph_from_text` on a file.  `core_from_generators`
+    # lays its words straight into the fold's rows, with no `LabeledGraph`
+    # and no call of `fold`.
+    assert _callers("CoreGraph") == ["stallings.py:fold",
+                                     "stallings.py:graph_from_text"]
+    assert _callers("fold") == []
+    assert _callers("_lay") == ["stallings.py:fold",
+                                "stallings.py:core_from_generators"]
+    assert _callers("_fold_rows") == ["stallings.py:fold",
+                                      "stallings.py:core_from_generators"]
+    assert "LabeledGraph" not in _names(_function("stallings.py",
+                                                  "core_from_generators"))
 
 
 def test_one_reader_reads_every_file_header():
@@ -256,13 +307,14 @@ def test_intersection_walks_the_product_once():
 
 def test_one_rule_reads_a_basis_off_a_breadth_first_tree():
     # `basis_of` and `intersection` each record a breadth-first tree as
-    # every vertex's first letter and tree paths, and `_tree_basis` alone
-    # tells the tree edges from the rest and spells the basis words.
+    # every vertex's first letter and tree parent, and `_tree_basis` alone
+    # tells the tree edges from the rest and spells the basis words by
+    # climbing the parents; no tree path is stored per vertex.
     assert _callers("_tree_basis") == ["fiber.py:intersection",
                                        "stallings.py:basis_of"]
     for node in (_function("fiber.py", "intersection"),
                  _function("stallings.py", "basis_of")):
-        assert {"_reduced", "tree"}.isdisjoint(_names(node))
+        assert {"_reduced", "tree", "inverse"}.isdisjoint(_names(node))
 
 
 def test_one_prune_and_one_component_join():
@@ -271,6 +323,7 @@ def test_one_prune_and_one_component_join():
     # or union-find would be a second place to keep in step.
     assert _callers("_prune") == ["fiber.py:intersection",
                                   "stallings.py:fold",
+                                  "stallings.py:core_from_generators",
                                   "stallings.py:hull_core"]
     assert _callers("join_least") == ["fiber.py:fiber_product",
                                       "realize.py:realize",

@@ -15,11 +15,11 @@ from subsetcurrents import (CoreGraph, LabeledGraph, Subgroup, Word, basis_of,
 from subsetcurrents.approx import subgroup_Hn
 from subsetcurrents.cylinders import table_from_text, table_to_text
 from subsetcurrents.errors import BasisMismatchError, FileFormatError
-from subsetcurrents.stallings import (_canonical_key, _fold_edges, _prune,
+from subsetcurrents.stallings import (_canonical_key, _fold_rows, _lay, _prune,
                                       signed_adjacency)
 
-from helpers import (FILES, canonical_form, conjugate, current_tables,
-                     malformed_files, random_cover, reduce,
+from helpers import (FILES, add_path, canonical_form, conjugate,
+                     current_tables, malformed_files, random_cover, reduce,
                      random_finite_cover, random_subgroup, random_word,
                      reference_canonical_key, reference_core_from_generators,
                      reference_fold_edges, reference_prune_edges, subgroups)
@@ -94,11 +94,10 @@ def test_fold_merges_parallel_loops():
 def test_fold_agrees_with_brute_oracle():
     rng = random.Random(42)
     for _ in range(60):
-        g = LabeledGraph(2)
-        base = g.add_vertex()
-        g.basepoint = base
+        g = LabeledGraph(2, 1, basepoint=0)
+        base = g.basepoint
         for _ in range(rng.randint(1, 3)):
-            g.add_path(base, base, random_word(rng, 2, 5).letters)
+            add_path(g, base, base, random_word(rng, 2, 5).letters)
         expected = as_core(2, brute_fold(g.num_vertices, g.edges), base)
         assert label_isomorphic(fold(g), expected)
 
@@ -106,12 +105,11 @@ def test_fold_agrees_with_brute_oracle():
 def test_fold_preserves_basepoint_loop_labels():
     rng = random.Random(53)
     for _ in range(30):
-        g = LabeledGraph(2)
-        base = g.add_vertex()
-        g.basepoint = base
+        g = LabeledGraph(2, 1, basepoint=0)
+        base = g.basepoint
         words = [random_word(rng, 2, 5) for _ in range(rng.randint(1, 3))]
         for w in words:
-            g.add_path(base, base, w.letters)
+            add_path(g, base, base, w.letters)
         folded = fold(g)
         for w in words:
             assert contains(folded, w)
@@ -120,11 +118,10 @@ def test_fold_preserves_basepoint_loop_labels():
 def test_fold_is_confluent_under_edge_order():
     rng = random.Random(7)
     for _ in range(30):
-        g = LabeledGraph(2)
-        base = g.add_vertex()
-        g.basepoint = base
+        g = LabeledGraph(2, 1, basepoint=0)
+        base = g.basepoint
         for _ in range(rng.randint(1, 3)):
-            g.add_path(base, base, random_word(rng, 2, 4).letters)
+            add_path(g, base, base, random_word(rng, 2, 4).letters)
         reference = fold(g)
         shuffled = list(g.edges)
         rng.shuffle(shuffled)
@@ -151,14 +148,35 @@ def raw_graphs(draw, connected=False):
     return rank, n, edges
 
 
+def laid(n, edges):
+    """The rows and worklist that `_lay` writes for `edges`, in order."""
+    rows, pending = [{} for _ in range(n)], []
+    for edge in edges:
+        _lay(rows, pending, *edge)
+    return rows, pending
+
+
 @given(raw_graphs())
 def test_fold_edges_matches_reference(graph):
     # The quotient comes back as its rows; they are the signed adjacency
     # of the reference quotient's edges.
     rank, n, edges = graph
     count, folded, mapping = reference_fold_edges(n, edges)
-    assert _fold_edges(n, edges) == (
+    assert _fold_rows(*laid(n, edges)) == (
         signed_adjacency(rank, count, folded), mapping)
+
+
+@given(raw_graphs(connected=True), st.data())
+def test_fold_maps_the_basepoint_through_the_fold_and_the_prune(graph, data):
+    # A graph from outside folds to the reference fold of its edges,
+    # pruned with its basepoint, wherever the basepoint sits.
+    rank, n, edges = graph
+    base = data.draw(st.integers(0, n - 1))
+    folded_n, folded, mapping = reference_fold_edges(n, edges)
+    count, pruned, new_id = reference_prune_edges(
+        folded_n, folded, mapping[base])
+    assert fold(LabeledGraph(rank, n, edges, base)) == CoreGraph(
+        rank, count, pruned, new_id[mapping[base]])
 
 
 @given(raw_graphs(), st.data())
@@ -241,7 +259,7 @@ def generator_lists(draw):
         elif kind == "inverse":
             gens.append(~a)
         elif kind == "power":
-            gens.append(a ** draw(st.integers(2, 4)))
+            gens.append(reduce(a.letters * draw(st.integers(2, 4)), rank))
         elif kind == "conjugate":
             gens.append(b * a * ~b)
         elif kind == "prefix":
@@ -261,21 +279,44 @@ def test_core_from_generators_matches_reference(case):
         reference_core_from_generators(gens, rank)
 
 
+@settings(deadline=None, max_examples=300)
+@given(generator_lists())
+def test_core_from_generators_stores_its_edges_signed_adjacency(case):
+    # The core is stored unchecked; its rows are the signed adjacency of
+    # its sorted edges, and the checked constructor accepts its fields.
+    gens, rank = case
+    c = core_from_generators(gens, rank)
+    assert c._step == signed_adjacency(rank, c.num_vertices, c.edges)
+    assert c == CoreGraph(rank, c.num_vertices, c.edges, c.basepoint)
+    assert list(c.edges) == sorted(c.edges) and c.basepoint == 0
+
+
+@pytest.mark.parametrize("gens, rank, error, message", [
+    ([], 0, ValueError, "rank must be between 1 and 25, got 0"),
+    ([], 26, ValueError, "rank must be between 1 and 25, got 26"),
+    ([Word(3, (3,))], 2, BasisMismatchError, "word rank 3 vs rank 2"),
+], ids=["rank-0", "rank-26", "word-of-rank-3"])
+def test_core_from_generators_refuses_a_bad_rank(gens, rank, error, message):
+    with pytest.raises(error, match=message):
+        core_from_generators(gens, rank)
+
+
 def test_core_from_generators_lays_only_unread_letters(monkeypatch):
     # H_n's core is a y^n cycle with x-loops: once y^n is laid, every
-    # y^i x y^-i reads its y-prefix and y-suffix, and lays one x-loop.
+    # y^i x y^-i reads its y-prefix and y-suffix, and lays one x-loop;
+    # the merge gets n rows holding 2n - 1 edges, and no clash.
     from subsetcurrents import stallings
-    raw_sizes = []
+    handed = []
 
-    def recording_fold(g):
-        raw_sizes.append((g.num_vertices, len(g.edges)))
-        return fold(g)
+    def recording_fold_rows(rows, pending):
+        handed.append((len(rows), sum(map(len, rows)) // 2, len(pending)))
+        return _fold_rows(rows, pending)
 
-    monkeypatch.setattr(stallings, "fold", recording_fold)
+    monkeypatch.setattr(stallings, "_fold_rows", recording_fold_rows)
     for n in (2, 7, 64):
-        raw_sizes.clear()
+        handed.clear()
         core = subgroup_Hn(n).core
-        assert raw_sizes == [(n, 2 * n - 1)]
+        assert handed == [(n, 2 * n - 1, 0)]
         assert (core.num_vertices, core.num_edges) == (n, 2 * n - 1)
 
 
@@ -302,7 +343,7 @@ def test_hull_core_examples():
     assert label_isomorphic(hull, CoreGraph(2, 1, [(0, 0, 2)], None))
     assert label_isomorphic(hull_core(ROSE),
                             CoreGraph(2, 1, [(0, 0, 1), (0, 0, 2)], None))
-    assert hull_core(core_from_generators([], 2)).is_empty
+    assert hull_core(core_from_generators([], 2)).num_vertices == 0
 
 
 def test_hull_core_is_idempotent():
@@ -486,6 +527,20 @@ def test_basis_of_examples():
     assert label_isomorphic(rebuilt, DOUBLE_COVER)
 
 
+def test_basis_of_a_long_loop_stores_no_tree_path_per_vertex():
+    # The core of <x^10000 y> is one loop of 10,001 vertices at depths up
+    # to 5,000: one tree path per vertex would hold 25 million letters.
+    core = core_from_generators(["x^10000 y"], 2)
+    tracemalloc.start()
+    try:
+        words = basis_of(core)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert words == [parse_word("x^10000 y", 2)]
+    assert peak < 16 * 2 ** 20
+
+
 def test_basis_of_size_matches_rank():
     rng = random.Random(13)
     for _ in range(30):
@@ -513,15 +568,15 @@ def test_intersection_core_does_not_fold(monkeypatch):
     from subsetcurrents import intersection, stallings
     calls = []
 
-    def counting_fold_edges(num_vertices, edges):
-        calls.append(num_vertices)
-        return _fold_edges(num_vertices, edges)
+    def counting_fold_rows(rows, pending):
+        calls.append(len(rows))
+        return _fold_rows(rows, pending)
 
     rng = random.Random(43)
     for _ in range(10):
         h, k = random_subgroup(rng), random_subgroup(rng)
         h.core, k.core
-        monkeypatch.setattr(stallings, "_fold_edges", counting_fold_edges)
+        monkeypatch.setattr(stallings, "_fold_rows", counting_fold_rows)
         calls.clear()
         meet = intersection(h, k)
         meet.core
@@ -575,7 +630,7 @@ def test_core_graph_validation():
 
 
 def test_labeled_graph_refuses_a_negative_vertex_count():
-    # Else add_vertex would hand out the ids -2, -1, ... before any fold.
+    # Else a path laid on it would number its fresh vertices -2, -1, ...
     with pytest.raises(ValueError, match="vertex count -2 is negative"):
         LabeledGraph(2, -2)
 
@@ -584,8 +639,8 @@ def test_add_path_refuses_a_path_that_cannot_be_laid():
     # No letters join two different vertices; an empty loop lays nothing.
     g = LabeledGraph(2, 2)
     with pytest.raises(ValueError, match="no letters to lay from 0 to 1"):
-        g.add_path(0, 1, [])
-    g.add_path(1, 1, [])
+        add_path(g, 0, 1, [])
+    add_path(g, 1, 1, [])
     assert (g.num_vertices, g.edges) == (2, [])
 
 
@@ -676,9 +731,9 @@ def test_subgroup_file_roundtrip(tmp_path):
     path.write_text(subgroup_to_text(sub), encoding="utf-8")
     again = subgroup_from_text(path.read_text(encoding="utf-8"))
     assert again.rank == 2
-    assert again.equals(sub)
+    assert label_isomorphic(again.core, sub.core)
     text = "# a comment\nrank 2\nxy # trailing\n\nxY\n"
-    assert subgroup_from_text(text).equals(sub)
+    assert label_isomorphic(subgroup_from_text(text).core, sub.core)
     assert "rank 2" in subgroup_to_text(sub)
 
 
