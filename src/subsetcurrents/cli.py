@@ -263,7 +263,7 @@ def _cmd_realize(args) -> int:
     current = decompose(quotient)
     ok = verify_realization(theta, current)
     args.outdir.mkdir(parents=True, exist_ok=True)
-    report = [f"vertices = {theta.total()}",
+    report = [f"vertices = {total}",
               f"components = {quotient.component_count()}",
               f"verified = {'true' if ok else 'false'}",
               f"shapes = {len(current.terms)}"]

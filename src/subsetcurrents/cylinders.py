@@ -96,7 +96,7 @@ def validate_round_graph(words: Iterable[WordTuple], radius: int,
 class RoundGraph(_Frozen):
     """Canonical rooted subtree of the radius-r ball; hashable table key."""
 
-    __slots__ = ("rank", "radius", "words", "word_set", "_hash", "_key")
+    __slots__ = ("rank", "radius", "words", "word_set", "_key")
 
     def __init__(self, rank: int, radius: int, words: Iterable[WordTuple]):
         _check_rank(rank)
@@ -104,23 +104,8 @@ class RoundGraph(_Frozen):
         if not validate_round_graph(words, radius, rank):
             raise ValueError(
                 f"not a valid round-graph at radius {radius}: {words}")
-        self._store(rank, radius, _canonical_words(words))
-
-    @classmethod
-    def _traced(cls, rank: int, radius: int, words: tuple) -> "RoundGraph":
-        """A ball `_traced_words` read off a hull-core, stored unchecked:
-        canonical by the trace, valid since hull degrees are >= 2."""
-        t = object.__new__(cls)
-        t._store(rank, radius, words)
-        return t
-
-    def _store(self, rank: int, radius: int, words: tuple) -> None:
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "radius", radius)
-        object.__setattr__(self, "words", words)
-        object.__setattr__(self, "word_set", frozenset(words))
-        object.__setattr__(self, "_hash", hash((rank, radius, words)))
-        object.__setattr__(self, "_key", _order_key(words))
+        words = _canonical_words(words)
+        self._set(rank, radius, words, frozenset(words), _order_key(words))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, RoundGraph)
@@ -129,7 +114,9 @@ class RoundGraph(_Frozen):
                 and self.words == other.words)
 
     def __hash__(self) -> int:
-        return self._hash
+        # Equal round-graphs have equal keys, and a bytes object caches
+        # its hash.
+        return hash(self._key)
 
     def __lt__(self, other: "RoundGraph") -> bool:
         return self._key < other._key
@@ -254,10 +241,7 @@ class WeightTable(_Frozen):
                 raise ValueError(f"negative weight {value} for {t}")
             if value:
                 table[t] = value
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "radius", radius)
-        object.__setattr__(self, "entries",
-                           {t: table[t] for t in sorted(table)})
+        self._set(rank, radius, {t: table[t] for t in sorted(table)})
 
     def __getitem__(self, t: RoundGraph) -> Fraction:
         return self.entries.get(t, Fraction(0))
@@ -311,7 +295,7 @@ class RationalCurrent(_Frozen):
     the zero measure.
     """
 
-    __slots__ = ("rank", "terms")
+    __slots__ = ("terms", "rank")
 
     def __init__(self, terms: Iterable[tuple[RationalLike, Subgroup]],
                  rank: Optional[int] = None):
@@ -330,8 +314,7 @@ class RationalCurrent(_Frozen):
         if rank is None:
             raise ValueError("rank is required for an empty current")
         _check_rank(rank)
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "terms", tuple(kept))
+        self._set(tuple(kept), rank)
 
     @classmethod
     def eta(cls, sub: Subgroup) -> "RationalCurrent":
@@ -395,8 +378,10 @@ def cylinder_table(current: RationalCurrent, radius: int) -> WeightTable:
         for i in ids:
             counts[i] += 1
         for i, v in first.items():
-            t = RoundGraph._traced(hull.rank, radius,
-                                   _traced_words(hull, v, radius))
+            # Canonical by the trace, and valid since hull degrees are >= 2.
+            words = _traced_words(hull, v, radius)
+            t = RoundGraph._stored(hull.rank, radius, words,
+                                   frozenset(words), _order_key(words))
             value = coeff * counts[i]
             old = table.get(t)
             table[t] = value if old is None else old + value

@@ -12,9 +12,9 @@ labels l of |A_l| * |B_l|, with no BFS, and finds its components with
 `stallings.join_least`; `intersection` walks only the basepoint's
 component of core x core, recording the walk's spanning tree as each
 vertex's first letter and tree parent, prunes it with `stallings._prune`,
-the prune that `fold`, `core_from_generators` and `hull_core` run, and
-reads the basis off the recorded tree by climbing parents, so no second
-walk runs and no tree path is stored per vertex.
+the prune that `fold` and `hull_core` run, and reads the basis off the
+recorded tree by climbing parents, so no second walk runs and no tree
+path is stored per vertex.
 """
 
 from __future__ import annotations
@@ -44,12 +44,7 @@ class ProductGraph(_Frozen):
 
     def __init__(self, rank: int, width: int, size: int, codes: list,
                  stats: list, edges: list):
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "width", width)
-        object.__setattr__(self, "size", size)
-        object.__setattr__(self, "codes", codes)
-        object.__setattr__(self, "stats", stats)
-        object.__setattr__(self, "edges", edges)
+        self._set(rank, width, size, codes, stats, edges)
 
     @property
     def vertices(self) -> tuple[Pair, ...]:
@@ -199,9 +194,9 @@ def intersection(h: Subgroup, k: Subgroup) -> Subgroup:
         kept = [i >= 0 for i in new_id]
         reach = list(compress(reach, kept))
         parent = [new_id[p] for p in compress(parent, kept)]
-    return Subgroup._with_basis(
-        CoreGraph._proved(rank, len(rows), tuple(edges), 0, rows),
-        _tree_basis(rank, edges, reach, parent))
+    return Subgroup._stored(
+        tuple(_tree_basis(rank, edges, reach, parent)), rank,
+        CoreGraph._stored(rank, len(rows), tuple(edges), 0, rows), None)
 
 
 def component_census(product: ProductGraph) -> tuple[int, int, int]:

@@ -40,21 +40,7 @@ class WeightSystem(_Frozen):
             raise ValueError("weight system entries must be integers")
         if len(table) == 0:
             raise ValueError("weight system needs at least one positive weight")
-        object.__setattr__(self, "table", table)
-
-    @property
-    def rank(self) -> int:
-        return self.table.rank
-
-    @property
-    def radius(self) -> int:
-        return self.table.radius
-
-    def total(self) -> int:
-        return int(self.table.total())
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, WeightSystem) and self.table == other.table
+        self._set(table)
 
     def __repr__(self) -> str:
         return f"WeightSystem({self.table!r})"
@@ -76,13 +62,8 @@ class SCGraphQuotient(_Frozen):
     def __init__(self, rank: int, radius: int, weights: tuple,
                  starts: list[int], lengths: list[int],
                  atom_components: tuple, atom_edges: list):
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "radius", radius)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "starts", starts)
-        object.__setattr__(self, "lengths", lengths)
-        object.__setattr__(self, "atom_components", atom_components)
-        object.__setattr__(self, "atom_edges", atom_edges)
+        self._set(rank, radius, weights, starts, lengths, atom_components,
+                  atom_edges)
 
     @property
     def vertices(self) -> tuple[tuple[RoundGraph, int], ...]:
@@ -150,13 +131,14 @@ def realize(theta: WeightSystem) -> SCGraphQuotient:
     of the first generator, realizing the weight as copies of a cyclic
     subgroup's current.
     """
-    weights = tuple((t, int(w)) for t, w in theta.table.entries.items())
+    table = theta.table
+    weights = tuple((t, int(w)) for t, w in table.entries.items())
     weight = dict(weights)
     # A row side is its round-graphs and their offsets within it;
     # `seats[t]` holds t's offset and the other side, per side t is on.
     rows = []
     seats: dict[RoundGraph, list] = {t: [] for t in weight}
-    for gen, key, outs, ins in lens_rows(tuple(weight), theta.rank):
+    for gen, key, outs, ins in lens_rows(tuple(weight), table.rank):
         sides = [(ts, list(accumulate([0] + [weight[t] for t in ts])))
                  for ts in (outs, ins)]
         (_, lhs), (_, rhs) = sides
@@ -186,7 +168,7 @@ def realize(theta: WeightSystem) -> SCGraphQuotient:
         starts.extend(begin + b for b in bounds[:-1])
         lengths.extend(map(sub, bounds[1:], bounds))
     # No row meets the bare root of radius 0: each atom gets an x-loop.
-    edges = [] if theta.radius else [(a, a, 1) for a in range(len(starts))]
+    edges = [] if table.radius else [(a, a, 1) for a in range(len(starts))]
     for gen, outs, ins in rows:
         edges.extend(zip(chain.from_iterable(map(atoms.__getitem__, outs)),
                          chain.from_iterable(map(atoms.__getitem__, ins)),
@@ -202,7 +184,7 @@ def realize(theta: WeightSystem) -> SCGraphQuotient:
         root: [] for root in components}
     for edge in edges:
         component_edges[parent[edge[0]]].append(edge)
-    return SCGraphQuotient(theta.rank, theta.radius, weights, starts,
+    return SCGraphQuotient(table.rank, table.radius, weights, starts,
                            lengths, tuple(map(tuple, components.values())),
                            list(component_edges.values()))
 
@@ -238,10 +220,10 @@ def decompose(quotient: SCGraphQuotient) -> RationalCurrent:
                                 for (s, d, l) in edges])] += lengths[comp[0]]
     shapes: Counter = Counter()
     for (n, edges), count in forms.items():
-        form = CoreGraph._proved(rank, n, edges, None,
+        form = CoreGraph._stored(rank, n, edges, None,
                                  signed_adjacency(rank, n, edges))
         shapes[_canonical_key(form)] += count
-    terms = [(count, Subgroup.from_core(CoreGraph._proved(
+    terms = [(count, Subgroup.from_core(CoreGraph._stored(
         rank, n, edges, 0, signed_adjacency(rank, n, edges))))
              for (n, edges), count in shapes.items()]
     return RationalCurrent(terms, rank)
@@ -249,4 +231,4 @@ def decompose(quotient: SCGraphQuotient) -> RationalCurrent:
 
 def verify_realization(theta: WeightSystem, current: RationalCurrent) -> bool:
     """True iff the current's cylinder table equals theta entrywise."""
-    return cylinder_table(current, theta.radius) == theta.table
+    return cylinder_table(current, theta.table.radius) == theta.table

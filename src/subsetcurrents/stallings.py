@@ -8,8 +8,8 @@ convex hull of the subgroup's limit set).  The hull-core of the trivial
 subgroup is the empty graph.
 
 `_prune` is the one prune, on signed-adjacency rows, of every graph the
-package builds, and `join_least` the one union-find that finds their
-components, each rooted at its least vertex.
+package prunes, and `join_least` the one union-find that finds the
+components of every graph it builds, each rooted at its least vertex.
 """
 
 from __future__ import annotations
@@ -63,13 +63,12 @@ class CoreGraph(_Frozen):
     does, and the graph may be empty.
     """
 
-    __slots__ = ("rank", "num_vertices", "edges", "basepoint",
-                 "_step", "_hash")
+    __slots__ = ("rank", "num_vertices", "edges", "basepoint", "_step")
 
     def __init__(self, rank: int, num_vertices: int,
                  edges: Iterable[tuple[int, int, int]],
                  basepoint: Optional[int]):
-        edges = tuple(sorted(edges))
+        edges = tuple(sorted(map(tuple, edges)))
         _check_rank(rank)
         if num_vertices < 0:
             raise ValueError(f"vertex count {num_vertices} is negative")
@@ -88,31 +87,7 @@ class CoreGraph(_Frozen):
         for v in range(num_vertices):
             if v != basepoint and len(step[v]) < 2:
                 raise ValueError(f"vertex {v} has degree {len(step[v])} < 2")
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "num_vertices", num_vertices)
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "basepoint", basepoint)
-        object.__setattr__(self, "_step", step)
-        object.__setattr__(self, "_hash",
-                           hash((rank, num_vertices, edges, basepoint)))
-
-    @classmethod
-    def _proved(cls, rank: int, num_vertices: int,
-                edges: tuple[tuple[int, int, int], ...],
-                basepoint: Optional[int],
-                step: list[dict[int, int]]) -> "CoreGraph":
-        """A CoreGraph from fields its builder proved: `edges` sorted and
-        `step` their signed adjacency, of a folded connected graph whose
-        vertices but the basepoint have degree at least 2."""
-        c = object.__new__(cls)
-        object.__setattr__(c, "rank", rank)
-        object.__setattr__(c, "num_vertices", num_vertices)
-        object.__setattr__(c, "edges", edges)
-        object.__setattr__(c, "basepoint", basepoint)
-        object.__setattr__(c, "_step", step)
-        object.__setattr__(c, "_hash",
-                           hash((rank, num_vertices, edges, basepoint)))
-        return c
+        self._set(rank, num_vertices, edges, basepoint, step)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, CoreGraph)
@@ -122,7 +97,8 @@ class CoreGraph(_Frozen):
                 and self.basepoint == other.basepoint)
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((self.rank, self.num_vertices, self.edges,
+                     self.basepoint))
 
     def __repr__(self) -> str:
         bp = self.basepoint
@@ -146,22 +122,33 @@ class CoreGraph(_Frozen):
         return v
 
 
+def _checked_edges(rank: int, num_vertices: int,
+                   edges: Iterable[tuple[int, int, int]]
+                   ) -> Iterator[tuple[int, int, int]]:
+    """Each edge in turn, once it joins two of the vertices
+    0..num_vertices-1 under a label in 1..rank; any other edge raises
+    ValueError."""
+    for edge in edges:
+        s, d, l = edge
+        if not (0 <= s < num_vertices and 0 <= d < num_vertices):
+            raise ValueError(f"edge {edge} references a missing vertex")
+        if not 1 <= l <= rank:
+            raise ValueError(f"edge label {l} out of range for rank {rank}")
+        yield edge
+
+
 def signed_adjacency(rank: int, num_vertices: int,
                      edges: Iterable[tuple[int, int, int]]
                      ) -> list[dict[int, int]]:
     """Each vertex's map from signed letter to neighbour: an edge
     (s, d, l) reads l from s to d and -l from d to s.
 
-    Every edge must join two of the vertices 0..num_vertices-1 under a
-    label in 1..rank, and a graph is folded exactly when no vertex reads
-    one signed letter twice; any other graph raises ValueError.
+    Every edge must pass `_checked_edges`, and a graph is folded exactly
+    when no vertex reads one signed letter twice; any other graph raises
+    ValueError.
     """
     step: list[dict[int, int]] = [{} for _ in range(num_vertices)]
-    for (s, d, l) in edges:
-        if not (0 <= s < num_vertices and 0 <= d < num_vertices):
-            raise ValueError(f"edge {(s, d, l)} references a missing vertex")
-        if not 1 <= l <= rank:
-            raise ValueError(f"edge label {l} out of range for rank {rank}")
+    for (s, d, l) in _checked_edges(rank, num_vertices, edges):
         if l in step[s] or -l in step[d]:
             raise ValueError(f"graph is not folded at edge {(s, d, l)}")
         step[s][l] = d
@@ -286,10 +273,16 @@ def _prune(rows: Sequence[Mapping[int, int]], protect: Optional[int]
                 for v in compress(range(n), alive)]
     else:
         new_id = list(range(n))
+    return _sorted_edges(rows), rows, new_id
+
+
+def _sorted_edges(rows: Sequence[Mapping[int, int]]
+                  ) -> list[tuple[int, int, int]]:
+    """The sorted edges (s, d, l) of a folded graph given by its rows."""
     edges = [(s, d, m) for s, out in enumerate(rows)
              for m, d in out.items() if m > 0]
     edges.sort()
-    return edges, rows, new_id
+    return edges
 
 
 def fold(g: LabeledGraph) -> CoreGraph:
@@ -311,12 +304,7 @@ def fold(g: LabeledGraph) -> CoreGraph:
         raise ValueError(f"basepoint {base} out of range")
     rows: list[dict[int, int]] = [{} for _ in range(n)]
     pending: list[tuple[int, int]] = []
-    for edge in g.edges:
-        if not (0 <= edge[0] < n and 0 <= edge[1] < n):
-            raise ValueError(f"edge {edge} references a missing vertex")
-        if not 1 <= edge[2] <= rank:
-            raise ValueError(
-                f"edge label {edge[2]} out of range for rank {rank}")
+    for edge in _checked_edges(rank, n, g.edges):
         _lay(rows, pending, *edge)
     rows, mapping = _fold_rows(rows, pending)
     base = mapping[base] if base is not None else None
@@ -339,9 +327,14 @@ def core_from_generators(gens: Sequence[WordLike], rank: int) -> CoreGraph:
 
     `_lay` writes the middles straight into the fold's rows, and the core
     is stored unchecked: every path is laid from the basepoint, so it is
-    connected; `_fold_rows` folds it; `_prune`, sparing the basepoint,
-    leaves every other degree >= 2, sorts the edges and gives their
-    signed adjacency as the rows.
+    connected, and `_fold_rows` folds it, its rows the signed adjacency.
+    No prune is needed, since every vertex but the basepoint already has
+    degree >= 2.  Each laid vertex is an inner vertex of its generator's
+    closed path at the basepoint, and every folded vertex is the image of
+    a laid one.  Folding maps that path to one reading the same reduced
+    word, so at the inner vertex the path arrives by reading some m and
+    leaves by reading m' != -m: the vertex reads the two signed letters
+    -m and m', and its degree is at least 2.
     """
     _check_rank(rank)
     # First neighbour laid per signed letter; the rows may be unfolded.
@@ -375,15 +368,15 @@ def core_from_generators(gens: Sequence[WordLike], rank: int) -> CoreGraph:
         _lay(step, pending, head, tail, letters[j])
     # The basepoint is vertex 0, the least of its class, so it stays 0.
     rows, _ = _fold_rows(step, pending)
-    edges, rows, _ = _prune(rows, 0)
-    return CoreGraph._proved(rank, len(rows), tuple(edges), 0, rows)
+    return CoreGraph._stored(rank, len(rows), tuple(_sorted_edges(rows)), 0,
+                             rows)
 
 
 def hull_core(c: CoreGraph) -> CoreGraph:
     """Prune degree-<=1 vertices iteratively; the basepoint has no immunity."""
     edges, step, _ = _prune(c._step, None)
     # Deleting leaves keeps a folded core connected and folded.
-    return CoreGraph._proved(c.rank, len(step), tuple(edges), None, step)
+    return CoreGraph._stored(c.rank, len(step), tuple(edges), None, step)
 
 
 def contains(c: CoreGraph, w: WordLike) -> bool:
@@ -457,8 +450,8 @@ def _tree_basis(rank: int, edges: Iterable[tuple[int, int, int]],
             v = parent[v]
         return up
 
-    return [Word._reduced(rank, tuple(climb(s)[::-1] + [l]
-                                      + [-m for m in climb(d)]))
+    return [Word._stored(rank, tuple(climb(s)[::-1] + [l]
+                                     + [-m for m in climb(d)]))
             for (s, d, l) in edges if reach[d] != l and reach[s] != -l]
 
 
@@ -528,15 +521,12 @@ def label_isomorphic(a: CoreGraph, b: CoreGraph) -> bool:
 class Subgroup(_Frozen):
     """A finitely generated subgroup, with lazily derived core and hull."""
 
-    __slots__ = ("rank", "generators", "_core", "_hull")
+    __slots__ = ("generators", "rank", "_core", "_hull")
 
     def __init__(self, generators: Iterable[WordLike], rank: int):
         _check_rank(rank)
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "generators",
-                           tuple(_as_word(w, rank) for w in generators))
-        object.__setattr__(self, "_core", None)
-        object.__setattr__(self, "_hull", None)
+        self._set(tuple(_as_word(w, rank) for w in generators), rank, None,
+                  None)
 
     @classmethod
     def full(cls, rank: int) -> "Subgroup":
@@ -545,18 +535,7 @@ class Subgroup(_Frozen):
     @classmethod
     def from_core(cls, core: CoreGraph) -> "Subgroup":
         """The subgroup `core` reads; keeps `core`."""
-        return cls._with_basis(core, basis_of(core))
-
-    @classmethod
-    def _with_basis(cls, core: CoreGraph, basis: list[Word]) -> "Subgroup":
-        """The subgroup `core` reads, stored unchecked with `basis`, which
-        its builder proved equal to `basis_of(core)`."""
-        sub = object.__new__(cls)
-        object.__setattr__(sub, "rank", core.rank)
-        object.__setattr__(sub, "generators", tuple(basis))
-        object.__setattr__(sub, "_core", core)
-        object.__setattr__(sub, "_hull", None)
-        return sub
+        return cls._stored(tuple(basis_of(core)), core.rank, core, None)
 
     @property
     def core(self) -> CoreGraph:

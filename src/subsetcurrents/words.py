@@ -46,11 +46,25 @@ def free_reduce(letters: Iterable[int]) -> tuple[int, ...]:
 
 
 class _Frozen:
-    """Base of the package's immutable values: a constructor sets each
-    slot once through object.__setattr__, and nothing assigns or deletes
-    one afterwards."""
+    """Base of the package's immutable values, and the one code that
+    stores one.  A value class lists its constructor's parameters as its
+    first slots, in order, then its derived fields; `_set` fills every
+    slot once, in that order, and nothing assigns or deletes one
+    afterwards.  A constructor checks its input, then calls `_set`;
+    `_stored` allocates a value from fields its builder proved, with no
+    check."""
 
     __slots__ = ()
+
+    def _set(self, *fields) -> None:
+        for name, value in zip(self.__slots__, fields):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _stored(cls, *fields):
+        value = object.__new__(cls)
+        value._set(*fields)
+        return value
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -59,11 +73,12 @@ class _Frozen:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __reduce__(self):
-        # pickle and copy rebuild the value through its constructor, whose
-        # parameters are slots of the same names; _hash is recomputed.
+        # pickle and copy rebuild the value through its constructor from
+        # its first slots, the constructor's parameters; the constructor
+        # derives the rest again.
         code = type(self).__init__.__code__
         return type(self), tuple(getattr(self, name) for name in
-                                 code.co_varnames[1:code.co_argcount])
+                                 self.__slots__[:code.co_argcount - 1])
 
 
 class Word(_Frozen):
@@ -73,24 +88,13 @@ class Word(_Frozen):
     reduction) and `~` inverts.
     """
 
-    __slots__ = ("rank", "letters", "_hash")
+    __slots__ = ("rank", "letters")
 
     def __init__(self, rank: int, letters: Iterable[int] = ()):
         letters = _check_letters(letters, rank)
         if free_reduce(letters) != letters:
             raise ValueError(f"letters {letters} are not freely reduced")
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "letters", letters)
-        object.__setattr__(self, "_hash", hash((rank, letters)))
-
-    @classmethod
-    def _reduced(cls, rank: int, letters: tuple[int, ...]) -> "Word":
-        """A Word from letters already checked and freely reduced."""
-        w = object.__new__(cls)
-        object.__setattr__(w, "rank", rank)
-        object.__setattr__(w, "letters", letters)
-        object.__setattr__(w, "_hash", hash((rank, letters)))
-        return w
+        self._set(rank, letters)
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -99,7 +103,7 @@ class Word(_Frozen):
         return iter(self.letters)
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((self.rank, self.letters))
 
     def __eq__(self, other) -> bool:
         return (
@@ -206,7 +210,7 @@ def parse_word(text: str, rank: int) -> Word:
             if power < 0:
                 m, power = -m, -power
             letters.extend([m] * power)
-    return Word._reduced(rank, free_reduce(letters))
+    return Word._stored(rank, free_reduce(letters))
 
 
 @lru_cache(maxsize=None)

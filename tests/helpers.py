@@ -29,7 +29,7 @@ from subsetcurrents.words import (_check_letters, _signed_letters,
 
 def reduce(letters: Iterable[int], rank: int) -> Word:
     """Freely reduce a raw signed-index sequence into a Word."""
-    return Word._reduced(rank, free_reduce(_check_letters(letters, rank)))
+    return Word._stored(rank, free_reduce(_check_letters(letters, rank)))
 
 
 def cyclic_reduce(w: Word) -> tuple[Word, Word]:
@@ -727,13 +727,13 @@ def reference_realize(theta: WeightSystem) -> Realized:
         raise AdmissibilityError(*violations[0])
     vertices: list[tuple[RoundGraph, int]] = []
     for t in table.support():
-        for i in range(1, int(theta.table[t]) + 1):
+        for i in range(1, int(table[t]) + 1):
             vertices.append((t, i))
     index = {v: k for k, v in enumerate(vertices)}
     # No vertex of radius 0 reads a letter: each copy gets an x-loop.
-    edges = [] if theta.radius else [(k, k, 1) for k in range(len(vertices))]
-    for gen in range(1, theta.rank + 1):
-        lens = lens_ball(theta.rank, theta.radius, gen)
+    edges = [] if table.radius else [(k, k, 1) for k in range(len(vertices))]
+    for gen in range(1, table.rank + 1):
+        lens = lens_ball(table.rank, table.radius, gen)
         out_side: dict[LensKey, list[tuple[RoundGraph, int]]] = {}
         in_side: dict[LensKey, list[tuple[RoundGraph, int]]] = {}
         for v in vertices:
@@ -758,7 +758,7 @@ def reference_realize(theta: WeightSystem) -> Realized:
     # which also checks that the graph is folded.
     edges.sort()
     components = connected_components(
-        signed_adjacency(theta.rank, len(vertices), edges))
+        signed_adjacency(table.rank, len(vertices), edges))
     return (tuple(vertices), components,
             edges_by_component(components, edges))
 

@@ -1,10 +1,15 @@
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from importlib import import_module
+from pathlib import Path
 
 import pytest
 
+import subsetcurrents
 from subsetcurrents import (Subgroup, WeightTable, cylinder_table,
                             graph_from_text, label_isomorphic,
                             round_graph_to_text, subgroup_from_text,
@@ -594,3 +599,40 @@ def test_a_kernel_gap_past_the_digit_cap_is_a_named_error(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == \
         "error: no kernel point within 1/1000 of the target\n"
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    # A round-graph hashes its key bytes, whose hash is seeded per
+    # process, so a set of round-graphs iterates in a different order
+    # under each seed; `cylinders`, `realize` and `approx` must print the
+    # same bytes, and `realize` write the same files, under any seed.
+    subs = [write_sub(tmp_path, f"s{k}.txt", gens) for k, gens in
+            enumerate((["xy", "xY"], ["xxy", "yX"], ["xyxY", "yy"]))]
+    current = RationalCurrent([(1, subgroup_from_text(path.read_text()))
+                               for path in subs])
+    table = tmp_path / "table.txt"
+    table.write_text(table_to_text(cylinder_table(current, 2)))
+    noisy = tmp_path / "noisy.txt"
+    exact = cylinder_table(current.scale(Fraction(1, 3)), 2)
+    noisy.write_text("rank 2\nradius 2\n" + "".join(
+        f"{round_graph_to_text(t)} = {value!r}\n"
+        for t, value in noised_floats(exact, random.Random(1)).items()))
+    src = str(Path(subsetcurrents.__file__).parents[1])
+    outputs = []
+    for seed in ("0", "1"):
+        out = tmp_path / f"out{seed}"
+        script = (
+            "import sys\n"
+            "from subsetcurrents.cli import main\n"
+            f"main(['cylinders', *{[str(p) for p in subs]!r}, "
+            "'--radius', '2'])\n"
+            f"main(['realize', {str(table)!r}, '--outdir', {str(out)!r}])\n"
+            f"main(['approx', {str(noisy)!r}, '--epsilon', '1/100'])\n")
+        run = subprocess.run([sys.executable, "-c", script],
+                             capture_output=True, check=True,
+                             env={**os.environ, "PYTHONPATH": src,
+                                  "PYTHONHASHSEED": seed})
+        files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        assert b"matching: ok" in run.stdout and len(files) > 2
+        outputs.append((run.stdout, files))
+    assert outputs[0] == outputs[1]

@@ -15,7 +15,7 @@ from subsetcurrents import (RationalCurrent, RoundGraph, Subgroup, WeightTable,
                             table_to_text, validate_round_graph)
 from subsetcurrents import cylinders
 from subsetcurrents.approx import subgroup_Hn
-from subsetcurrents.cylinders import _traced_words, lens_keys
+from subsetcurrents.cylinders import _order_key, _traced_words, lens_keys
 from subsetcurrents.errors import AdmissibilityError, FileFormatError
 from subsetcurrents.stallings import basis_of
 
@@ -473,7 +473,8 @@ def test_traced_balls_equal_the_checked_round_graphs(hull, radius):
     for v in range(hull.num_vertices):
         words = _traced_words(hull, v, radius)
         assert validate_round_graph(words, radius, rank)
-        traced = RoundGraph._traced(rank, radius, words)
+        traced = RoundGraph._stored(rank, radius, words, frozenset(words),
+                                    _order_key(words))
         checked = RoundGraph(rank, radius, words)
         assert traced.words == checked.words == words
         assert traced.word_set == checked.word_set

@@ -6,6 +6,7 @@ from collections import Counter
 from pathlib import Path
 
 import subsetcurrents
+from subsetcurrents.words import _Frozen
 
 PACKAGE_DIR = Path(subsetcurrents.__file__).parent
 ROOT = Path(__file__).resolve().parents[1]
@@ -224,32 +225,62 @@ def test_lens_rows_has_one_reader_per_use():
                                      "realize.py:realize"]
 
 
+def _stored_builders() -> dict[str, list[str]]:
+    """Each package function that calls `<Class>._stored`, as
+    file:function, by class; `cls._stored` in a classmethod counts for
+    the class that defines it."""
+    builders: dict[str, dict[str, None]] = {}
+    for path, tree in package_trees():
+        owners = {id(f): c.name for c in ast.walk(tree)
+                  if isinstance(c, ast.ClassDef) for f in c.body}
+        for f in ast.walk(tree):
+            if not isinstance(f, ast.FunctionDef):
+                continue
+            for n in ast.walk(f):
+                if isinstance(n, ast.Call) and isinstance(
+                        n.func, ast.Attribute) and n.func.attr == "_stored":
+                    owner = ast.unparse(n.func.value)
+                    owner = owners[id(f)] if owner == "cls" else owner
+                    builders.setdefault(owner, {})[
+                        f"{path.name}:{f.name}"] = None
+    return {owner: list(callers) for owner, callers in builders.items()}
+
+
 def test_each_class_stored_as_given_has_one_builder():
-    # `SCGraphQuotient`, `ProductGraph`, the `CoreGraph` of an
-    # intersection, of a hull-core, of `core_from_generators` and of a
-    # `decompose` form or term, the `Subgroup` of an intersection or of
-    # `from_core` with its basis (`_with_basis`) and the traced
-    # `RoundGraph` of a hull-core ball store their fields unchecked,
-    # because the one function that builds each proves them by how it
-    # builds them; a second builder would bring in fields nothing proved.
+    # `SCGraphQuotient` and `ProductGraph` store what their one builder
+    # hands their constructor.  The `CoreGraph` of an intersection, of a
+    # hull-core, of `core_from_generators` and of a `decompose` form or
+    # term, the `Subgroup` of an intersection or of `from_core`, the
+    # traced `RoundGraph` of a hull-core ball and the `Word` of a parse or
+    # of a tree basis are stored unchecked with `<Class>._stored`, because
+    # the one function that builds each proves its fields by how it builds
+    # them; a second builder would bring in fields nothing proved.
     # `core_from_generators` lays every path from the basepoint
-    # (connected), folds them (folded) and prunes with the basepoint
-    # spared (every other degree >= 2, sorted edges, rows their signed
-    # adjacency); `decompose` renumbers components that `realize` proved
-    # folded, connected and of degree >= 2, and builds their rows once
-    # with `signed_adjacency`.  Every other `CoreGraph`, `Subgroup` and
-    # `RoundGraph` runs the public constructor's checks.
+    # (connected) and folds them (folded, rows the signed adjacency, every
+    # degree but the basepoint's >= 2); `decompose` renumbers components
+    # that `realize` proved folded, connected and of degree >= 2, and
+    # builds their rows once with `signed_adjacency`.  Every other value
+    # runs its public constructor's checks.
     assert _callers("SCGraphQuotient") == ["realize.py:realize"]
     assert _callers("ProductGraph") == ["fiber.py:fiber_product"]
-    assert _callers("_proved") == ["fiber.py:intersection",
-                                   "realize.py:decompose",
-                                   "stallings.py:core_from_generators",
-                                   "stallings.py:hull_core"]
-    assert _callers("_with_basis") == ["fiber.py:intersection",
-                                       "stallings.py:from_core"]
-    assert _callers("_traced") == ["cylinders.py:cylinder_table"]
-    assert _callers("_store") == ["cylinders.py:__init__",
-                                  "cylinders.py:_traced"]
+    assert _stored_builders() == {
+        "CoreGraph": ["fiber.py:intersection", "realize.py:decompose",
+                      "stallings.py:core_from_generators",
+                      "stallings.py:hull_core"],
+        "Subgroup": ["fiber.py:intersection", "stallings.py:from_core"],
+        "RoundGraph": ["cylinders.py:cylinder_table"],
+        "Word": ["stallings.py:_tree_basis", "words.py:parse_word"]}
+    # The unchecked builders that `_stored` replaced, and the eager hash
+    # slots, are gone.
+    gone = {"_proved", "_reduced", "_traced", "_store", "_with_basis",
+            "_hash"}
+    for path, tree in package_trees():
+        defined = {node.name for node in ast.walk(tree)
+                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        strings = {node.value for node in ast.walk(tree)
+                   if isinstance(node, ast.Constant)}
+        assert gone.isdisjoint(set(_names(tree)) | defined | strings), \
+            path.name
     # `realize` builds its components by union-find, with no adjacency
     # pass, no breadth-first search and no second shape key.
     (tree,) = [tree for path, tree in package_trees()
@@ -264,7 +295,7 @@ def test_each_class_stored_as_given_has_one_builder():
 
 def test_only_outside_input_is_validated():
     # A core that `core_from_generators` or `decompose` builds is proved by
-    # how it is built (see the `_proved` pin above), so only the two
+    # how it is built (see the `_stored` pin above), so only the two
     # entries for outside graphs run the checked constructor: `fold` on a
     # `LabeledGraph` and `graph_from_text` on a file.  `core_from_generators`
     # lays its words straight into the fold's rows, with no `LabeledGraph`
@@ -314,17 +345,23 @@ def test_one_rule_reads_a_basis_off_a_breadth_first_tree():
                                        "stallings.py:basis_of"]
     for node in (_function("fiber.py", "intersection"),
                  _function("stallings.py", "basis_of")):
-        assert {"_reduced", "tree", "inverse"}.isdisjoint(_names(node))
+        # Neither builds a basis word: `_tree_basis` alone does (see the
+        # `_stored` pin above).
+        assert {"tree", "inverse"}.isdisjoint(_names(node))
+        assert not _calls(node, "Word")
 
 
 def test_one_prune_and_one_component_join():
     # Every graph the package builds is pruned by `stallings._prune` and
     # has its components joined by `stallings.join_least`; a second prune
     # or union-find would be a second place to keep in step.
+    # `core_from_generators` has nothing to prune (see its docstring), so
+    # it only lists its sorted edges, with the code `_prune` lists them by.
     assert _callers("_prune") == ["fiber.py:intersection",
                                   "stallings.py:fold",
-                                  "stallings.py:core_from_generators",
                                   "stallings.py:hull_core"]
+    assert _callers("_sorted_edges") == ["stallings.py:_prune",
+                                         "stallings.py:core_from_generators"]
     assert _callers("join_least") == ["fiber.py:fiber_product",
                                       "realize.py:realize",
                                       "stallings.py:__init__"]
@@ -379,3 +416,39 @@ def test_immutability_lives_in_one_base():
     assert "_Frozen" in bases
     assert overriders == []
     assert unfrozen == []
+
+
+def test_only_the_store_and_two_lazy_caches_set_a_slot():
+    # `_Frozen._set` stores every field of every value; the only other
+    # writes are the two caches a `Subgroup` fills on first read.
+    sites = []
+    for path, tree in package_trees():
+        functions = [node for node in ast.walk(tree)
+                     if isinstance(node, ast.FunctionDef)]
+        owner = {id(n): f.name for f in functions for n in ast.walk(f)}
+        sites.extend(f"{path.name}:{owner.get(id(n), '<outside>')}"
+                     for n in ast.walk(tree) if isinstance(n, ast.Call)
+                     and isinstance(n.func, ast.Attribute)
+                     and n.func.attr == "__setattr__"
+                     and isinstance(n.func.value, ast.Name)
+                     and n.func.value.id == "object")
+    assert sorted(sites) == ["stallings.py:core", "stallings.py:hull",
+                             "words.py:_set"]
+
+
+def test_constructor_parameters_are_the_first_slots():
+    # `_set` fills the slots in order, constructors pass their parameters
+    # first, and `__reduce__` rebuilds a value from its first slots.
+    classes = _Frozen.__subclasses__()
+    assert len(classes) == 9
+    for cls in classes:
+        code = cls.__init__.__code__
+        params = code.co_varnames[1:code.co_argcount]
+        assert cls.__slots__[:len(params)] == params, cls.__name__
+
+
+def test_one_rule_checks_every_edge():
+    # An edge's range and label are checked in one place, for the checked
+    # constructor's rows and for `fold`'s input alike.
+    assert _callers("_checked_edges") == ["stallings.py:signed_adjacency",
+                                          "stallings.py:fold"]

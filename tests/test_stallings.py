@@ -223,7 +223,7 @@ def test_hull_core_matches_the_checked_constructor(sub):
     c = sub.core
     n, edges, _ = reference_prune_edges(c.num_vertices, c.edges, None)
     hull, checked = hull_core(c), CoreGraph(c.rank, n, edges, None)
-    assert hull == checked and hull._hash == checked._hash
+    assert hull == checked and hash(hull) == hash(checked)
     assert (hull.rank, hull.num_vertices, hull.edges, hull.basepoint,
             hull._step) == (checked.rank, checked.num_vertices,
                             checked.edges, checked.basepoint, checked._step)
@@ -627,6 +627,15 @@ def test_core_graph_validation():
     # No graph has -3 vertices; counted as one, it had reduced rank 3.
     with pytest.raises(ValueError, match="vertex count -3 is negative"):
         CoreGraph(2, -3, [], None)
+
+
+def test_core_graph_stores_each_edge_as_a_tuple():
+    # A core hashes its fields when asked, so an edge given as a list is
+    # stored as a tuple: the core is hashable and equals the tuple form.
+    listed = CoreGraph(2, 1, [[0, 0, 1], [0, 0, 2]], 0)
+    built = CoreGraph(2, 1, [(0, 0, 2), (0, 0, 1)], 0)
+    assert listed.edges == built.edges == ((0, 0, 1), (0, 0, 2))
+    assert listed == built and hash(listed) == hash(built)
 
 
 def test_labeled_graph_refuses_a_negative_vertex_count():

@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 import subsetcurrents
 from subsetcurrents import (CoreGraph, ProductGraph, RationalCurrent,
                             Subgroup, WeightTable, Word, cylinder_table,
-                            fiber_product, format_word, integerize,
-                            label_isomorphic, parse_word, realize)
+                            decompose, fiber_product, format_word,
+                            integerize, intersection, label_isomorphic,
+                            parse_word, realize)
 from subsetcurrents.errors import BasisMismatchError, LetterRangeError
 from subsetcurrents.words import MAX_RANK, free_reduce
 
@@ -203,22 +204,33 @@ def test_cyclic_reduce_roundtrip(w):
 
 
 def _value_instances():
-    """One instance of each immutable value class of the package."""
+    """One instance of each immutable value class of the package, then
+    one value from each unchecked build: the tests below check that every
+    slot of each is set, and a copy or a pickle rebuilds the value
+    through its checked constructor, so each must equal and hash the same
+    as its checked twin."""
     sub = Subgroup(["x", "yxY"], 2)
     table = cylinder_table(RationalCurrent.eta(sub), 1)
     theta, _scale = integerize(table)
-    return [Word(2, (1, 2)), sub.core, sub,
-            fiber_product(sub.hull, sub.hull), axis(2, 1, 1), table,
-            RationalCurrent.eta(sub), theta, realize(theta)]
+    meet = intersection(sub, Subgroup(["xx", "y"], 2))
+    checked = [Word(2, (1, 2)), sub.core, sub,
+               fiber_product(sub.hull, sub.hull), axis(2, 1, 1), table,
+               RationalCurrent.eta(sub), theta, realize(theta)]
+    stored = {"hull": sub.hull, "intersection": meet,
+              "intersection-core": meet.core, "traced": next(iter(table)),
+              "decompose-core": decompose(realize(theta)).terms[0][1].core,
+              "parsed": parse_word("xyX", 2)}
+    return ([pytest.param(v, id=type(v).__name__) for v in checked]
+            + [pytest.param(v, id=f"{type(v).__name__}-{name}")
+               for name, v in stored.items()])
 
 
-@pytest.mark.parametrize("value", _value_instances(),
-                         ids=lambda v: type(v).__name__)
+@pytest.mark.parametrize("value", _value_instances())
 def test_values_refuse_assignment_and_deletion(value):
     cls = type(value)
     assert not hasattr(value, "__dict__")
     slots = [name for c in cls.__mro__ for name in getattr(c, "__slots__", ())]
-    assert slots
+    assert slots and all(hasattr(value, name) for name in slots)
     message = f"^{cls.__name__} is immutable$"
     for name in slots + ["unknown"]:
         before = getattr(value, name, None)
@@ -230,19 +242,18 @@ def test_values_refuse_assignment_and_deletion(value):
 
 
 def _fields(value):
-    """The value's slots, _hash aside, for classes without __eq__; a
-    Subgroup, also inside a current, by its generators and core."""
+    """The value's slots, for classes without __eq__; a Subgroup, also
+    inside a current, by its generators and core."""
     if isinstance(value, Subgroup):
         return value.rank, value.generators, value.core
     if isinstance(value, RationalCurrent):
         return value.rank, [(c, _fields(sub)) for c, sub in value.terms]
     cls = type(value)
     return {name: getattr(value, name) for c in cls.__mro__
-            for name in getattr(c, "__slots__", ()) if name != "_hash"}
+            for name in getattr(c, "__slots__", ())}
 
 
-@pytest.mark.parametrize("value", _value_instances(),
-                         ids=lambda v: type(v).__name__)
+@pytest.mark.parametrize("value", _value_instances())
 def test_values_survive_pickle_and_copy(value):
     for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value),
                  copy.deepcopy(value)):
