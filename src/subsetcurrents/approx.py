@@ -266,18 +266,17 @@ def integerize(table: WeightTable) -> tuple[WeightSystem, int]:
 
 def _matching_matrix(columns: Sequence[RoundGraph], rank: int
                      ) -> list[dict[int, int]]:
-    """The matching equations over `columns` as rows {column: nonzero
-    coefficient}, in `lens_rows` order: row (u, J) is +1 on its `outs` and
-    -1 on its `ins` (each side lists a column once, and one on both sides
-    is left out), and an empty row is dropped.  Admissible vectors over
-    the columns are exactly the
-    nonnegative kernel points, since the rows of the full system that meet
-    no column vanish on them identically."""
-    index = {t: j for j, t in enumerate(columns)}
+    """The matching equations over `columns` as rows {j: nonzero
+    coefficient}, j a position in `columns` as in `lens_rows`, in
+    `lens_rows` order: row (u, J) is +1 on its `outs` and -1 on its
+    `ins` (each side lists a column once, and one on both sides is left
+    out), and an empty row is dropped.  Admissible vectors over the
+    columns are exactly the nonnegative kernel points, since the rows of
+    the full system that meet no column vanish on them identically."""
     rows = []
     for _gen, _key, outs, ins in lens_rows(columns, rank):
-        row = dict.fromkeys(map(index.__getitem__, outs), 1)
-        for j in map(index.__getitem__, ins):
+        row = dict.fromkeys(outs, 1)
+        for j in ins:
             if row.pop(j, None) is None:
                 row[j] = -1
         if row:
@@ -293,10 +292,11 @@ def approximate_table(table: WeightTable, tolerance: Rational
     kernel table within `tolerance` of the input (sup-norm over
     round-graphs) and theta = M * exact.
     """
-    snapped = {t: rationalize(v) for t, v in table.entries.items()}
-    v = rational_kernel_point(_matching_matrix(list(snapped), table.rank),
-                              snapped.values(), tolerance)
-    exact = WeightTable(table.rank, table.radius, dict(zip(snapped, v)))
+    support = table.support()
+    snapped = list(map(rationalize, table.entries.values()))
+    v = rational_kernel_point(_matching_matrix(support, table.rank),
+                              snapped, tolerance)
+    exact = WeightTable(table.rank, table.radius, dict(zip(support, v)))
     theta, scale = integerize(exact)
     return theta, scale, exact
 

@@ -66,9 +66,9 @@ def validate_round_graph(words: Iterable[WordTuple], radius: int,
     ws = set()
     for w in words:
         w = tuple(w)
-        if len(w) > radius:
+        if type(radius) is not int or len(w) > radius:
             return False
-        if any(m == 0 or abs(m) > rank for m in w):
+        if any(type(m) is not int or m == 0 or abs(m) > rank for m in w):
             return False
         if free_reduce(w) != w:
             return False
@@ -96,7 +96,7 @@ def validate_round_graph(words: Iterable[WordTuple], radius: int,
 class RoundGraph(_Frozen):
     """Canonical rooted subtree of the radius-r ball; hashable table key."""
 
-    __slots__ = ("rank", "radius", "words", "word_set", "_key")
+    __slots__ = ("rank", "radius", "words", "_key")
 
     def __init__(self, rank: int, radius: int, words: Iterable[WordTuple]):
         _check_rank(rank)
@@ -105,7 +105,7 @@ class RoundGraph(_Frozen):
             raise ValueError(
                 f"not a valid round-graph at radius {radius}: {words}")
         words = _canonical_words(words)
-        self._set(rank, radius, words, frozenset(words), _order_key(words))
+        self._set(rank, radius, words, _order_key(words))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, RoundGraph)
@@ -121,9 +121,6 @@ class RoundGraph(_Frozen):
     def __lt__(self, other: "RoundGraph") -> bool:
         return self._key < other._key
 
-    def __contains__(self, word: WordTuple) -> bool:
-        return tuple(word) in self.word_set
-
     def __repr__(self) -> str:
         return f"RoundGraph(r={self.radius}, {round_graph_to_text(self)!r})"
 
@@ -137,7 +134,7 @@ def enumerate_round_graphs(rank: int, radius: int) -> Iterator[RoundGraph]:
     cheap per item, and no radius is refused.
     """
     _check_rank(rank)
-    if radius < 0:
+    if type(radius) is not int or radius < 0:
         raise ValueError("radius must be >= 0")
     if radius == 0:
         yield RoundGraph(rank, 0, [()])
@@ -176,7 +173,7 @@ def count_round_graphs(rank: int, radius: int) -> int:
     2*rank neighbors.
     """
     _check_rank(rank)
-    if radius < 0:
+    if type(radius) is not int or radius < 0:
         raise ValueError("radius must be >= 0")
     if radius == 0:
         return 1
@@ -216,6 +213,14 @@ def _traced_words(hull: CoreGraph, vertex: int, radius: int
 RationalLike = Union[Fraction, int, str]
 
 
+def _fraction(value: RationalLike) -> Fraction:
+    """Fraction(value), an infinity raising ValueError as a NaN does."""
+    try:
+        return Fraction(value)
+    except OverflowError as exc:
+        raise ValueError(str(exc)) from exc
+
+
 class WeightTable(_Frozen):
     """Finitely supported map RoundGraph -> nonnegative rational."""
 
@@ -224,7 +229,7 @@ class WeightTable(_Frozen):
     def __init__(self, rank: int, radius: int,
                  entries: Mapping[RoundGraph, RationalLike] = ()):
         _check_rank(rank)
-        if radius < 0:
+        if type(radius) is not int or radius < 0:
             raise ValueError("radius must be >= 0")
         table: dict[RoundGraph, Fraction] = {}
         for t, value in dict(entries).items():
@@ -233,10 +238,7 @@ class WeightTable(_Frozen):
                     f"table key has rank {t.rank}, radius {t.radius}; "
                     f"expected {rank}, {radius}")
             if type(value) is not Fraction:
-                try:
-                    value = Fraction(value)
-                except OverflowError as exc:  # an infinity; NaN: ValueError
-                    raise ValueError(str(exc)) from exc
+                value = _fraction(value)
             if value < 0:
                 raise ValueError(f"negative weight {value} for {t}")
             if value:
@@ -272,7 +274,7 @@ class WeightTable(_Frozen):
         return sum(self.entries.values(), Fraction(0))
 
     def scale(self, c: RationalLike) -> "WeightTable":
-        c = Fraction(c)
+        c = _fraction(c)
         return WeightTable(self.rank, self.radius,
                            {t: v * c for t, v in self.entries.items()})
 
@@ -301,7 +303,7 @@ class RationalCurrent(_Frozen):
                  rank: Optional[int] = None):
         kept: list[tuple[Fraction, Subgroup]] = []
         for coeff, sub in terms:
-            coeff = Fraction(coeff)
+            coeff = _fraction(coeff)
             if coeff < 0:
                 raise ValueError(f"negative coefficient {coeff}")
             if rank is None:
@@ -325,7 +327,7 @@ class RationalCurrent(_Frozen):
         return cls.eta(Subgroup.full(rank))
 
     def scale(self, c: RationalLike) -> "RationalCurrent":
-        c = Fraction(c)
+        c = _fraction(c)
         return RationalCurrent([(c * a, s) for (a, s) in self.terms], self.rank)
 
     def __add__(self, other: "RationalCurrent") -> "RationalCurrent":
@@ -356,7 +358,7 @@ def cylinder_table(current: RationalCurrent, radius: int) -> WeightTable:
     entry per hull vertex, but each entry's tree grows with the ball,
     whose size is exponential in the radius.
     """
-    if radius < 0:
+    if type(radius) is not int or radius < 0:
         raise ValueError("radius must be >= 0")
     table: dict[RoundGraph, Fraction] = {}
     for coeff, sub in current.terms:
@@ -381,7 +383,7 @@ def cylinder_table(current: RationalCurrent, radius: int) -> WeightTable:
             # Canonical by the trace, and valid since hull degrees are >= 2.
             words = _traced_words(hull, v, radius)
             t = RoundGraph._stored(hull.rank, radius, words,
-                                   frozenset(words), _order_key(words))
+                                   _order_key(words))
             value = coeff * counts[i]
             old = table.get(t)
             table[t] = value if old is None else old + value
@@ -404,15 +406,17 @@ def lens_keys(t: RoundGraph, generator: int
     of t (|w| <= r) lies in L = B(id, r) & B(u, r) exactly when |w| < r
     or w starts with u.  Its u-translate is w[1:] when w starts with u^-1,
     which always lies in L, and (u,) + w otherwise, which lies in L
-    exactly when |w| < r.
+    exactly when |w| < r.  t's letters are among its first 2.rank + 1
+    words, the root and then the words of length 1 in shortlex order.
     """
     r = t.radius
     u = generator
+    letters = t.words[:2 * t.rank + 1]
     # A filter of the canonical t.words is canonical.
     out = (tuple([w for w in t.words if len(w) < r or w[0] == u])
-           if (u,) in t.word_set else None)
+           if (u,) in letters else None)
     inc = None
-    if (-u,) in t.word_set:
+    if (-u,) in letters:
         # r >= 1 here, so a word of length >= r has a first letter.
         moved = [w[1:] if w and w[0] == -u else (u,) + w
                  for w in t.words if len(w) < r or w[0] == -u]
@@ -425,23 +429,23 @@ def lens_keys(t: RoundGraph, generator: int
 
 
 def lens_rows(support: Sequence[RoundGraph], rank: int
-              ) -> Iterator[tuple[int, LensKey, list, list]]:
+              ) -> Iterator[tuple[int, LensKey, list[int], list[int]]]:
     """The matching equations over a support, one row (u, J, outs, ins)
     per generator u and lens class J met by the support, generators
     first, then lens classes in sorted order.
 
-    `outs` holds the round-graphs containing u that meet the lens
-    L = B(id, r) & B(u, r) in J, and `ins` those containing u^-1 whose
-    u-translate meets L in J, each in support order.  Row (u, J) asks
-    that the weights of the two sides be equal; rows for lens classes
-    outside the support are 0 = 0 and are not listed.
+    `outs` holds the support positions of the round-graphs containing u
+    that meet the lens L = B(id, r) & B(u, r) in J, and `ins` those
+    containing u^-1 whose u-translate meets L in J, each increasing.
+    Row (u, J) asks that the weights of the two sides be equal; rows for
+    lens classes outside the support are 0 = 0 and are not listed.
     """
     for gen in range(1, rank + 1):
-        sides: dict[LensKey, tuple[list, list]] = {}
-        for t in support:
+        sides: dict[LensKey, tuple[list[int], list[int]]] = {}
+        for j, t in enumerate(support):
             for key, side in zip(lens_keys(t, gen), (0, 1)):
                 if key is not None:
-                    sides.setdefault(key, ([], []))[side].append(t)
+                    sides.setdefault(key, ([], []))[side].append(j)
         for key in sorted(sides):
             yield (gen, key) + sides[key]
 
@@ -451,9 +455,10 @@ def check_matching(table: WeightTable) -> list[AdmissibilityError]:
     AdmissibilityError carrying the generator, the lens and the sums of
     the two sides; an admissible table gives []."""
     violations = []
+    values = list(table.entries.values())
     for gen, key, outs, ins in lens_rows(table.support(), table.rank):
-        lhs = sum(map(table.entries.__getitem__, outs), Fraction(0))
-        rhs = sum(map(table.entries.__getitem__, ins), Fraction(0))
+        lhs = sum(map(values.__getitem__, outs), Fraction(0))
+        rhs = sum(map(values.__getitem__, ins), Fraction(0))
         if lhs != rhs:
             violations.append(AdmissibilityError(gen, key, lhs, rhs))
     return violations

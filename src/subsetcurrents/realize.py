@@ -109,13 +109,14 @@ def realize(theta: WeightSystem) -> SCGraphQuotient:
     row, in `check_matching` order.  The output is identical across runs.
 
     Each row is a piecewise translation, so the quotient is built on
-    atoms (the interval-exchange step of the Rips machine).  A worklist
-    closes the range starts under every row, mapping a cut at an offset
-    of T across each row T sits in by bisect over the other side's
-    ranges.  The spans between consecutive cuts are the atoms: each row
-    then pairs its atoms one to one, each with one of equal length.  The
-    work follows the atoms, not the weight, though the closure can cut
-    up to sum(theta) of them.
+    atoms (the interval-exchange step of the Rips machine).  Rows name
+    round-graphs by support position, which indexes every list below.
+    A worklist closes the range starts under every row, mapping a cut at
+    an offset of T across each row T sits in by bisect over the other
+    side's ranges.  The spans between consecutive cuts are the atoms:
+    each row pairs its atoms one to one, each with one of equal length.
+    The work follows the atoms, not the weight, though the closure can
+    cut up to sum(theta) of them.
 
     A copy of T sits in exactly one out-row per letter u in T and one
     in-row per u^-1 in T, so the graph is folded, each copy reads exactly
@@ -133,38 +134,37 @@ def realize(theta: WeightSystem) -> SCGraphQuotient:
     """
     table = theta.table
     weights = tuple((t, int(w)) for t, w in table.entries.items())
-    weight = dict(weights)
-    # A row side is its round-graphs and their offsets within it;
-    # `seats[t]` holds t's offset and the other side, per side t is on.
+    weight = [w for _t, w in weights]
+    # Per row side j is on, `seats[j]` holds j's offset and the other side.
     rows = []
-    seats: dict[RoundGraph, list] = {t: [] for t in weight}
-    for gen, key, outs, ins in lens_rows(tuple(weight), table.rank):
-        sides = [(ts, list(accumulate([0] + [weight[t] for t in ts])))
-                 for ts in (outs, ins)]
+    seats: list[list] = [[] for _ in weights]
+    for gen, key, outs, ins in lens_rows(table.support(), table.rank):
+        sides = [(js, list(accumulate([0] + [weight[j] for j in js])))
+                 for js in (outs, ins)]
         (_, lhs), (_, rhs) = sides
         if lhs[-1] != rhs[-1]:
             raise AdmissibilityError(gen, key, Fraction(lhs[-1]),
                                      Fraction(rhs[-1]))
-        for (ts, offsets), other in zip(sides, reversed(sides)):
-            for t, offset in zip(ts, offsets):
-                seats[t].append((offset, other))
+        for (js, offsets), other in zip(sides, reversed(sides)):
+            for j, offset in zip(js, offsets):
+                seats[j].append((offset, other))
         rows.append((gen, outs, ins))
-    cuts = {t: {0} for t in weight}
-    work = [(t, 0) for t in weight]
+    cuts = [{0} for _ in weights]
+    work = [(j, 0) for j in range(len(weights))]
     while work:
-        t, cut = work.pop()
-        for offset, (ts, offsets) in seats[t]:
+        j, cut = work.pop()
+        for offset, (js, offsets) in seats[j]:
             at = offset + cut
             k = bisect_right(offsets, at) - 1
-            u, at = ts[k], at - offsets[k]
-            if at not in cuts[u]:
-                cuts[u].add(at)
-                work.append((u, at))
-    starts, lengths, atoms = [], [], {}
-    for t, w in weights:
-        bounds = sorted(cuts[t]) + [w]
+            i, at = js[k], at - offsets[k]
+            if at not in cuts[i]:
+                cuts[i].add(at)
+                work.append((i, at))
+    starts, lengths, atoms = [], [], []
+    for at_cuts, w in zip(cuts, weight):
+        bounds = sorted(at_cuts) + [w]
         begin = starts[-1] + lengths[-1] if starts else 0
-        atoms[t] = range(len(starts), len(starts) + len(bounds) - 1)
+        atoms.append(range(len(starts), len(starts) + len(bounds) - 1))
         starts.extend(begin + b for b in bounds[:-1])
         lengths.extend(map(sub, bounds[1:], bounds))
     # No row meets the bare root of radius 0: each atom gets an x-loop.

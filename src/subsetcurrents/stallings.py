@@ -130,9 +130,10 @@ def _checked_edges(rank: int, num_vertices: int,
     ValueError."""
     for edge in edges:
         s, d, l = edge
-        if not (0 <= s < num_vertices and 0 <= d < num_vertices):
+        if not (type(s) is type(d) is int
+                and 0 <= s < num_vertices and 0 <= d < num_vertices):
             raise ValueError(f"edge {edge} references a missing vertex")
-        if not 1 <= l <= rank:
+        if type(l) is not int or not 1 <= l <= rank:
             raise ValueError(f"edge label {l} out of range for rank {rank}")
         yield edge
 

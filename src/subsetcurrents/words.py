@@ -21,7 +21,7 @@ MAX_RANK = len(ALPHABET)
 
 
 def _check_rank(rank: int) -> None:
-    if not 1 <= rank <= MAX_RANK:
+    if type(rank) is not int or not 1 <= rank <= MAX_RANK:
         raise ValueError(f"rank must be between 1 and {MAX_RANK}, got {rank}")
 
 
@@ -29,7 +29,7 @@ def _check_letters(letters: Iterable[int], rank: int) -> tuple[int, ...]:
     _check_rank(rank)
     out = tuple(letters)
     for m in out:
-        if m == 0 or abs(m) > rank:
+        if type(m) is not int or m == 0 or abs(m) > rank:
             raise LetterRangeError(f"letter {m} out of range for rank {rank}")
     return out
 
@@ -49,10 +49,11 @@ class _Frozen:
     """Base of the package's immutable values, and the one code that
     stores one.  A value class lists its constructor's parameters as its
     first slots, in order, then its derived fields; `_set` fills every
-    slot once, in that order, and nothing assigns or deletes one
-    afterwards.  A constructor checks its input, then calls `_set`;
-    `_stored` allocates a value from fields its builder proved, with no
-    check."""
+    slot once, in that order.  Afterwards nothing deletes a slot, and
+    only `Subgroup.core` and `.hull` assign one: each fills its lazy
+    cache on first read.  A constructor checks its input, then calls
+    `_set`; `_stored` allocates a value from fields its builder proved,
+    with no check."""
 
     __slots__ = ()
 

@@ -340,11 +340,11 @@ def reference_lens_keys(t: RoundGraph, generator: int
     u-translate of t meeting L if u^-1 is in t; None where t lacks the
     letter."""
     lens = lens_ball(t.rank, t.radius, generator)
-    out = (reference_canonical_words(t.word_set & lens)
-           if (generator,) in t.word_set else None)
+    out = (reference_canonical_words(set(t.words) & lens)
+           if (generator,) in set(t.words) else None)
     inc = (reference_canonical_words(translate_words(t.words, generator)
                                      & lens)
-           if (-generator,) in t.word_set else None)
+           if (-generator,) in set(t.words) else None)
     return out, inc
 
 
@@ -738,10 +738,10 @@ def reference_realize(theta: WeightSystem) -> Realized:
         in_side: dict[LensKey, list[tuple[RoundGraph, int]]] = {}
         for v in vertices:
             t = v[0]
-            if (gen,) in t.word_set:
-                key = reference_canonical_words(t.word_set & lens)
+            if (gen,) in set(t.words):
+                key = reference_canonical_words(set(t.words) & lens)
                 out_side.setdefault(key, []).append(v)
-            if (-gen,) in t.word_set:
+            if (-gen,) in set(t.words):
                 key = reference_canonical_words(
                     translate_words(t.words, gen) & lens)
                 in_side.setdefault(key, []).append(v)

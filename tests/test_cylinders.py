@@ -7,16 +7,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from subsetcurrents import (RationalCurrent, RoundGraph, Subgroup, WeightTable,
+from subsetcurrents import (CoreGraph, LabeledGraph, RationalCurrent,
+                            RoundGraph, Subgroup, WeightTable, Word,
                             check_matching, count_round_graphs,
                             cylinder_table, distance,
-                            enumerate_round_graphs, round_graph_from_text,
-                            round_graph_to_text, table_from_text,
-                            table_to_text, validate_round_graph)
+                            enumerate_round_graphs, fold,
+                            round_graph_from_text, round_graph_to_text,
+                            table_from_text, table_to_text,
+                            validate_round_graph)
 from subsetcurrents import cylinders
 from subsetcurrents.approx import subgroup_Hn
-from subsetcurrents.cylinders import _order_key, _traced_words, lens_keys
-from subsetcurrents.errors import AdmissibilityError, FileFormatError
+from subsetcurrents.cylinders import (_order_key, _traced_words, lens_keys,
+                                      lens_rows)
+from subsetcurrents.errors import (AdmissibilityError, FileFormatError,
+                                   LetterRangeError)
 from subsetcurrents.stallings import basis_of
 
 from helpers import (SMALL_RATIOS, TWO_ROWS_PER_GENERATOR, axis, conjugate,
@@ -45,6 +49,9 @@ def test_validate_examples():
     assert not validate_round_graph([(), (1, 2)], 2, 2)  # not prefix-closed
     assert not validate_round_graph([(), (1,), (1, -1)], 2, 2)  # unreduced
     assert not validate_round_graph([(), (3,), (-3,)], 1, 2)  # out of range
+    assert not validate_round_graph([(), (1.5,), (-1,)], 1, 2)  # not an int
+    assert not validate_round_graph([(), (1,), (-1,)], 1.0, 2)
+    assert not validate_round_graph([()], 0.0, 2)
 
 
 def test_enumerate_r0_and_r1():
@@ -85,6 +92,46 @@ def test_round_graph_calls_reject_a_bad_rank(rank):
             list(enumerate_round_graphs(rank, radius))
     with pytest.raises(ValueError, match="rank must be between"):
         RoundGraph(rank, 0, [()])
+
+
+INF = float("inf")
+
+
+@pytest.mark.parametrize("build, error, message", [
+    pytest.param(lambda: Word(2, (1.5,)), LetterRangeError,
+                 "letter 1.5 out of range", id="word-letter"),
+    pytest.param(lambda: Word(2.0, (1,)), ValueError,
+                 "rank must be between", id="word-rank"),
+    pytest.param(lambda: CoreGraph(2, 1, [(0, 0, 1.5), (0, 0, 2)], 0),
+                 ValueError, "edge label 1.5 out of range", id="core-label"),
+    pytest.param(lambda: CoreGraph(2, 1, [(0, 0.0, 1), (0, 0, 2)], 0),
+                 ValueError, "missing vertex", id="core-end"),
+    pytest.param(lambda: fold(LabeledGraph(2, 1, [(0, 0, 1.5)], 0)),
+                 ValueError, "edge label 1.5 out of range", id="fold-label"),
+    pytest.param(lambda: RoundGraph(2, 1, [(), (1.5,), (-1,)]), ValueError,
+                 "not a valid round-graph", id="round-graph-letter"),
+    pytest.param(lambda: RoundGraph(2, 1.0, [(), (1,), (-1,)]), ValueError,
+                 "not a valid round-graph", id="round-graph-radius"),
+    pytest.param(lambda: WeightTable(2, 1.5), ValueError,
+                 "radius must be >= 0", id="table-radius"),
+    pytest.param(lambda: cylinder_table(ETA_F, 1.0), ValueError,
+                 "radius must be >= 0", id="cylinder-table-radius"),
+    pytest.param(lambda: next(enumerate_round_graphs(2, 1.0)), ValueError,
+                 "radius must be >= 0", id="enumerate-radius"),
+    pytest.param(lambda: count_round_graphs(2, 1.0), ValueError,
+                 "radius must be >= 0", id="count-radius"),
+    pytest.param(lambda: RationalCurrent([(INF, Subgroup(["x"], 2))], 2),
+                 ValueError, "Infinity", id="current-coefficient"),
+    pytest.param(lambda: ETA_F.scale(INF), ValueError, "Infinity",
+                 id="current-scale"),
+    pytest.param(lambda: WeightTable(2, 1, {full_ball(2, 1): 1}).scale(INF),
+                 ValueError, "Infinity", id="table-scale"),
+])
+def test_non_integers_and_infinities_are_refused(build, error, message):
+    # A float passes a range check as an int would; each value must be
+    # refused by its type first, with the error of an out-of-range value.
+    with pytest.raises(error, match=message):
+        build()
 
 
 def test_restrict_examples():
@@ -304,6 +351,29 @@ def test_check_matching_matches_reference(table):
     assert all(isinstance(v, AdmissibilityError) for v in violations)
 
 
+@settings(deadline=None, max_examples=150)
+@given(matching_tables())
+@example(TWO_ROWS_PER_GENERATOR)
+def test_lens_rows_name_support_positions(table):
+    # Each row names its round-graphs by position in the support it was
+    # given; read back through the support, the rows are the reference's
+    # grouping of the support by lens key, in support order.
+    support = table.support()
+    rows = list(lens_rows(support, table.rank))
+    assert all(type(j) is int and j in range(len(support))
+               for _gen, _key, outs, ins in rows for j in outs + ins)
+    expected = []
+    for gen in range(1, table.rank + 1):
+        sides: dict = {}
+        for t in support:
+            for key, side in zip(reference_lens_keys(t, gen), (0, 1)):
+                if key is not None:
+                    sides.setdefault(key, ([], []))[side].append(t)
+        expected.extend((gen, key) + sides[key] for key in sorted(sides))
+    assert [(gen, key, [support[j] for j in outs], [support[j] for j in ins])
+            for gen, key, outs, ins in rows] == expected
+
+
 def test_check_matching_reports_violating_rows():
     bad = WeightTable(2, 1, {RoundGraph(2, 1, [(), (1,), (2,)]): 1})
     violations = check_matching(bad)
@@ -473,11 +543,10 @@ def test_traced_balls_equal_the_checked_round_graphs(hull, radius):
     for v in range(hull.num_vertices):
         words = _traced_words(hull, v, radius)
         assert validate_round_graph(words, radius, rank)
-        traced = RoundGraph._stored(rank, radius, words, frozenset(words),
-                                    _order_key(words))
+        traced = RoundGraph._stored(rank, radius, words, _order_key(words))
         checked = RoundGraph(rank, radius, words)
         assert traced.words == checked.words == words
-        assert traced.word_set == checked.word_set
+        assert set(traced.words) == set(checked.words)
         assert hash(traced) == hash(checked)
         assert traced._key == checked._key
         assert traced == checked

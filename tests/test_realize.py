@@ -101,7 +101,7 @@ def test_matching_system_shape_r1():
     # out T holding both or neither; one lens class per generator at
     # radius 1.
     for gen, row in zip((1, 2), matrix):
-        signs = [((gen,) in t.word_set) - ((-gen,) in t.word_set)
+        signs = [((gen,) in set(t.words)) - ((-gen,) in set(t.words))
                  for t in ROUND_GRAPHS_R1]
         assert row == {j: c for j, c in enumerate(signs) if c}
     assert [(gen, key) for gen, key, _outs, _ins
@@ -172,6 +172,32 @@ def test_realize_is_deterministic():
     assert a.vertices == b.vertices
     assert a.component_edges == b.component_edges
     assert a.components == b.components
+
+
+def test_realize_and_check_matching_hash_no_round_graph(monkeypatch):
+    # Both read the matching rows by support position, so neither keys a
+    # dict or a set by round-graph.
+    current = RationalCurrent([(2, Subgroup(["xy", "yxY"], 2)),
+                               (Fraction(1, 2), Subgroup(["xxy", "Y"], 2))],
+                              2)
+    table = cylinder_table(current, 2)
+    unbalanced = table + WeightTable(2, 2, {table.support()[0]: 1})
+    theta, _scale = integerize(table)
+    hashed = []
+    real_hash = RoundGraph.__hash__
+
+    def counting_hash(t):
+        hashed.append(t)
+        return real_hash(t)
+
+    monkeypatch.setattr(RoundGraph, "__hash__", counting_hash)
+    assert check_matching(table) == []
+    assert check_matching(unbalanced) != []
+    realize(theta)
+    assert hashed == []
+    # The count sees a hash: one per key of a dict built by round-graph.
+    dict.fromkeys(table.support())
+    assert len(hashed) == len(table) > 1
 
 
 def test_realize_radius_zero_special_case():

@@ -6,6 +6,7 @@ from collections import Counter
 from pathlib import Path
 
 import subsetcurrents
+from subsetcurrents.cylinders import RoundGraph
 from subsetcurrents.words import _Frozen
 
 PACKAGE_DIR = Path(subsetcurrents.__file__).parent
@@ -445,6 +446,12 @@ def test_constructor_parameters_are_the_first_slots():
         code = cls.__init__.__code__
         params = code.co_varnames[1:code.co_argcount]
         assert cls.__slots__[:len(params)] == params, cls.__name__
+
+
+def test_round_graph_stores_one_form_of_its_words():
+    # The words are kept once, as the canonical tuple; a set of them is
+    # not stored beside it.
+    assert RoundGraph.__slots__ == ("rank", "radius", "words", "_key")
 
 
 def test_one_rule_checks_every_edge():
