@@ -29,6 +29,10 @@ WordTuple = tuple[int, ...]
 # generator m and 1 - 2m for its inverse, all below 256 at MAX_RANK.
 _CODE = {m: 2 * m if m > 0 else 1 - 2 * m
          for g in range(1, MAX_RANK + 1) for m in (g, -g)}
+# (m, m^-1, m's code as a byte) per signed letter in that order: a rank's
+# letters are the first 2.rank.
+_CODED_LETTERS = tuple((m, -m, bytes((_CODE[m],)))
+                       for m in _signed_letters(MAX_RANK))
 
 
 def _canonical_words(words: Iterable[WordTuple]) -> tuple[WordTuple, ...]:
@@ -184,27 +188,41 @@ def count_round_graphs(rank: int, radius: int) -> int:
 
 
 def _traced_words(hull: CoreGraph, vertex: int, radius: int
-                  ) -> tuple[WordTuple, ...]:
+                  ) -> tuple[tuple[WordTuple, ...], bytes]:
     """The reduced words of length <= radius traced from a vertex, in
-    breadth-first order over the signed letters x, X, y, Y, ...; equal
-    balls give equal tuples."""
-    letters = _signed_letters(hull.rank)
+    breadth-first order over the signed letters x, X, y, Y, ..., and their
+    `_order_key`; equal balls give equal words.
+
+    The order is canonical, so the key is laid out as the words are
+    walked: each word carries its letter codes, its parent's plus one
+    byte, and each length's words join into one run of the key.  A ball
+    of 255 words or more, the only one with a count or a length past one
+    byte, escapes to `_order_key` itself."""
+    letters = _CODED_LETTERS[:2 * hull.rank]
     words: list[WordTuple] = [()]
-    frontier: list[tuple[WordTuple, int]] = [((), vertex)]
-    for _ in range(radius):
-        nxt: list[tuple[WordTuple, int]] = []
-        for w, v in frontier:
+    runs = [b"\x00"]
+    # The frontier is words[start:], with each word's codes and end vertex.
+    start, codes, ends = 0, [b""], [vertex]
+    for depth in range(1, radius + 1):
+        frontier = zip(words[start:], codes, ends)
+        start, codes, ends = len(words), [], []
+        for w, c, v in frontier:
             last = w[-1] if w else 0
             step = hull._step[v]
-            for m in letters:
-                if m == -last:
-                    continue
-                nv = step.get(m)
-                if nv is not None:
-                    nxt.append((w + (m,), nv))
-        words.extend(w for (w, _v) in nxt)
-        frontier = nxt
-    return tuple(words)
+            for m, inverse, code in letters:
+                if inverse != last:
+                    nv = step.get(m)
+                    if nv is not None:
+                        words.append(w + (m,))
+                        codes.append(c + code)
+                        ends.append(nv)
+        if codes and len(words) < 255:
+            mark = bytes((depth,))
+            runs.append(mark + mark.join(codes))
+    ball = tuple(words)
+    if len(ball) < 255:
+        return ball, bytes((len(ball),)) + b"".join(runs)
+    return ball, _order_key(ball)
 
 
 # ---------------------------------------------------------------------------
@@ -340,39 +358,49 @@ class RationalCurrent(_Frozen):
         return f"RationalCurrent({body or '0'})"
 
 
+def _ball_ids(hull: CoreGraph, radius: int) -> list[int]:
+    """Each hull vertex's radius-r ball as an id: equal ids exactly for
+    equal balls, numbered 0, 1, ... in order of first vertex.
+
+    Every vertex starts with id 0, and each of r rounds gives it the
+    interned tuple of its neighbours' previous ids, read over x, X, y, Y,
+    ... with -1 for a missing letter.  The split is exact: a d-ball is the
+    root plus, per letter m, the m-neighbour's (d-1)-ball hung from m
+    (less its words starting with m^-1), and each neighbour's (d-1)-ball
+    lies in the d-ball.  Each round reads one neighbour column per letter,
+    built once, so a vertex's tuple is made at C speed.
+    """
+    n = hull.num_vertices
+    columns = [[step.get(m, n) for step in hull._step]
+               for m in _signed_letters(hull.rank)]
+    ids = [0] * n
+    for _ in range(radius):
+        prev = ids + [-1]
+        seen: dict[tuple[int, ...], int] = {}
+        ids = [seen.setdefault(key, len(seen)) for key in
+               zip(*[map(prev.__getitem__, col) for col in columns])]
+    return ids
+
+
 def cylinder_table(current: RationalCurrent, radius: int) -> WeightTable:
     """Exact cylinder weights of a rational current at one radius.
 
     Each hull-core vertex contributes its coefficient to the entry of its
     local ball; the total mass is the coefficient-weighted sum of hull
     vertex counts, independent of the radius.  Each term's vertices are
-    first split by ball in r rounds: every vertex starts with id 0, and
-    each round gives it the interned tuple of its neighbours' previous
-    ids, read over x, X, y, Y, ... with -1 for a missing letter.  The
-    split is exact: a d-ball is the root plus, per letter m, the
-    m-neighbour's (d-1)-ball hung from m (less its words starting with
-    m^-1), and each neighbour's (d-1)-ball lies in the d-ball.  Then one
-    ball per id is traced, at the id's first vertex, weighted by the id's
-    multiplicity and stored as traced, so entries keep the order of first
-    vertices.  No radius is refused: the support has at most one
-    entry per hull vertex, but each entry's tree grows with the ball,
-    whose size is exponential in the radius.
+    first split by ball (`_ball_ids`); then one ball per id is traced, at
+    the id's first vertex, weighted by the id's multiplicity and stored
+    with the words and order key the trace gives, so entries keep the
+    order of first vertices.  No radius is refused: the support has at
+    most one entry per hull vertex, but each entry's tree grows with the
+    ball, whose size is exponential in the radius.
     """
     if type(radius) is not int or radius < 0:
         raise ValueError("radius must be >= 0")
     table: dict[RoundGraph, Fraction] = {}
     for coeff, sub in current.terms:
         hull = sub.hull
-        n = hull.num_vertices
-        letters = _signed_letters(hull.rank)
-        ids = [0] * n
-        for _ in range(radius):
-            prev = ids + [-1]
-            seen: dict[tuple[int, ...], int] = {}
-            ids = [seen.setdefault(tuple([prev[step.get(m, n)]
-                                          for m in letters]), len(seen))
-                   for step in hull._step]
-        # Ids run 0, 1, ... in order of first vertex.
+        ids = _ball_ids(hull, radius)
         first: dict[int, int] = {}
         for v, i in enumerate(ids):
             first.setdefault(i, v)
@@ -381,9 +409,8 @@ def cylinder_table(current: RationalCurrent, radius: int) -> WeightTable:
             counts[i] += 1
         for i, v in first.items():
             # Canonical by the trace, and valid since hull degrees are >= 2.
-            words = _traced_words(hull, v, radius)
-            t = RoundGraph._stored(hull.rank, radius, words,
-                                   _order_key(words))
+            t = RoundGraph._stored(hull.rank, radius,
+                                   *_traced_words(hull, v, radius))
             value = coeff * counts[i]
             old = table.get(t)
             table[t] = value if old is None else old + value

@@ -40,14 +40,28 @@ def _as_word(w: WordLike, rank: int) -> Word:
     return word
 
 
+def _check_count(n: int) -> None:
+    """A vertex count is an int >= 0; anything else raises ValueError."""
+    if type(n) is not int:
+        raise ValueError(f"vertex count {n!r} is not an int")
+    if n < 0:
+        raise ValueError(f"vertex count {n} is negative")
+
+
+def _check_basepoint(base: Optional[int], n: int) -> None:
+    """A basepoint is None or an int in 0..n-1; anything else raises
+    ValueError."""
+    if base is not None and (type(base) is not int or not 0 <= base < n):
+        raise ValueError(f"basepoint {base!r} out of range")
+
+
 class LabeledGraph:
     """A possibly unfolded labeled graph: `fold`'s input, the CLI's export."""
 
     def __init__(self, rank: int, num_vertices: int = 0,
                  edges: Iterable[tuple[int, int, int]] = (),
                  basepoint: Optional[int] = None):
-        if num_vertices < 0:
-            raise ValueError(f"vertex count {num_vertices} is negative")
+        _check_count(num_vertices)
         self.rank = rank
         self.num_vertices = num_vertices
         self.edges = list(edges)
@@ -70,14 +84,12 @@ class CoreGraph(_Frozen):
                  basepoint: Optional[int]):
         edges = tuple(sorted(map(tuple, edges)))
         _check_rank(rank)
-        if num_vertices < 0:
-            raise ValueError(f"vertex count {num_vertices} is negative")
+        _check_count(num_vertices)
         # Nothing is built per vertex for a graph too sparse to connect.
         if len(edges) < num_vertices - 1:
             raise ValueError("graph is disconnected")
         step = signed_adjacency(rank, num_vertices, edges)
-        if basepoint is not None and not 0 <= basepoint < num_vertices:
-            raise ValueError("basepoint out of range")
+        _check_basepoint(basepoint, num_vertices)
         parent = list(range(num_vertices))
         join_least(parent, [e[0] for e in edges], [e[1] for e in edges])
         if any(parent):
@@ -293,16 +305,15 @@ def fold(g: LabeledGraph) -> CoreGraph:
     paths at the basepoint.  Degree-<=1 vertices other than the basepoint
     are trimmed afterwards so the result satisfies the core invariants;
     such vertices cannot lie on any reduced loop.  An edge end or a
-    basepoint outside 0..num_vertices-1, or an edge label outside
-    1..rank, raises ValueError, even where the prune would drop the edge;
-    so does a negative vertex count.  The result passes the checked
-    constructor, since a graph from outside need not be connected.
+    basepoint that is not an int in 0..num_vertices-1, or an edge label
+    outside 1..rank, raises ValueError, even where the prune would drop
+    the edge; so does a vertex count that is not an int >= 0.  The
+    result passes the checked constructor, since a graph from outside
+    need not be connected.
     """
     n, base, rank = g.num_vertices, g.basepoint, g.rank
-    if n < 0:
-        raise ValueError(f"vertex count {n} is negative")
-    if base is not None and not 0 <= base < n:
-        raise ValueError(f"basepoint {base} out of range")
+    _check_count(n)
+    _check_basepoint(base, n)
     rows: list[dict[int, int]] = [{} for _ in range(n)]
     pending: list[tuple[int, int]] = []
     for edge in _checked_edges(rank, n, g.edges):

@@ -165,24 +165,39 @@ def _char_letters(rank: int) -> dict[str, int]:
     return table
 
 
+@lru_cache(maxsize=None)
+def _cancelling_pairs(rank: int) -> tuple[str, ...]:
+    """The two-character texts of a letter beside its inverse at this
+    rank: "xX", "Xx", "yY", ..."""
+    return tuple(pair for ch in ALPHABET[:rank]
+                 for pair in (ch + ch.upper(), ch.upper() + ch))
+
+
 def parse_word(text: str, rank: int) -> Word:
     """Parse either compact ("xyX") or spaced ("x y x^-1") word syntax.
 
     Exponents apply to the single preceding letter; "e" alone is the
-    identity.  The result is freely reduced.  Each character is looked
-    up once in a per-rank table, so the letters need no second check.
+    identity.  The result is freely reduced.  Text without "^" is read
+    whole, spaces and identity marks dropped, by one lookup per character
+    in a per-rank table, and is reduced only when it holds a letter
+    beside its inverse; any other text, or a character the table lacks,
+    goes through the token scanner, which alone reads exponents and
+    names a bad character.
     """
     _check_rank(rank)
     table = _char_letters(rank)
+    plain = "".join(text.split()).replace("e", "").replace("1", "")
+    if "^" not in plain:
+        try:
+            decoded = tuple(map(table.__getitem__, plain))
+        except KeyError:
+            pass  # the scan below names the offending character
+        else:
+            if any(map(plain.__contains__, _cancelling_pairs(rank))):
+                decoded = free_reduce(decoded)
+            return Word._stored(rank, decoded)
     letters: list[int] = []
     for token in text.split():
-        if "^" not in token:
-            try:
-                letters.extend([table[ch] for ch in
-                                token.replace("e", "").replace("1", "")])
-                continue
-            except KeyError:
-                pass  # the scan below names the offending character
         i = 0
         while i < len(token):
             ch = token[i]

@@ -219,7 +219,8 @@ def local_ball(hull: CoreGraph, vertex: int, radius: int) -> RoundGraph:
         raise ValueError("local balls are read off the hull-core form")
     if not 0 <= vertex < hull.num_vertices:
         raise ValueError(f"vertex {vertex} out of range")
-    return RoundGraph(hull.rank, radius, _traced_words(hull, vertex, radius))
+    words, _key = _traced_words(hull, vertex, radius)
+    return RoundGraph(hull.rank, radius, words)
 
 
 def subgroup_Gn(n: int) -> Subgroup:

@@ -536,14 +536,17 @@ def hulls(draw, lowest_rank=2):
 
 @settings(deadline=None, max_examples=100)
 @given(hulls(), st.integers(0, 3))
+@example(Subgroup.full(2).hull, 5)  # 485 words: the key escapes
 def test_traced_balls_equal_the_checked_round_graphs(hull, radius):
-    # `cylinder_table` stores each traced ball unchecked; the public
-    # constructor, which validates and sorts, must give the same value.
+    # `cylinder_table` stores each traced ball unchecked, with the key the
+    # trace laid out; the public constructor, which validates and sorts,
+    # must give the same value, and `_order_key` the same key.
     rank = hull.rank
     for v in range(hull.num_vertices):
-        words = _traced_words(hull, v, radius)
+        words, key = _traced_words(hull, v, radius)
         assert validate_round_graph(words, radius, rank)
-        traced = RoundGraph._stored(rank, radius, words, _order_key(words))
+        assert key == _order_key(words)
+        traced = RoundGraph._stored(rank, radius, words, key)
         checked = RoundGraph(rank, radius, words)
         assert traced.words == checked.words == words
         assert set(traced.words) == set(checked.words)

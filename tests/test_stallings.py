@@ -629,6 +629,27 @@ def test_core_graph_validation():
         CoreGraph(2, -3, [], None)
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: CoreGraph(2, 1.0, [(0, 0, 1), (0, 0, 2)], 0),
+     "vertex count 1.0 is not an int"),
+    (lambda: CoreGraph(2, True, [(0, 0, 1), (0, 0, 2)], 0),
+     "vertex count True is not an int"),
+    (lambda: CoreGraph(2, 1, [(0, 0, 1), (0, 0, 2)], 0.0),
+     "basepoint 0.0 out of range"),
+    (lambda: fold(LabeledGraph(2, 1.0, [(0, 0, 1)], 0)),
+     "vertex count 1.0 is not an int"),
+    (lambda: fold(LabeledGraph(2, 1, [(0, 0, 1)], 0.0)),
+     "basepoint 0.0 out of range"),
+], ids=["core-float-count", "core-bool-count", "core-float-basepoint",
+        "fold-float-count", "fold-float-basepoint"])
+def test_graphs_take_only_int_counts_and_basepoints(build, message):
+    # A float or a bool is not a vertex index: a named ValueError, not a
+    # TypeError from `range` or a list index, nor a core storing 0.0 or
+    # True.
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_core_graph_stores_each_edge_as_a_tuple():
     # A core hashes its fields when asked, so an edge given as a list is
     # stored as a tuple: the core is hashable and equals the tuple form.

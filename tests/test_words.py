@@ -16,6 +16,7 @@ from subsetcurrents import (CoreGraph, ProductGraph, RationalCurrent,
                             decompose, fiber_product, format_word,
                             integerize, intersection, label_isomorphic,
                             parse_word, realize)
+from subsetcurrents.approx import subgroup_Hn
 from subsetcurrents.errors import BasisMismatchError, LetterRangeError
 from subsetcurrents.words import MAX_RANK, free_reduce
 
@@ -136,12 +137,25 @@ PARSE_PIECES = (list("xyzabXYZABkKE\u212ae1^-0123456789 \t,.;*()")
 @given(st.sampled_from([1, 2, 3, MAX_RANK]),
        st.lists(st.sampled_from(PARSE_PIECES), max_size=16).map("".join))
 @example(MAX_RANK, "xy\u212a z")  # a letter only the slower scan reads
+@example(2, "x X")  # pairs that cancel across a space, e, 1 or a tab
+@example(2, "xeX")
+@example(2, "x1X")
+@example(2, "yxXY")
+@example(2, "x e\tX")
+@example(2, "xyYX y")
+@example(2, "x^2X")  # pairs that cancel only after an exponent
+@example(2, "x^-1x")
+@example(2, "y^3 Y^2")
+@example(2, "x^2 X^2y")
 def test_parse_word_matches_the_reference_parser(rank, text):
     # `parse_word` checks each character once, through a per-rank table;
     # its word, or its exception type and message, must be the old
     # parser's.
     assume(not re.search(r"[0-9]{4}", text))
+    assert_parses_like_the_reference(text, rank)
 
+
+def assert_parses_like_the_reference(text, rank):
     def outcome(parse):
         try:
             return parse(text, rank)
@@ -149,6 +163,13 @@ def test_parse_word_matches_the_reference_parser(rank, text):
             return type(exc), str(exc)
 
     assert outcome(parse_word) == outcome(reference_parse_word)
+
+
+def test_parse_word_matches_the_reference_on_the_H_n_generators():
+    # Long reduced texts: every generator of H_n, up to y^96.
+    for n in range(2, 97):
+        for w in subgroup_Hn(n).generators:
+            assert_parses_like_the_reference(format_word(w), 2)
 
 
 def test_basis_helpers():
