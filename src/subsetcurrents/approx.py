@@ -321,6 +321,7 @@ def convergence_run(radius: int, ns: Iterable[int]
     reference = cylinder_table(RationalCurrent.full(2), radius)
     out = []
     for n in ns:
-        scaled = RationalCurrent([(Fraction(1, n), subgroup_Hn(n))], 2)
+        sub = subgroup_Hn(n)  # refuses n < 2 before 1/n is formed
+        scaled = RationalCurrent([(Fraction(1, n), sub)], 2)
         out.append((n, distance(cylinder_table(scaled, radius), reference)))
     return out

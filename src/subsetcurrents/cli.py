@@ -100,13 +100,6 @@ def _integer(text: str) -> int:
     return int(stallings._plain_number(text))
 
 
-def _parse_fraction(text: str) -> Fraction:
-    try:
-        return Fraction(stallings._plain_number(text).strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"bad rational {text!r}") from exc
-
-
 def _capped(source, text=None) -> str:
     """The text of file `source` (or `text`, named `source`), refused
     before any parse if its words could spell over SIZE_CAP letters, as
@@ -226,7 +219,7 @@ def _cmd_cylinders(args) -> int:
     if args.coeffs is None:
         coeffs = [Fraction(1)] * len(subs)
     else:
-        coeffs = [_parse_fraction(c)
+        coeffs = [stallings._parse_fraction(c)
                   for c in _capped("--coeffs", args.coeffs).split(",")]
         if len(coeffs) != len(subs):
             raise ValueError("one coefficient per subgroup file")
@@ -281,7 +274,7 @@ def _cmd_realize(args) -> int:
 def _cmd_approx(args) -> int:
     table = cyl.table_from_text(_capped(args.table))
     _check_ball(table.rank, table.radius)
-    eps = _parse_fraction(_capped("--epsilon", args.epsilon))
+    eps = stallings._parse_fraction(_capped("--epsilon", args.epsilon))
     theta, scale, _exact = approx_mod.approximate_table(table, eps)
     _check_digits("the repaired table", [scale, *theta.table.entries.values()])
     text = cyl.table_to_text(theta.table)

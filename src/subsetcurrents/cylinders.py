@@ -19,9 +19,9 @@ from itertools import combinations, product
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import AdmissibilityError, BasisMismatchError, FileFormatError
-from .stallings import CoreGraph, Subgroup, _plain_number, _read_file
+from .stallings import CoreGraph, Subgroup, _parse_fraction, _read_file
 from .words import (MAX_RANK, format_word, free_reduce, parse_word,
-                    _check_rank, _Frozen, _signed_letters)
+                    _check_radius, _check_rank, _Frozen, _signed_letters)
 
 WordTuple = tuple[int, ...]
 
@@ -35,12 +35,6 @@ _CODED_LETTERS = tuple((m, -m, bytes((_CODE[m],)))
                        for m in _signed_letters(MAX_RANK))
 
 
-def _canonical_words(words: Iterable[WordTuple]) -> tuple[WordTuple, ...]:
-    """Length-then-lexicographic order on letter codes."""
-    return tuple(sorted(set(words), key=lambda w: (
-        len(w), bytes(map(_CODE.__getitem__, w)))))
-
-
 def _order_key(words: tuple[WordTuple, ...]) -> bytes:
     """The round-graph order of canonical words as one byte string: the
     word count, then each word's length and letter codes, so fewer words
@@ -49,9 +43,8 @@ def _order_key(words: tuple[WordTuple, ...]) -> bytes:
     for w in words:
         flat.append(len(w))
         flat.extend(map(_CODE.__getitem__, w))
-    if max(flat) < 255:
-        return bytes(flat)
-    # n > 254 goes as n // 255 bytes 255, then n % 255: still in order.
+    # n goes as n // 255 bytes 255, then n % 255: still in order, and one
+    # byte n below 255.
     return b"".join(b"\xff" * (n // 255) + bytes((n % 255,)) for n in flat)
 
 
@@ -108,9 +101,14 @@ class RoundGraph(_Frozen):
         if not validate_round_graph(words, radius, rank):
             raise ValueError(
                 f"not a valid round-graph at radius {radius}: {words}")
-        words = _canonical_words(words)
+        # Length-then-lexicographic order on letter codes.
+        words = tuple(sorted(set(words), key=lambda w: (
+            len(w), bytes(map(_CODE.__getitem__, w)))))
         self._set(rank, radius, words, _order_key(words))
 
+    # Tables compare entry by entry, and these beat the base's tuples of
+    # parameters: equality reads the fields in place, and the hash the
+    # order key, which caches its own.
     def __eq__(self, other) -> bool:
         return (isinstance(other, RoundGraph)
                 and self.rank == other.rank
@@ -118,8 +116,6 @@ class RoundGraph(_Frozen):
                 and self.words == other.words)
 
     def __hash__(self) -> int:
-        # Equal round-graphs have equal keys, and a bytes object caches
-        # its hash.
         return hash(self._key)
 
     def __lt__(self, other: "RoundGraph") -> bool:
@@ -138,8 +134,7 @@ def enumerate_round_graphs(rank: int, radius: int) -> Iterator[RoundGraph]:
     cheap per item, and no radius is refused.
     """
     _check_rank(rank)
-    if type(radius) is not int or radius < 0:
-        raise ValueError("radius must be >= 0")
+    _check_radius(radius)
     if radius == 0:
         yield RoundGraph(rank, 0, [()])
         return
@@ -177,8 +172,7 @@ def count_round_graphs(rank: int, radius: int) -> int:
     2*rank neighbors.
     """
     _check_rank(rank)
-    if type(radius) is not int or radius < 0:
-        raise ValueError("radius must be >= 0")
+    _check_radius(radius)
     if radius == 0:
         return 1
     f = 1
@@ -247,8 +241,7 @@ class WeightTable(_Frozen):
     def __init__(self, rank: int, radius: int,
                  entries: Mapping[RoundGraph, RationalLike] = ()):
         _check_rank(rank)
-        if type(radius) is not int or radius < 0:
-            raise ValueError("radius must be >= 0")
+        _check_radius(radius)
         table: dict[RoundGraph, Fraction] = {}
         for t, value in dict(entries).items():
             if t.rank != rank or t.radius != radius:
@@ -272,13 +265,8 @@ class WeightTable(_Frozen):
     def __len__(self) -> int:
         return len(self.entries)
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, WeightTable)
-                and self.rank == other.rank
-                and self.radius == other.radius
-                and self.entries == other.entries)
-
     def __hash__(self) -> int:
+        # The entries parameter is a dict, which has no hash.
         return hash((self.rank, self.radius, tuple(self.entries.items())))
 
     def __repr__(self) -> str:
@@ -395,8 +383,7 @@ def cylinder_table(current: RationalCurrent, radius: int) -> WeightTable:
     most one entry per hull vertex, but each entry's tree grows with the
     ball, whose size is exponential in the radius.
     """
-    if type(radius) is not int or radius < 0:
-        raise ValueError("radius must be >= 0")
+    _check_radius(radius)
     table: dict[RoundGraph, Fraction] = {}
     for coeff, sub in current.terms:
         hull = sub.hull
@@ -535,17 +522,19 @@ def table_to_text(table: WeightTable) -> str:
 def table_from_text(text: str) -> WeightTable:
     header, body = _read_file(text, ("rank", "radius"))
     rank, radius = header["rank"], header["radius"]
-    if radius < 0:
-        raise FileFormatError(f"radius must be >= 0, got {radius}")
+    try:
+        _check_radius(radius)
+    except ValueError as exc:
+        raise FileFormatError(str(exc)) from exc
     entries: dict[RoundGraph, Fraction] = {}
     for line in body:
         if "=" not in line:
             raise FileFormatError(f"malformed table line {line!r}")
         graph_part, value_part = line.split("=", 1)
         try:
-            value = Fraction(_plain_number(value_part).strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise FileFormatError(f"bad rational {value_part!r}") from exc
+            value = _parse_fraction(value_part)
+        except ValueError as exc:
+            raise FileFormatError(str(exc)) from exc
         try:
             key = round_graph_from_text(graph_part.strip(), rank, radius)
         except ValueError as exc:

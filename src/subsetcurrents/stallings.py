@@ -15,6 +15,7 @@ components of every graph it builds, each rooted at its least vertex.
 from __future__ import annotations
 
 import re
+from fractions import Fraction
 from itertools import accumulate, compress
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
@@ -100,17 +101,6 @@ class CoreGraph(_Frozen):
             if v != basepoint and len(step[v]) < 2:
                 raise ValueError(f"vertex {v} has degree {len(step[v])} < 2")
         self._set(rank, num_vertices, edges, basepoint, step)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, CoreGraph)
-                and self.rank == other.rank
-                and self.num_vertices == other.num_vertices
-                and self.edges == other.edges
-                and self.basepoint == other.basepoint)
-
-    def __hash__(self) -> int:
-        return hash((self.rank, self.num_vertices, self.edges,
-                     self.basepoint))
 
     def __repr__(self) -> str:
         bp = self.basepoint
@@ -587,13 +577,12 @@ def _content_lines(text: str) -> Iterator[str]:
             yield line
 
 
-# ASCII digits only: '²', '٢', '+2' and '1_0' are no integers.
-_INTEGER = "-?[0-9]+"
-
-
 # Most digits, its decimal exponent included, of a number read: Python's
 # limit on int/str conversion, so that every value read can be printed.
 DIGIT_CAP = 4300
+
+# ASCII digits only: '²', '٢', '+2' and '1_0' are no integers.
+_INTEGER = rf"-?[0-9]{{1,{DIGIT_CAP}}}"
 
 _NUMBER = re.compile(r"([0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE]([-+]?[0-9]+))?")
 
@@ -619,6 +608,15 @@ def _plain_number(text: str) -> str:
     if _over_digit_cap(text):
         raise ValueError(f"a number of more than {DIGIT_CAP} digits")
     return text
+
+
+def _parse_fraction(text: str) -> Fraction:
+    """The rational `text` spells, as `_plain_number` admits it; any
+    other text raises ValueError("bad rational ...")."""
+    try:
+        return Fraction(_plain_number(text).strip())
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"bad rational {text!r}") from exc
 
 
 def _read_file(text: str, names: Sequence[str]

@@ -25,6 +25,11 @@ def _check_rank(rank: int) -> None:
         raise ValueError(f"rank must be between 1 and {MAX_RANK}, got {rank}")
 
 
+def _check_radius(radius: int) -> None:
+    if type(radius) is not int or radius < 0:
+        raise ValueError("radius must be >= 0")
+
+
 def _check_letters(letters: Iterable[int], rank: int) -> tuple[int, ...]:
     _check_rank(rank)
     out = tuple(letters)
@@ -47,13 +52,15 @@ def free_reduce(letters: Iterable[int]) -> tuple[int, ...]:
 
 class _Frozen:
     """Base of the package's immutable values, and the one code that
-    stores one.  A value class lists its constructor's parameters as its
-    first slots, in order, then its derived fields; `_set` fills every
-    slot once, in that order.  Afterwards nothing deletes a slot, and
-    only `Subgroup.core` and `.hull` assign one: each fills its lazy
-    cache on first read.  A constructor checks its input, then calls
-    `_set`; `_stored` allocates a value from fields its builder proved,
-    with no check."""
+    stores one and decides what it is.  A value class lists its
+    constructor's parameters as its first slots, in order, then its
+    derived fields; `_set` fills every slot once, in that order.
+    Afterwards nothing deletes a slot, and only `Subgroup.core` and
+    `.hull` assign one: each fills its lazy cache on first read.  A
+    constructor checks its input, then calls `_set`; `_stored` allocates
+    a value from fields its builder proved, with no check.  Two values
+    are equal when they have one type and equal parameters, which also
+    give the hash, and pickle and copy rebuild a value from them."""
 
     __slots__ = ()
 
@@ -67,19 +74,29 @@ class _Frozen:
         value._set(*fields)
         return value
 
+    def _params(self) -> tuple:
+        """The first slots: the constructor's parameters."""
+        code = type(self).__init__.__code__
+        return tuple([getattr(self, name) for name in
+                      self.__slots__[:code.co_argcount - 1]])
+
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __delattr__(self, name):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and \
+            self._params() == other._params()
+
+    def __hash__(self) -> int:
+        # A value holding a list is unhashable, as the list is.
+        return hash(self._params())
+
     def __reduce__(self):
-        # pickle and copy rebuild the value through its constructor from
-        # its first slots, the constructor's parameters; the constructor
-        # derives the rest again.
-        code = type(self).__init__.__code__
-        return type(self), tuple(getattr(self, name) for name in
-                                 self.__slots__[:code.co_argcount - 1])
+        # The constructor derives the other slots again.
+        return type(self), self._params()
 
 
 class Word(_Frozen):
@@ -102,16 +119,6 @@ class Word(_Frozen):
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.letters)
-
-    def __hash__(self) -> int:
-        return hash((self.rank, self.letters))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Word)
-            and self.rank == other.rank
-            and self.letters == other.letters
-        )
 
     def __mul__(self, other: "Word") -> "Word":
         """Freely reduced product; the bases must agree."""

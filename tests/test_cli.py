@@ -1,13 +1,17 @@
+import io
 import os
 import random
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from importlib import import_module
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import subsetcurrents
 from subsetcurrents import (Subgroup, WeightTable, cylinder_table,
@@ -19,7 +23,7 @@ from subsetcurrents.cli import _check_ball, main
 from subsetcurrents.cylinders import RationalCurrent
 from subsetcurrents.errors import AdmissibilityError, FileFormatError
 
-from helpers import axis, malformed_files, noised_floats
+from helpers import FILES, axis, malformed_files, noised_floats
 
 
 def write_sub(tmp_path, name, gens, rank=2):
@@ -314,6 +318,15 @@ def test_converge_refuses_an_n_above_the_cap(capsys, monkeypatch):
         assert "H_n spells" in err and "above the cap of 1000000" in err
 
 
+def test_converge_refuses_an_n_below_2_before_dividing_by_it(capsys):
+    # 1/n is formed only once H_n is built, so n = 0 is H_n's own error,
+    # not a ZeroDivisionError out of main.
+    for ns in ("0", "2,0", "-1"):
+        assert main(["converge", "--radius", "1", "--ns", ns]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: n must be >= 2\n"
+
+
 def test_converge_refuses_an_n_past_the_digit_cap(capsys):
     # int() of a 5,000-digit n would end in Python's own digit-limit
     # message; the CLI names the cap before any conversion.
@@ -436,7 +449,7 @@ def test_huge_rationals_are_refused_before_parsing(tmp_path, capsys,
         table.write_text(f"rank 2\nradius 1\ne,x,X,y,Y = {huge}\n")
         monkeypatch.setattr("subsetcurrents.cylinders.table_from_text",
                             unreachable)
-        monkeypatch.setattr("subsetcurrents.cli.Fraction", unreachable)
+        monkeypatch.setattr("subsetcurrents.stallings.Fraction", unreachable)
         for argv in (["realize", str(table), "--outdir", str(tmp_path)],
                      ["approx", str(table)],
                      ["cylinders", str(sub), "--radius", "1",
@@ -465,7 +478,7 @@ def test_a_table_value_past_the_digit_cap_is_a_format_error(monkeypatch):
     def unreachable(*args):
         raise AssertionError("a huge rational was parsed")
 
-    monkeypatch.setattr("subsetcurrents.cylinders.Fraction", unreachable)
+    monkeypatch.setattr("subsetcurrents.stallings.Fraction", unreachable)
     for huge in ("1e10000000", "1e-10000000", "1e4300", "9" * 4301,
                  "1/" + "9" * 4301):
         start = time.perf_counter()
@@ -531,7 +544,7 @@ def test_a_table_value_is_an_ascii_number(tmp_path, monkeypatch, case):
     def unreachable(*args):
         raise AssertionError("Fraction read a number that is not ASCII")
 
-    monkeypatch.setattr("subsetcurrents.cylinders.Fraction", unreachable)
+    monkeypatch.setattr("subsetcurrents.stallings.Fraction", unreachable)
     with pytest.raises(FileFormatError, match="bad rational"):
         table_from_text(text)
     path = tmp_path / "t.txt"
@@ -636,3 +649,102 @@ def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
         assert b"matching: ok" in run.stdout and len(files) > 2
         outputs.append((run.stdout, files))
     assert outputs[0] == outputs[1]
+
+
+# Pieces a mutation splices into a valid file: letters in and out of the
+# basis, exponents, header names, rational and integer syntax, numbers
+# past the digit cap, and digits int() reads but the readers refuse.
+PIECES = ["x", "Y", "z", "e", "^", "^-", "^9", "-", "0", "1", "9", "/", ".",
+          ",", "=", " = ", "#", " ", "\n", "\t", "g", "g3", "rank ",
+          "radius ", "vertices ", "basepoint ", "none", "edge ", "e,x,X",
+          "1/0", "1e-9", "9e99", "9" * 4301, "\u00b2", "\u0661", "_"]
+
+
+@st.composite
+def mutated(draw, kind: str) -> str:
+    """The valid `kind` file of FILES under one to three mutations: a
+    piece spliced in, a few characters cut, or a line dropped or
+    repeated."""
+    header, body = FILES[kind]
+    text = "\n".join(header + body) + "\n"
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(text)))
+        op = draw(st.sampled_from(["splice", "cut", "drop", "repeat"]))
+        if op == "splice":
+            text = text[:i] + draw(st.sampled_from(PIECES)) + text[i:]
+        elif op == "cut":
+            text = text[:i] + text[i + draw(st.integers(1, 3)):]
+        else:
+            lines = text.splitlines(keepends=True) or [""]
+            k = i % len(lines)
+            lines[k:k + 1] = [] if op == "drop" else [lines[k]] * 2
+            text = "".join(lines)
+    return text
+
+
+def flag(*valid: str):
+    """A flag value: one of `valid`, or a value that is no number in
+    range, too long to read, or not ASCII."""
+    return st.sampled_from([*valid, "-1", "q", "", "1/0", "9" * 4301,
+                            "\u00b2", "\u0661", "1_0"])
+
+
+@settings(deadline=None, max_examples=250,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(sub=mutated("subgroup"), table=mutated("table"),
+       graph=mutated("graph"), data=st.data())
+def test_every_subcommand_ends_in_an_exit_code_and_one_error_line(
+        tmp_path, sub, table, graph, data):
+    # Bad input ends in a named error with its exit code, never a
+    # traceback: 0 prints no error, and 1 or 2 exactly one `error:` line.
+    # argparse refuses a flag value of the wrong type itself, with its
+    # usage and one `subcur <command>: error:` line, by SystemExit(2).
+    s, t = str(tmp_path / "sub.txt"), str(tmp_path / "table.txt")
+    Path(s).write_text(sub, encoding="utf-8")
+    Path(t).write_text(table, encoding="utf-8")
+    out, graph_out = tmp_path / "out", str(tmp_path / "graph.txt")
+    radius = flag("0", "1", "2")
+    argv = data.draw(st.one_of(
+        st.tuples(st.sampled_from(["rank", "index"]), st.just(s)),
+        st.tuples(st.just("member"), st.just(s), st.just("--word"),
+                  flag("xy", "x^-3", "z", "x^99999999")),
+        st.tuples(st.just("intersect"), st.just(s), st.just(s),
+                  st.just("--export"), st.just(str(out / "comp"))),
+        st.tuples(st.just("cylinders"), st.just(s), st.just(s),
+                  st.just("--radius"), radius, st.just("--coeffs"),
+                  flag("1,1", "1/2,3", "1e-9,0")),
+        st.tuples(st.just("cylinders"), st.just("--enumerate"),
+                  st.just("--radius"), radius, st.just("--rank"),
+                  flag("1", "2", "3", "26")),
+        st.tuples(st.just("realize"), st.just(t), st.just("--outdir"),
+                  st.just(str(out))),
+        st.tuples(st.just("approx"), st.just(t), st.just("--epsilon"),
+                  flag("1/1000", "0", "1/2")),
+        st.tuples(st.just("converge"), st.just("--radius"), radius,
+                  st.just("--ns"), flag("2,4", "3", "0", "96")),
+        st.sampled_from([("export", s, "--out", graph_out),
+                         ("export", s, "--out", graph_out, "--hull")])))
+    out.mkdir(exist_ok=True)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            assert exc.code == 2
+            assert stderr.getvalue().startswith("usage: subcur")
+            code = None
+    lines = stderr.getvalue().splitlines()
+    if code is None:
+        assert [line for line in lines if "error: " in line] == [
+            lines[-1]] and lines[-1].startswith(f"subcur {argv[0]}: error: ")
+    elif code == 0:
+        assert lines == []
+    else:
+        assert code in (1, 2)
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+    # A graph file is read by the library alone: its only error is a
+    # format error.
+    try:
+        graph_from_text(graph)
+    except FileFormatError:
+        pass

@@ -120,6 +120,9 @@ INF = float("inf")
                  "radius must be >= 0", id="enumerate-radius"),
     pytest.param(lambda: count_round_graphs(2, 1.0), ValueError,
                  "radius must be >= 0", id="count-radius"),
+    pytest.param(lambda: table_from_text("rank 2\nradius -1\n"),
+                 FileFormatError, "^radius must be >= 0$",
+                 id="table-file-radius"),
     pytest.param(lambda: RationalCurrent([(INF, Subgroup(["x"], 2))], 2),
                  ValueError, "Infinity", id="current-coefficient"),
     pytest.param(lambda: ETA_F.scale(INF), ValueError, "Infinity",

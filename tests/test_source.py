@@ -448,6 +448,27 @@ def test_constructor_parameters_are_the_first_slots():
         assert cls.__slots__[:len(params)] == params, cls.__name__
 
 
+def test_one_base_decides_equality_and_hashing():
+    # `_Frozen` compares and hashes a value by its constructor's
+    # parameters.  A round-graph reads its fields in place and hashes its
+    # cached order key, for speed; a table's `entries` parameter is a
+    # dict, which has no hash.  No other class spells either.
+    def defines(node: ast.stmt) -> set[str]:
+        """The names a class-body statement binds, a `def` or `name = ...`."""
+        if isinstance(node, ast.FunctionDef):
+            return {node.name}
+        return {t.id for t in getattr(node, "targets", ())
+                if isinstance(t, ast.Name)}
+
+    classes = [node for _path, tree in package_trees()
+               for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    defined = sorted(f"{c.name}.{name}" for c in classes for f in c.body
+                     for name in defines(f) & {"__eq__", "__hash__"})
+    assert defined == ["RoundGraph.__eq__", "RoundGraph.__hash__",
+                       "WeightTable.__hash__", "_Frozen.__eq__",
+                       "_Frozen.__hash__"]
+
+
 def test_round_graph_stores_one_form_of_its_words():
     # The words are kept once, as the canonical tuple; a set of them is
     # not stored beside it.

@@ -836,6 +836,34 @@ def test_graph_edge_lines_are_read_exactly(line):
                         f"{line}\n")
 
 
+@pytest.mark.parametrize("kind, line, template", [
+    pytest.param(kind, line, template, id=f"{kind}-{name}")
+    for kind, line, template, name in [
+        ("subgroup", "rank 2", "rank {}", "rank"),
+        ("graph", "rank 2", "rank {}", "rank"),
+        ("graph", "vertices 1", "vertices {}", "vertices"),
+        ("graph", "basepoint 0", "basepoint {}", "basepoint"),
+        ("graph", "edge 0 0 g1", "edge {} 0 g1", "edge-source"),
+        ("graph", "edge 0 0 g2", "edge 0 0 g{}", "edge-label"),
+        ("table", "rank 2", "rank {}", "rank"),
+        ("table", "radius 1", "radius {}", "radius")]])
+def test_header_and_edge_numbers_have_at_most_4300_digits(kind, line,
+                                                          template):
+    # int() converts at most 4,300 digits.  A number of 4,300 is read and
+    # judged by its value; one of 4,301 is refused as a malformed line,
+    # never by int()'s own ValueError.
+    header, body = FILES[kind]
+    lines = header + body
+    at = lines.index(line)
+    malformed = ("expected 'edge S D gK'" if line.startswith("edge")
+                 else f"expected '{line.split()[0]} N'")
+    for digits in (4300, 4301):
+        lines[at] = template.format("1" * digits)
+        with pytest.raises(FileFormatError) as info:
+            READERS[kind]("\n".join(lines) + "\n")
+        assert str(info.value).startswith(malformed) == (digits > 4300)
+
+
 @settings(deadline=None, max_examples=60)
 @given(st.integers(1, 3).flatmap(subgroups), current_tables(), st.data())
 def test_written_files_read_back_under_any_header_order(sub, table, data):

@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 
 import subsetcurrents
 from subsetcurrents import (CoreGraph, ProductGraph, RationalCurrent,
-                            Subgroup, WeightTable, Word, cylinder_table,
-                            decompose, fiber_product, format_word,
-                            integerize, intersection, label_isomorphic,
-                            parse_word, realize)
+                            SCGraphQuotient, Subgroup, WeightTable, Word,
+                            cylinder_table, decompose, fiber_product,
+                            format_word, integerize, intersection,
+                            label_isomorphic, parse_word, realize)
 from subsetcurrents.approx import subgroup_Hn
 from subsetcurrents.errors import BasisMismatchError, LetterRangeError
 from subsetcurrents.words import MAX_RANK, free_reduce
@@ -228,8 +228,8 @@ def _value_instances():
     """One instance of each immutable value class of the package, then
     one value from each unchecked build: the tests below check that every
     slot of each is set, and a copy or a pickle rebuilds the value
-    through its checked constructor, so each must equal and hash the same
-    as its checked twin."""
+    through its checked constructor, so each must equal its checked twin
+    and, where it is hashable, hash the same."""
     sub = Subgroup(["x", "yxY"], 2)
     table = cylinder_table(RationalCurrent.eta(sub), 1)
     theta, _scale = integerize(table)
@@ -262,16 +262,8 @@ def test_values_refuse_assignment_and_deletion(value):
         assert getattr(value, name, None) is before
 
 
-def _fields(value):
-    """The value's slots, for classes without __eq__; a Subgroup, also
-    inside a current, by its generators and core."""
-    if isinstance(value, Subgroup):
-        return value.rank, value.generators, value.core
-    if isinstance(value, RationalCurrent):
-        return value.rank, [(c, _fields(sub)) for c, sub in value.terms]
-    cls = type(value)
-    return {name: getattr(value, name) for c in cls.__mro__
-            for name in getattr(c, "__slots__", ())}
+# The values that hold a list among their constructor's parameters.
+UNHASHABLE = (ProductGraph, SCGraphQuotient)
 
 
 @pytest.mark.parametrize("value", _value_instances())
@@ -279,12 +271,12 @@ def test_values_survive_pickle_and_copy(value):
     for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value),
                  copy.deepcopy(value)):
         assert type(twin) is type(value)
+        assert twin == value
+        if not isinstance(value, UNHASHABLE):
+            assert hash(twin) == hash(value)
         if isinstance(value, Subgroup):
+            # The twin derives its core again from the generators.
             assert label_isomorphic(twin.core, value.core)
-        assert _fields(twin) == _fields(value)
-        if "__eq__" in vars(type(value)):
-            assert twin == value
-            assert type(value).__hash__ is None or hash(twin) == hash(value)
         if isinstance(value, ProductGraph):
             # The coded fields are the slots; the rebuilt product must
             # decode into the same pairs and edges, over several
@@ -292,6 +284,35 @@ def test_values_survive_pickle_and_copy(value):
             assert len(value.component_stats()) > 1
             assert (twin.components, twin.component_edges) == \
                 (value.components, value.component_edges)
+
+
+def test_values_compare_by_their_constructor_arguments():
+    # Equal arguments make equal values, of one class only.  A subgroup
+    # compares its generator tuples, so one subgroup spelled by two bases
+    # gives two values; `label_isomorphic` of their cores decides the
+    # subgroup.
+    sub = Subgroup(["x", "yxY"], 2)
+    theta, _scale = integerize(cylinder_table(RationalCurrent.eta(sub), 1))
+    assert Subgroup(["x"], 2) == Subgroup(["x"], 2)
+    assert hash(Subgroup(["x"], 2)) == hash(Subgroup(["x"], 2))
+    assert realize(theta) == realize(theta)
+    assert fiber_product(sub.hull, sub.hull) == \
+        fiber_product(sub.hull, sub.hull)
+    assert RationalCurrent.eta(sub) == RationalCurrent([(1, sub)], 2)
+    assert Subgroup(["x"], 2) != Subgroup(["X"], 2)
+    assert label_isomorphic(Subgroup(["x"], 2).core, Subgroup(["X"], 2).core)
+    assert Subgroup(["x"], 2) != Subgroup(["x"], 3)
+    assert Word(2, (1,)) != (2, (1,)) and Word(2, (1,)) != Word(3, (1,))
+    assert RationalCurrent.eta(sub) != RationalCurrent.eta(sub).scale(2)
+
+
+@pytest.mark.parametrize("value", [
+    p for p in _value_instances() if isinstance(p.values[0], UNHASHABLE)])
+def test_values_holding_lists_are_unhashable(value):
+    # A fiber product and a realized quotient keep lists as they are
+    # built, so they hash as a list does: not at all.
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(value)
 
 
 def test_values_unpickled_in_another_process_hash_as_built():
