@@ -28,7 +28,7 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import InfeasibleKernelError
 from .cylinders import (RationalCurrent, RoundGraph, WeightTable,
-                        cylinder_table, distance, lens_rows)
+                        cylinder_table, distance, lens_rows, _fraction)
 from .realize import WeightSystem
 from .stallings import Subgroup
 from .words import Word
@@ -203,11 +203,17 @@ def rational_kernel_point(rows: Iterable[Mapping[int, Rational]],
     Either way u_i = 0 gives v_i = 0 and u_i >= eps gives v_i > 0, since
     v_i is within eps of u_i: only coordinates below the tolerance can
     leave the support.
+
+    This is the checked entry, for rows and targets from outside the
+    package: it reads them as ints and Fractions, refuses what the
+    conditions above refuse, and hands the rest to `_kernel_point`,
+    which `approximate_table` calls directly on the rows and target it
+    builds itself.
     """
     given = list(rows)
+    eps = _positive_tolerance(tolerance)
     try:
-        u = tuple(map(Fraction, target))
-        eps = Fraction(tolerance)
+        u = tuple(x if type(x) is Fraction else Fraction(x) for x in target)
         rows = [{int(j): int(c) for j, c in row.items()} for row in given]
     except OverflowError as exc:  # an infinity; a NaN raises ValueError
         raise ValueError(str(exc)) from exc
@@ -216,13 +222,28 @@ def rational_kernel_point(rows: Iterable[Mapping[int, Rational]],
         raise ValueError("row columns and coefficients must be integers")
     if any(not 0 <= j < n for row in rows for j in row):
         raise ValueError(f"a row has a column outside 0..{n - 1}")
-    if any(x < 0 for x in u):
+    if any(x.numerator < 0 for x in u):
         raise ValueError("target must be nonnegative")
-    if eps <= 0:
+    return _kernel_point(rows, u, eps)
+
+
+def _positive_tolerance(tolerance: Rational) -> Fraction:
+    """The tolerance as a Fraction, refused unless it is positive."""
+    eps = _fraction(tolerance)
+    if eps.numerator <= 0:
         raise ValueError("tolerance must be positive")
+    return eps
+
+
+def _kernel_point(rows: list[dict[int, int]], u: Sequence[Fraction],
+                  eps: Fraction) -> tuple[Fraction, ...]:
+    """The body of `rational_kernel_point`, for rows of int columns in
+    0..len(u) - 1 and int coefficients, a nonnegative Fraction target
+    and a positive Fraction tolerance, none of which it checks."""
     rounded = _rounded_kernel_point(rows, u, eps)
     if rounded is not None:
         return rounded
+    n = len(u)
     support = [i for i in range(n) if u[i] > 0]
     v = [Fraction(0)] * n
     while support:
@@ -290,12 +311,16 @@ def approximate_table(table: WeightTable, tolerance: Rational
 
     Returns (theta, M, exact) where exact is the nonnegative rational
     kernel table within `tolerance` of the input (sup-norm over
-    round-graphs) and theta = M * exact.
+    round-graphs) and theta = M * exact.  Only the tolerance comes from
+    the caller, and only it is checked, as `rational_kernel_point` checks
+    it: the rows `_matching_matrix` writes and the Fractions `rationalize`
+    snaps from a table's nonnegative entries go to `_kernel_point` as
+    they are.
     """
+    eps = _positive_tolerance(tolerance)
     support = table.support()
     snapped = list(map(rationalize, table.entries.values()))
-    v = rational_kernel_point(_matching_matrix(support, table.rank),
-                              snapped, tolerance)
+    v = _kernel_point(_matching_matrix(support, table.rank), snapped, eps)
     exact = WeightTable(table.rank, table.radius, dict(zip(support, v)))
     theta, scale = integerize(exact)
     return theta, scale, exact

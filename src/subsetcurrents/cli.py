@@ -92,8 +92,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 # Most round-graphs `cylinders --enumerate` lists, most letters one ball
 # B(id, radius), one input's words or one H_n of `converge` spell, most
-# units of total weight `realize` takes (its closure may cut as many
-# atoms), and most edges of the fiber product `intersect` joins.
+# atoms `realize` may cut (total weight over the weights' gcd), and most
+# edges of the fiber product `intersect` joins.
 SIZE_CAP = 10 ** 6
 
 def _integer(text: str) -> int:
@@ -241,8 +241,12 @@ def _cmd_cylinders(args) -> int:
 def _cmd_realize(args) -> int:
     table = cyl.table_from_text(_capped(args.table))
     _check_ball(table.rank, table.radius)
+    theta = WeightSystem(table)
     total = table.total()
-    if total > SIZE_CAP:
+    # Every range start, offset and cut of the atom closure is a multiple
+    # of the weights' gcd g, so it cuts at most total / g atoms.
+    g = math.gcd(*(v.numerator for v in table.entries.values()))
+    if total > SIZE_CAP * g:
         # str() has a digit limit, so a long total is named by its digit
         # count, read off its bit length.
         whole = int(total)
@@ -250,8 +254,8 @@ def _cmd_realize(args) -> int:
         shown = total if d < 18 else f"of {d + (whole >= 10 ** d)} digits"
         raise ValueError(
             f"refusing to realize total weight {shown} above the cap of "
-            f"{SIZE_CAP}; the quotient has one vertex per unit of weight")
-    theta = WeightSystem(table)
+            f"{SIZE_CAP} times the gcd {g} of its weights; the atom "
+            f"closure may cut total / gcd atoms")
     quotient = realize(theta)
     current = decompose(quotient)
     ok = verify_realization(theta, current)

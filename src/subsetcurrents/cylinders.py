@@ -15,7 +15,7 @@ this module is exact: values are `fractions.Fraction`, never floats.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, islice, product
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import AdmissibilityError, BasisMismatchError, FileFormatError
@@ -250,9 +250,9 @@ class WeightTable(_Frozen):
                     f"expected {rank}, {radius}")
             if type(value) is not Fraction:
                 value = _fraction(value)
-            if value < 0:
+            if value.numerator < 0:
                 raise ValueError(f"negative weight {value} for {t}")
-            if value:
+            if value.numerator:
                 table[t] = value
         self._set(rank, radius, {t: table[t] for t in sorted(table)})
 
@@ -422,6 +422,12 @@ def lens_keys(t: RoundGraph, generator: int
     which always lies in L, and (u,) + w otherwise, which lies in L
     exactly when |w| < r.  t's letters are among its first 2.rank + 1
     words, the root and then the words of length 1 in shortlex order.
+
+    The lens class is a filter of t's canonical words.  The translate is
+    built in one pass over them as three canonical lists, which one
+    stable sort by length merges: the stripped words whose first letter
+    precedes u (the root first), the u-prefixed words, then the other
+    stripped words.
     """
     r = t.radius
     u = generator
@@ -431,14 +437,21 @@ def lens_keys(t: RoundGraph, generator: int
            if (u,) in letters else None)
     inc = None
     if (-u,) in letters:
-        # r >= 1 here, so a word of length >= r has a first letter.
-        moved = [w[1:] if w and w[0] == -u else (u,) + w
-                 for w in t.words if len(w) < r or w[0] == -u]
-        # The stripped words never start with u, the prefixed ones always
-        # do, and each kind comes in canonical order: a stable sort by
-        # length and first letter merges them canonically.
-        inc = tuple(sorted(moved, key=lambda w: (
-            len(w), _CODE[w[0]] if w else 0)))
+        # The root's translate is (u,) and u^-1's the root.  No stripped
+        # word starts with u, so at each length those whose first letter
+        # precedes u come before the u-prefixed words, the rest after.
+        below, moved, above = [()], [(u,)], []
+        inverse, code = -u, _CODE[u]
+        for w in islice(t.words, 1, None):
+            if w[0] == inverse:
+                if len(w) > 1:
+                    (below if _CODE[w[1]] < code else above).append(w[1:])
+            elif len(w) < r:
+                moved.append((u,) + w)
+        below += moved
+        below += above
+        below.sort(key=len)
+        inc = tuple(below)
     return out, inc
 
 

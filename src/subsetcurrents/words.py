@@ -10,6 +10,7 @@ for the identity.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import attrgetter
 from typing import Iterable, Iterator
 
 from .errors import BasisMismatchError, LetterRangeError
@@ -74,11 +75,17 @@ class _Frozen:
         value._set(*fields)
         return value
 
-    def _params(self) -> tuple:
-        """The first slots: the constructor's parameters."""
-        code = type(self).__init__.__code__
-        return tuple([getattr(self, name) for name in
-                      self.__slots__[:code.co_argcount - 1]])
+    def __init_subclass__(cls, **kwargs):
+        # `_params()`, a value's first slots: its constructor's parameters,
+        # named once per class.  attrgetter gives a tuple only for two
+        # names or more, so a one-parameter class wraps its one value.
+        super().__init_subclass__(**kwargs)
+        code = cls.__init__.__code__
+        get = attrgetter(*cls.__slots__[:code.co_argcount - 1])
+        if code.co_argcount == 2:
+            cls._params = lambda self: (get(self),)
+        else:
+            cls._params = lambda self: get(self)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")

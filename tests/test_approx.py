@@ -364,6 +364,63 @@ def test_approximate_table_pipeline():
     assert verify_realization(theta, decompose(realize(theta)))
 
 
+@pytest.mark.parametrize("tolerance, message", [
+    (0, "tolerance must be positive"),
+    (-1, "tolerance must be positive"),
+    (float("nan"), "cannot convert NaN to integer ratio"),
+    (float("inf"), "cannot convert Infinity to integer ratio"),
+    (float("-inf"), "cannot convert Infinity to integer ratio"),
+    ("abc", "Invalid literal for Fraction: 'abc'"),
+], ids=["zero", "negative", "nan", "inf", "-inf", "text"])
+def test_approximate_table_refuses_a_bad_tolerance(tolerance, message):
+    # The tolerance is the one input `approximate_table` checks; each bad
+    # one is a plain ValueError, an infinity's OverflowError included.
+    table = cylinder_table(RationalCurrent.full(2), 1)
+    with pytest.raises(ValueError) as caught:
+        approximate_table(table, tolerance)
+    assert type(caught.value) is ValueError
+    assert str(caught.value) == message
+
+
+@st.composite
+def noised_tables(draw):
+    """The exact table of a random current of 1-4 subgroups at rank 2-3
+    and radius 1-3, each weight times 1 + a relative noise below 1e-6,
+    and a tolerance."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    rank = draw(st.integers(2, 3))
+    radius = draw(st.integers(1, 3))
+    current = random_current(rng, rank, max_terms=4, max_len=3)
+    exact = cylinder_table(current, radius)
+    tolerance = draw(st.sampled_from((Fraction(1, 100), Fraction(1, 10 ** 4),
+                                      Fraction(1, 10 ** 7))))
+    return WeightTable(rank, radius, noised_floats(exact, rng)), tolerance
+
+
+@settings(deadline=None, max_examples=60)
+@given(noised_tables())
+def test_approximate_table_equals_the_checked_kernel_point(problem):
+    # `approximate_table` hands its own rows and snapped target to the
+    # kernel-point core unchecked; the checked entry, given the same rows
+    # and target, returns the same point or refuses the same way.
+    table, tolerance = problem
+    support = table.support()
+    try:
+        v = rational_kernel_point(_matching_matrix(support, table.rank),
+                                  [rationalize(x) for x in
+                                   table.entries.values()], tolerance)
+    except InfeasibleKernelError as exc:
+        with pytest.raises(InfeasibleKernelError) as caught:
+            approximate_table(table, tolerance)
+        assert str(caught.value) == str(exc)
+        return
+    exact = WeightTable(table.rank, table.radius, dict(zip(support, v)))
+    theta, scale = integerize(exact)
+    got_theta, got_scale, got_exact = approximate_table(table, tolerance)
+    assert (got_theta.table, got_scale, got_exact) == (theta.table, scale,
+                                                        exact)
+
+
 def test_approximate_table_accepts_exact_current_tables():
     rng = random.Random(2)
     for _ in range(5):

@@ -373,14 +373,55 @@ def test_realize_refuses_total_weight_above_cap(tmp_path, capsys,
         raise AssertionError("realize ran on a table above the cap")
 
     monkeypatch.setattr("subsetcurrents.cli.realize", no_quotient)
+    # The weights' gcd is 1, so the closure may cut 1000001 atoms.
     (tmp_path / "big.txt").write_text(
-        "rank 2\nradius 1\ne,x,X,y,Y = 1000001\n")
+        "rank 2\nradius 1\ne,x,X,y,Y = 1000000\ne,x,X = 1\n")
     assert main(["realize", str(tmp_path / "big.txt"),
                  "--outdir", str(tmp_path / "out")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ")
+    err = one_line_refusal(capsys)
     assert "total weight 1000001" in err and "cap of 1000000" in err
+    assert "times the gcd 1 of its weights" in err
     assert not (tmp_path / "out").exists()
+
+
+def _realize_report(tmp_path, capsys, table, name) -> dict[str, str]:
+    """`subcur realize` on a table: its report lines as a dict."""
+    (tmp_path / f"{name}.txt").write_text(table_to_text(table))
+    assert main(["realize", str(tmp_path / f"{name}.txt"),
+                 "--outdir", str(tmp_path / name)]) == 0
+    return dict(line.split(" = ")
+                for line in capsys.readouterr().out.splitlines())
+
+
+def test_realize_caps_total_weight_over_the_gcd(tmp_path, capsys):
+    # Every cut of the atom closure is a multiple of the weights' gcd g,
+    # so the cap is on total / g: a table scaled by 10**9 (total 5.10**9)
+    # realizes in the atoms of the unscaled one, and prints every count
+    # and coefficient times 10**9.
+    subs = [Subgroup(["xy", "yxY"], 2), Subgroup(["xx", "y"], 2)]
+    table = cylinder_table(RationalCurrent(
+        [(1, sub) for sub in subs], 2), 2)
+    plain = _realize_report(tmp_path, capsys, table, "plain")
+    scaled = _realize_report(tmp_path, capsys, table.scale(10 ** 9),
+                             "scaled")
+    assert table.total() * 10 ** 9 > 10 ** 6
+    assert scaled.keys() == plain.keys()
+    for key, value in plain.items():
+        expected = value if key in ("verified", "shapes") else \
+            str(int(value) * 10 ** 9)
+        assert scaled[key] == expected, key
+    assert scaled["verified"] == "true"
+    for k in range(int(plain["shapes"])):
+        name = f"component_{k}.txt"
+        assert (tmp_path / "scaled" / name).read_text() == \
+            (tmp_path / "plain" / name).read_text()
+    # At gcd 10**6 a total of 2.10**6 is two units, within the cap; at
+    # gcd 1 a total of 10**6 + 1 is not (see the test above).
+    eta_f = cylinder_table(RationalCurrent.full(2), 1)
+    eta_x = cylinder_table(RationalCurrent.eta(Subgroup(["x"], 2)), 1)
+    both = _realize_report(tmp_path, capsys,
+                           (eta_f + eta_x).scale(10 ** 6), "both")
+    assert both["vertices"] == "2000000" and both["verified"] == "true"
 
 
 def test_table_with_bad_header_is_a_format_error(tmp_path, capsys):
@@ -465,7 +506,7 @@ def test_huge_rationals_are_refused_before_parsing(tmp_path, capsys,
         assert "cap of 4300 digits" in one_line_refusal(capsys)
     # A 4,300-digit weight is read; its realize refusal names the total
     # by its digit count.
-    table.write_text("rank 2\nradius 1\ne,x,X,y,Y = 1e4299\n")
+    table.write_text("rank 2\nradius 1\ne,x,X,y,Y = 1e4299\ne,x,X = 1\n")
     assert main(["realize", str(table), "--outdir", str(tmp_path)]) == 1
     assert "total weight of 4300 digits above the cap" in \
         one_line_refusal(capsys)

@@ -312,6 +312,15 @@ def test_only_outside_input_is_validated():
                                                   "core_from_generators"))
 
 
+def test_the_package_checks_no_kernel_rows_of_its_own():
+    # `rational_kernel_point` checks rows and targets from outside; the
+    # package's own repair, `approximate_table`, builds both and calls the
+    # unchecked core `_kernel_point` directly.
+    assert _callers("rational_kernel_point") == []
+    assert sorted(_callers("_kernel_point")) == [
+        "approx.py:approximate_table", "approx.py:rational_kernel_point"]
+
+
 def test_one_reader_reads_every_file_header():
     # `_read_file` alone splits subgroup, graph and table files into a
     # header and a body and reads the header, rank check included, so the
