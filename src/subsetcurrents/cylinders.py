@@ -470,9 +470,20 @@ def lens_rows(support: Sequence[RoundGraph], rank: int
     for gen in range(1, rank + 1):
         sides: dict[LensKey, tuple[list[int], list[int]]] = {}
         for j, t in enumerate(support):
-            for key, side in zip(lens_keys(t, gen), (0, 1)):
-                if key is not None:
-                    sides.setdefault(key, ([], []))[side].append(j)
+            out, inc = lens_keys(t, gen)
+            if out is not None:
+                side = sides.get(out)
+                if side is None:
+                    side = sides[out] = ([], [])
+                side[0].append(j)
+            if inc is not None:
+                side = sides.get(inc)
+                if side is None:
+                    side = sides[inc] = ([], [])
+                side[1].append(j)
+        # The last keys read may be copies of keys `sides` holds; they
+        # are not kept while the caller reads the rows.
+        out = inc = None
         for key in sorted(sides):
             yield (gen, key) + sides[key]
 

@@ -9,6 +9,7 @@ for the identity.
 
 from __future__ import annotations
 
+from array import array
 from functools import lru_cache
 from operator import attrgetter
 from typing import Iterable, Iterator
@@ -55,33 +56,44 @@ class _Frozen:
     """Base of the package's immutable values, and the one code that
     stores one and decides what it is.  A value class lists its
     constructor's parameters as its first slots, in order, then its
-    derived fields; `_set` fills every slot once, in that order.
+    derived fields.  Each class gets its own `_set(self, *slots)`, which
+    fills every slot once, in that order, and `_stored(*slots)`, which
+    allocates a value from fields its builder proved, with no check;
+    each takes exactly one argument per slot, or raises `TypeError`.
     Afterwards nothing deletes a slot, and only `Subgroup.core` and
     `.hull` assign one: each fills its lazy cache on first read.  A
-    constructor checks its input, then calls `_set`; `_stored` allocates
-    a value from fields its builder proved, with no check.  Two values
-    are equal when they have one type and equal parameters, which also
-    give the hash, and pickle and copy rebuild a value from them."""
+    constructor checks its input, then calls `_set`.  Two values are
+    equal when they have one type and equal parameters, which also give
+    the hash, and pickle and copy rebuild a value from them."""
 
     __slots__ = ()
 
-    def _set(self, *fields) -> None:
-        for name, value in zip(self.__slots__, fields):
-            object.__setattr__(self, name, value)
-
-    @classmethod
-    def _stored(cls, *fields):
-        value = object.__new__(cls)
-        value._set(*fields)
-        return value
-
     def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # `_set` and `_stored` are written once per class as straight-line
+        # code, one call per slot to its descriptor's setter (which passes
+        # by the refusing `__setattr__`), the way dataclasses writes
+        # `__init__`: a loop over the slots costs three times as much.
+        slots = cls.__slots__
+        fields = ", ".join(slots)
+        stores = "".join(f"\n    _s{i}(self, {name})"
+                         for i, name in enumerate(slots))
+        scope = {f"_s{i}": cls.__dict__[name].__set__
+                 for i, name in enumerate(slots)}
+        scope.update(_new=object.__new__, _cls=cls)
+        exec(f"def _set(self, {fields}):{stores}\n"
+             f"def _stored({fields}):\n    self = _new(_cls){stores}\n"
+             f"    return self\n", scope)
+        for name in ("_set", "_stored"):
+            # A wrong field count's TypeError then names the class.
+            scope[name].__qualname__ = f"{cls.__name__}.{name}"
+        cls._set = scope["_set"]
+        cls._stored = staticmethod(scope["_stored"])
         # `_params()`, a value's first slots: its constructor's parameters,
         # named once per class.  attrgetter gives a tuple only for two
         # names or more, so a one-parameter class wraps its one value.
-        super().__init_subclass__(**kwargs)
         code = cls.__init__.__code__
-        get = attrgetter(*cls.__slots__[:code.co_argcount - 1])
+        get = attrgetter(*slots[:code.co_argcount - 1])
         if code.co_argcount == 2:
             cls._params = lambda self: (get(self),)
         else:
@@ -179,37 +191,46 @@ def _char_letters(rank: int) -> dict[str, int]:
     return table
 
 
+# The ASCII characters that `str.split()` splits on, and the identity
+# marks: plain text drops them all before its letters are read.
+_DROPPED = b" \t\n\v\f\r\x1c\x1d\x1e\x1fe1"
+
+
 @lru_cache(maxsize=None)
-def _cancelling_pairs(rank: int) -> tuple[str, ...]:
-    """The two-character texts of a letter beside its inverse at this
-    rank: "xX", "Xx", "yY", ..."""
-    return tuple(pair for ch in ALPHABET[:rank]
-                 for pair in (ch + ch.upper(), ch.upper() + ch))
+def _letter_bytes(rank: int) -> tuple[bytes, tuple[bytes, ...]]:
+    """The byte table of plain text at this rank, each letter character
+    to its signed letter as a byte and every other byte to 0x80 (no
+    letter), and the two-byte codes of a letter beside its inverse."""
+    table = bytearray(b"\x80" * 256)
+    pairs = []
+    for i, ch in enumerate(ALPHABET[:rank], 1):
+        table[ord(ch)], table[ord(ch.upper())] = i, -i & 0xFF
+        pairs += bytes((i, -i & 0xFF)), bytes((-i & 0xFF, i))
+    return bytes(table), tuple(pairs)
 
 
 def parse_word(text: str, rank: int) -> Word:
     """Parse either compact ("xyX") or spaced ("x y x^-1") word syntax.
 
     Exponents apply to the single preceding letter; "e" alone is the
-    identity.  The result is freely reduced.  Text without "^" is read
-    whole, spaces and identity marks dropped, by one lookup per character
-    in a per-rank table, and is reduced only when it holds a letter
-    beside its inverse; any other text, or a character the table lacks,
-    goes through the token scanner, which alone reads exponents and
-    names a bad character.
+    identity.  The result is freely reduced.  ASCII text is first read
+    whole by one `bytes.translate`, which drops whitespace and identity
+    marks and turns each letter into its signed byte; if every byte left
+    is a letter, the word is those bytes, reduced only when they hold a
+    letter beside its inverse.  Any other text (an exponent, a character
+    that names no letter at this rank, or non-ASCII) goes through the
+    token scanner, which alone reads exponents and names a bad character.
     """
     _check_rank(rank)
-    table = _char_letters(rank)
-    plain = "".join(text.split()).replace("e", "").replace("1", "")
-    if "^" not in plain:
-        try:
-            decoded = tuple(map(table.__getitem__, plain))
-        except KeyError:
-            pass  # the scan below names the offending character
-        else:
-            if any(map(plain.__contains__, _cancelling_pairs(rank))):
+    if text.isascii():
+        table, pairs = _letter_bytes(rank)
+        codes = text.encode().translate(table, _DROPPED)
+        if b"\x80" not in codes:
+            decoded = tuple(array("b", codes))
+            if any(map(codes.__contains__, pairs)):
                 decoded = free_reduce(decoded)
             return Word._stored(rank, decoded)
+    table = _char_letters(rank)
     letters: list[int] = []
     for token in text.split():
         i = 0

@@ -20,7 +20,8 @@ from subsetcurrents.errors import (AdmissibilityError, BasisMismatchError,
                                    InfeasibleKernelError, LetterRangeError)
 from subsetcurrents.realize import WeightSystem
 from subsetcurrents.stallings import WordLike, _as_word, signed_adjacency
-from subsetcurrents.words import (_check_letters, _signed_letters,
+from subsetcurrents.words import (ALPHABET, _char_letters, _check_letters,
+                                  _check_rank, _signed_letters,
                                   char_to_letter, free_reduce)
 
 
@@ -388,6 +389,39 @@ def reference_parse_word(text: str, rank: int) -> Word:
                 m, power = -m, -power
             letters.extend([m] * power)
     return reduce(letters, rank)
+
+
+# Reference oracle: the decode of plain word text by one `map` over a
+# per-character table, which `words.parse_word`'s byte decode must match
+# word for word and error for error.
+
+@lru_cache(maxsize=None)
+def _cancelling_pairs(rank: int) -> tuple[str, ...]:
+    """The two-character texts of a letter beside its inverse at this
+    rank: "xX", "Xx", "yY", ..."""
+    return tuple(pair for ch in ALPHABET[:rank]
+                 for pair in (ch + ch.upper(), ch.upper() + ch))
+
+
+def map_parse_word(text: str, rank: int) -> Word:
+    """`reference_parse_word`, but text without "^" is read whole, spaces
+    and identity marks dropped, by one lookup per character in a per-rank
+    table, and is reduced only when it holds a letter beside its inverse;
+    any other text, or a character the table lacks, goes to
+    `reference_parse_word`, which names a bad character."""
+    _check_rank(rank)
+    table = _char_letters(rank)
+    plain = "".join(text.split()).replace("e", "").replace("1", "")
+    if "^" not in plain:
+        try:
+            decoded = tuple(map(table.__getitem__, plain))
+        except KeyError:
+            pass  # `reference_parse_word` names the offending character
+        else:
+            if any(map(plain.__contains__, _cancelling_pairs(rank))):
+                decoded = free_reduce(decoded)
+            return Word._stored(rank, decoded)
+    return reference_parse_word(text, rank)
 
 
 # Reference oracles: the fixed-point fold and the layer-per-pass prune

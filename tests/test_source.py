@@ -429,21 +429,31 @@ def test_immutability_lives_in_one_base():
 
 
 def test_only_the_store_and_two_lazy_caches_set_a_slot():
-    # `_Frozen._set` stores every field of every value; the only other
-    # writes are the two caches a `Subgroup` fills on first read.
-    sites = []
+    # `_Frozen.__init_subclass__` writes each class's one store, `_set`
+    # and `_stored`, as straight-line calls of its slots' descriptor
+    # setters, and is the only code the package generates; the only
+    # other writes are the two caches a `Subgroup` fills on first read.
+    setters, setattrs, generated = [], [], []
     for path, tree in package_trees():
         functions = [node for node in ast.walk(tree)
                      if isinstance(node, ast.FunctionDef)]
         owner = {id(n): f.name for f in functions for n in ast.walk(f)}
-        sites.extend(f"{path.name}:{owner.get(id(n), '<outside>')}"
-                     for n in ast.walk(tree) if isinstance(n, ast.Call)
-                     and isinstance(n.func, ast.Attribute)
-                     and n.func.attr == "__setattr__"
-                     and isinstance(n.func.value, ast.Name)
-                     and n.func.value.id == "object")
-    assert sorted(sites) == ["stallings.py:core", "stallings.py:hull",
-                             "words.py:_set"]
+        for n in ast.walk(tree):
+            site = f"{path.name}:{owner.get(id(n), '<outside>')}"
+            if isinstance(n, ast.Attribute) and n.attr == "__set__":
+                setters.append(site)
+            elif (isinstance(n, ast.Call)
+                  and isinstance(n.func, ast.Attribute)
+                  and n.func.attr == "__setattr__"
+                  and isinstance(n.func.value, ast.Name)
+                  and n.func.value.id == "object"):
+                setattrs.append(site)
+            elif (isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                  and n.func.id in ("exec", "eval", "compile")):
+                generated.append(site)
+    assert setters == ["words.py:__init_subclass__"]
+    assert sorted(setattrs) == ["stallings.py:core", "stallings.py:hull"]
+    assert generated == ["words.py:__init_subclass__"]
 
 
 def test_constructor_parameters_are_the_first_slots():

@@ -18,10 +18,11 @@ from subsetcurrents import (CoreGraph, ProductGraph, RationalCurrent,
                             label_isomorphic, parse_word, realize)
 from subsetcurrents.approx import subgroup_Hn
 from subsetcurrents.errors import BasisMismatchError, LetterRangeError
-from subsetcurrents.words import MAX_RANK, free_reduce
+from subsetcurrents.words import (_DROPPED, ALPHABET, MAX_RANK, _Frozen,
+                                  free_reduce)
 
-from helpers import (axis, cyclic_reduce, enumerate_reduced_words, reduce,
-                     reference_parse_word)
+from helpers import (axis, cyclic_reduce, enumerate_reduced_words,
+                     map_parse_word, reduce, reference_parse_word)
 
 letters = st.lists(st.integers(-2, 2).filter(bool), max_size=8)
 
@@ -155,14 +156,57 @@ def test_parse_word_matches_the_reference_parser(rank, text):
     assert_parses_like_the_reference(text, rank)
 
 
-def assert_parses_like_the_reference(text, rank):
+def assert_parses_like_the_reference(text, rank,
+                                     reference=reference_parse_word):
     def outcome(parse):
         try:
             return parse(text, rank)
         except ValueError as exc:
             return type(exc), str(exc)
 
-    assert outcome(parse_word) == outcome(reference_parse_word)
+    assert outcome(parse_word) == outcome(reference)
+
+
+# The ASCII characters `str.split()` splits on.
+ASCII_SPACES = [chr(c) for c in range(128) if chr(c).isspace()]
+
+
+@st.composite
+def plain_texts(draw):
+    """A rank of 1, 2 or 25 and a text over the letters of that rank and
+    the next, the identity marks, the ASCII whitespace and three
+    non-ASCII characters: an ideographic and a no-break space, and 'é'."""
+    rank = draw(st.sampled_from([1, 2, MAX_RANK]))
+    chars = ALPHABET[:rank + 1]
+    pieces = (list(chars + chars.upper()) + ["e", "1"] + ASCII_SPACES
+              + ["\u3000", "\xa0", "\xe9"])
+    return rank, "".join(draw(st.lists(st.sampled_from(pieces),
+                                       max_size=24)))
+
+
+@given(plain_texts())
+@example((2, "x\x1cy\x1fY X"))  # cancels across separators split drops
+@example((2, "x\u3000y"))  # whitespace only the token scanner drops
+@example((1, "xy"))  # a letter of the next rank
+@example((2, "x\ud800"))  # no UTF-8 form: refused as a bad character
+def test_parse_word_decodes_plain_text_like_the_map_decode(case):
+    # One `bytes.translate` reads plain ASCII text; its word, or its
+    # exception type and message, must be the per-character `map`
+    # decode's.
+    rank, text = case
+    assert_parses_like_the_reference(text, rank, map_parse_word)
+
+
+def test_plain_text_drops_ascii_whitespace_and_identity_marks():
+    assert len(_DROPPED) == 12
+    assert set(_DROPPED.decode()) == set(ASCII_SPACES) | {"e", "1"}
+
+
+def test_the_last_letter_decodes_at_the_top_rank():
+    assert MAX_RANK == 25
+    assert parse_word("w", 25).letters == (25,)
+    assert parse_word("W", 25).letters == (-25,)
+    assert parse_word("wWw", 25).letters == (25,)
 
 
 def test_parse_word_matches_the_reference_on_the_H_n_generators():
@@ -264,6 +308,19 @@ def test_values_refuse_assignment_and_deletion(value):
 
 # The values that hold a list among their constructor's parameters.
 UNHASHABLE = (ProductGraph, SCGraphQuotient)
+
+
+@pytest.mark.parametrize("cls", _Frozen.__subclasses__(),
+                         ids=lambda cls: cls.__name__)
+def test_a_store_takes_one_field_per_slot(cls):
+    # A short or long field list fails where it is stored, naming the
+    # class, not later at the read of a slot left unset.
+    n = len(cls.__slots__)
+    for count in (n - 1, n + 1):
+        with pytest.raises(TypeError, match=f"^{cls.__name__}._stored"):
+            cls._stored(*[None] * count)
+        with pytest.raises(TypeError, match=f"^{cls.__name__}._set"):
+            object.__new__(cls)._set(*[None] * count)
 
 
 @pytest.mark.parametrize("value", _value_instances())
