@@ -25,7 +25,6 @@ from .cylinders import (RationalCurrent, RoundGraph, WeightTable,
 from .realize import (SCGraphQuotient, WeightSystem, decompose, realize,
                       verify_realization)
 from .approx import (approximate_table, convergence_run, integerize,
-                     nullspace_basis, rational_kernel_point, rationalize,
-                     subgroup_Hn)
+                     rational_kernel_point, rationalize, subgroup_Hn)
 
 __version__ = "0.1.0"

@@ -98,17 +98,12 @@ def _bareiss_echelon(mat: list[list[int]]
     return mat[:r], pivots
 
 
-def nullspace_basis(matrix: Sequence[Sequence[int]], width: int
-                    ) -> list[list[Fraction]]:
-    """Rational kernel basis of integral rows, one vector per free column."""
-    rows = [list(row) for row in matrix]
-    try:
-        ints = [list(map(int, row)) for row in rows]
-    except OverflowError as exc:  # an infinity; a NaN raises ValueError
-        raise ValueError(str(exc)) from exc
-    if ints != rows or any(len(row) != width for row in rows):
-        raise ValueError(f"each row must hold {width} integral entries")
-    echelon, pivots = _bareiss_echelon(ints)
+def _nullspace_basis(rows: list[list[int]], width: int
+                     ) -> list[list[Fraction]]:
+    """Rational kernel basis of int rows of `width` entries, one vector
+    per free column.  The echelon runs on the rows as given, so the
+    caller hands over fresh rows; nothing is copied or checked."""
+    echelon, pivots = _bareiss_echelon(rows)
     basis = []
     for f in (c for c in range(width) if c not in pivots):
         vec = [Fraction(0)] * width
@@ -127,13 +122,13 @@ def _solve_nonsingular(matrix: list[list[Fraction]], rhs: list[Fraction]
                        ) -> list[Fraction]:
     """The solution x of a square nonsingular rational system A.x = b:
     the kernel of [A | -b], its rows cleared of denominators, is spanned
-    by (x, 1), the one vector `nullspace_basis` gives."""
+    by (x, 1), the one vector `_nullspace_basis` gives."""
     rows = []
     for row, b in zip(matrix, rhs):
         row = row + [-b]
         scale = lcm(*(x.denominator for x in row))
         rows.append([x.numerator * (scale // x.denominator) for x in row])
-    (solution,) = nullspace_basis(rows, len(rows) + 1)
+    (solution,) = _nullspace_basis(rows, len(rows) + 1)
     return solution[:-1]
 
 
@@ -248,7 +243,7 @@ def _kernel_point(rows: list[dict[int, int]], u: Sequence[Fraction],
     v = [Fraction(0)] * n
     while support:
         cuts = ([row.get(i, 0) for i in support] for row in rows)
-        basis = nullspace_basis([c for c in cuts if any(c)], len(support))
+        basis = _nullspace_basis([c for c in cuts if any(c)], len(support))
         if not basis:
             raise InfeasibleKernelError(
                 "the kernel restricted to the support is trivial")

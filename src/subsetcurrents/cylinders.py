@@ -20,19 +20,18 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import AdmissibilityError, BasisMismatchError, FileFormatError
 from .stallings import CoreGraph, Subgroup, _parse_fraction, _read_file
-from .words import (MAX_RANK, format_word, free_reduce, parse_word,
-                    _check_radius, _check_rank, _Frozen, _signed_letters)
+from .words import (format_word, free_reduce, parse_word, _check_radius,
+                    _check_rank, _Frozen, _SIGNED)
 
 WordTuple = tuple[int, ...]
 
-# Letter codes in round-graph order, x < X < y < Y ...: 2m for a
-# generator m and 1 - 2m for its inverse, all below 256 at MAX_RANK.
-_CODE = {m: 2 * m if m > 0 else 1 - 2 * m
-         for g in range(1, MAX_RANK + 1) for m in (g, -g)}
+# Letter codes in round-graph order, x < X < y < Y ...: each letter's
+# place in `_SIGNED` plus 2, which is 2m for a generator m and 1 - 2m for
+# its inverse, all below 256.
+_CODE = {m: code for code, m in enumerate(_SIGNED, 2)}
 # (m, m^-1, m's code as a byte) per signed letter in that order: a rank's
 # letters are the first 2.rank.
-_CODED_LETTERS = tuple((m, -m, bytes((_CODE[m],)))
-                       for m in _signed_letters(MAX_RANK))
+_CODED_LETTERS = tuple((m, -m, bytes((_CODE[m],))) for m in _SIGNED)
 
 
 def _order_key(words: tuple[WordTuple, ...]) -> bytes:
@@ -138,7 +137,7 @@ def enumerate_round_graphs(rank: int, radius: int) -> Iterator[RoundGraph]:
     if radius == 0:
         yield RoundGraph(rank, 0, [()])
         return
-    letters = _signed_letters(rank)
+    letters = _SIGNED[:2 * rank]
 
     def expand(done: list[WordTuple], frontier: list[WordTuple],
                depth: int) -> Iterator[list[WordTuple]]:
@@ -360,7 +359,7 @@ def _ball_ids(hull: CoreGraph, radius: int) -> list[int]:
     """
     n = hull.num_vertices
     columns = [[step.get(m, n) for step in hull._step]
-               for m in _signed_letters(hull.rank)]
+               for m in _SIGNED[:2 * hull.rank]]
     ids = [0] * n
     for _ in range(radius):
         prev = ids + [-1]
@@ -378,10 +377,11 @@ def cylinder_table(current: RationalCurrent, radius: int) -> WeightTable:
     vertex counts, independent of the radius.  Each term's vertices are
     first split by ball (`_ball_ids`); then one ball per id is traced, at
     the id's first vertex, weighted by the id's multiplicity and stored
-    with the words and order key the trace gives, so entries keep the
-    order of first vertices.  No radius is refused: the support has at
-    most one entry per hull vertex, but each entry's tree grows with the
-    ball, whose size is exponential in the radius.
+    with the words and order key the trace gives; equal balls of several
+    terms add up, and `WeightTable` sorts the entries into round-graph
+    order.  No radius is refused: the support has at most one entry per
+    hull vertex, but each entry's tree grows with the ball, whose size is
+    exponential in the radius.
     """
     _check_radius(radius)
     table: dict[RoundGraph, Fraction] = {}

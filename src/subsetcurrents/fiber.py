@@ -25,7 +25,7 @@ from typing import Union
 
 from .errors import BasisMismatchError
 from .stallings import CoreGraph, Subgroup, _prune, _tree_basis, join_least
-from .words import _Frozen, _signed_letters
+from .words import _Frozen, _SIGNED
 
 Pair = tuple[int, int]
 
@@ -159,7 +159,7 @@ def intersection(h: Subgroup, k: Subgroup) -> Subgroup:
         raise BasisMismatchError(f"rank {h.rank} vs rank {k.rank}")
     a_core, b_core = h.core, k.core
     rank, width = h.rank, b_core.num_vertices
-    letters = _signed_letters(rank)
+    letters = _SIGNED[:2 * rank]
     # Each vertex of A's letters in scan order, its neighbours pre-scaled.
     a_reads = [[(m, out[m] * width) for m in letters if m in out]
                for out in a_core._step]

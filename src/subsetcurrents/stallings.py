@@ -21,7 +21,7 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import BasisMismatchError, FileFormatError
 from .words import (Word, format_word, parse_word, _check_rank,
-                    _Frozen, _signed_letters)
+                    _Frozen, _SIGNED)
 
 WordLike = Union[Word, str]
 
@@ -418,7 +418,7 @@ def basis_of(c: CoreGraph) -> list[Word]:
     parent = [-1] * c.num_vertices
     parent[c.basepoint] = c.basepoint
     order = [c.basepoint]
-    letters = _signed_letters(c.rank)
+    letters = _SIGNED[:2 * c.rank]
     for v in order:
         out = c._step[v]
         for letter in letters:
@@ -473,7 +473,7 @@ def _canonical_key(c: CoreGraph) -> tuple:
     n = c.num_vertices
     if n == 0:
         return (0, ())
-    letters = _signed_letters(c.rank)
+    letters = _SIGNED[:2 * c.rank]
     # Edge (i, d, l) of a block is the code d * k + l, so codes sort as
     # the edges do, and n * k closes a block above every code.
     k = c.rank + 1

@@ -4,7 +4,8 @@ Letters are signed integers: +i is the i-th generator, -i its inverse,
 with 1 <= i <= rank.  Words are always kept freely reduced.  The text
 syntax maps letters to the alphabet x, y, z, a, b, c, d, f, ... (lowercase
 for a generator, uppercase for its inverse); the letter 'e' is reserved
-for the identity.
+for the identity.  The alphabet is written once, in `_SIGNED`, `_CHAR`
+and `_LETTER`, and every reader of letters or their order reads those.
 """
 
 from __future__ import annotations
@@ -20,6 +21,17 @@ from .errors import BasisMismatchError, LetterRangeError
 ALPHABET = "xyzabcdfghijklmnopqrstuvw"
 
 MAX_RANK = len(ALPHABET)
+
+# The signed letters in scan order, x, X, y, Y, ...: a rank's letters are
+# the first 2.rank.
+_SIGNED = tuple(m for i in range(1, MAX_RANK + 1) for m in (i, -i))
+# Each signed letter's character, lowercase for a generator and uppercase
+# for its inverse: the only case mapping in the package, on ASCII alone.
+_CHAR = dict(zip(_SIGNED, (c for ch in ALPHABET
+                           for c in (ch, ch.upper()))))
+# Each character that names a letter, and the identity marks 'e' and '1'
+# as 0; no other character names one, whatever its case folds to.
+_LETTER = {ch: m for m, ch in _CHAR.items()} | {"e": 0, "1": 0}
 
 
 def _check_rank(rank: int) -> None:
@@ -162,33 +174,15 @@ class Word(_Frozen):
         return format_word(self)
 
 
-def letter_to_char(m: int) -> str:
-    ch = ALPHABET[abs(m) - 1]
-    return ch if m > 0 else ch.upper()
-
-
-def char_to_letter(ch: str, rank: int) -> int:
-    low = ch.lower()
-    idx = ALPHABET.find(low)
-    if idx < 0 or idx >= rank:
-        raise LetterRangeError(f"letter {ch!r} is not a generator at rank {rank}")
-    return idx + 1 if ch.islower() else -(idx + 1)
-
-
 def format_word(w: Iterable[int]) -> str:
-    """Compact letter form of a Word or a letter tuple; the empty word
-    prints as 'e'."""
-    return "".join(letter_to_char(m) for m in w) or "e"
-
-
-@lru_cache(maxsize=None)
-def _char_letters(rank: int) -> dict[str, int]:
-    """Each character naming a letter at this rank; 'e' and '1' name the
-    identity (0)."""
-    table = {"e": 0, "1": 0}
-    for i, ch in enumerate(ALPHABET[:rank], 1):
-        table[ch], table[ch.upper()] = i, -i
-    return table
+    """Compact letter form of a Word or a letter tuple, each letter spelt
+    by `_CHAR`; the empty word prints as 'e'.  A letter outside
+    +-1..MAX_RANK raises LetterRangeError."""
+    try:
+        return "".join(map(_CHAR.__getitem__, w)) or "e"
+    except KeyError as exc:
+        raise LetterRangeError(
+            f"letter {exc.args[0]!r} has no character") from None
 
 
 # The ASCII characters that `str.split()` splits on, and the identity
@@ -198,14 +192,15 @@ _DROPPED = b" \t\n\v\f\r\x1c\x1d\x1e\x1fe1"
 
 @lru_cache(maxsize=None)
 def _letter_bytes(rank: int) -> tuple[bytes, tuple[bytes, ...]]:
-    """The byte table of plain text at this rank, each letter character
-    to its signed letter as a byte and every other byte to 0x80 (no
-    letter), and the two-byte codes of a letter beside its inverse."""
+    """The byte table of plain text at this rank, read off `_CHAR`: each
+    character of the rank's letters to its signed letter as a byte, and
+    every other byte to 0x80 (no letter); and the two-byte codes of a
+    letter beside its inverse, in `_SIGNED` order."""
     table = bytearray(b"\x80" * 256)
     pairs = []
-    for i, ch in enumerate(ALPHABET[:rank], 1):
-        table[ord(ch)], table[ord(ch.upper())] = i, -i & 0xFF
-        pairs += bytes((i, -i & 0xFF)), bytes((-i & 0xFF, i))
+    for m in _SIGNED[:2 * rank]:
+        table[ord(_CHAR[m])] = m & 0xFF
+        pairs.append(bytes((m & 0xFF, -m & 0xFF)))
     return bytes(table), tuple(pairs)
 
 
@@ -213,13 +208,16 @@ def parse_word(text: str, rank: int) -> Word:
     """Parse either compact ("xyX") or spaced ("x y x^-1") word syntax.
 
     Exponents apply to the single preceding letter; "e" alone is the
-    identity.  The result is freely reduced.  ASCII text is first read
-    whole by one `bytes.translate`, which drops whitespace and identity
-    marks and turns each letter into its signed byte; if every byte left
-    is a letter, the word is those bytes, reduced only when they hold a
-    letter beside its inverse.  Any other text (an exponent, a character
-    that names no letter at this rank, or non-ASCII) goes through the
-    token scanner, which alone reads exponents and names a bad character.
+    identity.  The result is freely reduced.  A letter is exactly one of
+    the characters `_CHAR` spells, up to the rank; nothing is case-folded,
+    so no other character names one.  ASCII text is first read whole by
+    one `bytes.translate`, which drops whitespace and identity marks and
+    turns each letter into its signed byte; if every byte left is a
+    letter, the word is those bytes, reduced only when they hold a letter
+    beside its inverse.  Any other text (an exponent, a character that
+    names no letter at this rank, or non-ASCII) goes through the token
+    scanner, which reads each character in `_LETTER`, alone reads
+    exponents and names a bad character.
     """
     _check_rank(rank)
     if text.isascii():
@@ -230,19 +228,19 @@ def parse_word(text: str, rank: int) -> Word:
             if any(map(codes.__contains__, pairs)):
                 decoded = free_reduce(decoded)
             return Word._stored(rank, decoded)
-    table = _char_letters(rank)
     letters: list[int] = []
     for token in text.split():
         i = 0
         while i < len(token):
             ch = token[i]
             i += 1
-            m = table.get(ch)
-            if m is None:
-                if not ch.isalpha():
+            m = _LETTER.get(ch)
+            if m is None or abs(m) > rank:
+                if m is None and not ch.isalpha():
                     raise LetterRangeError(
                         f"unexpected character {ch!r} in {text!r}")
-                m = char_to_letter(ch, rank)
+                raise LetterRangeError(
+                    f"letter {ch!r} is not a generator at rank {rank}")
             if not m:
                 continue
             power = 1
@@ -262,9 +260,3 @@ def parse_word(text: str, rank: int) -> Word:
                 m, power = -m, -power
             letters.extend([m] * power)
     return Word._stored(rank, free_reduce(letters))
-
-
-@lru_cache(maxsize=None)
-def _signed_letters(rank: int) -> tuple[int, ...]:
-    # Fixed canonical order: +1, -1, +2, -2, ...
-    return tuple(m for i in range(1, rank + 1) for m in (i, -i))

@@ -20,9 +20,8 @@ from subsetcurrents.errors import (AdmissibilityError, BasisMismatchError,
                                    InfeasibleKernelError, LetterRangeError)
 from subsetcurrents.realize import WeightSystem
 from subsetcurrents.stallings import WordLike, _as_word, signed_adjacency
-from subsetcurrents.words import (ALPHABET, _char_letters, _check_letters,
-                                  _check_rank, _signed_letters,
-                                  char_to_letter, free_reduce)
+from subsetcurrents.words import (ALPHABET, _SIGNED, _check_letters,
+                                  _check_rank, free_reduce)
 
 
 # Words, cores and round-graphs, and the G_n family, that only the tests
@@ -51,7 +50,7 @@ def enumerate_reduced_words(rank: int, max_len: int) -> Iterator[Word]:
         nxt: list[tuple[int, ...]] = []
         for prefix in frontier:
             last = prefix[-1] if prefix else 0
-            for m in _signed_letters(rank):
+            for m in _SIGNED[:2 * rank]:
                 if m != -last:
                     w = prefix + (m,)
                     nxt.append(w)
@@ -98,7 +97,7 @@ def reference_canonical_key(c: CoreGraph) -> tuple:
     are the basepoint, or every vertex of a hull-core."""
     if c.num_vertices == 0:
         return (0, ())
-    letters = _signed_letters(c.rank)
+    letters = _SIGNED[:2 * c.rank]
 
     def encoding(start) -> tuple:
         order = {start: 0}
@@ -352,7 +351,19 @@ def reference_lens_keys(t: RoundGraph, generator: int
 
 # Reference oracle: the character-by-character word parser, checked
 # again in `reduce`, that `words.parse_word` must match word for word and
-# error for error.
+# error for error.  Its letters come from its own table, built from
+# `ALPHABET` alone, so a letter the package's tables misread shows.
+
+@lru_cache(maxsize=None)
+def reference_letters(rank: int) -> dict[str, int]:
+    """The ASCII characters naming a letter at this rank: the rank's
+    characters of `ALPHABET` for its generators, their ASCII capitals
+    for the inverses."""
+    table = {}
+    for i, ch in enumerate(ALPHABET[:rank], 1):
+        table[ch], table[chr(ord(ch) - 32)] = i, -i
+    return table
+
 
 def reference_parse_word(text: str, rank: int) -> Word:
     """Parse either compact ("xyX") or spaced ("x y x^-1") word syntax.
@@ -370,7 +381,10 @@ def reference_parse_word(text: str, rank: int) -> Word:
                 continue
             if not ch.isalpha():
                 raise LetterRangeError(f"unexpected character {ch!r} in {text!r}")
-            m = char_to_letter(ch, rank)
+            m = reference_letters(rank).get(ch)
+            if m is None:
+                raise LetterRangeError(
+                    f"letter {ch!r} is not a generator at rank {rank}")
             i += 1
             power = 1
             if i < len(token) and token[i] == "^":
@@ -399,8 +413,8 @@ def reference_parse_word(text: str, rank: int) -> Word:
 def _cancelling_pairs(rank: int) -> tuple[str, ...]:
     """The two-character texts of a letter beside its inverse at this
     rank: "xX", "Xx", "yY", ..."""
-    return tuple(pair for ch in ALPHABET[:rank]
-                 for pair in (ch + ch.upper(), ch.upper() + ch))
+    table = reference_letters(rank)
+    return tuple(a + b for a in table for b in table if table[a] == -table[b])
 
 
 def map_parse_word(text: str, rank: int) -> Word:
@@ -410,7 +424,7 @@ def map_parse_word(text: str, rank: int) -> Word:
     any other text, or a character the table lacks, goes to
     `reference_parse_word`, which names a bad character."""
     _check_rank(rank)
-    table = _char_letters(rank)
+    table = reference_letters(rank)
     plain = "".join(text.split()).replace("e", "").replace("1", "")
     if "^" not in plain:
         try:
@@ -843,7 +857,7 @@ def _product_neighbors(a_graph: CoreGraph, b_graph: CoreGraph,
                        pair: Pair):
     """The pairs one signed letter away, in letter order x, X, y, Y, ..."""
     a, b = pair
-    for letter in _signed_letters(a_graph.rank):
+    for letter in _SIGNED[:2 * a_graph.rank]:
         a2 = a_graph.step(a, letter)
         if a2 is not None:
             b2 = b_graph.step(b, letter)
@@ -927,7 +941,7 @@ def reference_basis_of(c: CoreGraph) -> list[Word]:
     order = [c.basepoint]
     tree: set[tuple[int, int, int]] = set()
     for v in order:
-        for letter in _signed_letters(c.rank):
+        for letter in _SIGNED[:2 * c.rank]:
             w = c.step(v, letter)
             if w is not None and w not in path:
                 path[w] = path[v] + (letter,)

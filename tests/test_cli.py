@@ -730,7 +730,9 @@ def flag(*valid: str):
                             "\u00b2", "\u0661", "1_0"])
 
 
-@settings(deadline=None, max_examples=250,
+# A failure is shrunk and reported alone: shrinking every distinct one
+# through fresh `main` calls took minutes.
+@settings(deadline=None, max_examples=250, report_multiple_bugs=False,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(sub=mutated("subgroup"), table=mutated("table"),
        graph=mutated("graph"), data=st.data())

@@ -319,6 +319,47 @@ def test_the_package_checks_no_kernel_rows_of_its_own():
     assert _callers("rational_kernel_point") == []
     assert sorted(_callers("_kernel_point")) == [
         "approx.py:approximate_table", "approx.py:rational_kernel_point"]
+    # The kernel basis runs the echelon on the fresh int rows its two
+    # callers build: it reads no entry as an int and refuses nothing.
+    assert sorted(_callers("_nullspace_basis")) == [
+        "approx.py:_kernel_point", "approx.py:_solve_nonsingular"]
+    basis = _function("approx.py", "_nullspace_basis")
+    assert not _calls(basis, "int")
+    assert not any(isinstance(n, ast.Raise) for n in ast.walk(basis))
+
+
+# The str methods that map or test case.
+CASE_METHODS = {"lower", "upper", "casefold", "swapcase", "capitalize",
+                "title", "islower", "isupper", "istitle"}
+
+
+def test_the_alphabet_is_written_once():
+    # `words` builds the alphabet at module level: `_SIGNED` holds the
+    # signed letters in scan order and `_CHAR` their characters, the
+    # only case mapping in the package, so no reader folds a character
+    # such as the Kelvin sign into a letter.  `ALPHABET` is read only
+    # there, and no helper spells a letter or the scan order again.
+    mapped, alphabet = [], []
+    for path, tree in package_trees():
+        for stmt in tree.body:
+            names = set(_names(stmt))
+            where = (path.name, stmt.lineno,
+                     [t.id for t in getattr(stmt, "targets", [])
+                      if isinstance(t, ast.Name)])
+            if CASE_METHODS & names:
+                mapped.append(where)
+            if "ALPHABET" in names:
+                alphabet.append(where)
+    assert [targets for _file, _line, targets in mapped] == [["_CHAR"]]
+    assert {file for file, _line, _targets in mapped + alphabet} == \
+        {"words.py"}
+    assert [targets for _file, _line, targets in alphabet] == [
+        ["ALPHABET"], ["MAX_RANK"], ["_CHAR"]]
+    defined = {node.name for _path, tree in package_trees()
+               for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert defined.isdisjoint({"letter_to_char", "char_to_letter",
+                               "_char_letters", "_signed_letters"})
 
 
 def test_one_reader_reads_every_file_header():

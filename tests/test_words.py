@@ -130,14 +130,15 @@ def test_parse_word_reads_ascii_exponents_only(text):
 
 # Pieces of word texts: letters in and out of rank 1-3 (every one is in
 # rank at MAX_RANK but 'e'/'E'), the Kelvin sign, which lowercases to the
-# ASCII 'k', the identity marks, exponents, digits, spaces, punctuation.
+# ASCII 'k' but names no letter, the identity marks, exponents, digits,
+# spaces, punctuation.
 PARSE_PIECES = (list("xyzabXYZABkKE\u212ae1^-0123456789 \t,.;*()")
                 + ["^2", "^-1", "^-12", "^0", "x^3", "Y^-2"])
 
 
 @given(st.sampled_from([1, 2, 3, MAX_RANK]),
        st.lists(st.sampled_from(PARSE_PIECES), max_size=16).map("".join))
-@example(MAX_RANK, "xy\u212a z")  # a letter only the slower scan reads
+@example(MAX_RANK, "xy\u212a z")  # no letter, though it folds to one
 @example(2, "x X")  # pairs that cancel across a space, e, 1 or a tab
 @example(2, "xeX")
 @example(2, "x1X")
@@ -174,12 +175,13 @@ ASCII_SPACES = [chr(c) for c in range(128) if chr(c).isspace()]
 @st.composite
 def plain_texts(draw):
     """A rank of 1, 2 or 25 and a text over the letters of that rank and
-    the next, the identity marks, the ASCII whitespace and three
-    non-ASCII characters: an ideographic and a no-break space, and 'é'."""
+    the next, the identity marks, the ASCII whitespace and four
+    non-ASCII characters: an ideographic and a no-break space, 'é' and
+    the Kelvin sign, which lowercases to the ASCII 'k'."""
     rank = draw(st.sampled_from([1, 2, MAX_RANK]))
     chars = ALPHABET[:rank + 1]
     pieces = (list(chars + chars.upper()) + ["e", "1"] + ASCII_SPACES
-              + ["\u3000", "\xa0", "\xe9"])
+              + ["\u3000", "\xa0", "\xe9", "\u212a"])
     return rank, "".join(draw(st.lists(st.sampled_from(pieces),
                                        max_size=24)))
 
@@ -189,6 +191,7 @@ def plain_texts(draw):
 @example((2, "x\u3000y"))  # whitespace only the token scanner drops
 @example((1, "xy"))  # a letter of the next rank
 @example((2, "x\ud800"))  # no UTF-8 form: refused as a bad character
+@example((MAX_RANK, "x\u212a"))  # the Kelvin sign names no letter
 def test_parse_word_decodes_plain_text_like_the_map_decode(case):
     # One `bytes.translate` reads plain ASCII text; its word, or its
     # exception type and message, must be the per-character `map`
@@ -207,6 +210,42 @@ def test_the_last_letter_decodes_at_the_top_rank():
     assert parse_word("w", 25).letters == (25,)
     assert parse_word("W", 25).letters == (-25,)
     assert parse_word("wWw", 25).letters == (25,)
+
+
+def test_only_the_ascii_alphabet_and_e_name_letters():
+    # Nothing is case-folded: of every alphabetic code point, only the 50
+    # ASCII letters of the alphabet and the identity mark parse, and
+    # `format_word` spells each letter back as it was read.
+    alphas = [c for c in map(chr, range(0x110000)) if c.isalpha()]
+    parsed = {}
+    for c in alphas:
+        try:
+            parsed[c] = parse_word(c, MAX_RANK).letters
+        except LetterRangeError:
+            pass
+    signed = [m for i in range(1, MAX_RANK + 1) for m in (i, -i)]
+    chars = [c for ch in ALPHABET for c in (ch, ch.upper())]
+    assert len(set(chars)) == 50 and all(map(str.isascii, chars))
+    assert parsed == {c: (m,) for c, m in zip(chars, signed)} | {"e": ()}
+    assert list(map(format_word, zip(signed))) == chars
+
+
+def test_the_kelvin_sign_is_no_letter():
+    # U+212A lowercases to 'k', the 13th generator's letter, yet is refused
+    # at every rank, as a letter past the rank is.
+    for rank in (12, 13, MAX_RANK):
+        with pytest.raises(LetterRangeError,
+                           match=f"is not a generator at rank {rank}"):
+            parse_word("\u212a", rank)
+    with pytest.raises(LetterRangeError, match="is not a generator at rank 2"):
+        parse_word("z", 2)
+    assert parse_word("K", 13).letters == (-13,)
+
+
+@pytest.mark.parametrize("letter", [0, MAX_RANK + 1, -MAX_RANK - 1])
+def test_format_word_refuses_a_letter_with_no_character(letter):
+    with pytest.raises(LetterRangeError, match=f"letter {letter} has no"):
+        format_word((letter,))
 
 
 def test_parse_word_matches_the_reference_on_the_H_n_generators():
