@@ -44,16 +44,16 @@ def rationalize(value) -> Fraction:
     FLOAT_DENOMINATOR_BOUND: the answer of `Fraction.limit_denominator`,
     found on integers and built as the one Fraction returned.
 
-    A float, int or Fraction is read exactly as n/d; other input goes
-    through `Fraction`.  Past the bound, the continued fraction of n/d
+    A value other than a Fraction is read as `cylinders._fraction` reads
+    it, a float exactly.  Past the bound, the continued fraction of n/d
     runs until the next convergent's denominator would pass it.  Of the
     last convergent p1/q1 and the largest semiconvergent
     (p0 + k.p1)/(q0 + k.q1) within it, the nearer n/d wins, p1/q1 on a
     tie.  The two lie 1/(q1.(q0 + k.q1)) apart and p1/q1 lies d'/(q1.d)
     from n/d, d' the last remainder: p1/q1 wins iff 2.d'.(q0 + k.q1) <= d.
     """
-    if not isinstance(value, (float, int, Fraction)):
-        value = Fraction(value)
+    if type(value) is not Fraction:
+        value = _fraction(value)
     n, d = value.as_integer_ratio()
     if d <= FLOAT_DENOMINATOR_BOUND:
         return Fraction(n, d)
@@ -200,15 +200,14 @@ def rational_kernel_point(rows: Iterable[Mapping[int, Rational]],
     leave the support.
 
     This is the checked entry, for rows and targets from outside the
-    package: it reads them as ints and Fractions, refuses what the
-    conditions above refuse, and hands the rest to `_kernel_point`,
-    which `approximate_table` calls directly on the rows and target it
-    builds itself.
+    package: it reads rows as ints and numbers by `_fraction`, refuses
+    what the conditions above refuse, and hands the rest to
+    `_kernel_point`, which `approximate_table` calls on rows it builds.
     """
     given = list(rows)
     eps = _positive_tolerance(tolerance)
+    u = tuple(map(_fraction, target))
     try:
-        u = tuple(x if type(x) is Fraction else Fraction(x) for x in target)
         rows = [{int(j): int(c) for j, c in row.items()} for row in given]
     except OverflowError as exc:  # an infinity; a NaN raises ValueError
         raise ValueError(str(exc)) from exc

@@ -13,7 +13,6 @@ import math
 import re
 import sys
 from collections import Counter
-from fractions import Fraction
 from pathlib import Path
 
 from . import approx as approx_mod
@@ -97,7 +96,9 @@ def build_parser() -> argparse.ArgumentParser:
 SIZE_CAP = 10 ** 6
 
 def _integer(text: str) -> int:
-    return int(stallings._plain_number(text))
+    if not re.fullmatch(stallings._INTEGER, text):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
 
 
 def _capped(source, text=None) -> str:
@@ -216,13 +217,11 @@ def _cmd_cylinders(args) -> int:
         raise ValueError("give subgroup files, or --enumerate")
     subs = [stallings.subgroup_from_text(_capped(path))
             for path in args.subgroups]
-    if args.coeffs is None:
-        coeffs = [Fraction(1)] * len(subs)
-    else:
-        coeffs = [stallings._parse_fraction(c)
-                  for c in _capped("--coeffs", args.coeffs).split(",")]
-        if len(coeffs) != len(subs):
-            raise ValueError("one coefficient per subgroup file")
+    # The library reads each coefficient's text, as every number value.
+    coeffs = ([1] * len(subs) if args.coeffs is None
+              else _capped("--coeffs", args.coeffs).split(","))
+    if len(coeffs) != len(subs):
+        raise ValueError("one coefficient per subgroup file")
     current = cyl.RationalCurrent(list(zip(coeffs, subs)))
     _check_ball(current.rank, args.radius)
     table = cyl.cylinder_table(current, args.radius)
@@ -259,6 +258,7 @@ def _cmd_realize(args) -> int:
     quotient = realize(theta)
     current = decompose(quotient)
     ok = verify_realization(theta, current)
+    _check_digits("the realization", [total, *(c for c, _ in current.terms)])
     args.outdir.mkdir(parents=True, exist_ok=True)
     report = [f"vertices = {total}",
               f"components = {quotient.component_count()}",
@@ -278,8 +278,8 @@ def _cmd_realize(args) -> int:
 def _cmd_approx(args) -> int:
     table = cyl.table_from_text(_capped(args.table))
     _check_ball(table.rank, table.radius)
-    eps = stallings._parse_fraction(_capped("--epsilon", args.epsilon))
-    theta, scale, _exact = approx_mod.approximate_table(table, eps)
+    theta, scale, _exact = approx_mod.approximate_table(
+        table, _capped("--epsilon", args.epsilon))
     _check_digits("the repaired table", [scale, *theta.table.entries.values()])
     text = cyl.table_to_text(theta.table)
     if args.out is not None:
@@ -291,7 +291,7 @@ def _cmd_approx(args) -> int:
 
 
 def _cmd_converge(args) -> int:
-    ns = [_integer(x) for x in _capped("--ns", args.ns).split(",")
+    ns = [_integer(x.strip()) for x in _capped("--ns", args.ns).split(",")
           if x.strip()]
     for n in ns:            # H_n's generators: y^n, y^i x y^-i (0 < i < n)
         if n * n + n - 1 > SIZE_CAP:

@@ -225,7 +225,10 @@ RationalLike = Union[Fraction, int, str]
 
 
 def _fraction(value: RationalLike) -> Fraction:
-    """Fraction(value), an infinity raising ValueError as a NaN does."""
+    """The one reader of a number value: text by `_parse_fraction`, the
+    rest by Fraction(), an infinity raising ValueError as a NaN does."""
+    if isinstance(value, str):
+        return _parse_fraction(value)
     try:
         return Fraction(value)
     except OverflowError as exc:

@@ -581,7 +581,8 @@ def _content_lines(text: str) -> Iterator[str]:
 # limit on int/str conversion, so that every value read can be printed.
 DIGIT_CAP = 4300
 
-# ASCII digits only: '²', '٢', '+2' and '1_0' are no integers.
+# The one rule of integer text, in files and flags: ASCII digits only,
+# so '²', '٢', '+2' and '1_0' are no integers.
 _INTEGER = rf"-?[0-9]{{1,{DIGIT_CAP}}}"
 
 _NUMBER = re.compile(r"([0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE]([-+]?[0-9]+))?")
@@ -599,24 +600,18 @@ def _over_digit_cap(text: str) -> bool:
     return False
 
 
-def _plain_number(text: str) -> str:
-    """`text`, unless it holds a non-ASCII character or '_', which int()
-    and Fraction() would read ('٢', '1_0'), or spells more than DIGIT_CAP
-    digits, for which Fraction() would build 10**exponent in full."""
-    if not text.isascii() or "_" in text:
-        raise ValueError(f"not an ASCII number: {text!r}")
-    if _over_digit_cap(text):
-        raise ValueError(f"a number of more than {DIGIT_CAP} digits")
-    return text
-
-
 def _parse_fraction(text: str) -> Fraction:
-    """The rational `text` spells, as `_plain_number` admits it; any
-    other text raises ValueError("bad rational ...")."""
-    try:
-        return Fraction(_plain_number(text).strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"bad rational {text!r}") from exc
+    """The rational `text` spells, in a file, a flag or a value.  Text
+    that Fraction() refuses ('1/0' too) raises ValueError("bad rational
+    ..."), and so, unread, does text with a non-ASCII character or '_',
+    which Fraction() would read ('٢', '1_0'), or of more than DIGIT_CAP
+    digits, for which it would build 10**exponent in full."""
+    if text.isascii() and "_" not in text and not _over_digit_cap(text):
+        try:
+            return Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValueError(f"bad rational {text!r}")
 
 
 def _read_file(text: str, names: Sequence[str]

@@ -84,9 +84,11 @@ def test_rational_kernel_point_validation():
     lambda v: rational_kernel_point([{0: v}], [1], Fraction(1, 10)),
     lambda v: rational_kernel_point([{0: 1}], [v], Fraction(1, 10)),
     lambda v: WeightTable(2, 1, {axis(2, 1, 1): v}),
-], ids=["kernel-row", "kernel-target", "table"])
+    rationalize,
+], ids=["kernel-row", "kernel-target", "table", "rationalize"])
 def test_a_number_that_is_not_finite_is_a_value_error(call, value):
-    # int() and Fraction() raise OverflowError on an infinity.
+    # int(), Fraction() and float.as_integer_ratio() raise OverflowError
+    # on an infinity.
     with pytest.raises(ValueError):
         call(value)
 
@@ -354,7 +356,7 @@ def test_approximate_table_pipeline():
     (float("nan"), "cannot convert NaN to integer ratio"),
     (float("inf"), "cannot convert Infinity to integer ratio"),
     (float("-inf"), "cannot convert Infinity to integer ratio"),
-    ("abc", "Invalid literal for Fraction: 'abc'"),
+    ("abc", "bad rational 'abc'"),
 ], ids=["zero", "negative", "nan", "inf", "-inf", "text"])
 def test_approximate_table_refuses_a_bad_tolerance(tolerance, message):
     # The tolerance is the one input `approximate_table` checks; each bad

@@ -595,10 +595,17 @@ def test_a_table_value_is_an_ascii_number(tmp_path, monkeypatch, case):
         assert main(argv) == 2
 
 
+# int() reads a sign and spaces, but an integer is spelled as in a file
+# header: '+2' and ' 2' are no integers.  An --ns item is stripped first.
+SIGNED_OR_SPACED = {"plus": "+2", "space": " 2"}
+
+
 @pytest.mark.parametrize("flag, case", [
     (flag, case) for flag in ("--coeffs", "--epsilon", "--ns", "--radius",
                               "--rank")
-    for case in NON_ASCII_NUMBERS])
+    for case in NON_ASCII_NUMBERS] + [
+    (flag, case) for flag in ("--radius", "--rank")
+    for case in SIGNED_OR_SPACED] + [("--ns", "plus")])
 def test_a_number_flag_is_an_ascii_number(tmp_path, capsys, flag, case):
     # Refused as a non-number in its place is: a value of --coeffs,
     # --epsilon or --ns exits 1, and an argparse type error exits 2.
@@ -618,8 +625,23 @@ def test_a_number_flag_is_an_ascii_number(tmp_path, capsys, flag, case):
             return exc.code
 
     code = 2 if flag in ("--radius", "--rank") else 1
-    assert exit_code(NON_ASCII_NUMBERS[case]) == exit_code("q") == code
+    value = {**NON_ASCII_NUMBERS, **SIGNED_OR_SPACED}[case]
+    assert exit_code(value) == exit_code("q") == code
     assert capsys.readouterr().out == ""
+    # A plain integer is read, and an --ns item is stripped.
+    assert exit_code("2, 4" if flag == "--ns" else "2") == 0
+
+
+def test_realize_refuses_a_total_past_the_digit_cap(tmp_path, capsys):
+    # Each weight has 4,300 digits and the two make 2 atoms over their
+    # gcd, but the total, printed in the report, has 4,301: it is refused
+    # before the output directory is made.
+    table = tmp_path / "table.txt"
+    table.write_text("rank 2\nradius 1\ne,x,X,y,Y = 9e4299\ne,x,X = 9e4299\n")
+    outdir = tmp_path / "out"
+    assert main(["realize", str(table), "--outdir", str(outdir)]) == 1
+    assert "the cap of 4300 digits" in one_line_refusal(capsys)
+    assert not outdir.exists()
 
 
 def test_computed_values_past_the_digit_cap_are_refused(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from itertools import combinations
 from unittest import mock
@@ -16,7 +17,8 @@ from subsetcurrents import (CoreGraph, LabeledGraph, RationalCurrent,
                             table_from_text, table_to_text,
                             validate_round_graph)
 from subsetcurrents import cylinders
-from subsetcurrents.approx import subgroup_Hn
+from subsetcurrents.approx import (rational_kernel_point, rationalize,
+                                   subgroup_Hn)
 from subsetcurrents.cylinders import (_order_key, _traced_words, lens_keys,
                                       lens_rows)
 from subsetcurrents.errors import (AdmissibilityError, FileFormatError,
@@ -481,6 +483,64 @@ def test_weight_table_validation():
         WeightTable(2, 2, {full_ball(2, 1): 1})  # radius mismatch
     with pytest.raises(ValueError, match="radius must be >= 0"):
         WeightTable(2, -1)
+
+
+def number_readers(text):
+    """Each reader of a number, in a file or as a value handed to the
+    library, set to read `text` as the weight of the full ball."""
+    t = full_ball(2, 1)
+    return {
+        "file": lambda: table_from_text(
+            f"rank 2\nradius 1\n{round_graph_to_text(t)} = {text}\n")[t],
+        "table": lambda: WeightTable(2, 1, {t: text})[t],
+        "table-scale": lambda: WeightTable(2, 1, {t: 1}).scale(text)[t],
+        "current": lambda: sum(c for c, _ in RationalCurrent(
+            [(text, Subgroup(["x"], 2))], 2).terms),
+        "current-scale": lambda: sum(c for c, _ in ETA_X.scale(text).terms),
+    }
+
+
+# Fraction() reads '_' and spaces inside a number and Arabic-Indic or
+# full-width digits; the number rule of a file refuses all but the spaces
+# around it.
+@settings(deadline=None, max_examples=300)
+@given(st.text(st.sampled_from("0123456789-+/.e_ \u0661\uff11"),
+               max_size=10))
+@example("\u0661")
+@example("1_0")
+@example(" 1/2 ")
+@example("+2")
+def test_every_reader_reads_a_number_by_one_rule(text):
+    # Each reader gives one Fraction, or each refuses the text with a
+    # ValueError, FileFormatError from the file.
+    results = set()
+    for read in number_readers(text).values():
+        try:
+            results.add(read())
+        except ValueError:
+            results.add(None)
+    assert len(results) == 1
+    (value,) = results
+    if value is not None:
+        assert text.isascii() and "_" not in text
+        assert value == Fraction(text)
+
+
+@pytest.mark.parametrize("text", ["1e10000000", "1e-10000000", "\u0661",
+                                  "1_0", "1/0"])
+def test_a_number_past_the_rule_is_refused_unread(text):
+    # Fraction() would build 10**10000000 in full, read '١' and '1_0' as 1
+    # and 10, and raise ZeroDivisionError on '1/0'.  Every reader refuses
+    # each at once, by the one message of the file rule.
+    readers = dict(number_readers(text),
+                   rationalize=lambda: rationalize(text),
+                   kernel_target=lambda: rational_kernel_point([], [text], 1),
+                   tolerance=lambda: rational_kernel_point([], [1], text))
+    for name, read in readers.items():
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="^bad rational"):
+            read()
+        assert time.perf_counter() - start < 0.1, name
 
 
 R2_ROUND_GRAPHS = list(enumerate_round_graphs(2, 2))

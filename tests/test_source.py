@@ -540,3 +540,45 @@ def test_one_rule_checks_every_edge():
     # constructor's rows and for `fold`'s input alike.
     assert _callers("_checked_edges") == ["stallings.py:signed_adjacency",
                                           "stallings.py:fold"]
+
+
+def _reads_a_number(node: ast.AST) -> bool:
+    """True iff `node` is a one-argument Fraction() call of anything but a
+    constant: a reading of a number from text or a value."""
+    return (isinstance(node, ast.Call) and "Fraction" in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        and len(node.args) == 1 and not node.keywords
+        and not isinstance(node.args[0], ast.Constant))
+
+
+def test_one_rule_reads_each_kind_of_number():
+    # Rational text is read by `stallings._parse_fraction` alone, and a
+    # number handed in as a value by `cylinders._fraction`, which sends
+    # text to `_parse_fraction`; `realize` reads only its own int sums.
+    readers = []
+    for path, tree in package_trees():
+        functions = [node for node in ast.walk(tree)
+                     if isinstance(node, ast.FunctionDef)]
+        inner = {id(n) for f in functions for n in ast.walk(f)}
+        readers.extend(f"{path.name}:{f.name}" for f in functions
+                       if any(map(_reads_a_number, ast.walk(f))))
+        readers.extend(f"{path.name}:<module>" for node in ast.walk(tree)
+                       if id(node) not in inner and _reads_a_number(node))
+    assert sorted(readers) == ["cylinders.py:_fraction", "realize.py:realize",
+                               "stallings.py:_parse_fraction"]
+    defined = {node.name for _path, tree in package_trees()
+               for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert "_plain_number" not in defined
+    # Integer text is read by the `stallings._INTEGER` pattern alone: the
+    # CLI's integer flags and each --ns item fullmatch it, as file headers
+    # and edges do.
+    integer = _function("cli.py", "_integer")
+    assert "_INTEGER" in _names(integer) and _calls(integer, "fullmatch")
+    typed = {(call.args[0].value, kw.value.id)
+             for call in ast.walk(_function("cli.py", "build_parser"))
+             if isinstance(call, ast.Call)
+             and getattr(call.func, "attr", None) == "add_argument"
+             for kw in call.keywords
+             if kw.arg == "type" and kw.value.id != "Path"}
+    assert typed == {("--radius", "_integer"), ("--rank", "_integer")}
+    assert _callers("_integer") == ["cli.py:_cmd_converge"]
