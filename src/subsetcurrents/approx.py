@@ -14,10 +14,9 @@ inductively (they can only be noise below the tolerance).  Scaling by
 the least common denominator then gives an admissible integer weight
 system, whose scale M divides q when the scan found the point.
 
-The second half builds the rank-2 subgroup families G_n (index n,
-generated by x, y^n and the conjugates y^i x y^-i) and H_n (the same
-without x) and measures the cylinder distance from (1/n) eta_{H_n} to
-eta_F, which shrinks like 1/n.
+The second half builds the rank-2 subgroup family H_n (generated by
+y^n and the conjugates y^i x y^-i, 0 < i < n) and measures the cylinder
+distance from (1/n) eta_{H_n} to eta_F, which shrinks like 1/n.
 """
 
 from __future__ import annotations

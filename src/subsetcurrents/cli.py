@@ -3,7 +3,9 @@
 All numeric output is printed in canonical reduced form p/q (plain
 integer when the denominator is 1); `converge --decimal` adds a decimal
 column for human reading.  Exit codes: 0 success, 1 domain error (the
-violated precondition is named), 2 I/O or file-format error.
+violated precondition is named), 2 I/O or file-format error.  A command
+that prints a table prints its status lines as `# ` comments, so that
+its stdout reads back as a table file.
 """
 
 from __future__ import annotations
@@ -30,58 +32,63 @@ def build_parser() -> argparse.ArgumentParser:
         prog="subcur",
         description="subset currents on free groups: core graphs, "
                     "cylinder tables, realization")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=_Subcommand)
 
-    p = sub.add_parser("rank", help="reduced rank of a subgroup")
+    p = sub.add_parser("rank", run=_cmd_rank,
+                       help="reduced rank of a subgroup")
     p.add_argument("subgroup", type=Path)
 
-    p = sub.add_parser("index", help="index of a subgroup (or infinite)")
+    p = sub.add_parser("index", run=_cmd_index,
+                       help="index of a subgroup (or infinite)")
     p.add_argument("subgroup", type=Path)
 
-    p = sub.add_parser("member", help="membership of a word")
+    p = sub.add_parser("member", run=_cmd_member,
+                       help="membership of a word")
     p.add_argument("subgroup", type=Path)
     p.add_argument("--word", required=True)
 
-    p = sub.add_parser("intersect",
+    p = sub.add_parser("intersect", run=_cmd_intersect,
                        help="fiber product: N, SHNC bound, census")
     p.add_argument("left", type=Path)
     p.add_argument("right", type=Path)
     p.add_argument("--export", type=Path, default=None,
                    help="path prefix for component graph exports")
 
-    p = sub.add_parser("cylinders",
-                       help="cylinder table of a rational current, or "
-                            "round-graph enumeration")
-    p.add_argument("subgroups", nargs="*", type=Path)
+    p = sub.add_parser("cylinders", run=_cmd_cylinders,
+                       help="cylinder table of a rational current")
+    p.add_argument("subgroups", nargs="+", type=Path)
     p.add_argument("--radius", type=_integer, required=True)
-    p.add_argument("--coeffs", default=None,
-                   help="comma-separated rational coefficients, one per "
-                        "subgroup file (default all 1)")
-    p.add_argument("--enumerate", action="store_true",
-                   help="list every round-graph at this radius instead")
-    p.add_argument("--rank", type=_integer, default=2,
-                   help="rank for --enumerate (default 2)")
+    p.add_argument("--coeffs", help="comma-separated rational "
+                   "coefficients, one per subgroup file (default all 1)")
     p.add_argument("--out", type=Path, default=None)
 
-    p = sub.add_parser("realize",
+    p = sub.add_parser("enumerate", run=_cmd_enumerate,
+                       help="list every round-graph at a radius")
+    p.add_argument("--radius", type=_integer, required=True)
+    p.add_argument("--rank", type=_integer, default=2,
+                   help="rank of the free group (default 2)")
+
+    p = sub.add_parser("realize", run=_cmd_realize,
                        help="realize an integer weight table and verify")
     p.add_argument("table", type=Path)
     p.add_argument("--outdir", type=Path, default=Path("."))
 
-    p = sub.add_parser("approx",
+    p = sub.add_parser("approx", run=_cmd_approx,
                        help="repair a (possibly float) table to an "
                             "admissible integer weight system")
     p.add_argument("table", type=Path)
     p.add_argument("--epsilon", default="1/1000")
     p.add_argument("--out", type=Path, default=None)
 
-    p = sub.add_parser("converge",
+    p = sub.add_parser("converge", run=_cmd_converge,
                        help="distance of (1/n) eta_{H_n} from eta_F")
     p.add_argument("--radius", type=_integer, required=True)
     p.add_argument("--ns", default="2,4,8,16")
     p.add_argument("--decimal", action="store_true")
 
-    p = sub.add_parser("export", help="write a subgroup's graph description")
+    p = sub.add_parser("export", run=_cmd_export,
+                       help="write a subgroup's graph description")
     p.add_argument("subgroup", type=Path)
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--hull", action="store_true",
@@ -89,7 +96,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Most round-graphs `cylinders --enumerate` lists, most letters one ball
+class _Subcommand(argparse.ArgumentParser):
+    """A subcommand's parser: the arguments it parses carry its handler
+    as `run`, and it refuses an argument it does not know itself, so the
+    error names the subcommand (the top-level parser names only `subcur`)."""
+
+    def __init__(self, *args, run, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.set_defaults(run=run)
+
+    def parse_known_args(self, args=None, namespace=None):
+        args, extra = super().parse_known_args(args, namespace)
+        if extra:
+            self.error(f"unrecognized arguments: {' '.join(extra)}")
+        return args, extra
+
+
+# Most round-graphs `enumerate` lists, most letters one ball
 # B(id, radius), one input's words or one H_n of `converge` spell, most
 # atoms `realize` may cut (total weight over the weights' gcd), and most
 # edges of the fiber product `intersect` joins.
@@ -131,27 +154,24 @@ def _check_digits(what: str, values) -> None:
                          f"the cap of {DIGIT_CAP} digits")
 
 
-def _cmd_rank(args) -> int:
+def _cmd_rank(args) -> None:
     sub = stallings.subgroup_from_text(_capped(args.subgroup))
     print(f"reduced_rank = {sub.reduced_rank()}")
-    return 0
 
 
-def _cmd_index(args) -> int:
+def _cmd_index(args) -> None:
     sub = stallings.subgroup_from_text(_capped(args.subgroup))
     idx = stallings.finite_index(sub.core)
     print(f"index = {'infinite' if idx is None else idx}")
-    return 0
 
 
-def _cmd_member(args) -> int:
+def _cmd_member(args) -> None:
     word = _capped("--word", args.word)
     sub = stallings.subgroup_from_text(_capped(args.subgroup))
     print("true" if sub.contains(word) else "false")
-    return 0
 
 
-def _cmd_intersect(args) -> int:
+def _cmd_intersect(args) -> None:
     left = stallings.subgroup_from_text(_capped(args.left))
     right = stallings.subgroup_from_text(_capped(args.right))
     # The join lists one edge per pair of same-label hull edges.
@@ -177,7 +197,6 @@ def _cmd_intersect(args) -> int:
             Path(f"{args.export}.{k}.txt").write_text(
                 stallings.graph_to_text(graph), encoding="utf-8")
         print(f"exported {len(product.components)} components")
-    return 0
 
 
 def _check_ball(rank: int, radius: int) -> None:
@@ -194,27 +213,25 @@ def _check_ball(rank: int, radius: int) -> None:
         words *= 2 * rank - 1
 
 
-def _cmd_cylinders(args) -> int:
-    if args.enumerate:
-        _check_ball(args.rank, args.radius)
-        expected = cyl.count_round_graphs(args.rank, args.radius)
-        if expected > SIZE_CAP:
-            # A long count is shown by its bit length: it would not fit
-            # one line, and str() of an int has a digit limit.
-            bits = expected.bit_length()
-            shown = expected if bits <= 64 else f"over 2^{bits - 1}"
-            raise ValueError(
-                f"refusing to list {shown} round-graphs at rank "
-                f"{args.rank}, radius {args.radius}, above the cap of "
-                f"{SIZE_CAP}; the library generator is lazy if you need "
-                f"to stream them")
-        graphs = list(cyl.enumerate_round_graphs(args.rank, args.radius))
-        print(f"count = {len(graphs)}")
-        for t in sorted(graphs):
-            print(cyl.round_graph_to_text(t))
-        return 0
-    if not args.subgroups:
-        raise ValueError("give subgroup files, or --enumerate")
+def _cmd_enumerate(args) -> None:
+    _check_ball(args.rank, args.radius)
+    expected = cyl.count_round_graphs(args.rank, args.radius)
+    if expected > SIZE_CAP:
+        # A long count is shown by its bit length: it would not fit one
+        # line, and str() of an int has a digit limit.
+        bits = expected.bit_length()
+        shown = expected if bits <= 64 else f"over 2^{bits - 1}"
+        raise ValueError(
+            f"refusing to list {shown} round-graphs at rank {args.rank}, "
+            f"radius {args.radius}, above the cap of {SIZE_CAP}; the "
+            f"library generator is lazy if you need to stream them")
+    graphs = list(cyl.enumerate_round_graphs(args.rank, args.radius))
+    print(f"count = {len(graphs)}")
+    for t in sorted(graphs):
+        print(cyl.round_graph_to_text(t))
+
+
+def _cmd_cylinders(args) -> None:
     subs = [stallings.subgroup_from_text(_capped(path))
             for path in args.subgroups]
     # The library reads each coefficient's text, as every number value.
@@ -233,11 +250,10 @@ def _cmd_cylinders(args) -> int:
         sys.stdout.write(text)
     violations = cyl.check_matching(table)
     for line in violations or ["ok"]:
-        print(f"matching: {line}")
-    return 0
+        print(f"# matching: {line}")
 
 
-def _cmd_realize(args) -> int:
+def _cmd_realize(args) -> None:
     table = cyl.table_from_text(_capped(args.table))
     _check_ball(table.rank, table.radius)
     theta = WeightSystem(table)
@@ -268,14 +284,15 @@ def _cmd_realize(args) -> int:
         (args.outdir / f"component_{k}.txt").write_text(
             stallings.subgroup_to_text(sub), encoding="utf-8")
         report.append(f"component_{k} = {coeff}")
-    (args.outdir / "report.txt").write_text("\n".join(report) + "\n",
-                                       encoding="utf-8")
-    for line in report:
-        print(line)
-    return 0 if ok else 1
+    text = "".join(f"{line}\n" for line in report)
+    (args.outdir / "report.txt").write_text(text, encoding="utf-8")
+    sys.stdout.write(text)
+    if not ok:
+        raise ValueError("the realization does not verify: the current it "
+                         "decomposes into has another table")
 
 
-def _cmd_approx(args) -> int:
+def _cmd_approx(args) -> None:
     table = cyl.table_from_text(_capped(args.table))
     _check_ball(table.rank, table.radius)
     theta, scale, _exact = approx_mod.approximate_table(
@@ -286,11 +303,10 @@ def _cmd_approx(args) -> int:
         args.out.write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
-    print(f"M = {scale}")
-    return 0
+    print(f"# M = {scale}")
 
 
-def _cmd_converge(args) -> int:
+def _cmd_converge(args) -> None:
     ns = [_integer(x.strip()) for x in _capped("--ns", args.ns).split(",")
           if x.strip()]
     for n in ns:            # H_n's generators: y^n, y^i x y^-i (0 < i < n)
@@ -303,40 +319,23 @@ def _cmd_converge(args) -> int:
         if args.decimal:
             line += f" ({float(dist):.6g})"
         print(line)
-    return 0
 
 
-def _cmd_export(args) -> int:
+def _cmd_export(args) -> None:
     sub = stallings.subgroup_from_text(_capped(args.subgroup))
     graph = sub.hull if args.hull else sub.core
     args.out.write_text(stallings.graph_to_text(graph), encoding="utf-8")
     print(f"wrote {args.out}")
-    return 0
-
-
-_COMMANDS = {
-    "rank": _cmd_rank,
-    "index": _cmd_index,
-    "member": _cmd_member,
-    "intersect": _cmd_intersect,
-    "cylinders": _cmd_cylinders,
-    "realize": _cmd_realize,
-    "approx": _cmd_approx,
-    "converge": _cmd_converge,
-    "export": _cmd_export,
-}
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
-    except (FileFormatError, OSError) as exc:
+        args.run(args)
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, (FileFormatError, OSError)) else 1
+    return 0
 
 
 if __name__ == "__main__":

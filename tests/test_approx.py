@@ -243,6 +243,36 @@ def test_kernel_point_refuses_a_large_coordinate_forced_negative():
         rational_kernel_point([DROP_ROW], target, tolerance)
 
 
+def test_kernel_point_projects_on_the_target_support_alone():
+    # u_2 = 0 keeps x2 out of the projection, so v_2 = 0: projected over
+    # all three columns, (3/2, 1, 0) would go to (4/3, 7/6, 1/6).
+    target = [Fraction(3, 2), Fraction(1), Fraction(0)]
+    tolerance = Fraction(1, 3)
+    dense = dense_rows([DROP_ROW], 3)
+    assert reference_scan(dense, target, tolerance, approx.SCAN_BOUND) is None
+    expected = (Fraction(5, 4), Fraction(5, 4), Fraction(0))
+    assert reference_projection(dense, target, tolerance) == expected
+    assert rational_kernel_point([DROP_ROW], target, tolerance) == expected
+
+
+@pytest.mark.parametrize("row, target, message", [
+    # x0 = 0 projects (1, 1) to (0, 1): a coordinate projected to exactly
+    # 0 is not forced negative, and the point is refused by its gap.
+    ({0: 1}, [1, 1], "no kernel point within 1/2 of the target"),
+    # x0 + x1 = 0 projects (1, 1/2) to (1/4, -1/4): a target of exactly
+    # the tolerance is no noise to drop.
+    ({0: 1, 1: 1}, [1, Fraction(1, 2)],
+     "projection forces a coordinate negative beyond tolerance")],
+    ids=["zero", "at-tolerance"])
+def test_kernel_point_names_the_bound_a_projection_meets(row, target,
+                                                          message):
+    tolerance = Fraction(1, 2)
+    dense = dense_rows([row], 2)
+    assert reference_scan(dense, target, tolerance, approx.SCAN_BOUND) is None
+    with pytest.raises(InfeasibleKernelError, match=f"^{message}$"):
+        rational_kernel_point([row], target, tolerance)
+
+
 @st.composite
 def nudged_kernel_problems(draw):
     """The exact r = 1-2 table of a random rank-2 current as a vector over

@@ -89,8 +89,8 @@ def test_intersect_export_may_not_be_a_core_graph(tmp_path, capsys):
         graph_from_text(exported.read_text())
 
 
-def test_cylinders_enumerate(capsys):
-    assert main(["cylinders", "--radius", "1", "--enumerate"]) == 0
+def test_enumerate_command(capsys):
+    assert main(["enumerate", "--radius", "1"]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "count = 11"
     assert "e,x,X" in out[1:]
@@ -101,8 +101,7 @@ def test_cylinders_table(tmp_path, capsys):
     out_path = tmp_path / "table.txt"
     assert main(["cylinders", str(path), "--radius", "1",
                  "--coeffs", "1/2", "--out", str(out_path)]) == 0
-    out = capsys.readouterr().out
-    assert "matching: ok" in out
+    assert capsys.readouterr().out == "# matching: ok\n"
     table = table_from_text(out_path.read_text())
     expected = cylinder_table(
         RationalCurrent.eta(Subgroup(["x"], 2)), 1).scale(Fraction(1, 2))
@@ -131,6 +130,22 @@ def test_realize_rejects_inadmissible_table(tmp_path, capsys):
     assert "matching equation violated" in capsys.readouterr().err
 
 
+def test_realize_names_a_failed_verification(tmp_path, capsys, monkeypatch):
+    # A realization that fails its check still writes and prints its
+    # report, and exits 1 with one error line, as every domain error does.
+    monkeypatch.setattr("subsetcurrents.cli.verify_realization",
+                        lambda theta, current: False)
+    (tmp_path / "theta.txt").write_text("rank 2\nradius 1\ne,x,X,y,Y = 2\n")
+    outdir = tmp_path / "out"
+    assert main(["realize", str(tmp_path / "theta.txt"),
+                 "--outdir", str(outdir)]) == 1
+    captured = capsys.readouterr()
+    assert "verified = false" in captured.out.splitlines()
+    assert (outdir / "report.txt").read_text() == captured.out
+    assert captured.err == ("error: the realization does not verify: the "
+                            "current it decomposes into has another table\n")
+
+
 def test_approx_command(tmp_path, capsys):
     (tmp_path / "float.txt").write_text(
         "rank 2\nradius 1\n"
@@ -139,8 +154,7 @@ def test_approx_command(tmp_path, capsys):
     out_path = tmp_path / "theta.txt"
     assert main(["approx", str(tmp_path / "float.txt"),
                  "--out", str(out_path)]) == 0
-    out = capsys.readouterr().out
-    assert out.startswith("M = ")
+    assert capsys.readouterr().out.startswith("# M = ")
     theta = table_from_text(out_path.read_text())
     assert theta.is_integral()
 
@@ -159,11 +173,41 @@ def test_approx_output_realizes(tmp_path, capsys):
     theta = tmp_path / "th.txt"
     assert main(["approx", str(noisy), "--epsilon", "1/100",
                  "--out", str(theta)]) == 0
-    assert capsys.readouterr().out == "M = 1\n"
+    assert capsys.readouterr().out == "# M = 1\n"
     assert table_from_text(theta.read_text()) == exact
     assert main(["realize", str(theta),
                  "--outdir", str(tmp_path / "out")]) == 0
     assert "verified = true" in capsys.readouterr().out.splitlines()
+
+
+def test_a_table_on_stdout_is_the_out_file_and_realizes(tmp_path, capsys):
+    # `cylinders` and `approx` print their status lines as `# ` comments,
+    # which every table reader skips: stdout without --out is the --out
+    # file followed by those lines, reads back as the same table, and
+    # feeds `realize` as it is.
+    subs = [write_sub(tmp_path, f"s{k}.txt", gens) for k, gens in
+            enumerate((["xy", "yxY"], ["xx", "y"]))]
+    exact = cylinder_table(RationalCurrent(
+        [(1, subgroup_from_text(path.read_text())) for path in subs]), 2)
+    noisy = tmp_path / "noisy.txt"
+    noisy.write_text("rank 2\nradius 2\n" + "".join(
+        f"{round_graph_to_text(t)} = {value!r}\n"
+        for t, value in noised_floats(exact, random.Random(1)).items()))
+    written, piped = tmp_path / "written.txt", tmp_path / "piped.txt"
+    for argv in (["cylinders", *map(str, subs), "--radius", "2"],
+                 ["approx", str(noisy), "--epsilon", "1/100"]):
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert main([*argv, "--out", str(written)]) == 0
+        status = capsys.readouterr().out
+        assert status.startswith("# ") and status.count("\n") == 1
+        assert captured.out == written.read_text() + status
+        assert table_from_text(captured.out) == exact
+        piped.write_text(captured.out)
+        assert main(["realize", str(piped),
+                     "--outdir", str(tmp_path / argv[0])]) == 0
+        assert "verified = true" in capsys.readouterr().out.splitlines()
 
 
 def test_converge_command(capsys):
@@ -199,13 +243,39 @@ def test_exit_codes(tmp_path, capsys):
     assert "not a generator at rank 2" in err
 
 
-def test_cylinders_enumerate_rejects_a_bad_rank(capsys):
+def test_enumerate_rejects_a_bad_rank(capsys):
     for rank in ("0", "-1", "26"):
-        assert main(["cylinders", "--enumerate", "--radius", "2",
-                     "--rank", rank]) == 1
+        assert main(["enumerate", "--radius", "2", "--rank", rank]) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("error: rank must be between 1 and 25")
         assert "count =" not in captured.out
+
+
+def test_cylinders_and_enumerate_refuse_what_belongs_to_the_other(
+        tmp_path, capsys):
+    # `cylinders` takes one or more subgroup files and `enumerate` none;
+    # a flag or file of the other, or no file, is a usage error of the
+    # subcommand named (exit 2), not input silently dropped.
+    sub = str(write_sub(tmp_path, "x.txt", ["x"]))
+    for argv, error in (
+            (["cylinders", sub, "--radius", "1", "--enumerate"],
+             "unrecognized arguments: --enumerate"),
+            (["cylinders", sub, "--radius", "1", "--rank", "7"],
+             "unrecognized arguments: --rank 7"),
+            (["cylinders", "--radius", "1"],
+             "the following arguments are required: subgroups"),
+            (["enumerate", sub, "--radius", "1"],
+             f"unrecognized arguments: {sub}"),
+            (["enumerate", "--radius", "1", "--coeffs", "5"],
+             "unrecognized arguments: --coeffs 5")):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"usage: subcur {argv[0]} ")
+        assert [line for line in captured.err.splitlines()
+                if "error:" in line] == [f"subcur {argv[0]}: error: {error}"]
 
 
 def test_cylinders_prints_one_line_per_violation(tmp_path, capsys,
@@ -217,13 +287,13 @@ def test_cylinders_prints_one_line_per_violation(tmp_path, capsys,
     path = write_sub(tmp_path, "x.txt", ["x"])
     assert main(["cylinders", str(path), "--radius", "1"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[-2:] == [f"matching: {row}" for row in rows]
-    assert lines[-1].startswith("matching: matching equation violated for "
-                                "generator 2")
+    assert lines[-2:] == [f"# matching: {row}" for row in rows]
+    assert lines[-1].startswith("# matching: matching equation violated "
+                                "for generator 2")
 
 
-def test_cylinders_enumerate_refuses_huge_radius(capsys):
-    assert main(["cylinders", "--radius", "3", "--enumerate"]) == 1
+def test_enumerate_refuses_huge_radius(capsys):
+    assert main(["enumerate", "--radius", "3"]) == 1
     assert "refusing to list 68719474691" in capsys.readouterr().err
 
 
@@ -235,11 +305,11 @@ def one_line_refusal(capsys) -> str:
     return captured.err
 
 
-def test_cylinders_enumerate_refuses_long_counts_in_one_line(capsys):
+def test_enumerate_refuses_long_counts_in_one_line(capsys):
     # At radius 8 the count has 2,634 digits; at radius 9 it passes
     # str()'s digit limit.  The ball still fits the cap at both.
     for radius in ("8", "9"):
-        assert main(["cylinders", "--radius", radius, "--enumerate"]) == 1
+        assert main(["enumerate", "--radius", radius]) == 1
         err = one_line_refusal(capsys)
         assert "round-graphs" in err and "cap of 1000000" in err
 
@@ -264,10 +334,10 @@ def test_ball_cap_refuses_before_counting_or_tracing(tmp_path, capsys,
     table = tmp_path / "axis13.txt"
     table.write_text(table_to_text(WeightTable(2, 13, {axis(2, 1, 13): 1})))
     assert len(table.read_bytes()) == 231
-    for argv in (["cylinders", "--radius", "1000000", "--enumerate"],
+    for argv in (["enumerate", "--radius", "1000000"],
                  ["cylinders", str(path), "--radius", "1000000"],
                  ["converge", "--radius", "1000000", "--ns", "2"],
-                 ["cylinders", "--radius", "10", "--enumerate"],
+                 ["enumerate", "--radius", "10"],
                  ["realize", str(table), "--outdir", str(tmp_path / "out")],
                  ["approx", str(table), "--out", str(tmp_path / "t.txt")]):
         assert main(argv) == 1
@@ -436,7 +506,7 @@ def test_radius_four_table_and_converge_need_no_flag(tmp_path, capsys):
     out_path = tmp_path / "table.txt"
     assert main(["cylinders", str(path), "--radius", "4",
                  "--out", str(out_path)]) == 0
-    assert "matching: ok" in capsys.readouterr().out
+    assert capsys.readouterr().out == "# matching: ok\n"
     assert table_from_text(out_path.read_text()) == cylinder_table(
         RationalCurrent.eta(Subgroup(["x"], 2)), 4)
     assert main(["converge", "--radius", "4", "--ns", "2"]) == 0
@@ -616,7 +686,7 @@ def test_a_number_flag_is_an_ascii_number(tmp_path, capsys, flag, case):
              "--epsilon": ["approx", str(table)],
              "--ns": ["converge", "--radius", "1"],
              "--radius": ["converge", "--ns", "2"],
-             "--rank": ["cylinders", "--enumerate", "--radius", "1"]}
+             "--rank": ["enumerate", "--radius", "1"]}
 
     def exit_code(value):
         try:
@@ -709,7 +779,7 @@ def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
                              env={**os.environ, "PYTHONPATH": src,
                                   "PYTHONHASHSEED": seed})
         files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
-        assert b"matching: ok" in run.stdout and len(files) > 2
+        assert b"# matching: ok" in run.stdout and len(files) > 2
         outputs.append((run.stdout, files))
     assert outputs[0] == outputs[1]
 
@@ -778,9 +848,8 @@ def test_every_subcommand_ends_in_an_exit_code_and_one_error_line(
         st.tuples(st.just("cylinders"), st.just(s), st.just(s),
                   st.just("--radius"), radius, st.just("--coeffs"),
                   flag("1,1", "1/2,3", "1e-9,0")),
-        st.tuples(st.just("cylinders"), st.just("--enumerate"),
-                  st.just("--radius"), radius, st.just("--rank"),
-                  flag("1", "2", "3", "26")),
+        st.tuples(st.just("enumerate"), st.just("--radius"), radius,
+                  st.just("--rank"), flag("1", "2", "3", "26")),
         st.tuples(st.just("realize"), st.just(t), st.just("--outdir"),
                   st.just(str(out))),
         st.tuples(st.just("approx"), st.just(t), st.just("--epsilon"),

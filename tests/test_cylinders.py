@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 from subsetcurrents import (CoreGraph, LabeledGraph, RationalCurrent,
                             RoundGraph, Subgroup, WeightTable, Word,
                             check_matching, count_round_graphs,
-                            cylinder_table, distance,
-                            enumerate_round_graphs, fold,
-                            round_graph_from_text, round_graph_to_text,
-                            table_from_text, table_to_text,
-                            validate_round_graph)
+                            cylinder_table, decompose, distance,
+                            enumerate_round_graphs, finite_index, fold,
+                            integerize, realize, round_graph_from_text,
+                            round_graph_to_text, table_from_text,
+                            table_to_text, validate_round_graph)
 from subsetcurrents import cylinders
 from subsetcurrents.approx import (rational_kernel_point, rationalize,
                                    subgroup_Hn)
@@ -301,6 +301,45 @@ def test_cylinder_table_index_law():
         for r in (1, 2):
             assert cylinder_table(RationalCurrent.eta(lifted), r) == \
                 cylinder_table(RationalCurrent.eta(sub), r).scale(k)
+
+
+def rank_functional(table: WeightTable) -> Fraction:
+    """Sum over T of mu(T) (|T n S_1| / 2 - 1), S_1 the words of length 1:
+    each hull vertex counts half its degree less one, so eta_H gives
+    edges - vertices, the reduced rank of H, and the sum is linear."""
+    return sum((v * (Fraction(sum(len(w) == 1 for w in t.words), 2) - 1)
+                for t, v in table.entries.items()), Fraction(0))
+
+
+def test_the_rank_functional_reads_off_every_table():
+    # The reduced rank extends linearly from counting currents to SC(F):
+    # on sum c.eta_H it is sum c.rk(H), at every radius from 1.  The
+    # currents `integerize`, `realize` and `decompose` read back from M
+    # times a table give M times its value.
+    rng = random.Random(36)
+    for i in range(200):
+        mu = random_current(rng, rng.choice([2, 3]))
+        ranks = sum(c * sub.reduced_rank() for c, sub in mu.terms)
+        for r in (1, 2, 3):
+            table = cylinder_table(mu, r)
+            assert rank_functional(table) == ranks
+            if i % 4 == 0:
+                theta, scale = integerize(table)
+                back = decompose(realize(theta))
+                assert sum(c * sub.reduced_rank()
+                           for c, sub in back.terms) == scale * ranks
+
+
+def test_the_rank_functional_scales_by_the_index():
+    # For Gamma of index d in F, eta_Gamma gives [F:Gamma] rk(F) =
+    # d (rank - 1), as the functional on SC(Gamma) extended to SC(F).
+    for rank in (2, 3):
+        for d in (2, 5, 9):
+            cover = Subgroup.from_core(random_finite_cover(rank, d, seed=d))
+            assert finite_index(cover.core) == d
+            for r in (1, 2, 3):
+                table = cylinder_table(RationalCurrent.eta(cover), r)
+                assert rank_functional(table) == d * (rank - 1)
 
 
 def test_cylinder_table_conjugation_invariance():

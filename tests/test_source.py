@@ -42,6 +42,21 @@ def test_package_reads_no_environment_variables():
     assert found == []
 
 
+def test_every_source_file_parses_at_the_oldest_python_claimed():
+    # pyproject.toml claims the oldest Python the project runs on; syntax
+    # newer than that (an `except*`, a PEP 695 alias) would pass on a
+    # newer interpreter and fail there.
+    claim = re.search(r'requires-python\s*=\s*">=\s*3\.([0-9]+)"',
+                      (ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+    floor = (3, int(claim.group(1)))
+    files = sorted(path for top in ("src", "tests", "perfbench")
+                   for path in (ROOT / top).rglob("*.py"))
+    assert len(files) > 20
+    for path in files:
+        ast.parse(path.read_text(encoding="utf-8"), str(path),
+                  feature_version=floor)
+
+
 def _names(node: ast.AST):
     """Every name `node` reads, calls or imports, attributes included."""
     for n in ast.walk(node):
